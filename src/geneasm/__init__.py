@@ -26,7 +26,6 @@ from .iso import (
 from .overlap import (
     OverlapGraph,
     emit_overlap_json,
-    gamma_overlap_set,
     is_realistic_overlap,
     overlap_graph,
     parse_overlap_json,
@@ -47,9 +46,7 @@ from .pointers import (
     negative_set,
     overlap_set,
     parse_arrangement,
-    parse_legal_string,
     parse_pointer_string,
-    pi_kappa,
     positional_overlap,
     positive_set,
     realistic_decode,

@@ -181,7 +181,7 @@ def _cmd_direct(args) -> int:
     built = direct.direct_reduction_graph(g)
     if args.explain:
         kappa = len(g.vertices) + 1
-        for (a, b), _cond in direct._edge_conditions(g, kappa):
+        for (a, b), _condition in direct.candidate_edges(kappa):
             for w in direct.condition_witnesses(g, (a, b)):
                 subset = "{" + ",".join(str(t) for t in sorted(w.subset)) + "}"
                 value = "{" + ",".join(str(t) for t in sorted(w.value)) + "}"

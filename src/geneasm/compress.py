@@ -3,6 +3,38 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+
+def neighbor_table(vertices, edges) -> dict:
+    """Each vertex mapped to the frozenset of vertices it shares an edge with."""
+    table = {v: set() for v in vertices}
+    for a, b in edges:
+        table[a].add(b)
+        table[b].add(a)
+    return {v: frozenset(ws) for v, ws in table.items()}
+
+
+def components(starts, neighbors) -> list[frozenset]:
+    """Connected components, in the order their first vertex appears in starts.
+
+    ``neighbors`` maps a vertex to an iterable of the vertices joined to it.
+    """
+    seen = set()
+    comps = []
+    for start in starts:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in neighbors(stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 @dataclass(frozen=True)
@@ -24,33 +56,19 @@ class LabelledGraph:
     def vertices(self):
         return self.labels.keys()
 
-    def neighbors(self, v):
-        out = set()
-        for e in self.edges:
-            if v in e:
-                out |= e - {v}
-        return out
+    @cached_property
+    def _adjacency(self) -> dict:
+        """Built on first use; not a field, so not compared."""
+        return neighbor_table(self.labels, self.edges)
+
+    def neighbors(self, v) -> frozenset:
+        return self._adjacency.get(v, frozenset())
 
     def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.neighbors(v))
 
     def components(self) -> list[frozenset]:
-        seen = set()
-        comps = []
-        for start in self.labels:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        return components(self.labels, self._adjacency.__getitem__)
 
     def component_count(self) -> int:
         return len(self.components())

@@ -4,15 +4,20 @@ For a realistic overlap graph on {2..kappa} the compressed reduction
 graph of any witness string can be reconstructed from the graph alone.
 Vertices come in pairs J_p (off the root chain) and J'_p (on it); the
 chain J'_2 - J'_3 - ... - J'_kappa is always present, and every other
-edge is characterized by a symmetric-difference equation over the
-neighbor sets O(t): an edge between vertices labelled p and q exists
-exactly when some admissible index window P satisfies
+candidate edge carries a symmetric-difference condition over the
+neighbour sets N(t): the edge exists exactly when some index set P
+satisfies
 
-    XOR of O(t) for t in P  ==  (positives in P) XOR {p} XOR {q}
+    XOR of N(t) for t in P  ==  (positives in P) XOR target
 
-with P drawn from the consecutive run between p and q extended by an
-optional choice P' of the endpoints themselves.  Vertex ids are the
-strings "J<p>" and "Jp<p>" so edge lists can be serialized verbatim.
+where P is a window of consecutive indices lo..hi (the core) together
+with any choice of the optional endpoints.  Moving the positives to the
+left gives the form evaluated here: with D(t) = N(t) XOR ({t} if t is
+positive) and prefix sums S(k) = D(2) XOR ... XOR D(k), the condition
+reads S(hi) XOR S(lo - 1) XOR (D(e) for each chosen endpoint e) == target.
+With the sets held as int bitmasks the core costs one XOR and every
+chosen endpoint one more.  Vertex ids are the strings "J<p>" and "Jp<p>"
+so edge lists can be serialized verbatim.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 from .compress import LabelledGraph
 from .errors import ParseError
@@ -37,15 +42,19 @@ def root_vertex(p: int) -> str:
     return f"Jp{p}"
 
 
+def _labels(kappa: int) -> dict[str, int]:
+    labels = {}
+    for p in range(2, kappa + 1):
+        labels[nonroot_vertex(p)] = p
+        labels[root_vertex(p)] = p
+    return labels
+
+
 def vertex_sort_key(name: str):
     m = _VERTEX_RE.match(name)
     if not m:
         raise ValueError(f"not a direct-construction vertex id: {name!r}")
     return (int(m.group(2)), 1 if m.group(1) else 0)
-
-
-def _xor_all(sets):
-    return reduce(frozenset.symmetric_difference, sets, frozenset())
 
 
 @dataclass(frozen=True)
@@ -56,98 +65,104 @@ class Witness:
     value: frozenset[int]
 
 
-def _candidate_subsets(core, optional):
-    """The index windows P = core + P' for every P' drawn from optional."""
-    optional = sorted(optional)
-    out = []
-    for mask in range(1 << len(optional)):
-        extra = {optional[t] for t in range(len(optional)) if (mask >> t) & 1}
-        out.append(frozenset(core) | extra)
-    out.sort(key=sorted)
-    return out
+def candidate_edges(kappa: int):
+    """Candidate edges in a fixed order, each with its condition.
+
+    A condition is (core, optional, target): P ranges over the core window
+    (a range of indices) joined with every subset of the optional endpoints.  For kappa = 2 the
+    pair {J'_2, J_2} is listed twice, once from each end of the root chain.
+    """
+    for p in range(2, kappa + 1):
+        for q in range(p + 1, kappa + 1):
+            yield (nonroot_vertex(p), nonroot_vertex(q)), (range(p + 1, q), (p, q), (p, q))
+    for p in range(2, kappa + 1):
+        yield (root_vertex(2), nonroot_vertex(p)), (range(2, p), (p,), (p,))
+        yield (root_vertex(kappa), nonroot_vertex(p)), (range(p + 1, kappa + 1), (p,), (p,))
+    if kappa > 3:
+        yield (root_vertex(2), root_vertex(kappa)), (range(2, kappa + 1), (), ())
 
 
-def _matching_subsets(g: OverlapGraph, core, optional, target) -> list[Witness]:
+@lru_cache(maxsize=1)  # `direct --explain` asks for every candidate of one kappa
+def _condition_table(kappa: int) -> dict:
+    """Conditions keyed by the vertex sort keys of the pair, as "J02" names J2."""
+    return {
+        frozenset(map(vertex_sort_key, pair)): condition
+        for pair, condition in candidate_edges(kappa)
+    }
+
+
+def _kappa(g: OverlapGraph) -> int:
+    if not g.vertices or not g.contiguous_domain():
+        raise ValueError("direct construction needs vertex set {2..kappa}")
+    return len(g.vertices) + 1
+
+
+def _mask(ts) -> int:
+    return sum(1 << t for t in ts)
+
+
+def _prefix_xor(g: OverlapGraph, kappa: int) -> list[int]:
+    """S(k) for k = 0..kappa as bitmasks, with S(0) = S(1) = 0."""
+    prefix = [0, 0]
+    for t in range(2, kappa + 1):
+        d = _mask(g.neighbors(t)) ^ (1 << t if t in g.positive else 0)
+        prefix.append(prefix[-1] ^ d)
+    return prefix
+
+
+def _matching_subsets(g: OverlapGraph, prefix: list[int], condition) -> list[Witness]:
+    """The edge test: every P satisfying one condition, ordered by sorted(P)."""
+    core, optional, target = condition
+    # (P', XOR of D over core + P') for every choice P' of optional endpoints
+    choices = [((), prefix[core.stop - 1] ^ prefix[core.start - 1])]
+    for e in optional:
+        d = prefix[e] ^ prefix[e - 1]
+        choices += [(extra + (e,), value ^ d) for extra, value in choices]
+    want = _mask(target)
     hits = []
-    for subset in _candidate_subsets(core, optional):
-        value = _xor_all(g.neighbors(t) for t in sorted(subset))
-        want = (g.positive & subset) ^ frozenset(target)
+    for extra, value in choices:
         if value == want:
-            hits.append(Witness(subset=subset, value=value))
+            subset = frozenset(core).union(extra)
+            hits.append(Witness(subset=subset, value=(g.positive & subset) ^ frozenset(target)))
+    hits.sort(key=lambda w: sorted(w.subset))
     return hits
 
 
-def _edge_conditions(g: OverlapGraph, kappa: int):
-    """Candidate edges with their (core window, optional endpoints, target)."""
-    for p in range(2, kappa + 1):
-        for q in range(p + 1, kappa + 1):
-            yield (nonroot_vertex(p), nonroot_vertex(q)), (
-                range(p + 1, q),
-                {p, q},
-                {p, q},
-            )
-    for p in range(2, kappa + 1):
-        yield (root_vertex(2), nonroot_vertex(p)), (range(2, p), {p}, {p})
-        yield (root_vertex(kappa), nonroot_vertex(p)), (range(p + 1, kappa + 1), {p}, {p})
-    if kappa > 3:
-        yield (root_vertex(2), root_vertex(kappa)), (range(2, kappa + 1), set(), set())
-
-
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
-    """Evaluate the edge conditions over the whole vertex-pair grid.
+    """The root chain plus every candidate edge whose condition holds.
 
     The caller is responsible for realism; on non-realistic input the edge
     set is still computed mechanically but carries no structural guarantee.
     """
-    if not g.vertices or not g.contiguous_domain():
-        raise ValueError("direct construction needs vertex set {2..kappa}")
-    kappa = len(g.vertices) + 1
-    labels = {}
-    for p in range(2, kappa + 1):
-        labels[nonroot_vertex(p)] = p
-        labels[root_vertex(p)] = p
-    edges = set()
-    for p in range(2, kappa):
-        edges.add(frozenset({root_vertex(p), root_vertex(p + 1)}))
-    for (a, b), (core, optional, target) in _edge_conditions(g, kappa):
-        if _matching_subsets(g, core, optional, target):
-            edges.add(frozenset({a, b}))
-    return LabelledGraph(labels=labels, edges=frozenset(edges))
+    kappa = _kappa(g)
+    prefix = _prefix_xor(g, kappa)
+    edges = {frozenset({root_vertex(p), root_vertex(p + 1)}) for p in range(2, kappa)}
+    for pair, condition in candidate_edges(kappa):
+        if _matching_subsets(g, prefix, condition):
+            edges.add(frozenset(pair))
+    return LabelledGraph(labels=_labels(kappa), edges=frozenset(edges))
 
 
 def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
-    """All index windows satisfying the condition for one candidate edge.
+    """All index sets satisfying the condition for one candidate edge.
 
     The candidate is a pair of vertex ids such as ("J2", "J6") or
     ("Jp2", "Jp7"); root-chain edges {J'_p, J'_(p+1)} hold unconditionally
-    and report a single empty witness.
+    and report a single empty witness, and pairs that are not candidates
+    have none.
     """
-    if not g.vertices or not g.contiguous_domain():
-        raise ValueError("direct construction needs vertex set {2..kappa}")
-    kappa = len(g.vertices) + 1
+    kappa = _kappa(g)
     a, b = sorted(edge, key=vertex_sort_key)
     for name in (a, b):
-        k, _ = vertex_sort_key(name)
-        if not 2 <= k <= kappa:
+        if not 2 <= vertex_sort_key(name)[0] <= kappa:
             raise ValueError(f"vertex {name!r} is outside 2..{kappa}")
-    ka, root_a = vertex_sort_key(a)[0], a.startswith("Jp")
-    kb, root_b = vertex_sort_key(b)[0], b.startswith("Jp")
-    if root_a and root_b:
-        if kb == ka + 1:
-            return [Witness(subset=frozenset(), value=frozenset())]
-        if (ka, kb) == (2, kappa) and kappa > 3:
-            return _matching_subsets(g, range(2, kappa + 1), set(), set())
+    (ka, root_a), (kb, root_b) = keys = vertex_sort_key(a), vertex_sort_key(b)
+    if root_a and root_b and kb == ka + 1:
+        return [Witness(subset=frozenset(), value=frozenset())]
+    condition = _condition_table(kappa).get(frozenset(keys))
+    if condition is None:
         return []
-    if not root_a and not root_b:
-        if ka == kb:
-            return []
-        return _matching_subsets(g, range(ka + 1, kb), {ka, kb}, {ka, kb})
-    root_k, other_k = (ka, kb) if root_a else (kb, ka)
-    if root_k == 2:
-        return _matching_subsets(g, range(2, other_k), {other_k}, {other_k})
-    if root_k == kappa:
-        return _matching_subsets(g, range(other_k + 1, kappa + 1), {other_k}, {other_k})
-    return []
+    return _matching_subsets(g, _prefix_xor(g, kappa), condition)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +186,7 @@ def parse_direct_json(text: str) -> LabelledGraph:
     kappa = payload["kappa"]
     if not isinstance(kappa, int) or kappa < 2:
         raise ParseError(f"kappa must be an integer >= 2, got {kappa!r}")
-    labels = {}
-    for p in range(2, kappa + 1):
-        labels[nonroot_vertex(p)] = p
-        labels[root_vertex(p)] = p
+    labels = _labels(kappa)
     edges = set()
     for pair in payload["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:

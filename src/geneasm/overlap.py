@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels, pointers
+from .compress import components, neighbor_table
 from .errors import ParseError, RealismError
 
 DEFAULT_MAX_KAPPA = 8
@@ -44,38 +46,22 @@ class OverlapGraph:
             raise ValueError(f"{p} is not a vertex")
         return "+" if p in self.positive else "-"
 
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Built on first use; not a field, so not compared."""
+        return neighbor_table(self.vertices, self.edges)
+
     def neighbors(self, q: int) -> frozenset[int]:
         if q not in self.vertices:
             raise ValueError(f"{q} is not a vertex")
-        out = set()
-        for a, b in self.edges:
-            if a == q:
-                out.add(b)
-            elif b == q:
-                out.add(a)
-        return frozenset(out)
+        return self._adjacency[q]
 
     def has_edge(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest vertex."""
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        return components(sorted(self.vertices), self._adjacency.__getitem__)
 
     def is_discrete(self) -> bool:
         return not self.edges
@@ -92,20 +78,29 @@ def make_edge(p: int, q: int) -> tuple[int, int]:
 
 
 def overlap_graph(u) -> OverlapGraph:
-    """Overlap graph of a legal string: overlapping pairs, signed by polarity."""
+    """Overlap graph of a legal string: overlapping pairs, signed by polarity.
+
+    One pass with prefix bitmasks: ``seen`` holds the magnitudes occurring
+    an odd number of times so far, so at the second occurrence of p its
+    XOR with the value just after the first occurrence leaves exactly the
+    magnitudes that occur once between the two, the neighbours of p.
+    """
     u = tuple(u)
-    dom = pointers.domain(u)
-    pos = pointers.positive_set(u)
+    pos = pointers.positive_set(u)  # raises unless u is legal
+    opened: dict[int, int] = {}
+    seen = 0
     edges = set()
-    for p in sorted(dom):
-        for q in pointers.overlap_set(u, p):
-            edges.add(make_edge(p, q))
-    return OverlapGraph(vertices=dom, positive=pos, edges=frozenset(edges))
-
-
-def gamma_overlap_set(g: OverlapGraph, q: int) -> frozenset[int]:
-    """Neighbor set of q, the graph-side analogue of the string overlap set."""
-    return g.neighbors(q)
+    for x in u:
+        p = pointers.magnitude(x)
+        if p in opened:
+            between = seen ^ opened[p]
+            while between:
+                low = between & -between
+                edges.add(make_edge(p, low.bit_length() - 1))
+                between ^= low
+        seen ^= 1 << p
+        opened.setdefault(p, seen)
+    return OverlapGraph(vertices=frozenset(opened), positive=pos, edges=frozenset(edges))
 
 
 def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None, scan=None):
@@ -125,13 +120,8 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None, scan=Non
         raise ValueError(
             f"kappa={kappa} exceeds the scan cap {max_kappa}; raise max_kappa to override"
         )
-    adjacency = {p: 0 for p in range(2, kappa + 1)}
-    for p, q in g.edges:
-        adjacency[p] |= 1 << q
-        adjacency[q] |= 1 << p
-    positive_mask = 0
-    for p in g.positive:
-        positive_mask |= 1 << p
+    adjacency = {p: sum(1 << q for q in g.neighbors(p)) for p in g.vertices}
+    positive_mask = sum(1 << p for p in g.positive)
     return kernels.scan_for_arrangement(adjacency, positive_mask, kappa, scan=scan)
 
 

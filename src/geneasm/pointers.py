@@ -27,10 +27,6 @@ def magnitude(p: int) -> int:
     return -p if p < 0 else p
 
 
-def is_barred(p: int) -> bool:
-    return p < 0
-
-
 def bar(p: int) -> int:
     """Barring is an involution: bar(bar(p)) == p."""
     return -p
@@ -97,10 +93,6 @@ def parse_pointer_string(text: str, fmt: str = "auto") -> PointerString:
         return _parse_compact(tokens[0])
     except ParseError:
         return (_parse_token(tokens[0]),)
-
-
-# Historical alias: parsing does not require legality.
-parse_legal_string = parse_pointer_string
 
 
 def format_pointer_string(seq, fmt: str = "spaced") -> str:
@@ -250,10 +242,6 @@ def encode_arrangement(arr) -> PointerString:
     return tuple(out)
 
 
-# The classical name for the encoding homomorphism.
-pi_kappa = encode_arrangement
-
-
 def realistic_decode(seq) -> Arrangement | None:
     """Some arrangement encoding to seq, or None when seq is not realistic.
 
@@ -332,8 +320,3 @@ def positional_overlap(seq, i: int, j: int) -> frozenset[int]:
     for x in seq[i:j]:
         seen ^= {magnitude(x)}
     return frozenset(seen)
-
-
-def overlaps(seq, p: int, q: int) -> bool:
-    """True iff the p- and q-intervals interleave."""
-    return magnitude(q) in overlap_set(seq, p)

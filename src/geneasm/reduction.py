@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pointers
+from .compress import components
 from .errors import LegalityError
 
 Vertex = tuple[int, int]
@@ -88,23 +89,10 @@ class ReductionGraph:
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Alternating cycles, each sorted, ordered by smallest (i, side)."""
-        seen: set[Vertex] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for e in (self.desire_edge_of(v), self.reality_edge_of(v)):
-                    for w in e:
-                        if w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return comps
+        comps = components(
+            self.vertices, lambda v: self.desire_edge_of(v) | self.reality_edge_of(v)
+        )
+        return [tuple(sorted(comp)) for comp in comps]
 
     def component_count(self) -> int:
         return len(self.components())

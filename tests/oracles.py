@@ -142,3 +142,51 @@ def root_chain_count(u):
             if ok:
                 chains.add((picks, links))
     return len(chains)
+
+
+def direct_witnesses(g, a, b):
+    """Witnesses of the direct-construction condition for the vertex pair {a, b}.
+
+    Vertex ids are "J<p>" and "Jp<p>" on a graph with vertex set {2..kappa}.
+    The root chain {Jp<p>, Jp<p+1>} holds unconditionally with the single
+    witness (empty, empty).  Every other candidate edge has a window core
+    and optional endpoints; each index set P = core + P' with P' drawn from
+    the endpoints is a witness when the XOR of g.neighbors(t) over P equals
+    (positives in P) XOR target.  Witnesses are (P, that XOR), ordered by
+    sorted(P).  Pairs that are not candidates have none.
+    """
+    kappa = len(g.vertices) + 1
+
+    def parse(name):
+        root = name.startswith("Jp")
+        return int(name[2:] if root else name[1:]), root
+
+    (ka, root_a), (kb, root_b) = sorted([parse(a), parse(b)])
+    if root_a and root_b:
+        if kb == ka + 1:
+            return [(frozenset(), frozenset())]
+        if (ka, kb) == (2, kappa) and kappa > 3:
+            return _xor_witnesses(g, range(2, kappa + 1), [], set())
+        return []
+    if not root_a and not root_b:
+        if ka == kb:
+            return []
+        return _xor_witnesses(g, range(ka + 1, kb), [ka, kb], {ka, kb})
+    root_k, other_k = (ka, kb) if root_a else (kb, ka)
+    if root_k == 2:
+        return _xor_witnesses(g, range(2, other_k), [other_k], {other_k})
+    if root_k == kappa:
+        return _xor_witnesses(g, range(other_k + 1, kappa + 1), [other_k], {other_k})
+    return []
+
+
+def _xor_witnesses(g, core, optional, target):
+    found = []
+    for picks in product((False, True), repeat=len(optional)):
+        subset = frozenset(core) | {t for t, pick in zip(optional, picks) if pick}
+        value = frozenset()
+        for t in sorted(subset):
+            value = value ^ g.neighbors(t)
+        if value == (g.positive & subset) ^ frozenset(target):
+            found.append((subset, value))
+    return sorted(found, key=lambda w: sorted(w[0]))

@@ -128,6 +128,41 @@ class TestPipelines:
             '["Jp5","Jp6"],["Jp6","Jp7"]]}'
         )
 
+    # full stdout, so a change in the order of --explain lines shows
+    @pytest.mark.parametrize(
+        "string, want",
+        [
+            (
+                "453475623267",
+                "{J2,J6} P={2,3,4,5,6} value={2,6}\n"
+                "{J2,J6} P={3,4,5} value={2,6}\n"
+                "{J3,J5} P={4} value={3,5}\n"
+                "{J4,J7} P={4,5,6,7} value={4,7}\n"
+                "{J4,J7} P={5,6} value={4,7}\n"
+                "{Jp2,J3} P={2} value={3}\n"
+                "{Jp7,J5} P={6,7} value={5}\n"
+                '{"kappa":7,"edges":[["J2","J6"],["Jp2","J3"],["Jp2","Jp3"],'
+                '["J3","J5"],["Jp3","Jp4"],["J4","J7"],["Jp4","Jp5"],["J5","Jp7"],'
+                '["Jp5","Jp6"],["Jp6","Jp7"]]}\n',
+            ),
+            (
+                "72673456-3-245",
+                "{J2,J4} P={3,4} value={2,3,4}\n"
+                "{J2,J6} P={2,3,4,5,6} value={3,6}\n"
+                "{J3,J6} P={3,4,5} value={6}\n"
+                "{J3,J7} P={4,5,6} value={3,7}\n"
+                "{J4,J5} P={4,5} value={4,5}\n"
+                "{J5,J7} P={5,6,7} value={5,7}\n"
+                "{Jp2,Jp7} P={2,3,4,5,6,7} value={2,3}\n"
+                '{"kappa":7,"edges":[["J2","J4"],["J2","J6"],["Jp2","Jp3"],'
+                '["Jp2","Jp7"],["J3","J6"],["J3","J7"],["Jp3","Jp4"],["J4","J5"],'
+                '["Jp4","Jp5"],["J5","J7"],["Jp5","Jp6"],["Jp6","Jp7"]]}\n',
+            ),
+        ],
+    )
+    def test_direct_explain_golden(self, string, want):
+        assert run(["direct", "--string", string, "--explain"]) == (0, want, "")
+
     def test_direct_requires_contiguous_domain(self):
         code, _, err = run(["direct", "--string", "2244"])
         assert code == 4

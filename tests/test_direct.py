@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+import oracles
 from geneasm import compress, direct, iso, overlap, pointers, reduction
 from geneasm.errors import ParseError
 
@@ -148,6 +149,46 @@ class TestMainEquivalence:
             inflated = _inflate(built)
             rg = compress.coloured_from_reduction(reduction.ReductionGraph(u))
             assert iso.canonical_2edge(inflated) == iso.canonical_2edge(rg)
+
+
+class TestDefinitionReference:
+    """The prefix-XOR evaluation against the definition in tests/oracles.py."""
+
+    def _graphs(self):
+        rng = random.Random(84)
+        for kappa in range(2, 11):
+            for _ in range(6):
+                entries = list(range(1, kappa + 1))
+                rng.shuffle(entries)
+                arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
+                yield overlap.overlap_graph(pointers.encode_arrangement(arr))
+                # a random signed graph, realistic or not
+                vertices = frozenset(range(2, kappa + 1))
+                yield overlap.OverlapGraph(
+                    vertices=vertices,
+                    positive=frozenset(p for p in vertices if rng.random() < 0.5),
+                    edges=frozenset(
+                        (p, q)
+                        for p in vertices
+                        for q in vertices
+                        if p < q and rng.random() < 0.4
+                    ),
+                )
+
+    def test_edges_and_witnesses_match_definition(self):
+        for g in self._graphs():
+            kappa = len(g.vertices) + 1
+            names = [f"J{p}" for p in range(2, kappa + 1)]
+            names += [f"Jp{p}" for p in range(2, kappa + 1)]
+            want_edges = set()
+            for a in names:
+                for b in names:
+                    want = oracles.direct_witnesses(g, a, b)
+                    got = direct.condition_witnesses(g, (a, b))
+                    assert [(w.subset, w.value) for w in got] == want, (g, a, b)
+                    if want and a != b:
+                        want_edges.add(edge(a, b))
+            assert direct.direct_reduction_graph(g).edges == want_edges
 
 
 def _inflate(g):
