@@ -16,7 +16,7 @@ from .direct import (
     emit_direct_json,
     parse_direct_json,
 )
-from .errors import GeneAsmError, LegalityError, ParseError, RealismError
+from .errors import CapError, GeneAsmError, LegalityError, ParseError, RealismError
 from .iso import (
     brute_force_isomorphic,
     brute_force_isomorphic_2edge,

@@ -3,8 +3,10 @@
 One verb per invocation; output is deterministic for a fixed seed.  Exit
 codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
-violation.  ``iso-check`` additionally exits 1 when the graphs are not
-isomorphic, so shell pipelines can branch on the outcome.
+violation, 6 input over a search cap (such as the realism cap, set by
+``--max-kappa`` or ``GENEASM_MAX_KAPPA``) or a malformed cap setting.
+``iso-check`` additionally exits 1 when the graphs are not isomorphic,
+so shell pipelines can branch on the outcome.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import argparse
 import random
 import sys
 
-from . import compress, direct, dot, iso, kernels, overlap, pointers, reduction, rewriting, sampling
-from .errors import LegalityError, ParseError, RealismError
+from . import compress, direct, dot, iso, overlap, pointers, reduction, rewriting, sampling
+from .errors import CapError, LegalityError, ParseError, RealismError
 
 EXIT_OK = 0
 EXIT_NOT_ISO = 1
@@ -22,6 +24,7 @@ EXIT_PARSE = 2
 EXIT_NOT_LEGAL = 3
 EXIT_NOT_REALISTIC = 4
 EXIT_INTERNAL = 5
+EXIT_CAP = 6
 
 SUBSET_ORDER = (
     frozenset(),
@@ -330,11 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="geneasm",
         description="Gene assembly pipelines: strings, overlap graphs, reduction graphs.",
     )
-    parser.add_argument(
-        "--backend-info",
-        action="store_true",
-        help="print the realism-scan backend before running the verb",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kwargs):
@@ -390,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
     src.add_argument("--string", help="realistic string")
     p.add_argument("--max-kappa", type=int, default=None,
-                   help="cap for the realism scan on graph input")
+                   help="cap for the realism search on graph input")
 
     p = add("check-realism", _cmd_check_realism, help="search for a witness arrangement")
     src = p.add_mutually_exclusive_group(required=True)
@@ -415,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.backend_info:
-        _emit(f"backend={kernels.backend_name()}")
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -428,6 +424,9 @@ def main(argv=None) -> int:
     except RealismError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_REALISTIC
+    except CapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -69,15 +69,17 @@ def candidate_edges(kappa: int):
     """Candidate edges in a fixed order, each with its condition.
 
     A condition is (core, optional, target): P ranges over the core window
-    (a range of indices) joined with every subset of the optional endpoints.  For kappa = 2 the
-    pair {J'_2, J_2} is listed twice, once from each end of the root chain.
+    (a range of indices) joined with every subset of the optional endpoints.
+    Each pair is listed once; for kappa = 2 both ends of the root chain are
+    J'_2, so {J'_2, J_2} comes only from the first.
     """
     for p in range(2, kappa + 1):
         for q in range(p + 1, kappa + 1):
             yield (nonroot_vertex(p), nonroot_vertex(q)), (range(p + 1, q), (p, q), (p, q))
     for p in range(2, kappa + 1):
         yield (root_vertex(2), nonroot_vertex(p)), (range(2, p), (p,), (p,))
-        yield (root_vertex(kappa), nonroot_vertex(p)), (range(p + 1, kappa + 1), (p,), (p,))
+        if kappa > 2:
+            yield (root_vertex(kappa), nonroot_vertex(p)), (range(p + 1, kappa + 1), (p,), (p,))
     if kappa > 3:
         yield (root_vertex(2), root_vertex(kappa)), (range(2, kappa + 1), (), ())
 

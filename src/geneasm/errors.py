@@ -15,3 +15,7 @@ class LegalityError(GeneAsmError):
 
 class RealismError(GeneAsmError):
     """An operation required a realistic string or overlap graph."""
+
+
+class CapError(GeneAsmError):
+    """An input is larger than a search cap allows, or a cap setting is malformed."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .compress import LabelledGraph
+from .errors import CapError
 
 
 def _min_rotation(seq: tuple) -> tuple:
@@ -181,7 +182,7 @@ MAX_BRUTE_FORCE_VERTICES = 10
 def brute_force_isomorphic(g1: LabelledGraph, g2: LabelledGraph) -> bool:
     """Exhaustive label-respecting bijection search (ground-truth oracle)."""
     if len(g1.labels) > MAX_BRUTE_FORCE_VERTICES or len(g2.labels) > MAX_BRUTE_FORCE_VERTICES:
-        raise ValueError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
+        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
     if len(g1.labels) != len(g2.labels) or len(g1.edges) != len(g2.edges):
         return False
     classes = _label_classes(g1.labels, g2.labels)
@@ -199,7 +200,7 @@ def brute_force_isomorphic_2edge(g1, g2) -> bool:
     labels1 = {v: g1.label(v) for v in g1.vertices}
     labels2 = {v: g2.label(v) for v in g2.vertices}
     if len(labels1) > MAX_BRUTE_FORCE_VERTICES or len(labels2) > MAX_BRUTE_FORCE_VERTICES:
-        raise ValueError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
+        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
     if len(labels1) != len(labels2):
         return False
     classes = _label_classes(labels1, labels2)

@@ -1,143 +1,107 @@
-"""Brute-force scan of the arrangement space for the realism oracle.
+"""Exact realism decision by pruned depth-first search over arrangements.
 
-Deciding whether a signed graph is the overlap graph of some encoded
-arrangement means scanning kappa! * 2^kappa candidate arrangements; at
-kappa = 8 that is ~10M pointer strings, by far the hottest loop in the
-package.  The kernel below is plain scalar numpy code, JIT-compiled with
-numba when available.  Set ``GENEASM_NO_NUMBA=1`` to force the
-interpreted fallback (the same function, undecorated); the fallback is
-also selected automatically when numba is not installed.
+A signed graph on {2..kappa} is realistic when some arrangement of the
+segments 1..kappa, each possibly inverted, encodes to a string with that
+overlap graph.  Segment m contributes the pointers m and m + 1 (segment 1
+only 2, segment kappa only kappa), so pointer p occurs in segments p - 1
+and p, and an inverted segment reverses and bars its pointers.
 
-``benchmarks/bench_realism.py`` compares the two paths.
+Witness contract: the arrangement returned is the first one in the order
+of a full scan -- permutations of 1..kappa in lexicographic order, then
+inversion masks as ascending integers, bit t inverting the segment in
+slot t.  The search reaches it without visiting the rest:
+
+* Signs fix the inversions.  p is positive exactly when one of its two
+  segments is inverted, so the inversions of all segments follow from
+  that of segment 1.  Each permutation has two candidate masks, and a
+  search node carries the candidates (at most two) still consistent with
+  the graph, so no flip choice can hide a smaller permutation.
+* Segment 1 is fixed in slot 0.  Rotating an arrangement rotates its
+  string, which keeps every overlap and every sign, so whenever some
+  permutation has a witness, the first permutation with one starts
+  with 1.
+* Pruning.  Permutation prefixes are extended in lexicographic order.
+  When the second occurrence of p is placed, the magnitudes occurring
+  once between its two occurrences are the XOR of the prefix masks
+  (the trick ``overlap.overlap_graph`` uses) and must equal p's
+  neighbour mask.
+
+The first permutation that completes is therefore the scan's first
+permutation with a witness, and its smaller surviving mask the scan's
+mask.  ``tests/oracles.py`` keeps the full scan as the reference.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-
-def _scan_impl(adjacency, positive_mask, kappa, out_perm):  # pragma: no cover - exercised via wrappers
-    """Find an arrangement whose encoded string has the given overlap structure.
-
-    adjacency[p] is a bitmask of the magnitudes overlapping p (bits 2..kappa),
-    positive_mask a bitmask of the positive magnitudes.  Permutations of
-    1..kappa are enumerated lexicographically, inversion masks in ascending
-    order (bit t inverts the segment at slot t).  On a match the permutation
-    is written to out_perm and the inversion mask returned; -1 means no
-    arrangement matches.
-    """
-    n = 2 * kappa - 2
-    perm = np.arange(1, kappa + 1, dtype=np.int64)
-    mag = np.zeros(n, dtype=np.int64)
-    barred = np.zeros(n, dtype=np.int64)
-    first = np.zeros(kappa + 1, dtype=np.int64)
-    second = np.zeros(kappa + 1, dtype=np.int64)
-
-    while True:
-        for inv in range(1 << kappa):
-            pos = 0
-            for t in range(kappa):
-                k = perm[t]
-                flip = (inv >> t) & 1
-                if k == 1:
-                    mag[pos] = 2
-                    barred[pos] = flip
-                    pos += 1
-                elif k == kappa:
-                    mag[pos] = kappa
-                    barred[pos] = flip
-                    pos += 1
-                elif flip == 0:
-                    mag[pos] = k
-                    barred[pos] = 0
-                    mag[pos + 1] = k + 1
-                    barred[pos + 1] = 0
-                    pos += 2
-                else:
-                    mag[pos] = k + 1
-                    barred[pos] = 1
-                    mag[pos + 1] = k
-                    barred[pos + 1] = 1
-                    pos += 2
-
-            for p in range(2, kappa + 1):
-                first[p] = -1
-                second[p] = -1
-            for i in range(n):
-                p = mag[i]
-                if first[p] < 0:
-                    first[p] = i
-                else:
-                    second[p] = i
-
-            ok = True
-            for p in range(2, kappa + 1):
-                positive = barred[first[p]] != barred[second[p]]
-                if positive != (((positive_mask >> p) & 1) == 1):
-                    ok = False
-                    break
-                m = 0
-                for i in range(first[p] + 1, second[p]):
-                    m ^= 1 << mag[i]
-                if m != adjacency[p]:
-                    ok = False
-                    break
-            if ok:
-                for t in range(kappa):
-                    out_perm[t] = perm[t]
-                return inv
-
-        # next permutation in lexicographic order
-        i = kappa - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return -1
-        j = kappa - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        lo = i + 1
-        hi = kappa - 1
-        while lo < hi:
-            perm[lo], perm[hi] = perm[hi], perm[lo]
-            lo += 1
-            hi -= 1
-
-
-scan_arrangements_python = _scan_impl
-
-_numba_disabled = os.environ.get("GENEASM_NO_NUMBA", "") not in ("", "0")
-scan_arrangements_numba = None
-if not _numba_disabled:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        numba = None
-    if numba is not None:
-        scan_arrangements_numba = numba.njit(cache=True)(_scan_impl)
-
-scan_arrangements = scan_arrangements_numba or scan_arrangements_python
-
 
 def backend_name() -> str:
-    return "numba" if scan_arrangements is scan_arrangements_numba else "python"
+    # perfbench's run stamp records this; there is one backend.
+    return "python"
 
 
-def scan_for_arrangement(adjacency_masks, positive_mask, kappa, scan=None):
-    """Run the scan and decode the result into an arrangement tuple or None."""
-    if scan is None:
-        scan = scan_arrangements
-    adjacency = np.zeros(kappa + 1, dtype=np.int64)
+def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
+    """The first witness arrangement in scan order, as a signed tuple, or None.
+
+    adjacency_masks maps each p in 2..kappa to the bitmask of its
+    neighbours, positive_mask has bit p set for every positive p.
+    """
+    adjacency = [0] * (kappa + 2)
     for p, mask in adjacency_masks.items():
         adjacency[p] = mask
-    out_perm = np.zeros(kappa, dtype=np.int64)
-    inv = scan(adjacency, np.int64(positive_mask), np.int64(kappa), out_perm)
-    if inv < 0:
+    # inverted[c][m]: is segment m inverted in candidate c (c = inversion of segment 1)
+    inverted = [[0, 0]]
+    for m in range(2, kappa + 1):
+        inverted[0].append(inverted[0][-1] ^ ((positive_mask >> m) & 1))
+    inverted.append([f ^ 1 for f in inverted[0]])
+
+    def segment_pointers(m):
+        if m == 1:
+            return (2,)
+        if m == kappa:
+            return (kappa,)
+        return (m, m + 1)
+
+    # blocks[c][m]: (p, bit of p, bit of p's other segment) in string order
+    blocks = ([()], [()])
+    for m in range(1, kappa + 1):
+        for c in (0, 1):
+            order = segment_pointers(m)[::-1] if inverted[c][m] else segment_pointers(m)
+            blocks[c].append(tuple((p, 1 << p, 1 << (p - 1 if p == m else p)) for p in order))
+    block_mask = [0] + [sum(1 << p for p in segment_pointers(m)) for m in range(1, kappa + 1)]
+    # opened[c][p]: prefix mask just after the first occurrence of p in candidate c;
+    # a branch writes it before reading it, so backtracking needs no undo
+    opened = ([0] * (kappa + 2), [0] * (kappa + 2))
+    perm = [1]
+
+    def place(c, m, seen, placed):
+        """Append segment m under candidate c; False if a pointer it closes fails."""
+        first = opened[c]
+        for p, bit, other in blocks[c][m]:
+            if placed & other:
+                if seen ^ first[p] != adjacency[p]:
+                    return False
+            else:
+                first[p] = seen ^ bit
+            seen ^= bit
+        return True
+
+    def search(seen, placed, alive):
+        """Inversion mask of the first completion of perm, or None."""
+        if len(perm) == kappa:
+            return min(sum(inverted[c][k] << t for t, k in enumerate(perm)) for c in alive)
+        for m in range(2, kappa + 1):
+            if placed & (1 << m):
+                continue
+            survivors = [c for c in alive if place(c, m, seen, placed)]
+            if survivors:
+                perm.append(m)
+                inv = search(seen ^ block_mask[m], placed | (1 << m), survivors)
+                if inv is not None:
+                    return inv
+                perm.pop()
         return None
-    return tuple(
-        -int(out_perm[t]) if (int(inv) >> t) & 1 else int(out_perm[t])
-        for t in range(kappa)
-    )
+
+    inv = search(block_mask[1], 1 << 1, [c for c in (0, 1) if place(c, 1, 0, 0)])
+    if inv is None:
+        return None
+    return tuple(-k if (inv >> t) & 1 else k for t, k in enumerate(perm))

@@ -1,4 +1,4 @@
-"""Signed overlap graphs of legal strings, with a brute-force realism oracle."""
+"""Signed overlap graphs of legal strings, with an exact realism decision."""
 
 from __future__ import annotations
 
@@ -9,13 +9,19 @@ from functools import cached_property
 
 from . import kernels, pointers
 from .compress import components, neighbor_table
-from .errors import ParseError, RealismError
+from .errors import CapError, ParseError, RealismError
 
-DEFAULT_MAX_KAPPA = 8
+DEFAULT_MAX_KAPPA = 12
 
 
 def _max_kappa_default() -> int:
-    return int(os.environ.get("GENEASM_MAX_KAPPA", str(DEFAULT_MAX_KAPPA)))
+    value = os.environ.get("GENEASM_MAX_KAPPA", "")
+    if not value:
+        return DEFAULT_MAX_KAPPA
+    try:
+        return int(value)
+    except ValueError:
+        raise CapError(f"GENEASM_MAX_KAPPA must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,15 @@ def overlap_graph(u) -> OverlapGraph:
     return OverlapGraph(vertices=frozenset(opened), positive=pos, edges=frozenset(edges))
 
 
-def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None, scan=None):
-    """Search all kappa! * 2^kappa arrangements for one encoding to g.
+def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
+    """A witness arrangement encoding to g, or None if g is not realistic.
 
-    Returns a witness arrangement or None.  Graphs whose vertex set is not
+    The witness is the first arrangement in scan order (see ``kernels``),
+    found by a pruned depth-first search.  Graphs whose vertex set is not
     exactly {2..kappa} are rejected immediately (encoded strings never have
-    domain gaps).  This is a test oracle; kappa is capped (default 8,
-    overridable via the argument or GENEASM_MAX_KAPPA).
+    domain gaps).  The search is exponential in the worst case, so kappa is
+    capped (default 12, overridable via the argument or GENEASM_MAX_KAPPA);
+    a larger graph raises CapError.
     """
     if max_kappa is None:
         max_kappa = _max_kappa_default()
@@ -117,12 +125,13 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None, scan=Non
         return None
     kappa = len(g.vertices) + 1
     if kappa > max_kappa:
-        raise ValueError(
-            f"kappa={kappa} exceeds the scan cap {max_kappa}; raise max_kappa to override"
+        raise CapError(
+            f"kappa={kappa} exceeds the realism cap {max_kappa}; "
+            "raise --max-kappa or GENEASM_MAX_KAPPA"
         )
     adjacency = {p: sum(1 << q for q in g.neighbors(p)) for p in g.vertices}
     positive_mask = sum(1 << p for p in g.positive)
-    return kernels.scan_for_arrangement(adjacency, positive_mask, kappa, scan=scan)
+    return kernels.scan_for_arrangement(adjacency, positive_mask, kappa)
 
 
 def require_realistic(g: OverlapGraph, max_kappa: int | None = None):

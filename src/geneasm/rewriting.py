@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import pointers
-from .errors import ParseError
+from .errors import CapError, ParseError
 from .overlap import OverlapGraph, make_edge
 
 STRING_KINDS = ("snr", "spr", "sdr")
@@ -133,7 +133,7 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     kinds = _check_kinds(kinds, STRING_KINDS)
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
-        raise ValueError(f"domain exceeds the search cap {max_domain}")
+        raise CapError(f"domain exceeds the search cap {max_domain}")
     edges: dict[tuple, list[tuple[StringRule, tuple]]] = {}
 
     def successors(v):
@@ -160,7 +160,7 @@ def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DO
     kinds = _check_kinds(kinds, STRING_KINDS)
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
-        raise ValueError(f"domain exceeds the search cap {max_domain}")
+        raise CapError(f"domain exceeds the search cap {max_domain}")
     memo: dict[tuple, bool] = {}
 
     def walk(v):
@@ -303,7 +303,7 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
     """Yield every rule sequence (application order) reducing g to the empty graph."""
     kinds = _check_kinds(kinds, GRAPH_KINDS)
     if len(g.vertices) + 1 > max_kappa:
-        raise ValueError(f"kappa exceeds the search cap {max_kappa}")
+        raise CapError(f"kappa exceeds the search cap {max_kappa}")
     prefix: list[GraphRule] = []
 
     def walk(h):
@@ -322,7 +322,7 @@ def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> 
     """Exhaustive search decision, memoized on canonical graph keys."""
     kinds = _check_kinds(kinds, GRAPH_KINDS)
     if len(g.vertices) + 1 > max_kappa:
-        raise ValueError(f"kappa exceeds the search cap {max_kappa}")
+        raise CapError(f"kappa exceeds the search cap {max_kappa}")
     memo: dict[str, bool] = {}
 
     def walk(h):

@@ -6,7 +6,8 @@ avoids the package's own algorithms, so disagreements point at real
 defects rather than shared bugs.
 """
 
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 
 def mag(p):
@@ -190,3 +191,44 @@ def _xor_witnesses(g, core, optional, target):
         if value == (g.positive & subset) ^ frozenset(target):
             found.append((subset, value))
     return sorted(found, key=lambda w: sorted(w[0]))
+
+
+def encode_arrangement(arrangement):
+    """Pointer string of a signed arrangement of the segments 1..kappa."""
+    kappa = len(arrangement)
+    out = []
+    for k in arrangement:
+        m = mag(k)
+        block = [2] if m == 1 else [kappa] if m == kappa else [m, m + 1]
+        if k < 0:
+            block = [-p for p in reversed(block)]
+        out.extend(block)
+    return out
+
+
+def signed_overlap(u):
+    """(overlapping pairs (p, q) with p < q, positive magnitudes) of a legal string."""
+    positive = frozenset(mag(x) for x in u if -x in u)
+    return frozenset(overlap_pairs(u)), positive
+
+
+@lru_cache(maxsize=None)
+def first_witnesses(kappa):
+    """Every realistic signed graph at kappa -> its first witness in scan order.
+
+    The scan visits every signed arrangement of 1..kappa: permutations in
+    lexicographic order, then inversion masks as ascending integers, bit t
+    inverting the segment in slot t.  kappa!·2^kappa arrangements, so keep
+    kappa <= 6.
+    """
+    table = {}
+    for perm in permutations(range(1, kappa + 1)):
+        for inv in range(1 << kappa):
+            arrangement = tuple(-k if (inv >> t) & 1 else k for t, k in enumerate(perm))
+            table.setdefault(signed_overlap(encode_arrangement(arrangement)), arrangement)
+    return table
+
+
+def realism_witness(edges, positive, kappa):
+    """The first witness in scan order of the graph on {2..kappa}, or None."""
+    return first_witnesses(kappa).get((frozenset(edges), frozenset(positive)))

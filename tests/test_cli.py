@@ -163,6 +163,11 @@ class TestPipelines:
     def test_direct_explain_golden(self, string, want):
         assert run(["direct", "--string", string, "--explain"]) == (0, want, "")
 
+    def test_direct_explain_kappa_2_lists_each_candidate_once(self):
+        assert run(["direct", "--string", "2-2", "--explain"]) == (
+            0, '{Jp2,J2} P={2} value={}\n{"kappa":2,"edges":[["J2","Jp2"]]}\n', ""
+        )
+
     def test_direct_requires_contiguous_domain(self):
         code, _, err = run(["direct", "--string", "2244"])
         assert code == 4
@@ -300,7 +305,45 @@ class TestParserBehaviour:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_backend_info(self):
-        code, out, _ = run(["--backend-info", "validate", "22"])
+
+def _discrete_graph_json(kappa):
+    vertices = [{"p": p, "sign": "-"} for p in range(2, kappa + 1)]
+    return json.dumps({"vertices": vertices, "edges": []})
+
+
+class TestRealismCap:
+    KAPPA_9 = "67-8-7-9-856-5-42-9-3-234"
+
+    def test_kappa_9_is_under_the_default_cap(self):
+        assert run(["check-realism", "--string", self.KAPPA_9]) == (
+            0, "-M1 M4 -M5 M8 M7 -M6 -M3 M2 M9\n", ""
+        )
+
+    def test_kappa_12_graph_is_decided(self):
+        code, out, _ = run(["classify", "--graph", _discrete_graph_json(12)])
         assert code == 0
-        assert out.splitlines()[0] in ("backend=numba", "backend=python")
+        assert len(out.splitlines()) == 8
+
+    @pytest.mark.parametrize("verb", ["check-realism", "classify"])
+    def test_kappa_13_graph_exceeds_the_cap(self, verb):
+        code, out, err = run([verb, "--graph", _discrete_graph_json(13)])
+        assert (code, out) == (6, "")
+        assert err == "error: kappa=13 exceeds the realism cap 12; raise --max-kappa or GENEASM_MAX_KAPPA\n"
+
+    def test_max_kappa_flag_lowers_the_cap(self):
+        code, _, err = run(["check-realism", "--string", self.KAPPA_9, "--max-kappa", "8"])
+        assert code == 6
+        assert "kappa=9 exceeds the realism cap 8" in err
+
+    def test_env_cap(self, monkeypatch):
+        monkeypatch.setenv("GENEASM_MAX_KAPPA", "13")
+        assert run(["check-realism", "--graph", _discrete_graph_json(13)])[0] == 0
+        monkeypatch.setenv("GENEASM_MAX_KAPPA", "8")
+        assert run(["check-realism", "--string", self.KAPPA_9])[0] == 6
+
+    @pytest.mark.parametrize("value", ["eight", "8.5", " "])
+    def test_bad_env_value(self, monkeypatch, value):
+        monkeypatch.setenv("GENEASM_MAX_KAPPA", value)
+        code, out, err = run(["check-realism", "--string", "22"])
+        assert (code, out) == (6, "")
+        assert err == f"error: GENEASM_MAX_KAPPA must be an integer, got {value!r}\n"

@@ -4,6 +4,7 @@ import pytest
 
 from geneasm import compress, iso, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
+from geneasm.errors import CapError
 
 
 def lg(labels, edges):
@@ -138,7 +139,7 @@ class TestBruteForce:
 
     def test_size_cap(self):
         big = lg({i: 2 for i in range(11)}, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(CapError):
             iso.brute_force_isomorphic(big, big)
 
 

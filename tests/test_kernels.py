@@ -1,10 +1,9 @@
-"""Backend agreement for the realism scan kernel."""
+"""The realism search against the full scan it replaced (tests/oracles.py)."""
 
-import os
 import random
-import subprocess
-import sys
+from itertools import combinations
 
+import oracles
 from geneasm import kernels, overlap, pointers
 
 
@@ -20,41 +19,48 @@ def _adjacency_inputs(g):
     return adjacency, positive_mask, kappa
 
 
-def test_backends_agree_on_random_graphs():
-    rng = random.Random(31)
-    scans = [kernels.scan_arrangements_python]
-    if kernels.scan_arrangements_numba is not None:
-        scans.append(kernels.scan_arrangements_numba)
-    for _ in range(20):
-        kappa = rng.randint(2, 5)
-        entries = list(range(1, kappa + 1))
-        rng.shuffle(entries)
-        arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
-        g = overlap.overlap_graph(pointers.encode_arrangement(arr))
-        adjacency, positive_mask, kappa = _adjacency_inputs(g)
-        results = [
-            kernels.scan_for_arrangement(adjacency, positive_mask, kappa, scan=scan)
-            for scan in scans
-        ]
-        assert len(set(results)) == 1
-        assert results[0] is not None
+def _scan(edges, positive, kappa):
+    g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
+    return kernels.scan_for_arrangement(*_adjacency_inputs(g))
 
 
-def test_backends_agree_on_absent_case():
-    g = overlap.overlap_graph(pointers.parse_pointer_string("24535423"))
-    adjacency, positive_mask, kappa = _adjacency_inputs(g)
-    results = [
-        kernels.scan_for_arrangement(
-            adjacency, positive_mask, kappa, scan=kernels.scan_arrangements_python
-        )
-    ]
-    if kernels.scan_arrangements_numba is not None:
-        results.append(
-            kernels.scan_for_arrangement(
-                adjacency, positive_mask, kappa, scan=kernels.scan_arrangements_numba
-            )
-        )
-    assert all(r is None for r in results)
+def _toggles(edges, positive, kappa):
+    """Every graph one edge or one vertex sign away."""
+    for p in range(2, kappa + 1):
+        yield edges, positive ^ {p}
+        for q in range(p + 1, kappa + 1):
+            yield edges ^ {(p, q)}, positive
+
+
+def _assert_matches_full_scan(edges, positive, kappa):
+    want = oracles.realism_witness(edges, positive, kappa)
+    assert _scan(edges, positive, kappa) == want, (sorted(edges), sorted(positive))
+    return want
+
+
+def test_every_graph_up_to_kappa_5_matches_full_scan():
+    for kappa in range(2, 6):
+        vertices = range(2, kappa + 1)
+        pairs = list(combinations(vertices, 2))
+        realistic = 0
+        for edge_bits in range(1 << len(pairs)):
+            edges = frozenset(pq for i, pq in enumerate(pairs) if (edge_bits >> i) & 1)
+            for sign_bits in range(1 << len(vertices)):
+                positive = frozenset(p for p in vertices if (sign_bits >> (p - 2)) & 1)
+                realistic += _assert_matches_full_scan(edges, positive, kappa) is not None
+        assert realistic == len(oracles.first_witnesses(kappa))
+
+
+def test_seeded_kappa_6_graphs_and_toggles_match_full_scan():
+    rng = random.Random(6)
+    realistic = sorted(oracles.first_witnesses(6), key=lambda key: (sorted(key[0]), sorted(key[1])))
+    found = 0
+    for edges, positive in rng.sample(realistic, 40):
+        assert _assert_matches_full_scan(edges, positive, 6) is not None
+        for toggled in _toggles(edges, positive, 6):
+            found += _assert_matches_full_scan(*toggled, 6) is not None
+    # toggles reach both realistic and non-realistic graphs
+    assert 0 < found < 40 * 15
 
 
 def test_scan_order_is_deterministic():
@@ -64,29 +70,18 @@ def test_scan_order_is_deterministic():
     assert first == (1, 2)  # identity permutation, nothing inverted
 
 
-def test_env_flag_selects_python_backend():
-    code = (
-        "from geneasm import kernels; "
-        "print(kernels.backend_name(), kernels.scan_arrangements_numba is None)"
-    )
-    # The narrowed env drops PYTHONPATH, so hand the child the directory this
-    # process imported geneasm from (src/ in a checkout, site-packages when
-    # installed), as an absolute path so pytest's cwd does not matter.
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    pythonpath = os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={
-            "GENEASM_NO_NUMBA": "1",
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": pythonpath,
-        },
-    )
-    assert out.returncode == 0, out.stderr
-    # Without numba this prints "python True" whether or not the flag is
-    # honoured; only where numba is installed does it check the flag itself.
-    assert out.stdout.split() == ["python", "True"]
+def test_witnesses_reencode_up_to_kappa_12():
+    rng = random.Random(12)
+    for kappa in range(7, 13):
+        for _ in range(3):
+            entries = list(range(1, kappa + 1))
+            rng.shuffle(entries)
+            arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
+            g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+            witness = _scan(g.edges, g.positive, kappa)
+            assert witness is not None and abs(witness[0]) == 1  # segment 1 leads
+            assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
+
+
+def test_backend_name_is_constant():
+    assert kernels.backend_name() == "python"

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from geneasm import overlap, pointers
-from geneasm.errors import ParseError
+from geneasm.errors import CapError, ParseError
 
 
 def graph_of(text):
@@ -172,6 +172,14 @@ class TestRealismOracle:
             overlap.is_realistic_overlap(g)
         monkeypatch.setenv("GENEASM_MAX_KAPPA", "6")
         assert overlap.is_realistic_overlap(g) is not None
+
+    def test_kappa_cap_raises_cap_error(self, monkeypatch):
+        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 14))))
+        with pytest.raises(CapError, match="kappa=13 exceeds the realism cap 12"):
+            overlap.is_realistic_overlap(g)
+        monkeypatch.setenv("GENEASM_MAX_KAPPA", "twelve")
+        with pytest.raises(CapError, match="GENEASM_MAX_KAPPA must be an integer"):
+            overlap.is_realistic_overlap(g)
 
 
 def _random_legal(rng, max_domain=5):

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from geneasm import overlap, pointers, reduction, rewriting
-from geneasm.errors import ParseError
+from geneasm.errors import CapError, ParseError
 from geneasm.rewriting import GraphRule, StringRule
 
 
@@ -83,7 +83,7 @@ class TestStringRules:
 
     def test_search_cap(self):
         u = tuple(range(2, 9)) + tuple(range(2, 9))
-        with pytest.raises(ValueError):
+        with pytest.raises(CapError):
             list(rewriting.successful_string_reductions(u))
 
 
@@ -277,9 +277,9 @@ class TestSuccessfulness:
 
     def test_search_cap(self):
         g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 9))))
-        with pytest.raises(ValueError):
+        with pytest.raises(CapError):
             rewriting.successful_in(g, {"gnr"})
-        with pytest.raises(ValueError):
+        with pytest.raises(CapError):
             list(rewriting.successful_graph_reductions(g))
 
     def test_unknown_rule_kinds_rejected(self):
