@@ -276,6 +276,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
+    """Each failed check also prints the failing input, replayable as ``--string=``."""
     rng = random.Random(args.seed)
     stats = {
         "root-subgraph": [0, 0],
@@ -288,15 +289,16 @@ def _cmd_crossval(args) -> int:
         u = sampling.random_realistic_string(rng, kappa)
         rg = reduction.ReductionGraph(u)
         g = overlap.overlap_graph(u)
+        failed = []
 
         stats["root-subgraph"][0] += 1
         if not reduction.is_rooted(rg):
-            stats["root-subgraph"][1] += 1
+            failed.append("root-subgraph")
 
         built = direct.direct_reduction_graph(g)
         stats["cps-vs-direct"][0] += 1
         if iso.canonical_labelled(compress.cps(rg)) != iso.canonical_labelled(built):
-            stats["cps-vs-direct"][1] += 1
+            failed.append("cps-vs-direct")
 
         if kappa <= 5:
             stats["negative-count"][0] += 1
@@ -306,7 +308,7 @@ def _cmd_crossval(args) -> int:
                 for seq in rewriting.successful_string_reductions(u)
             }
             if counts != {want}:
-                stats["negative-count"][1] += 1
+                failed.append("negative-count")
 
         if kappa <= 6:
             stats["classifier"][0] += 1
@@ -315,8 +317,12 @@ def _cmd_crossval(args) -> int:
                 brute = rewriting.successful_in(g, kinds)
                 closed = rewriting.successful_in_classifier(g, kinds, comps)
                 if brute != closed:
-                    stats["classifier"][1] += 1
+                    failed.append("classifier")
                     break
+
+        for check in failed:
+            stats[check][1] += 1
+            _emit(f"check={check} kappa={kappa} input={_format_string(u)}")
     failures = 0
     for check in ("root-subgraph", "cps-vs-direct", "negative-count", "classifier"):
         ran, bad = stats[check]

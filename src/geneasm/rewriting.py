@@ -12,6 +12,12 @@ flipping their signs) before removing it, and the double rule removes
 two adjacent negative vertices, toggling each outside pair that is seen
 an odd number of times across the two neighborhoods.
 
+The graph rules act on bitmask states (V, P, adj), where each rule is
+one XOR per neighbour; ``applicable_graph_rules``, ``apply_graph_rule``
+and both searches share that one implementation.  The string searches
+find each string's occurrence positions once and apply its rules without
+re-checking them.
+
 Reduction sequences are serialized in composition order (rightmost rule
 applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
 """
@@ -20,11 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import pointers
 from .errors import CapError, ParseError
-from .overlap import OverlapGraph, make_edge
+from .overlap import OverlapGraph
 
 STRING_KINDS = ("snr", "spr", "sdr")
 GRAPH_KINDS = ("gnr", "gpr", "gdr")
@@ -68,53 +73,43 @@ def _check_kinds(kinds, allowed):
 # ---------------------------------------------------------------------------
 # string rules
 
-def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[StringRule]:
-    """Rules applicable to a legal string, deterministically ordered."""
-    kinds = _check_kinds(kinds, STRING_KINDS)
-    u = tuple(u)
-    dom = sorted(pointers.domain(u))
-    pos = pointers.positive_set(u)
+def _occurrences(u) -> dict[int, tuple[int, int]]:
+    """1-based positions of the two occurrences of each magnitude of a legal string."""
+    first: dict[int, int] = {}
+    at = {}
+    for i, x in enumerate(u, 1):
+        p = pointers.magnitude(x)
+        if p in first:
+            at[p] = (first[p], i)
+        else:
+            first[p] = i
+    return at
+
+
+def _string_rules(u, kinds, at) -> list[StringRule]:
+    """Rules applicable to the legal string u with occurrence table at."""
+    dom = sorted(at)
+    negative = [p for p in dom if u[at[p][0] - 1] == u[at[p][1] - 1]]
     out = []
     if "snr" in kinds:
-        for p in dom:
-            i, j = pointers.occurrence_positions(u, p)
-            if j == i + 1 and u[i - 1] == u[j - 1]:
-                out.append(StringRule("snr", (p,)))
+        out += [StringRule("snr", (p,)) for p in negative if at[p][1] == at[p][0] + 1]
     if "spr" in kinds:
-        for p in dom:
-            if p in pos:
-                out.append(StringRule("spr", (p,)))
+        out += [StringRule("spr", (p,)) for p in dom if u[at[p][0] - 1] != u[at[p][1] - 1]]
     if "sdr" in kinds:
-        for a in range(len(dom)):
-            for b in range(len(dom)):
-                if a == b:
-                    continue
-                p, q = dom[a], dom[b]
-                if p in pos or q in pos:
-                    continue
-                i1, i2 = pointers.occurrence_positions(u, p)
-                j1, j2 = pointers.occurrence_positions(u, q)
-                if i1 < j1 < i2 < j2:
-                    out.append(StringRule("sdr", (p, q)))
+        for p in negative:
+            i1, i2 = at[p]
+            out += [StringRule("sdr", (p, q)) for q in negative if i1 < at[q][0] < i2 < at[q][1]]
     return out
 
 
-def apply_string_rule(u, rule: StringRule):
-    """Apply one rule; the result is legal with a strictly smaller domain."""
-    u = tuple(u)
-    if rule not in applicable_string_rules(u, kinds=(rule.kind,)):
-        raise ValueError(f"rule {rule} is not applicable to {u}")
+def _string_step(u, rule: StringRule, at):
+    """Apply a rule known to be applicable to u."""
+    i1, i2 = at[rule.params[0]]
     if rule.kind == "snr":
-        (p,) = rule.params
-        i, j = pointers.occurrence_positions(u, p)
-        return u[: i - 1] + u[j:]
+        return u[: i1 - 1] + u[i2:]
     if rule.kind == "spr":
-        (p,) = rule.params
-        i, j = pointers.occurrence_positions(u, p)
-        return u[: i - 1] + pointers.inverse(u[i : j - 1]) + u[j:]
-    p, q = rule.params
-    i1, i2 = pointers.occurrence_positions(u, p)
-    j1, j2 = pointers.occurrence_positions(u, q)
+        return u[: i1 - 1] + pointers.inverse(u[i1 : i2 - 1]) + u[i2:]
+    j1, j2 = at[rule.params[1]]
     return (
         u[: i1 - 1]
         + u[i2 : j2 - 1]  # segment between the second p and the second q
@@ -122,6 +117,27 @@ def apply_string_rule(u, rule: StringRule):
         + u[i1 : j1 - 1]  # segment between the first p and the first q
         + u[j2:]
     )
+
+
+def _string_successors(u, kinds):
+    at = _occurrences(u)
+    return [(rule, _string_step(u, rule, at)) for rule in _string_rules(u, kinds, at)]
+
+
+def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[StringRule]:
+    """Rules applicable to a legal string, deterministically ordered."""
+    kinds = _check_kinds(kinds, STRING_KINDS)
+    u = tuple(u)
+    pointers.positive_set(u)  # raises unless u is legal
+    return _string_rules(u, kinds, _occurrences(u))
+
+
+def apply_string_rule(u, rule: StringRule):
+    """Apply one rule; the result is legal with a strictly smaller domain."""
+    u = tuple(u)
+    if rule not in applicable_string_rules(u, kinds=(rule.kind,)):
+        raise ValueError(f"rule {rule} is not applicable to {u}")
+    return _string_step(u, rule, _occurrences(u))
 
 
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
@@ -134,11 +150,12 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.positive_set(u)  # raises unless u is legal; every rule keeps legality
     edges: dict[tuple, list[tuple[StringRule, tuple]]] = {}
 
     def successors(v):
         if v not in edges:
-            edges[v] = [(r, apply_string_rule(v, r)) for r in applicable_string_rules(v, kinds)]
+            edges[v] = _string_successors(v, kinds)
         return edges[v]
 
     prefix: list[StringRule] = []
@@ -161,6 +178,7 @@ def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DO
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.positive_set(u)  # raises unless u is legal; every rule keeps legality
     memo: dict[tuple, bool] = {}
 
     def walk(v):
@@ -169,8 +187,8 @@ def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DO
         if v in memo:
             return memo[v]
         memo[v] = False
-        for rule in applicable_string_rules(v, kinds):
-            if walk(apply_string_rule(v, rule)):
+        for _, w in _string_successors(v, kinds):
+            if walk(w):
                 memo[v] = True
                 break
         return memo[v]
@@ -179,124 +197,88 @@ def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DO
 
 
 # ---------------------------------------------------------------------------
-# graph rules
+# graph rules on bitmask states (V, P, adj): vertex mask, positive mask, and
+# adj[p] the neighbour mask of p (0 once p is removed), indexed by magnitude
 
-def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[GraphRule]:
-    kinds = _check_kinds(kinds, GRAPH_KINDS)
-    out = []
-    if "gnr" in kinds:
-        for p in sorted(g.negative):
-            if not g.neighbors(p):
-                out.append(GraphRule("gnr", (p,)))
-    if "gpr" in kinds:
-        for p in sorted(g.positive):
-            out.append(GraphRule("gpr", (p,)))
-    if "gdr" in kinds:
-        for p, q in sorted(g.edges):
-            if p in g.negative and q in g.negative:
-                out.append(GraphRule("gdr", (p, q)))
-    return out
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def apply_graph_rule(g: OverlapGraph, rule: GraphRule) -> OverlapGraph:
-    if rule not in applicable_graph_rules(g, kinds=(rule.kind,)):
-        raise ValueError(f"rule {rule} is not applicable")
-    if rule.kind == "gnr":
-        (p,) = rule.params
-        return OverlapGraph(
-            vertices=g.vertices - {p},
-            positive=g.positive,
-            edges=g.edges,
-        )
-    if rule.kind == "gpr":
-        (p,) = rule.params
-        nbrs = g.neighbors(p)
-        keep = g.vertices - {p}
-        edges = {e for e in g.edges if p not in e}
-        for x in sorted(nbrs):
-            for y in sorted(nbrs):
-                if x < y:
-                    e = make_edge(x, y)
-                    if e in edges:
-                        edges.remove(e)
-                    else:
-                        edges.add(e)
-        return OverlapGraph(
-            vertices=frozenset(keep),
-            positive=(g.positive - {p}) ^ nbrs,
-            edges=frozenset(edges),
-        )
-    p, q = rule.params
-    np_, nq = g.neighbors(p), g.neighbors(q)
-    keep = g.vertices - {p, q}
-    edges = {e for e in g.edges if p not in e and q not in e}
-    for x in sorted(keep):
-        for y in sorted(keep):
-            if x >= y:
-                continue
-            hits = int(x in np_ and y in nq) + int(x in nq and y in np_)
-            if hits % 2 == 1:
-                e = make_edge(x, y)
-                if e in edges:
-                    edges.remove(e)
-                else:
-                    edges.add(e)
+def _graph_state(g: OverlapGraph):
+    adj = [0] * (max(g.vertices, default=0) + 1)
+    for p, q in g.edges:
+        adj[p] |= 1 << q
+        adj[q] |= 1 << p
+    return sum(1 << p for p in g.vertices), sum(1 << p for p in g.positive), tuple(adj)
+
+
+def _overlap_of(state) -> OverlapGraph:
+    vertices, positive, adj = state
     return OverlapGraph(
-        vertices=frozenset(keep),
-        positive=g.positive & keep,
-        edges=frozenset(edges),
+        vertices=frozenset(_bits(vertices)),
+        positive=frozenset(_bits(positive)),
+        edges=frozenset((p, q) for p in _bits(vertices) for q in _bits(adj[p]) if p < q),
     )
 
 
-def canonical_graph_key(g: OverlapGraph) -> str:
-    """Canonical encoding up to sign-preserving relabeling.
-
-    Vertices are partitioned by iterated (sign, neighbor-class) refinement;
-    the key is the minimum adjacency encoding over the bijections that
-    respect the final classes, so isomorphic graphs share keys exactly.
-    """
-    verts = sorted(g.vertices)
-    colour = {v: (g.sign(v),) for v in verts}
-    while True:
-        refined = {
-            v: (colour[v], tuple(sorted(colour[w] for w in g.neighbors(v))))
-            for v in verts
-        }
-        if len(set(refined.values())) == len(set(colour.values())):
-            colour = refined
-            break
-        colour = refined
-    classes: dict = {}
-    for v in verts:
-        classes.setdefault(colour[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes, key=repr)]
-
-    best = None
-    for perm_parts in _class_permutations(ordered):
-        index = {}
-        for slot, v in enumerate(perm_parts):
-            index[v] = slot
-        signs = tuple(g.sign(v) for v in perm_parts)
-        bits = 0
-        for p, q in g.edges:
-            a, b = index[p], index[q]
-            if a > b:
-                a, b = b, a
-            bits |= 1 << (a * len(verts) + b)
-        cand = (signs, bits)
-        if best is None or cand < best:
-            best = cand
-    return repr(best)
+def _graph_rules(state, kinds) -> list[GraphRule]:
+    """Applicable rules: gnr, then gpr, then gdr in sorted edge order."""
+    vertices, positive, adj = state
+    negative = vertices & ~positive
+    out = []
+    if "gnr" in kinds:
+        out += [GraphRule("gnr", (p,)) for p in _bits(negative) if not adj[p]]
+    if "gpr" in kinds:
+        out += [GraphRule("gpr", (p,)) for p in _bits(positive)]
+    if "gdr" in kinds:
+        for p in _bits(negative):
+            above = -(2 << p)  # the bits of q > p
+            out += [GraphRule("gdr", (p, q)) for q in _bits(adj[p] & negative & above)]
+    return out
 
 
-def _class_permutations(ordered_classes):
-    if not ordered_classes:
-        yield []
-        return
-    head, *rest = ordered_classes
-    for perm in permutations(head):
-        for tail in _class_permutations(rest):
-            yield list(perm) + tail
+def _graph_step(state, rule: GraphRule):
+    """Apply a rule known to be applicable to the state."""
+    vertices, positive, adj = state
+    if rule.kind == "gnr":  # p is isolated, so only its vertex bit goes
+        return vertices & ~(1 << rule.params[0]), positive, adj
+    adj = list(adj)
+    if rule.kind == "gpr":
+        # local complementation at p: toggle every pair of neighbours, flip their signs
+        (p,) = rule.params
+        nbrs, keep = adj[p], ~(1 << p)
+        for x in _bits(nbrs):
+            adj[x] = (adj[x] ^ nbrs ^ (1 << x)) & keep
+        adj[p] = 0
+        return vertices & keep, (positive & keep) ^ nbrs, tuple(adj)
+    # toggle x-y when x is in N(p) and y in N(q), or the other way round; a
+    # vertex in both receives N(p) ^ N(q), in which its own bit cancels
+    p, q = rule.params
+    np_, nq = adj[p], adj[q]
+    keep = ~((1 << p) | (1 << q))
+    for x in _bits((np_ | nq) & keep):
+        a = adj[x]
+        if np_ >> x & 1:
+            a ^= nq
+        if nq >> x & 1:
+            a ^= np_
+        adj[x] = a & keep
+    adj[p] = adj[q] = 0
+    return vertices & keep, positive, tuple(adj)
+
+
+def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[GraphRule]:
+    return _graph_rules(_graph_state(g), _check_kinds(kinds, GRAPH_KINDS))
+
+
+def apply_graph_rule(g: OverlapGraph, rule: GraphRule) -> OverlapGraph:
+    state = _graph_state(g)
+    if rule not in _graph_rules(state, _check_kinds((rule.kind,), GRAPH_KINDS)):
+        raise ValueError(f"rule {rule} is not applicable")
+    return _overlap_of(_graph_step(state, rule))
 
 
 def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kappa=DEFAULT_GRAPH_KAPPA_CAP):
@@ -306,39 +288,42 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
         raise CapError(f"kappa exceeds the search cap {max_kappa}")
     prefix: list[GraphRule] = []
 
-    def walk(h):
-        if not h.vertices:
+    def walk(state):
+        if not state[0]:
             yield list(prefix)
             return
-        for rule in applicable_graph_rules(h, kinds):
+        for rule in _graph_rules(state, kinds):
             prefix.append(rule)
-            yield from walk(apply_graph_rule(h, rule))
+            yield from walk(_graph_step(state, rule))
             prefix.pop()
 
-    yield from walk(g)
+    yield from walk(_graph_state(g))
 
 
 def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> bool:
-    """Exhaustive search decision, memoized on canonical graph keys."""
+    """Exhaustive search decision, memoized on the exact bitmask state.
+
+    A canonical form would also merge isomorphic states, but computing it
+    at every node costs more than the repeated searches it saves.
+    """
     kinds = _check_kinds(kinds, GRAPH_KINDS)
     if len(g.vertices) + 1 > max_kappa:
         raise CapError(f"kappa exceeds the search cap {max_kappa}")
-    memo: dict[str, bool] = {}
+    memo: dict[tuple, bool] = {}
 
-    def walk(h):
-        if not h.vertices:
+    def walk(state):
+        if not state[0]:
             return True
-        key = canonical_graph_key(h)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        for rule in applicable_graph_rules(h, kinds):
-            if walk(apply_graph_rule(h, rule)):
-                memo[key] = True
+        if state in memo:
+            return memo[state]
+        memo[state] = False
+        for rule in _graph_rules(state, kinds):
+            if walk(_graph_step(state, rule)):
+                memo[state] = True
                 break
-        return memo[key]
+        return memo[state]
 
-    return walk(g)
+    return walk(_graph_state(g))
 
 
 def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) -> bool:

@@ -7,7 +7,8 @@ defects rather than shared bugs.
 """
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 
 def mag(p):
@@ -232,3 +233,153 @@ def first_witnesses(kappa):
 def realism_witness(edges, positive, kappa):
     """The first witness in scan order of the graph on {2..kappa}, or None."""
     return first_witnesses(kappa).get((frozenset(edges), frozenset(positive)))
+
+
+# ---------------------------------------------------------------------------
+# graph pointer reduction rules on explicit edge sets, and the exhaustive
+# search memoized on canonical keys: the reference for the bitmask rules
+
+class Graph(NamedTuple):
+    """A signed graph; edges are (min, max) pairs.  OverlapGraph fits it too."""
+
+    vertices: frozenset
+    positive: frozenset
+    edges: frozenset
+
+
+def signed_graphs(kappa):
+    """Every signed graph on {2..kappa}, as (edges, positive) frozensets."""
+    vertices = range(2, kappa + 1)
+    pairs = list(combinations(vertices, 2))
+    for edge_bits in range(1 << len(pairs)):
+        edges = frozenset(pq for i, pq in enumerate(pairs) if (edge_bits >> i) & 1)
+        for sign_bits in range(1 << len(vertices)):
+            yield edges, frozenset(p for p in vertices if (sign_bits >> (p - 2)) & 1)
+
+
+def graph_neighbors(g, p):
+    return frozenset(b if a == p else a for a, b in g.edges if p in (a, b))
+
+
+def applicable_graph_rules(g, kinds=("gnr", "gpr", "gdr")):
+    """(kind, params) pairs: isolated negatives, positives, negative edges, each sorted."""
+    negative = g.vertices - g.positive
+    out = []
+    if "gnr" in kinds:
+        out += [("gnr", (p,)) for p in sorted(negative) if not graph_neighbors(g, p)]
+    if "gpr" in kinds:
+        out += [("gpr", (p,)) for p in sorted(g.positive)]
+    if "gdr" in kinds:
+        out += [("gdr", (p, q)) for p, q in sorted(g.edges) if p in negative and q in negative]
+    return out
+
+
+def _toggle(edges, x, y):
+    e = (min(x, y), max(x, y))
+    if e in edges:
+        edges.remove(e)
+    else:
+        edges.add(e)
+
+
+def apply_graph_rule(g, rule):
+    """The successor Graph of g under an applicable (kind, params) rule."""
+    kind, params = rule
+    if rule not in applicable_graph_rules(g, (kind,)):
+        raise ValueError(f"rule {rule} is not applicable")
+    if kind == "gnr":
+        (p,) = params
+        return Graph(g.vertices - {p}, g.positive, g.edges)
+    if kind == "gpr":
+        (p,) = params
+        nbrs = graph_neighbors(g, p)
+        edges = {e for e in g.edges if p not in e}
+        for x in sorted(nbrs):
+            for y in sorted(nbrs):
+                if x < y:
+                    _toggle(edges, x, y)
+        return Graph(g.vertices - {p}, (g.positive - {p}) ^ nbrs, frozenset(edges))
+    p, q = params
+    np_, nq = graph_neighbors(g, p), graph_neighbors(g, q)
+    keep = g.vertices - {p, q}
+    edges = {e for e in g.edges if p not in e and q not in e}
+    for x in sorted(keep):
+        for y in sorted(keep):
+            if x < y and (int(x in np_ and y in nq) + int(x in nq and y in np_)) % 2:
+                _toggle(edges, x, y)
+    return Graph(keep, g.positive & keep, frozenset(edges))
+
+
+def canonical_graph_key(g):
+    """Canonical encoding up to sign-preserving relabeling.
+
+    Vertices are partitioned by iterated (sign, neighbor-class) refinement;
+    the key is the minimum adjacency encoding over the bijections that
+    respect the final classes, so isomorphic graphs share keys exactly.
+    """
+    verts = sorted(g.vertices)
+    sign = {v: "+" if v in g.positive else "-" for v in verts}
+    colour = {v: (sign[v],) for v in verts}
+    while True:
+        refined = {
+            v: (colour[v], tuple(sorted(colour[w] for w in graph_neighbors(g, v))))
+            for v in verts
+        }
+        if len(set(refined.values())) == len(set(colour.values())):
+            colour = refined
+            break
+        colour = refined
+    classes = {}
+    for v in verts:
+        classes.setdefault(colour[v], []).append(v)
+    ordered = [classes[c] for c in sorted(classes, key=repr)]
+
+    best = None
+    for perm_parts in _class_permutations(ordered):
+        index = {v: slot for slot, v in enumerate(perm_parts)}
+        signs = tuple(sign[v] for v in perm_parts)
+        bits = 0
+        for p, q in g.edges:
+            a, b = sorted((index[p], index[q]))
+            bits |= 1 << (a * len(verts) + b)
+        cand = (signs, bits)
+        if best is None or cand < best:
+            best = cand
+    return repr(best)
+
+
+def _class_permutations(ordered_classes):
+    if not ordered_classes:
+        yield []
+        return
+    head, *rest = ordered_classes
+    for perm in permutations(head):
+        for tail in _class_permutations(rest):
+            yield list(perm) + tail
+
+
+def successful_graph_reductions(g, kinds=("gnr", "gpr", "gdr")):
+    """Every rule sequence (application order) reducing g to the empty graph."""
+    if not g.vertices:
+        return [[]]
+    return [
+        [rule] + rest
+        for rule in applicable_graph_rules(g, kinds)
+        for rest in successful_graph_reductions(apply_graph_rule(g, rule), kinds)
+    ]
+
+
+def successful_in(g, kinds):
+    """Exhaustive search decision, memoized on canonical graph keys."""
+    memo = {}
+
+    def walk(h):
+        if not h.vertices:
+            return True
+        key = canonical_graph_key(h)
+        if key not in memo:
+            memo[key] = False
+            memo[key] = any(walk(apply_graph_rule(h, r)) for r in applicable_graph_rules(h, kinds))
+        return memo[key]
+
+    return walk(g)

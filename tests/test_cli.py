@@ -293,6 +293,24 @@ class TestSeededVerbs:
         assert lines[1] == "check=cps-vs-direct trials=10 failures=0"
         assert all(line.endswith("failures=0") for line in lines)
 
+    def test_crossval_prints_replayable_failures(self, monkeypatch):
+        from geneasm import pointers, reduction
+
+        monkeypatch.setattr(reduction, "is_rooted", lambda rg: False)
+        code, out, _ = run(["crossval", "--seed", "3", "--trials", "4", "--kappa", "5"])
+        assert code == 5
+        lines = out.splitlines()
+        assert lines[-4] == "check=root-subgraph trials=4 failures=4"
+        assert len(lines) == 8
+        for line in lines[:4]:
+            check, kappa, source = line.split(" ")
+            assert check == "check=root-subgraph"
+            text = source.removeprefix("input=")
+            seq = pointers.parse_pointer_string(text)
+            assert kappa == f"kappa={pointers.kappa_of(seq)}"
+            assert run(["components", "--", text])[0] == 0
+            assert run(["classify", f"--string={text}"])[0] == 0
+
     def test_crossval_deterministic(self):
         a = run(["crossval", "--seed", "9", "--trials", "8", "--kappa", "6"])
         b = run(["crossval", "--seed", "9", "--trials", "8", "--kappa", "6"])

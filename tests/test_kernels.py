@@ -1,7 +1,6 @@
 """The realism search against the full scan it replaced (tests/oracles.py)."""
 
 import random
-from itertools import combinations
 
 import oracles
 from geneasm import kernels, overlap, pointers
@@ -40,14 +39,9 @@ def _assert_matches_full_scan(edges, positive, kappa):
 
 def test_every_graph_up_to_kappa_5_matches_full_scan():
     for kappa in range(2, 6):
-        vertices = range(2, kappa + 1)
-        pairs = list(combinations(vertices, 2))
         realistic = 0
-        for edge_bits in range(1 << len(pairs)):
-            edges = frozenset(pq for i, pq in enumerate(pairs) if (edge_bits >> i) & 1)
-            for sign_bits in range(1 << len(vertices)):
-                positive = frozenset(p for p in vertices if (sign_bits >> (p - 2)) & 1)
-                realistic += _assert_matches_full_scan(edges, positive, kappa) is not None
+        for edges, positive in oracles.signed_graphs(kappa):
+            realistic += _assert_matches_full_scan(edges, positive, kappa) is not None
         assert realistic == len(oracles.first_witnesses(kappa))
 
 

@@ -1,8 +1,11 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from geneasm import overlap, pointers, reduction, rewriting
 from geneasm.errors import CapError, ParseError
 from geneasm.rewriting import GraphRule, StringRule
@@ -296,6 +299,80 @@ class TestSuccessfulness:
     def test_canonical_key_respects_isomorphism(self):
         g1 = gamma("2233")
         g2 = gamma("3322")
-        assert rewriting.canonical_graph_key(g1) == rewriting.canonical_graph_key(g2)
+        assert oracles.canonical_graph_key(g1) == oracles.canonical_graph_key(g2)
         g3 = gamma("2323")
-        assert rewriting.canonical_graph_key(g1) != rewriting.canonical_graph_key(g3)
+        assert oracles.canonical_graph_key(g1) != oracles.canonical_graph_key(g3)
+
+
+@st.composite
+def legal_strings(draw, max_domain=6):
+    """Legal strings over up to max_domain magnitudes from 2..9, gaps allowed."""
+    mags = draw(st.lists(st.integers(2, 9), min_size=1, max_size=max_domain, unique=True))
+    order = draw(st.permutations([m for m in mags for _ in range(2)]))
+    barred = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return tuple(-m if bar else m for m, bar in zip(order, barred))
+
+
+@settings(max_examples=300, deadline=None)
+@given(legal_strings())
+def test_string_and_graph_rules_commute(u):
+    """gamma(r(u)) == r^(gamma(u)) with snr->gnr, spr->gpr, sdr->gdr (params sorted)."""
+    g = overlap.overlap_graph(u)
+    for rule in rewriting.applicable_string_rules(u):
+        hat = GraphRule("g" + rule.kind[1:], tuple(sorted(rule.params)))
+        assert overlap.overlap_graph(
+            rewriting.apply_string_rule(u, rule)
+        ) == rewriting.apply_graph_rule(g, hat)
+
+
+def _random_signed_graph(rng, kappa):
+    vertices = range(2, kappa + 1)
+    return overlap.OverlapGraph(
+        vertices=frozenset(vertices),
+        positive=frozenset(v for v in vertices if rng.random() < 0.5),
+        edges=frozenset(e for e in combinations(vertices, 2) if rng.random() < 0.5),
+    )
+
+
+def _plain(rules):
+    return [(r.kind, r.params) for r in rules]
+
+
+class TestAgainstOracles:
+    """The bitmask rules and search against the edge-set ones in tests/oracles.py."""
+
+    SMALL = [
+        overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
+        for kappa in range(2, 6)
+        for edges, positive in oracles.signed_graphs(kappa)
+    ]
+
+    def test_rule_lists_and_successors_on_every_small_graph(self):
+        for g in self.SMALL:
+            rules = rewriting.applicable_graph_rules(g)
+            assert _plain(rules) == oracles.applicable_graph_rules(g)
+            for rule in rules:
+                out = rewriting.apply_graph_rule(g, rule)
+                assert oracles.Graph(out.vertices, out.positive, out.edges) == (
+                    oracles.apply_graph_rule(g, (rule.kind, rule.params))
+                )
+
+    def test_successful_in_on_every_small_graph(self):
+        for g in self.SMALL:
+            for kinds in TestSuccessfulness.SUBSETS:
+                assert rewriting.successful_in(g, kinds) == oracles.successful_in(g, kinds)
+
+    def test_successful_in_on_random_graphs(self):
+        rng = random.Random(99)
+        for _ in range(30):
+            g = _random_signed_graph(rng, rng.randint(6, 7))
+            for kinds in TestSuccessfulness.SUBSETS:
+                assert rewriting.successful_in(g, kinds) == oracles.successful_in(g, kinds)
+
+    def test_reduction_sequences_in_order(self):
+        rng = random.Random(100)
+        for _ in range(60):
+            g = _random_signed_graph(rng, rng.randint(2, 5))
+            for kinds in TestSuccessfulness.SUBSETS:
+                got = [_plain(seq) for seq in rewriting.successful_graph_reductions(g, kinds)]
+                assert got == oracles.successful_graph_reductions(g, kinds)
