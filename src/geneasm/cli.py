@@ -7,12 +7,20 @@ violation, 6 input over a search cap (such as the realism cap, set by
 ``--max-kappa`` or ``GENEASM_MAX_KAPPA``) or a malformed cap setting.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.
+
+``direct``, ``count-negative`` and ``classify`` need a realistic overlap
+graph: on ``--graph`` input they decide realism first (exit 4 if the graph
+is not realistic, exit 6 over the realism cap).  The verbs that take a
+pointer string as a positional argument accept one that starts with a
+barred pointer, as in ``geneasm components -3-223``; ``--`` before it
+still works.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from . import compress, direct, dot, iso, overlap, pointers, reduction, rewriting, sampling
@@ -181,6 +189,8 @@ def _cmd_direct(args) -> int:
     g = _overlap_graph_arg(args)
     if not g.vertices or not g.contiguous_domain():
         raise RealismError("direct construction needs vertex set {2..kappa}")
+    if args.graph:
+        overlap.require_realistic(g, max_kappa=args.max_kappa)
     built = direct.direct_reduction_graph(g)
     if args.explain:
         kappa = len(g.vertices) + 1
@@ -226,10 +236,11 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_count_negative(args) -> int:
-    if getattr(args, "graph", None):
+    if args.graph:
         g = overlap.parse_overlap_json(_read_source(args.graph))
         if not g.vertices or not g.contiguous_domain():
             raise RealismError("graph-side prediction needs vertex set {2..kappa}")
+        overlap.require_realistic(g, max_kappa=args.max_kappa)
         _emit(str(rewriting.predicted_negative_rule_count(g)))
         return EXIT_OK
     seq = _legal_string_arg(args.string)
@@ -374,6 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--string", help="legal string whose overlap graph to use")
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--explain", action="store_true", help="print edge condition witnesses")
+    p.add_argument("--max-kappa", type=int, default=None,
+                   help="cap for the realism search on graph input")
 
     p = add("iso-check", _cmd_iso_check, help="compare two graphs up to isomorphism")
     p.add_argument("--cps", help="legal string; compress its reduction graph")
@@ -388,6 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
     src.add_argument("--string", help="legal string")
+    p.add_argument("--max-kappa", type=int, default=None,
+                   help="cap for the realism search on graph input")
 
     p = add("classify", _cmd_classify, help="successfulness for every rule-set choice")
     src = p.add_mutually_exclusive_group(required=True)
@@ -416,9 +431,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# verbs that take their pointer string as a positional argument
+_STRING_VERBS = frozenset({"validate", "decode", "overlap", "reduction-graph", "cps", "components"})
+_BARRED_START = re.compile(r"-[0-9]")
+
+
+def _barred_string_last(argv: list[str]) -> list[str]:
+    """Move a positional string that starts with a barred pointer behind "--".
+
+    argparse reads a word such as "-3-223" as an unknown option.  No option
+    starts with "-" and a digit, so for a string verb such a word can only
+    be the string; behind "--" it parses as one.  A word argparse already
+    took as the string (a lone "-3", or one with spaces) parses the same.
+    """
+    if not argv or argv[0] not in _STRING_VERBS or "--" in argv:
+        return argv
+    barred = [i for i, word in enumerate(argv) if _BARRED_START.match(word)]
+    if len(barred) != 1:
+        return argv
+    (i,) = barred
+    return argv[:i] + argv[i + 1 :] + ["--", argv[i]]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_barred_string_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.fn(args)
     except ParseError as exc:

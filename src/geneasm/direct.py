@@ -12,12 +12,28 @@ satisfies
 
 where P is a window of consecutive indices lo..hi (the core) together
 with any choice of the optional endpoints.  Moving the positives to the
-left gives the form evaluated here: with D(t) = N(t) XOR ({t} if t is
-positive) and prefix sums S(k) = D(2) XOR ... XOR D(k), the condition
-reads S(hi) XOR S(lo - 1) XOR (D(e) for each chosen endpoint e) == target.
-With the sets held as int bitmasks the core costs one XOR and every
-chosen endpoint one more.  Vertex ids are the strings "J<p>" and "Jp<p>"
-so edge lists can be serialized verbatim.
+left, with D(t) = N(t) XOR ({t} if t is positive) and prefix sums
+S(k) = D(2) XOR ... XOR D(k), the condition reads
+S(hi) XOR S(lo - 1) XOR (D(e) for each chosen endpoint e) == target.
+Sets are int bitmasks read from ``OverlapGraph.neighbor_masks``.
+
+``direct_reduction_graph`` never tests a candidate on its own.  Choosing
+the endpoint p of a window moves the prefix index by one, so for p < q
+the J_p - J_q condition holds exactly when
+
+    S(a) XOR {p}  ==  S(b) XOR {q}   for some a in {p-1, p}, b in {q-1, q}.
+
+Each vertex J_t thus has two keys S(t-1) XOR {t} and S(t) XOR {t}, and
+J_p - J_q is an edge exactly when p and q share a key: one pass that
+buckets the vertices by key finds every such edge in O(kappa) dictionary
+operations plus the size of the output.  The other families are O(kappa)
+comparisons against S: J'_2 - J_p needs S(p-1) or S(p) to equal {p},
+J'_kappa - J_p needs S(kappa) XOR S(p) or S(kappa) XOR S(p-1) to equal
+{p}, and J'_2 - J'_kappa needs S(kappa) to be empty.  ``candidate_edges``
+and ``condition_witnesses`` still list the candidates and evaluate each
+condition choice by choice, which is what ``geneasm direct --explain``
+prints.  Vertex ids are the strings "J<p>" and "Jp<p>" so edge lists can
+be serialized verbatim.
 """
 
 from __future__ import annotations
@@ -105,9 +121,10 @@ def _mask(ts) -> int:
 
 def _prefix_xor(g: OverlapGraph, kappa: int) -> list[int]:
     """S(k) for k = 0..kappa as bitmasks, with S(0) = S(1) = 0."""
+    masks = g.neighbor_masks
     prefix = [0, 0]
     for t in range(2, kappa + 1):
-        d = _mask(g.neighbors(t)) ^ (1 << t if t in g.positive else 0)
+        d = masks[t] ^ (1 << t if t in g.positive else 0)
         prefix.append(prefix[-1] ^ d)
     return prefix
 
@@ -137,12 +154,23 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     set is still computed mechanically but carries no structural guarantee.
     """
     kappa = _kappa(g)
-    prefix = _prefix_xor(g, kappa)
-    edges = {frozenset({root_vertex(p), root_vertex(p + 1)}) for p in range(2, kappa)}
-    for pair, condition in candidate_edges(kappa):
-        if _matching_subsets(g, prefix, condition):
-            edges.add(frozenset(pair))
-    return LabelledGraph(labels=_labels(kappa), edges=frozenset(edges))
+    s = _prefix_xor(g, kappa)
+    pairs = [(root_vertex(p), root_vertex(p + 1)) for p in range(2, kappa)]
+    if kappa > 3 and not s[kappa]:
+        pairs.append((root_vertex(2), root_vertex(kappa)))
+    buckets: dict[int, list[int]] = {}  # key S(a) ^ {t}, a in {t-1, t} -> those t
+    for t in range(2, kappa + 1):
+        bit = 1 << t
+        if bit in (s[t - 1], s[t]):
+            pairs.append((root_vertex(2), nonroot_vertex(t)))
+        if kappa > 2 and bit in (s[kappa] ^ s[t - 1], s[kappa] ^ s[t]):
+            pairs.append((root_vertex(kappa), nonroot_vertex(t)))
+        for key in {s[t - 1] ^ bit, s[t] ^ bit}:
+            buckets.setdefault(key, []).append(t)
+    for bucket in buckets.values():
+        for i, p in enumerate(bucket):
+            pairs += [(nonroot_vertex(p), nonroot_vertex(q)) for q in bucket[i + 1 :]]
+    return LabelledGraph(labels=_labels(kappa), edges=frozenset(map(frozenset, pairs)))
 
 
 def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:

@@ -42,12 +42,14 @@ def backend_name() -> str:
 def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
     """The first witness arrangement in scan order, as a signed tuple, or None.
 
-    adjacency_masks maps each p in 2..kappa to the bitmask of its
-    neighbours, positive_mask has bit p set for every positive p.
+    adjacency_masks[p] is the bitmask of p's neighbours for each p in
+    2..kappa (a dict, or a sequence indexed by magnitude such as
+    ``OverlapGraph.neighbor_masks``); positive_mask has bit p set for
+    every positive p.
     """
     adjacency = [0] * (kappa + 2)
-    for p, mask in adjacency_masks.items():
-        adjacency[p] = mask
+    for p in range(2, kappa + 1):
+        adjacency[p] = adjacency_masks[p]
     # inverted[c][m]: is segment m inverted in candidate c (c = inversion of segment 1)
     inverted = [[0, 0]]
     for m in range(2, kappa + 1):

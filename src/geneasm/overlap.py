@@ -57,6 +57,21 @@ class OverlapGraph:
         """Built on first use; not a field, so not compared."""
         return neighbor_table(self.vertices, self.edges)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Neighbour bitmask of each vertex, indexed by magnitude.
+
+        Entry p has bit q set for every edge p-q; entries of non-vertices
+        are 0, and the tuple ends at the largest vertex.  Built on first
+        use (``overlap_graph`` fills it in as it scans); not a field, so
+        not compared.
+        """
+        masks = [0] * (max(self.vertices, default=0) + 1)
+        for p, q in self.edges:
+            masks[p] |= 1 << q
+            masks[q] |= 1 << p
+        return tuple(masks)
+
     def neighbors(self, q: int) -> frozenset[int]:
         if q not in self.vertices:
             raise ValueError(f"{q} is not a vertex")
@@ -94,19 +109,23 @@ def overlap_graph(u) -> OverlapGraph:
     u = tuple(u)
     pos = pointers.positive_set(u)  # raises unless u is legal
     opened: dict[int, int] = {}
+    masks = [0] * (max(map(pointers.magnitude, u), default=0) + 1)
     seen = 0
-    edges = set()
+    edges = []
     for x in u:
         p = pointers.magnitude(x)
         if p in opened:
-            between = seen ^ opened[p]
+            masks[p] = between = seen ^ opened[p]
+            between &= -(2 << p)  # each edge once, from its smaller end
             while between:
                 low = between & -between
-                edges.add(make_edge(p, low.bit_length() - 1))
+                edges.append((p, low.bit_length() - 1))
                 between ^= low
         seen ^= 1 << p
         opened.setdefault(p, seen)
-    return OverlapGraph(vertices=frozenset(opened), positive=pos, edges=frozenset(edges))
+    g = OverlapGraph(vertices=frozenset(opened), positive=pos, edges=frozenset(edges))
+    g.__dict__["neighbor_masks"] = tuple(masks)  # the cached_property's slot
+    return g
 
 
 def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
@@ -129,9 +148,8 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
             f"kappa={kappa} exceeds the realism cap {max_kappa}; "
             "raise --max-kappa or GENEASM_MAX_KAPPA"
         )
-    adjacency = {p: sum(1 << q for q in g.neighbors(p)) for p in g.vertices}
     positive_mask = sum(1 << p for p in g.positive)
-    return kernels.scan_for_arrangement(adjacency, positive_mask, kappa)
+    return kernels.scan_for_arrangement(g.neighbor_masks, positive_mask, kappa)
 
 
 def require_realistic(g: OverlapGraph, max_kappa: int | None = None):

@@ -172,12 +172,14 @@ def conjugates(seq) -> list[PointerString]:
     seq = tuple(seq)
     if not seq:
         return [()]
-    seen = []
+    seen = set()
+    out = []
     for r in range(len(seq)):
         rot = seq[r:] + seq[:r]
         if rot not in seen:
-            seen.append(rot)
-    return seen
+            seen.add(rot)
+            out.append(rot)
+    return out
 
 
 def domain(seq) -> frozenset[int]:
@@ -206,6 +208,22 @@ def negative_set(seq) -> frozenset[int]:
 def kappa_of(seq) -> int:
     """|dom(u)| + 1, the number of micronuclear segments for contiguous domains."""
     return len(domain(seq)) + 1
+
+
+def occurrence_index(seq) -> dict[int, tuple[int, int]]:
+    """1-based positions of the two occurrences of each magnitude, in one pass.
+
+    The string must be legal; a magnitude occurring once is left out.
+    """
+    first: dict[int, int] = {}
+    at = {}
+    for i, x in enumerate(seq, 1):
+        p = magnitude(x)
+        if p in first:
+            at[p] = (first[p], i)
+        else:
+            first[p] = i
+    return at
 
 
 def occurrence_positions(seq, p: int) -> tuple[int, int]:

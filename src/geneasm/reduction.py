@@ -44,8 +44,9 @@ class ReductionGraph:
             frozenset({(i, 1), (i % self.n + 1, 0)}) for i in range(1, self.n + 1)
         )
         desire = []
-        for p in sorted(pointers.domain(seq)):
-            i, j = pointers.occurrence_positions(seq, p)
+        at = pointers.occurrence_index(seq)
+        for p in sorted(at):
+            i, j = at[p]
             if seq[i - 1] == seq[j - 1]:
                 desire.append(frozenset({(i, 1), (j, 0)}))
                 desire.append(frozenset({(i, 0), (j, 1)}))

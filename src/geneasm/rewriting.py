@@ -73,19 +73,6 @@ def _check_kinds(kinds, allowed):
 # ---------------------------------------------------------------------------
 # string rules
 
-def _occurrences(u) -> dict[int, tuple[int, int]]:
-    """1-based positions of the two occurrences of each magnitude of a legal string."""
-    first: dict[int, int] = {}
-    at = {}
-    for i, x in enumerate(u, 1):
-        p = pointers.magnitude(x)
-        if p in first:
-            at[p] = (first[p], i)
-        else:
-            first[p] = i
-    return at
-
-
 def _string_rules(u, kinds, at) -> list[StringRule]:
     """Rules applicable to the legal string u with occurrence table at."""
     dom = sorted(at)
@@ -120,7 +107,7 @@ def _string_step(u, rule: StringRule, at):
 
 
 def _string_successors(u, kinds):
-    at = _occurrences(u)
+    at = pointers.occurrence_index(u)
     return [(rule, _string_step(u, rule, at)) for rule in _string_rules(u, kinds, at)]
 
 
@@ -129,7 +116,7 @@ def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[StringRule]:
     kinds = _check_kinds(kinds, STRING_KINDS)
     u = tuple(u)
     pointers.positive_set(u)  # raises unless u is legal
-    return _string_rules(u, kinds, _occurrences(u))
+    return _string_rules(u, kinds, pointers.occurrence_index(u))
 
 
 def apply_string_rule(u, rule: StringRule):
@@ -137,7 +124,7 @@ def apply_string_rule(u, rule: StringRule):
     u = tuple(u)
     if rule not in applicable_string_rules(u, kinds=(rule.kind,)):
         raise ValueError(f"rule {rule} is not applicable to {u}")
-    return _string_step(u, rule, _occurrences(u))
+    return _string_step(u, rule, pointers.occurrence_index(u))
 
 
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
@@ -208,11 +195,7 @@ def _bits(mask: int):
 
 
 def _graph_state(g: OverlapGraph):
-    adj = [0] * (max(g.vertices, default=0) + 1)
-    for p, q in g.edges:
-        adj[p] |= 1 << q
-        adj[q] |= 1 << p
-    return sum(1 << p for p in g.vertices), sum(1 << p for p in g.positive), tuple(adj)
+    return sum(1 << p for p in g.vertices), sum(1 << p for p in g.positive), g.neighbor_masks
 
 
 def _overlap_of(state) -> OverlapGraph:

@@ -182,6 +182,46 @@ def direct_witnesses(g, a, b):
     return []
 
 
+def per_candidate_direct_edges(g):
+    """Edge set of the direct construction, testing one candidate at a time.
+
+    The loop that the hash join in ``direct.direct_reduction_graph``
+    replaced: prefix XORs S(k) of D(t) = N(t) ^ [t positive] (built from
+    ``g.neighbors``, not from the mask view), then for every candidate
+    pair the XOR over its core window and each choice of its optional
+    endpoints, compared with its target.  Edges are frozensets of vertex ids.
+    """
+    kappa = len(g.vertices) + 1
+    prefix = [0, 0]
+    for t in range(2, kappa + 1):
+        d = sum(1 << x for x in g.neighbors(t)) ^ ((1 << t) if t in g.positive else 0)
+        prefix.append(prefix[-1] ^ d)
+
+    def holds(core, optional, target):
+        values = [prefix[core.stop - 1] ^ prefix[core.start - 1]]
+        for e in optional:
+            d = prefix[e] ^ prefix[e - 1]
+            values += [value ^ d for value in values]
+        return sum(1 << t for t in target) in values
+
+    candidates = [
+        ((f"J{p}", f"J{q}"), (range(p + 1, q), (p, q), (p, q)))
+        for p in range(2, kappa + 1)
+        for q in range(p + 1, kappa + 1)
+    ]
+    for p in range(2, kappa + 1):
+        candidates.append((("Jp2", f"J{p}"), (range(2, p), (p,), (p,))))
+        if kappa > 2:
+            candidates.append(((f"Jp{kappa}", f"J{p}"), (range(p + 1, kappa + 1), (p,), (p,))))
+    if kappa > 3:
+        candidates.append((("Jp2", f"Jp{kappa}"), (range(2, kappa + 1), (), ())))
+    edges = {frozenset({f"Jp{p}", f"Jp{p + 1}"}) for p in range(2, kappa)}
+    for pair, condition in candidates:
+        if holds(*condition):
+            edges.add(frozenset(pair))
+    return edges
+
+
 def _xor_witnesses(g, core, optional, target):
     found = []
     for picks in product((False, True), repeat=len(optional)):

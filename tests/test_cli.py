@@ -250,6 +250,49 @@ class TestEdgeInputs:
         code, out, _ = run(["count-negative", "--graph", overlap_json.strip()])
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize("verb", ["direct", "count-negative"])
+    def test_graph_input_must_be_realistic(self, verb):
+        _, overlap_json, _ = run(["overlap", "24535423"])  # the star: not realistic
+        assert run([verb, "--graph", overlap_json.strip()]) == (
+            4, "", "error: overlap graph is not realistic\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["direct", "count-negative"])
+    def test_graph_input_max_kappa(self, verb):
+        _, overlap_json, _ = run(["overlap", "453475623267"])
+        assert run([verb, "--graph", overlap_json.strip(), "--max-kappa", "7"])[0] == 0
+        code, out, err = run([verb, "--graph", overlap_json.strip(), "--max-kappa", "6"])
+        assert (code, out) == (6, "")
+        assert "kappa=7 exceeds the realism cap 6" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "-3-223"],
+            ["validate", "-3-223", "--format", "json"],
+            ["decode", "-3-223"],
+            ["overlap", "-3-223"],
+            ["overlap", "--format", "text", "-3-223"],
+            ["reduction-graph", "-3-223", "--format", "json"],
+            ["cps", "-3-223", "--format", "text"],
+            ["components", "-3-223"],
+            ["components", "-3 -2 2 3"],
+            ["validate", "-3"],
+        ],
+    )
+    def test_positional_string_may_start_barred(self, argv):
+        words = [w for w in argv if w.startswith("-") and w[1:2].isdigit()]
+        rest = [w for w in argv if w not in words]
+        result = run(argv)
+        assert result[0] != 2
+        assert result == run(rest + ["--"] + words)
+
+    def test_components_of_a_barred_start(self, monkeypatch):
+        assert run(["components", "-3-223"]) == (0, "1\n", "")
+        monkeypatch.setattr("sys.argv", ["geneasm", "components", "-3-223"])
+        assert run(None) == (0, "1\n", "")
+        assert run(["decode", "-3-223"]) == (0, "-M2 M1 M3\n", "")
+
     def test_stdin_source(self, monkeypatch):
         import io as _io
 
@@ -342,7 +385,7 @@ class TestRealismCap:
         assert code == 0
         assert len(out.splitlines()) == 8
 
-    @pytest.mark.parametrize("verb", ["check-realism", "classify"])
+    @pytest.mark.parametrize("verb", ["check-realism", "classify", "direct", "count-negative"])
     def test_kappa_13_graph_exceeds_the_cap(self, verb):
         code, out, err = run([verb, "--graph", _discrete_graph_json(13)])
         assert (code, out) == (6, "")

@@ -1,10 +1,12 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from geneasm import compress, direct, iso, overlap, pointers, reduction
+from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling
 from geneasm.errors import ParseError
 
 
@@ -189,6 +191,66 @@ class TestDefinitionReference:
                     if want and a != b:
                         want_edges.add(edge(a, b))
             assert direct.direct_reduction_graph(g).edges == want_edges
+
+
+@st.composite
+def graphs_on_domain(draw, max_kappa=14):
+    """Signed graphs on {2..kappa}: half encode an arrangement, half are random."""
+    kappa = draw(st.integers(2, max_kappa))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, kappa + 1)))
+        inverted = draw(st.lists(st.booleans(), min_size=kappa, max_size=kappa))
+        arr = tuple(-k if inv else k for k, inv in zip(order, inverted))
+        return overlap.overlap_graph(pointers.encode_arrangement(arr))
+    vertices = range(2, kappa + 1)
+    pairs = list(combinations(vertices, 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return overlap.OverlapGraph(
+        vertices=frozenset(vertices),
+        positive=frozenset(draw(st.sets(st.sampled_from(vertices)))),
+        edges=frozenset(pq for pq, keep in zip(pairs, chosen) if keep),
+    )
+
+
+def _names(kappa):
+    return [f"J{p}" for p in range(2, kappa + 1)] + [f"Jp{p}" for p in range(2, kappa + 1)]
+
+
+class TestHashJoin:
+    """The hash join against the per-candidate loop it replaced and the definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_on_domain())
+    def test_matches_per_candidate_loop_and_definition(self, g):
+        built = direct.direct_reduction_graph(g).edges
+        assert built == oracles.per_candidate_direct_edges(g)
+        kappa = len(g.vertices) + 1
+        assert built == {
+            edge(a, b)
+            for a, b in combinations(_names(kappa), 2)
+            if oracles.direct_witnesses(g, a, b)
+        }
+
+    @pytest.mark.parametrize("kappa", [64, 100, 128, 200, 256])
+    def test_large_realistic_strings(self, kappa):
+        rng = random.Random(kappa)
+        g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
+        built = direct.direct_reduction_graph(g)
+        assert built.edges == oracles.per_candidate_direct_edges(g)
+        assert all(built.degree(v) <= 2 for v in built.labels)
+        # the definition is too slow for every pair here: sample edges and pairs
+        for e in rng.sample(sorted(map(sorted, built.edges)), 20):
+            assert oracles.direct_witnesses(g, *e)
+        for _ in range(20):
+            a, b = rng.sample(_names(kappa), 2)
+            assert bool(oracles.direct_witnesses(g, a, b)) == (edge(a, b) in built.edges)
+
+    def test_cps_matches_direct_at_kappa_1024(self):
+        u = sampling.random_realistic_string(random.Random(1024), 1024)
+        built = direct.direct_reduction_graph(overlap.overlap_graph(u))
+        rg = reduction.ReductionGraph(u)
+        assert iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built)
+        assert built.component_count() == rg.component_count()
 
 
 def _inflate(g):

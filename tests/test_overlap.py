@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import oracles
-from geneasm import overlap, pointers
+from geneasm import overlap, pointers, sampling
 from geneasm.errors import CapError, ParseError
 
 
@@ -78,6 +79,29 @@ class TestConstruction:
             assert overlap.overlap_graph(pointers.complement(u)) == g
             for v in pointers.conjugates(u):
                 assert overlap.overlap_graph(v) == g
+
+    def test_neighbor_masks(self):
+        g = graph_of("72673456-3-245")
+        assert g.neighbor_masks[:2] == (0, 0)
+        assert len(g.neighbor_masks) == 8
+        assert g.neighbor_masks[2] == (1 << 4) | (1 << 5) | (1 << 7)
+        assert graph_of("").neighbor_masks == (0,)
+
+    def test_neighbor_masks_match_the_interleaving_oracle(self):
+        # overlap_graph fills the view in as it scans; a graph built from
+        # the same fields derives it from the edges
+        rng = random.Random(24)
+        for _ in range(200):
+            u = sampling.random_legal_string(rng, max_domain=8, gaps=True)
+            g = overlap.overlap_graph(u)
+            rebuilt = overlap.OverlapGraph(g.vertices, g.positive, g.edges)
+            want = [0] * (max(g.vertices) + 1)
+            for p, q in oracles.overlap_pairs(u):
+                want[p] |= 1 << q
+                want[q] |= 1 << p
+            assert g.neighbor_masks == rebuilt.neighbor_masks == tuple(want)
+            assert g == rebuilt and hash(g) == hash(rebuilt)
+        assert "neighbor_masks" not in {f.name for f in dataclasses.fields(g)}
 
     def test_neighbor_errors(self):
         g = graph_of("22")

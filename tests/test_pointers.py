@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from geneasm import pointers
+from geneasm import pointers, sampling
 from geneasm.errors import LegalityError, ParseError
 
 
@@ -80,6 +80,25 @@ class TestBasics:
         assert pointers.conjugates((2, 2)) == [(2, 2)]
         assert pointers.conjugates(()) == [()]
         assert pointers.conjugates((2, 3, 2, 3)) == [(2, 3, 2, 3), (3, 2, 3, 2)]
+
+    def test_conjugates_keep_first_rotation_order(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            u = tuple(rng.choice((2, -2, 3)) for _ in range(rng.randint(1, 8))) * rng.randint(1, 3)
+            want = []
+            for r in range(len(u)):
+                if u[r:] + u[:r] not in want:
+                    want.append(u[r:] + u[:r])
+            assert pointers.conjugates(u) == want
+
+    def test_occurrence_index(self):
+        rng = random.Random(13)
+        assert pointers.occurrence_index(()) == {}
+        assert pointers.occurrence_index(seq("32-43-24")) == {3: (1, 4), 2: (2, 5), 4: (3, 6)}
+        for _ in range(100):
+            u = sampling.random_legal_string(rng, max_domain=12, gaps=True)
+            at = pointers.occurrence_index(u)
+            assert at == {p: pointers.occurrence_positions(u, p) for p in pointers.domain(u)}
 
     def test_polarity_partition(self):
         u = seq("32-43-24")

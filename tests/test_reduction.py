@@ -2,6 +2,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from geneasm import pointers, reduction
@@ -81,6 +83,21 @@ class TestConstruction:
             assert rg.component_count() == oracles.component_count(
                 len(u), [reality, desire]
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_occurrence_index_matches_definition_oracle(self, data):
+        """Magnitudes up to 40 with gaps; desire edges come in pairs by magnitude."""
+        mags = data.draw(st.lists(st.integers(2, 40), min_size=1, max_size=12, unique=True))
+        order = data.draw(st.permutations([m for m in mags for _ in range(2)]))
+        barred = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        u = tuple(-m if bar else m for m, bar in zip(order, barred))
+        rg = reduction.ReductionGraph(u)
+        reality, desire = oracles.reduction_edges(u)
+        assert list(rg.reality_edges) == reality
+        assert set(rg.desire_edges) == set(desire) and len(rg.desire_edges) == len(desire)
+        labels = [rg.label(min(e)) for e in rg.desire_edges]
+        assert labels == sorted(m for m in mags for _ in range(2))
 
     def test_every_vertex_on_one_edge_of_each_colour(self):
         rng = random.Random(42)
