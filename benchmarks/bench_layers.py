@@ -8,12 +8,15 @@ directory.  For each kappa one realistic string is drawn from
 ``random.Random(SEED)``, in ladder order, and these layers are timed on it,
 each on inputs built beforehand:
 
-    parse_pointer_string     the string in spaced format
-    overlap_graph            the parsed string
-    ReductionGraph           the parsed string
-    cps                      the reduction graph
-    direct_reduction_graph   the overlap graph (as ``overlap_graph`` returns it)
-    canonical_labelled       the compressed reduction graph
+    parse_pointer_string       the string in spaced format
+    overlap_graph              the parsed string
+    ReductionGraph             the parsed string
+    cps                        the reduction graph
+    direct_reduction_graph     the overlap graph (as ``overlap_graph`` returns it)
+    canonical_labelled         the compressed reduction graph
+    canonical_2edge            the reduction graph
+    ReductionGraph.components  the reduction graph
+    find_root_subgraphs        the reduction graph
 
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
@@ -48,6 +51,9 @@ LAYERS = (
     "cps",
     "direct_reduction_graph",
     "canonical_labelled",
+    "canonical_2edge",
+    "ReductionGraph.components",
+    "find_root_subgraphs",
 )
 
 
@@ -62,6 +68,9 @@ def cases(u):
         "cps": (compress.cps, rg),
         "direct_reduction_graph": (direct.direct_reduction_graph, overlap.overlap_graph(u)),
         "canonical_labelled": (iso.canonical_labelled, compress.cps(rg)),
+        "canonical_2edge": (iso.canonical_2edge, rg),
+        "ReductionGraph.components": (reduction.ReductionGraph.components, rg),
+        "find_root_subgraphs": (reduction.find_root_subgraphs, rg),
     }
 
 

@@ -8,7 +8,7 @@ reduction systems with exhaustive search oracles and the closed-form
 successfulness classification.
 """
 
-from .compress import ColouredGraph, LabelledGraph, coloured_from_reduction, cps, swap_colours
+from .compress import ColouredGraph, LabelledGraph, cps, swap_colours
 from .direct import (
     Witness,
     condition_witnesses,
@@ -58,11 +58,11 @@ from .reduction import (
     find_root_subgraphs,
     is_rooted,
     position,
-    reduction_graph,
     rspos,
 )
 from .rewriting import (
     GraphRule,
+    Rule,
     StringRule,
     applicable_graph_rules,
     applicable_string_rules,

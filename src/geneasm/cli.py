@@ -251,13 +251,14 @@ def _cmd_count_negative(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _overlap_graph_arg(args)
-    if getattr(args, "graph", None):
+    if args.graph:
+        g = overlap.parse_overlap_json(_read_source(args.graph))
         overlap.require_realistic(g, max_kappa=args.max_kappa)
     else:
         seq = _legal_string_arg(args.string)
         if not pointers.is_realistic(seq):
             raise RealismError("classification needs a realistic string")
+        g = overlap.overlap_graph(seq)
     comps = direct.direct_reduction_graph(g).component_count()
     for kinds in SUBSET_ORDER:
         verdict = rewriting.successful_in_classifier(g, kinds, comps)

@@ -37,6 +37,43 @@ def components(starts, neighbors) -> list[frozenset]:
     return comps
 
 
+def _partners(edges, colour: str) -> dict:
+    """Each endpoint mapped to the other end of its one edge of this colour."""
+    other = {}
+    for a, b in edges:
+        if a in other or b in other:
+            raise ValueError(f"vertices must lie on exactly one {colour} edge")
+        other[a] = b
+        other[b] = a
+    return other
+
+
+def alternating_cycles(graph) -> list[list]:
+    """Components of a 2-edge-coloured graph with one edge of each colour per vertex.
+
+    Each cycle starts at the first of its vertices in ``graph.vertices``
+    and leaves it along its desire edge; cycles come in that order, which
+    is by smallest vertex for reduction graphs and ``ColouredGraph``.
+    """
+    desire = _partners(graph.desire_edges, "desire")
+    reality = _partners(graph.reality_edges, "reality")
+    if desire.keys() != set(graph.vertices) or reality.keys() != desire.keys():
+        raise ValueError("every vertex needs one reality and one desire edge")
+    seen = set()
+    cycles = []
+    for start in graph.vertices:
+        if start in seen:
+            continue
+        cycle = []
+        v = start
+        while not cycle or v != start:
+            cycle += (v, desire[v])
+            v = reality[cycle[-1]]
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 @dataclass(frozen=True)
 class LabelledGraph:
     """Simple labelled graph; vertex ids are arbitrary hashable values."""
@@ -57,24 +94,24 @@ class LabelledGraph:
         return self.labels.keys()
 
     @cached_property
-    def _adjacency(self) -> dict:
-        """Built on first use; not a field, so not compared."""
+    def adjacency(self) -> dict:
+        """Each vertex mapped to its neighbour frozenset, in ``labels`` order.
+
+        Built on first use; not a field, so not compared.
+        """
         return neighbor_table(self.labels, self.edges)
 
     def neighbors(self, v) -> frozenset:
-        return self._adjacency.get(v, frozenset())
+        return self.adjacency.get(v, frozenset())
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
     def components(self) -> list[frozenset]:
-        return components(self.labels, self._adjacency.__getitem__)
+        return components(self.labels, self.adjacency.__getitem__)
 
     def component_count(self) -> int:
         return len(self.components())
-
-    def label_multiset(self):
-        return sorted(self.labels.values())
 
 
 @dataclass(frozen=True)
@@ -91,14 +128,6 @@ class ColouredGraph:
 
     def label(self, v):
         return self._labels[v]
-
-
-def coloured_from_reduction(rg) -> ColouredGraph:
-    return ColouredGraph(
-        _labels={v: rg.label(v) for v in rg.vertices},
-        reality_edges=tuple(rg.reality_edges),
-        desire_edges=tuple(rg.desire_edges),
-    )
 
 
 def swap_colours(g) -> ColouredGraph:

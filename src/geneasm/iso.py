@@ -7,6 +7,13 @@ classes isomorphism reduces to normalizing each component's label
 sequence under rotation and reflection, so a canonical form is a sorted
 multiset of per-component codes rendered as a stable ASCII string.
 
+Both codes come from one walk per component and one least rotation.
+``canonical_labelled`` walks paths and isolated vertices from an end and
+cycles from any vertex; ``canonical_2edge`` walks each alternating cycle
+desire edge first (``compress.alternating_cycles``).  A path's code is the
+smaller of its two readings, a cycle's the least rotation of either
+reading, so no code depends on where its walk started.
+
 A factorial-search oracle over label-respecting bijections is kept
 alongside as ground truth for small instances.
 """
@@ -15,101 +22,56 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .compress import LabelledGraph
+from .compress import LabelledGraph, alternating_cycles
 from .errors import CapError
 
 
-def _min_rotation(seq: tuple) -> tuple:
-    return min(tuple(seq[r:] + seq[:r]) for r in range(len(seq)))
+def _least_rotation(seq: tuple, step: int) -> tuple:
+    """Least of the rotations of seq by a multiple of step."""
+    return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
 
 
-def _component_code(g: LabelledGraph, comp: list) -> tuple:
-    degs = {v: g.degree(v) for v in comp}
-    if any(d > 2 for d in degs.values()):
-        raise ValueError("canonical forms support maximum degree 2 only")
-    if len(comp) == 1:
-        return ("v", (g.labels[comp[0]],))
-    ends = sorted((v for v in comp if degs[v] == 1), key=lambda v: str(v))
-    if ends:
-        # path: walk from either end, keep the lexicographically smaller reading
-        readings = []
-        for start in ends:
-            seq = [start]
-            prev = None
-            cur = start
-            while True:
-                nxt = [w for w in g.neighbors(cur) if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                seq.append(cur)
-            readings.append(tuple(g.labels[v] for v in seq))
-        return ("p", min(readings))
-    # cycle: canonical rotation of both traversal directions
-    start = comp[0]
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        step = nxt[0] if prev is not None else min(nxt, key=lambda v: str(v))
-        if step == start:
-            break
-        prev, cur = cur, step
-        order.append(cur)
-    labels = tuple(g.labels[v] for v in order)
-    rev = tuple(reversed(labels))
-    return ("c", min(_min_rotation(labels), _min_rotation(rev)))
+def _walk(adjacency: dict, start, seen: set) -> list:
+    """start's component in walk order, each vertex marked seen when reached.
+
+    From an end this reads a whole path; from a cycle vertex, the cycle.
+    """
+    order = []
+    fresh = [start]
+    while fresh:
+        v = fresh[0]
+        seen.add(v)
+        order.append(v)
+        fresh = [w for w in adjacency[v] if w not in seen]
+    return order
+
+
+def _code(kind: str, labels: tuple) -> str:
+    return kind + "[" + ",".join(str(x) for x in labels) + "]"
 
 
 def canonical_labelled(g: LabelledGraph) -> str:
-    """Canonical code; equal codes iff isomorphic, for max-degree-2 graphs."""
+    """Canonical code; equal codes iff isomorphic, for max-degree-2 graphs.
+
+    Walks start at the vertices of degree below 2 first, so every path is
+    read from an end and what is left to walk is cycles.
+    """
+    adjacency = g.adjacency
+    if any(len(ws) > 2 for ws in adjacency.values()):
+        raise ValueError("canonical forms support maximum degree 2 only")
+    seen: set = set()
     codes = []
-    for comp in g.components():
-        codes.append(_component_code(g, sorted(comp, key=lambda v: str(v))))
-    parts = []
-    for kind, labels in sorted(codes):
-        parts.append(kind + "[" + ",".join(str(x) for x in labels) + "]")
-    return "|".join(parts)
-
-
-def _alternating_cycles(g) -> list[list]:
-    """Components of a 2-edge-coloured graph with one edge of each colour per vertex."""
-    desire_of = {}
-    reality_of = {}
-    for e in g.desire_edges:
-        for v in e:
-            if v in desire_of:
-                raise ValueError("vertices must lie on exactly one desire edge")
-            desire_of[v] = e
-    for e in g.reality_edges:
-        for v in e:
-            if v in reality_of:
-                raise ValueError("vertices must lie on exactly one reality edge")
-            reality_of[v] = e
-    vertices = list(g.vertices)
-    if set(desire_of) != set(vertices) or set(reality_of) != set(vertices):
-        raise ValueError("every vertex needs one reality and one desire edge")
-    seen = set()
-    cycles = []
-    for start in sorted(vertices):
+    ends = [v for v, ws in adjacency.items() if len(ws) < 2]
+    for start in ends + list(adjacency):
         if start in seen:
             continue
-        cycle = [start]
-        seen.add(start)
-        use_desire = True
-        cur = start
-        while True:
-            e = desire_of[cur] if use_desire else reality_of[cur]
-            (nxt,) = set(e) - {cur}
-            use_desire = not use_desire
-            if nxt == start and use_desire:
-                break
-            cycle.append(nxt)
-            seen.add(nxt)
-            cur = nxt
-        cycles.append(cycle)
-    return cycles
+        labels = tuple(g.labels[v] for v in _walk(adjacency, start, seen))
+        degree = len(adjacency[start])
+        if degree == 2:
+            codes.append(("c", min(_least_rotation(labels, 1), _least_rotation(labels[::-1], 1))))
+        else:
+            codes.append(("p" if degree else "v", min(labels, labels[::-1])))
+    return "|".join(_code(kind, labels) for kind, labels in sorted(codes))
 
 
 def canonical_2edge(g) -> str:
@@ -120,26 +82,12 @@ def canonical_2edge(g) -> str:
     colour-preserving isomorphisms.
     """
     codes = []
-    for cycle in _alternating_cycles(g):
+    for cycle in alternating_cycles(g):
         labels = tuple(g.label(v) for v in cycle)
-        m = len(labels)
-        best = None
         # desire edges sit at index pairs (0,1), (2,3), ...; rotations by even
         # offsets and plain reversal preserve that phase, odd offsets do not
-        for r in range(0, m, 2):
-            cand = labels[r:] + labels[:r]
-            if best is None or cand < best:
-                best = cand
-        rev = tuple(reversed(labels))
-        for r in range(0, m, 2):
-            cand = rev[r:] + rev[:r]
-            if cand < best:
-                best = cand
-        codes.append(best)
-    parts = []
-    for labels in sorted(codes):
-        parts.append("C[" + ",".join(str(x) for x in labels) + "]")
-    return "|".join(parts)
+        codes.append(min(_least_rotation(labels, 2), _least_rotation(labels[::-1], 2)))
+    return "|".join(_code("C", labels) for labels in sorted(codes))
 
 
 def _label_classes(labels1: dict, labels2: dict):

@@ -77,9 +77,6 @@ class OverlapGraph:
             raise ValueError(f"{q} is not a vertex")
         return self._adjacency[q]
 
-    def has_edge(self, p: int, q: int) -> bool:
-        return (min(p, q), max(p, q)) in self.edges
-
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest vertex."""
         return components(sorted(self.vertices), self._adjacency.__getitem__)

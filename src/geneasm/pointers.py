@@ -226,14 +226,6 @@ def occurrence_index(seq) -> dict[int, tuple[int, int]]:
     return at
 
 
-def occurrence_positions(seq, p: int) -> tuple[int, int]:
-    """1-based positions of the two occurrences of magnitude p."""
-    hits = [i + 1 for i, x in enumerate(seq) if magnitude(x) == magnitude(p)]
-    if len(hits) != 2:
-        raise LegalityError(f"magnitude {magnitude(p)} does not occur exactly twice")
-    return hits[0], hits[1]
-
-
 # ---------------------------------------------------------------------------
 # encoding between arrangements and realistic strings
 
@@ -316,9 +308,10 @@ def is_realistic(seq) -> bool:
 def overlap_set(seq, p: int) -> frozenset[int]:
     """Magnitudes whose occurrence interval interleaves the p-interval."""
     _require_legal(seq)
-    if magnitude(p) not in domain(seq):
+    at = occurrence_index(seq)
+    if magnitude(p) not in at:
         raise ValueError(f"pointer {p} does not occur in the string")
-    i, j = occurrence_positions(seq, p)
+    i, j = at[magnitude(p)]
     return positional_overlap(seq, i, j - 1)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pointers
-from .compress import components
+from .compress import alternating_cycles
 from .errors import LegalityError
 
 Vertex = tuple[int, int]
@@ -90,17 +90,10 @@ class ReductionGraph:
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Alternating cycles, each sorted, ordered by smallest (i, side)."""
-        comps = components(
-            self.vertices, lambda v: self.desire_edge_of(v) | self.reality_edge_of(v)
-        )
-        return [tuple(sorted(comp)) for comp in comps]
+        return [tuple(sorted(cycle)) for cycle in alternating_cycles(self)]
 
     def component_count(self) -> int:
         return len(self.components())
-
-
-def reduction_graph(u) -> ReductionGraph:
-    return ReductionGraph(u)
 
 
 def position(rg: ReductionGraph, item) -> int:

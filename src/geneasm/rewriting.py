@@ -42,7 +42,9 @@ DEFAULT_GRAPH_KAPPA_CAP = 7
 
 
 @dataclass(frozen=True)
-class StringRule:
+class Rule:
+    """One rule application: its kind (``snr`` ... ``gdr``) and pointer parameters."""
+
     kind: str
     params: tuple[int, ...]
 
@@ -52,15 +54,8 @@ class StringRule:
         return f"{self.kind}_{{{self.params[0]},{self.params[1]}}}"
 
 
-@dataclass(frozen=True)
-class GraphRule:
-    kind: str
-    params: tuple[int, ...]
-
-    def __str__(self) -> str:
-        if len(self.params) == 1:
-            return f"{self.kind}_{self.params[0]}"
-        return f"{self.kind}_{{{self.params[0]},{self.params[1]}}}"
+# the string and graph systems share one rule class; the kind tells them apart
+StringRule = GraphRule = Rule
 
 
 def _check_kinds(kinds, allowed):
@@ -384,6 +379,5 @@ def parse_rule_sequence(text: str):
             params = (int(m.group(3)), int(m.group(4)))
             if kind not in ("sdr", "gdr"):
                 raise ParseError(f"rule {tok!r} takes a single parameter")
-        cls = StringRule if kind in STRING_KINDS else GraphRule
-        rules.append(cls(kind, params))
+        rules.append(Rule(kind, params))
     return list(reversed(rules))

@@ -40,8 +40,12 @@ def reduction_edges(u):
     return reality, sorted(set(desire), key=sorted)
 
 
-def component_count(n, edge_sets):
-    """BFS component count over vertices (1..n, 0|1)."""
+def components(n, edge_sets):
+    """Components over vertices (1..n, 0|1) by breadth-first search.
+
+    Each component is a sorted tuple; they come in order of their smallest
+    vertex.
+    """
     vertices = [(i, s) for i in range(1, n + 1) for s in (0, 1)]
     adjacency = {v: set() for v in vertices}
     for edges in edge_sets:
@@ -50,20 +54,31 @@ def component_count(n, edge_sets):
             adjacency[a].add(b)
             adjacency[b].add(a)
     seen = set()
-    count = 0
+    comps = []
     for v in vertices:
         if v in seen:
             continue
-        count += 1
-        stack = [v]
+        queue = [v]
         seen.add(v)
-        while stack:
-            x = stack.pop()
+        for x in queue:
             for y in adjacency[x]:
                 if y not in seen:
                     seen.add(y)
-                    stack.append(y)
-    return count
+                    queue.append(y)
+        comps.append(tuple(sorted(queue)))
+    return comps
+
+
+def component_count(n, edge_sets):
+    """BFS component count over vertices (1..n, 0|1)."""
+    return len(components(n, edge_sets))
+
+
+def occurrence_positions(u, p):
+    """1-based positions of the two occurrences of magnitude p, by a scan."""
+    hits = [i for i, x in enumerate(u, 1) if mag(x) == mag(p)]
+    assert len(hits) == 2, f"magnitude {mag(p)} does not occur exactly twice"
+    return hits[0], hits[1]
 
 
 def positional_overlap(u, i, j):

@@ -378,8 +378,8 @@ def test_a12_isomorphism_engine_agrees_with_brute_force():
         if len(u) > 5 or len(v) > 5:
             continue
         checked += 1
-        gu = compress.coloured_from_reduction(reduction.ReductionGraph(u))
-        gv = compress.coloured_from_reduction(reduction.ReductionGraph(v))
+        gu = reduction.ReductionGraph(u)
+        gv = reduction.ReductionGraph(v)
         if (iso.canonical_2edge(gu) == iso.canonical_2edge(gv)) != (
             iso.brute_force_isomorphic_2edge(gu, gv)
         ):

@@ -299,6 +299,11 @@ class TestEdgeInputs:
         monkeypatch.setattr("sys.stdin", _io.StringIO("24535423"))
         code, out, _ = run(["components", "-"])
         assert (code, out) == (0, "3\n")  # value frozen from the BFS oracle
+        # classify reads its string once: stdin is empty on a second read
+        monkeypatch.setattr("sys.stdin", _io.StringIO("2-3-23\n"))
+        code, out, err = run(["classify", "--string", "-"])
+        assert (code, out, err) == run(["classify", "--string", "2-3-23"])
+        assert (code, out.splitlines()[4]) == (0, "S={Gnr,Gpr} successful=true")
 
     def test_dot_output_is_byte_stable(self):
         runs = {run(["reduction-graph", "234234", "--format", "dot"]) for _ in range(3)}

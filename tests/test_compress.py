@@ -77,10 +77,7 @@ class TestCps:
             for v in strings:
                 rg_u = reduction.ReductionGraph(u)
                 rg_v = reduction.ReductionGraph(v)
-                two_edge = iso.brute_force_isomorphic_2edge(
-                    compress.coloured_from_reduction(rg_u),
-                    compress.coloured_from_reduction(rg_v),
-                )
+                two_edge = iso.brute_force_isomorphic_2edge(rg_u, rg_v)
                 collapsed = iso.brute_force_isomorphic(
                     compress.cps(rg_u), compress.cps(rg_v)
                 )

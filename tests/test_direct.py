@@ -149,7 +149,7 @@ class TestMainEquivalence:
             u = pointers.encode_arrangement(arr)
             built = direct.direct_reduction_graph(overlap.overlap_graph(u))
             inflated = _inflate(built)
-            rg = compress.coloured_from_reduction(reduction.ReductionGraph(u))
+            rg = reduction.ReductionGraph(u)
             assert iso.canonical_2edge(inflated) == iso.canonical_2edge(rg)
 
 

@@ -55,6 +55,20 @@ class TestCanonicalLabelled:
             cycle_graph((2, 3, 2, 3))
         ) == "c[2,3,2,3]"
 
+    def test_path_read_from_either_end(self):
+        # in path order the ids are 9, 8, 11, 10; by str the end 10 comes
+        # first, but the code reads from the end whose reading is smaller
+        g = lg({9: 3, 8: 2, 11: 2, 10: 4}, [(9, 8), (8, 11), (11, 10)])
+        assert iso.canonical_labelled(g) == "p[3,2,2,4]"
+
+    def test_isolated_vertex_path_and_cycle_in_one_graph(self):
+        g = lg(
+            {"z": 5, "a": 3, "b": 2, 0: 2, 1: 4, 2: 3, 3: 3},
+            [("a", "b"), (0, 1), (1, 2), (2, 3), (3, 0)],
+        )
+        # the cycle reads 2,4,3,3 one way; its least rotation runs the other way
+        assert iso.canonical_labelled(g) == "c[2,3,3,4]|p[2,3]|v[5]"
+
     def test_agreement_with_brute_force(self):
         rng = random.Random(71)
         checked_iso = 0
@@ -93,6 +107,16 @@ class TestCanonical2Edge:
         assert max(len(c) for c in ru.components()) == 6
         assert max(len(c) for c in rv.components()) < 6
 
+    def test_golden_codes(self):
+        golden = {
+            "223344": "C[2,2]|C[2,2,3,3,4,4]|C[3,3]|C[4,4]",
+            "234432": "C[2,2]|C[2,2,3,3]|C[3,3,4,4]|C[4,4]",
+            "2653562434": "C[2,2,4,4]|C[2,2,6,6]|C[3,3,4,4,3,3,5,5]|C[5,5,6,6]",
+        }
+        for text, code in golden.items():
+            rg = reduction.ReductionGraph(pointers.parse_pointer_string(text))
+            assert iso.canonical_2edge(rg) == code
+
     def test_conjugation_invariance(self):
         rng = random.Random(72)
         for _ in range(60):
@@ -107,8 +131,8 @@ class TestCanonical2Edge:
         for _ in range(200):
             u = _random_legal(rng, max_domain=2)
             v = _random_legal(rng, max_domain=2)
-            gu = compress.coloured_from_reduction(reduction.ReductionGraph(u))
-            gv = compress.coloured_from_reduction(reduction.ReductionGraph(v))
+            gu = reduction.ReductionGraph(u)
+            gv = reduction.ReductionGraph(v)
             want = iso.brute_force_isomorphic_2edge(gu, gv)
             got = iso.canonical_2edge(gu) == iso.canonical_2edge(gv)
             assert got == want
@@ -120,12 +144,12 @@ class TestCanonical2Edge:
         # the opposite roles; swapping colours must still be detected
         u = (2, 3, -2, 3)
         rg = reduction.ReductionGraph(u)
-        swapped = compress.swap_colours(compress.coloured_from_reduction(rg))
+        swapped = compress.swap_colours(rg)
         assert iso.canonical_2edge(rg) != iso.canonical_2edge(swapped)
 
     def test_colour_swap_on_symmetric_graph(self):
         rg = reduction.ReductionGraph((2, 2))
-        swapped = compress.swap_colours(compress.coloured_from_reduction(rg))
+        swapped = compress.swap_colours(rg)
         assert iso.canonical_2edge(rg) == iso.canonical_2edge(swapped)
 
 

@@ -98,7 +98,7 @@ class TestBasics:
         for _ in range(100):
             u = sampling.random_legal_string(rng, max_domain=12, gaps=True)
             at = pointers.occurrence_index(u)
-            assert at == {p: pointers.occurrence_positions(u, p) for p in pointers.domain(u)}
+            assert at == {p: oracles.occurrence_positions(u, p) for p in pointers.domain(u)}
 
     def test_polarity_partition(self):
         u = seq("32-43-24")

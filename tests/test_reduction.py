@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geneasm import pointers, reduction
+from geneasm import pointers, reduction, sampling
 from geneasm.errors import LegalityError
 
 
@@ -75,6 +75,9 @@ class TestConstruction:
         rng = random.Random(41)
         samples = [_random_legal(rng) for _ in range(150)]
         samples += [_random_realistic(rng, rng.randint(6, 8)) for _ in range(30)]
+        # random_legal_string leaves gaps in the domain of about a third of these
+        samples += [sampling.random_legal_string(rng, max_domain=9) for _ in range(150)]
+        assert sum(pointers.domain(u) != set(range(2, len(u) // 2 + 2)) for u in samples) > 30
         for u in samples:
             rg = reduction.ReductionGraph(u)
             reality, desire = oracles.reduction_edges(u)
@@ -83,6 +86,7 @@ class TestConstruction:
             assert rg.component_count() == oracles.component_count(
                 len(u), [reality, desire]
             )
+            assert rg.components() == oracles.components(len(u), [reality, desire])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
