@@ -1,4 +1,5 @@
-"""Time each layer of the string-side pipeline on its own, over a kappa ladder.
+"""Time each layer of the string-side pipeline on its own, over a kappa ladder,
+and the short CLI verbs in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048] [--out FILE]
@@ -21,7 +22,13 @@ each on inputs built beforehand:
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
 A layer whose single call takes longer than the budget is skipped at every
-larger kappa, and the skip is recorded.  The results go to
+larger kappa, and the skip is recorded.
+
+The CLI rows time whole fresh processes, with the same best-of rule:
+``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
+and ``python -m geneasm.cli VERB ...`` for each short verb on inputs drawn
+from ``random.Random(SEED)`` at kappa 8.  What a verb costs over the bare
+interpreter is its imports plus its work.  The results go to
 ``BENCH_layers.json`` at the repository root (or ``--out``) with the Python
 version, core count, git SHA and seed, and a table is printed.
 """
@@ -35,6 +42,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -44,6 +52,21 @@ from geneasm import compress, direct, iso, overlap, pointers, reduction, samplin
 
 SEED = 1
 LADDER = (8, 32, 128, 512, 2048)
+CLI_KAPPA = 8
+CLI_COMMANDS = (
+    "python -c pass",
+    "import geneasm.cli",
+    "encode",
+    "decode",
+    "validate",
+    "random",
+    "components",
+    "count-negative",
+    "classify",
+    "direct",
+    "iso-check",
+    "check-realism",
+)
 LAYERS = (
     "parse_pointer_string",
     "overlap_graph",
@@ -82,6 +105,58 @@ def best_of(fn, arg, repeat, budget):
         fn(arg)
         times.append(time.perf_counter() - start)
     return min(times), len(times)
+
+
+def cli_argvs(kappa, workdir):
+    """Each of CLI_COMMANDS as the argv of a fresh process; strings may start with "-"."""
+    rng = random.Random(SEED)
+    arr = sampling.random_arrangement(rng, kappa)
+    u, v = (sampling.random_realistic_string(rng, kappa) for _ in range(2))
+    text = pointers.format_pointer_string(u, "compact")
+    files = []
+    for name, seq in (("u", u), ("v", v)):
+        path = os.path.join(workdir, f"{name}.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(pointers.format_pointer_string(seq, "compact") + "\n")
+        files.append("@" + path)
+    verbs = {
+        "encode": ["encode", "--", pointers.format_arrangement(arr)],
+        "decode": ["decode", "--", text],
+        "validate": ["validate", "--", text],
+        "random": ["random", "--seed", str(SEED), "--kappa", str(kappa), "--count", "3"],
+        "components": ["components", "--", text],
+        "count-negative": ["count-negative", "--string=" + text],
+        "classify": ["classify", "--string=" + text],
+        "direct": ["direct", "--string=" + text],
+        "iso-check": ["iso-check", "--strings", *files],
+        "check-realism": ["check-realism", "--string=" + text],
+    }
+    python = [sys.executable]
+    argvs = {"python -c pass": python + ["-c", "pass"],
+             "import geneasm.cli": python + ["-c", "import geneasm.cli"]}
+    for name, argv in verbs.items():
+        argvs[name] = python + ["-m", "geneasm.cli"] + argv
+    return argvs
+
+
+def measure_cli(repeat, budget, kappa=CLI_KAPPA):
+    """One row per CLI_COMMANDS entry: best wall time of a fresh process, and its exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    codes = []
+
+    def run(argv):
+        proc = subprocess.run(argv, cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True)
+        codes.append(proc.returncode)
+
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = cli_argvs(kappa, workdir)
+        for command in CLI_COMMANDS:
+            best, calls = best_of(run, argvs[command], repeat, budget)
+            rows.append({"command": command, "best_ms": round(best * 1e3, 2),
+                         "calls": calls, "exit_code": codes[-1]})
+    return rows
 
 
 def git_sha():
@@ -129,6 +204,12 @@ def table(rows, kappas):
     return "\n".join(lines)
 
 
+def cli_table(rows):
+    lines = ["| fresh process | best ms |", "|---|---|"]
+    lines += [f"| `{r['command']}` | {r['best_ms']:.1f} |" for r in rows]
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=5, help="calls per case; the best counts")
@@ -140,6 +221,7 @@ def main(argv=None):
         parser.error("--repeat must be >= 1 and every kappa >= 2")
 
     rows = measure(args.kappas, args.repeat, args.budget)
+    cli_rows = measure_cli(args.repeat, args.budget)
     sha, dirty = git_sha()
     report = {
         "python": platform.python_version(),
@@ -154,11 +236,14 @@ def main(argv=None):
         "kappas": args.kappas,
         "unit": "ms, best of the calls made",
         "rows": rows,
+        "cli_kappa": CLI_KAPPA,
+        "cli_rows": cli_rows,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(table(rows, args.kappas))
+    print(cli_table(cli_rows))
     return 0
 
 

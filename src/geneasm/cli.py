@@ -14,16 +14,19 @@ is not realistic, exit 6 over the realism cap).  The verbs that take a
 pointer string as a positional argument accept one that starts with a
 barred pointer, as in ``geneasm components -3-223``; ``--`` before it
 still works.
+
+Only the modules a verb runs are imported: each verb imports its own at
+call time, and the package loads its submodules on first use, so
+``encode`` loads ``pointers`` and ``errors`` and none of the graph code.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 
-from . import compress, direct, dot, iso, overlap, pointers, reduction, rewriting, sampling
+from . import pointers
 from .errors import CapError, LegalityError, ParseError, RealismError
 
 EXIT_OK = 0
@@ -80,7 +83,9 @@ def _format_string(seq) -> str:
     return pointers.format_pointer_string(seq, "spaced")
 
 
-def _overlap_graph_arg(args) -> overlap.OverlapGraph:
+def _overlap_graph_arg(args):
+    from . import overlap
+
     if getattr(args, "graph", None):
         return overlap.parse_overlap_json(_read_source(args.graph))
     return overlap.overlap_graph(_legal_string_arg(args.string))
@@ -132,8 +137,12 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    from . import overlap
+
     g = overlap.overlap_graph(_legal_string_arg(args.string))
     if args.format == "dot":
+        from . import dot
+
         _emit(dot.overlap_dot(g))
     elif args.format == "text":
         _emit("vertices: " + " ".join(f"{p}{g.sign(p)}" for p in sorted(g.vertices)))
@@ -144,8 +153,12 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_reduction_graph(args) -> int:
+    from . import reduction
+
     rg = reduction.ReductionGraph(_legal_string_arg(args.string))
     if args.format == "dot":
+        from . import dot
+
         _emit(dot.reduction_dot(rg))
     elif args.format == "json":
         import json
@@ -166,11 +179,17 @@ def _cmd_reduction_graph(args) -> int:
 
 
 def _cmd_cps(args) -> int:
+    from . import compress, reduction
+
     rg = reduction.ReductionGraph(_legal_string_arg(args.string))
     g = compress.cps(rg)
     if args.format == "dot":
+        from . import dot
+
         _emit(dot.labelled_dot(g, "cps"))
     elif args.format == "text":
+        from . import iso
+
         _emit(iso.canonical_labelled(g))
     else:
         import json
@@ -186,6 +205,8 @@ def _cmd_cps(args) -> int:
 
 
 def _cmd_direct(args) -> int:
+    from . import direct, overlap
+
     g = _overlap_graph_arg(args)
     if not g.vertices or not g.contiguous_domain():
         raise RealismError("direct construction needs vertex set {2..kappa}")
@@ -200,8 +221,12 @@ def _cmd_direct(args) -> int:
                 value = "{" + ",".join(str(t) for t in sorted(w.value)) + "}"
                 _emit(f"{{{a},{b}}} P={subset} value={value}")
     if args.format == "dot":
+        from . import dot
+
         _emit(dot.direct_dot(built))
     elif args.format == "text":
+        from . import iso
+
         _emit(iso.canonical_labelled(built))
     else:
         _emit(direct.emit_direct_json(built))
@@ -209,6 +234,8 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
+    from . import compress, direct, iso, reduction
+
     sides = []
     if args.cps is not None:
         rg = reduction.ReductionGraph(_legal_string_arg(args.cps))
@@ -230,12 +257,16 @@ def _cmd_iso_check(args) -> int:
 
 
 def _cmd_components(args) -> int:
+    from . import reduction
+
     rg = reduction.ReductionGraph(_legal_string_arg(args.string))
     _emit(str(rg.component_count()))
     return EXIT_OK
 
 
 def _cmd_count_negative(args) -> int:
+    from . import overlap, rewriting
+
     if args.graph:
         g = overlap.parse_overlap_json(_read_source(args.graph))
         if not g.vertices or not g.contiguous_domain():
@@ -251,6 +282,8 @@ def _cmd_count_negative(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import direct, overlap, rewriting
+
     if args.graph:
         g = overlap.parse_overlap_json(_read_source(args.graph))
         overlap.require_realistic(g, max_kappa=args.max_kappa)
@@ -267,6 +300,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check_realism(args) -> int:
+    from . import overlap
+
     g = _overlap_graph_arg(args)
     arr = overlap.is_realistic_overlap(g, max_kappa=args.max_kappa)
     if arr is None:
@@ -277,6 +312,10 @@ def _cmd_check_realism(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    import random
+
+    from . import sampling
+
     rng = random.Random(args.seed)
     for _ in range(args.count):
         arr = sampling.random_arrangement(rng, args.kappa)
@@ -289,6 +328,10 @@ def _cmd_random(args) -> int:
 
 def _cmd_crossval(args) -> int:
     """Each failed check also prints the failing input, replayable as ``--string=``."""
+    import random
+
+    from . import compress, direct, iso, overlap, reduction, rewriting, sampling
+
     rng = random.Random(args.seed)
     stats = {
         "root-subgraph": [0, 0],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -53,7 +53,7 @@ def alternating_cycles(graph) -> list[list]:
 
     Each cycle starts at the first of its vertices in ``graph.vertices``
     and leaves it along its desire edge; cycles come in that order, which
-    is by smallest vertex for reduction graphs and ``ColouredGraph``.
+    is by smallest vertex for reduction graphs.
     """
     desire = _partners(graph.desire_edges, "desire")
     reality = _partners(graph.reality_edges, "reality")
@@ -112,31 +112,6 @@ class LabelledGraph:
 
     def component_count(self) -> int:
         return len(self.components())
-
-
-@dataclass(frozen=True)
-class ColouredGraph:
-    """Generic 2-edge-coloured graph carrier with the reduction-graph interface."""
-
-    _labels: dict
-    reality_edges: tuple = field(default=())
-    desire_edges: tuple = field(default=())
-
-    @property
-    def vertices(self):
-        return tuple(sorted(self._labels))
-
-    def label(self, v):
-        return self._labels[v]
-
-
-def swap_colours(g) -> ColouredGraph:
-    """Exchange the two edge colours (for colour-sensitivity checks)."""
-    return ColouredGraph(
-        _labels={v: g.label(v) for v in g.vertices},
-        reality_edges=tuple(g.desire_edges),
-        desire_edges=tuple(g.reality_edges),
-    )
 
 
 def cps(graph) -> LabelledGraph:

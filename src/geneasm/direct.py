@@ -38,7 +38,6 @@ be serialized verbatim.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -199,6 +198,8 @@ def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
 # JSON wire format
 
 def emit_direct_json(graph: LabelledGraph) -> str:
+    import json
+
     kappa = max(graph.labels.values())
     pairs = [sorted(e, key=vertex_sort_key) for e in graph.edges]
     pairs.sort(key=lambda pair: tuple(vertex_sort_key(v) for v in pair))
@@ -207,6 +208,8 @@ def emit_direct_json(graph: LabelledGraph) -> str:
 
 
 def parse_direct_json(text: str) -> LabelledGraph:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -12,23 +12,46 @@ Both codes come from one walk per component and one least rotation.
 cycles from any vertex; ``canonical_2edge`` walks each alternating cycle
 desire edge first (``compress.alternating_cycles``).  A path's code is the
 smaller of its two readings, a cycle's the least rotation of either
-reading, so no code depends on where its walk started.
-
-A factorial-search oracle over label-respecting bijections is kept
-alongside as ground truth for small instances.
+reading, so no code depends on where its walk started.  The least
+rotation comes from a linear two-candidate scan, so a code costs O(L)
+for a component of L vertices.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .compress import LabelledGraph, alternating_cycles
-from .errors import CapError
 
 
 def _least_rotation(seq: tuple, step: int) -> tuple:
-    """Least of the rotations of seq by a multiple of step."""
-    return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
+    """Least of the rotations of seq by a multiple of step, 1 or 2 (len(seq) a multiple of it).
+
+    Works on the sequence of n step-long blocks with two candidate starts
+    i != j and the length k of their common prefix.  At the first mismatch
+    the larger side's start s loses, and so do s+1..s+k: each rotation
+    there is beaten by the one the same distance past the other start.  So
+    the loser jumps past them, and a mismatch after k equal blocks moves a
+    start by k + 1: the scan is linear in n.  It ends when a start passes
+    n, leaving the other as the least, or when k reaches n, where both
+    starts give the same (least) rotation.
+    """
+    blocks = seq if step == 1 else tuple(zip(seq[::2], seq[1::2]))
+    n = len(blocks)
+    doubled = blocks + blocks
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    r = min(i, j) * step
+    return seq[r:] + seq[:r]
 
 
 def _walk(adjacency: dict, start, seen: set) -> list:
@@ -88,79 +111,3 @@ def canonical_2edge(g) -> str:
         # offsets and plain reversal preserve that phase, odd offsets do not
         codes.append(min(_least_rotation(labels, 2), _least_rotation(labels[::-1], 2)))
     return "|".join(_code("C", labels) for labels in sorted(codes))
-
-
-def _label_classes(labels1: dict, labels2: dict):
-    by_label1: dict = {}
-    by_label2: dict = {}
-    for v, lab in labels1.items():
-        by_label1.setdefault(lab, []).append(v)
-    for v, lab in labels2.items():
-        by_label2.setdefault(lab, []).append(v)
-    if set(by_label1) != set(by_label2):
-        return None
-    for lab in by_label1:
-        if len(by_label1[lab]) != len(by_label2[lab]):
-            return None
-    return by_label1, by_label2
-
-
-def _bijections(by_label1, by_label2):
-    labs = sorted(by_label1, key=str)
-    groups1 = [sorted(by_label1[lab], key=str) for lab in labs]
-    groups2 = [sorted(by_label2[lab], key=str) for lab in labs]
-
-    def recurse(idx, mapping):
-        if idx == len(labs):
-            yield dict(mapping)
-            return
-        g1, g2 = groups1[idx], groups2[idx]
-        for perm in permutations(g2):
-            mapping.update(zip(g1, perm))
-            yield from recurse(idx + 1, mapping)
-        for v in g1:
-            mapping.pop(v, None)
-
-    yield from recurse(0, {})
-
-
-MAX_BRUTE_FORCE_VERTICES = 10
-
-
-def brute_force_isomorphic(g1: LabelledGraph, g2: LabelledGraph) -> bool:
-    """Exhaustive label-respecting bijection search (ground-truth oracle)."""
-    if len(g1.labels) > MAX_BRUTE_FORCE_VERTICES or len(g2.labels) > MAX_BRUTE_FORCE_VERTICES:
-        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
-    if len(g1.labels) != len(g2.labels) or len(g1.edges) != len(g2.edges):
-        return False
-    classes = _label_classes(g1.labels, g2.labels)
-    if classes is None:
-        return False
-    for mapping in _bijections(*classes):
-        image = {frozenset(mapping[v] for v in e) for e in g1.edges}
-        if image == set(g2.edges):
-            return True
-    return False
-
-
-def brute_force_isomorphic_2edge(g1, g2) -> bool:
-    """Colour-preserving variant of the bijection search."""
-    labels1 = {v: g1.label(v) for v in g1.vertices}
-    labels2 = {v: g2.label(v) for v in g2.vertices}
-    if len(labels1) > MAX_BRUTE_FORCE_VERTICES or len(labels2) > MAX_BRUTE_FORCE_VERTICES:
-        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
-    if len(labels1) != len(labels2):
-        return False
-    classes = _label_classes(labels1, labels2)
-    if classes is None:
-        return False
-    reality2 = {frozenset(e) for e in g2.reality_edges}
-    desire2 = {frozenset(e) for e in g2.desire_edges}
-    for mapping in _bijections(*classes):
-        reality_image = {frozenset(mapping[v] for v in e) for e in g1.reality_edges}
-        if reality_image != reality2:
-            continue
-        desire_image = {frozenset(mapping[v] for v in e) for e in g1.desire_edges}
-        if desire_image == desire2:
-            return True
-    return False

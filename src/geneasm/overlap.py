@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import kernels, pointers
+from . import pointers
 from .compress import components, neighbor_table
 from .errors import CapError, ParseError, RealismError
 
@@ -135,6 +134,8 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
     capped (default 12, overridable via the argument or GENEASM_MAX_KAPPA);
     a larger graph raises CapError.
     """
+    from . import kernels
+
     if max_kappa is None:
         max_kappa = _max_kappa_default()
     if not g.vertices or not g.contiguous_domain():
@@ -161,6 +162,8 @@ def require_realistic(g: OverlapGraph, max_kappa: int | None = None):
 
 def emit_overlap_json(g: OverlapGraph) -> str:
     """Canonical JSON: vertices sorted by magnitude, edge pairs sorted."""
+    import json
+
     payload = {
         "vertices": [{"p": p, "sign": g.sign(p)} for p in sorted(g.vertices)],
         "edges": [[p, q] for p, q in sorted(g.edges)],
@@ -169,6 +172,8 @@ def emit_overlap_json(g: OverlapGraph) -> str:
 
 
 def parse_overlap_json(text: str) -> OverlapGraph:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -70,12 +70,11 @@ class ReductionGraph:
         return i - 1 if i > 1 else self.n
 
     def posn_edge(self, e: Edge) -> int:
-        if e not in set(self.reality_edges):
-            raise ValueError("positions are defined for reality edges only")
-        posns = {self.posn(v) for v in e}
-        if len(posns) != 1:
-            raise AssertionError("reality edge endpoints disagree on position")
-        return posns.pop()
+        """Position of reality edge e: the one reality edge through an endpoint is e."""
+        v = next(iter(e), None)
+        if v in self._desire_of and self.reality_edges[self.posn(v) - 1] == e:
+            return self.posn(v)
+        raise ValueError("positions are defined for reality edges only")
 
     def reality_edge_at(self, position: int) -> Edge:
         if not 1 <= position <= self.n:

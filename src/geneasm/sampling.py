@@ -1,4 +1,4 @@
-"""Seeded random generators for arrangements, strings, and small graphs.
+"""Seeded random generators for arrangements and legal strings.
 
 Everything takes an explicit random.Random so the CLI cross-validation
 runs and the test suite stay reproducible.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 
 from . import pointers
-from .compress import LabelledGraph
 
 
 def random_arrangement(rng: random.Random, kappa: int):
@@ -37,42 +36,3 @@ def random_legal_string(rng: random.Random, max_domain: int = 5, gaps: bool = Tr
         letters.append(-m if rng.random() < 0.5 else m)
     rng.shuffle(letters)
     return tuple(letters)
-
-
-def random_degree2_graph(rng: random.Random, max_vertices: int = 10, label_range=(2, 6)):
-    """Random disjoint union of isolated vertices, paths, and cycles."""
-    n = rng.randint(1, max_vertices)
-    labels = {}
-    edges = set()
-    vid = 0
-    remaining = n
-    while remaining:
-        shape = rng.choice(("isolated", "path", "cycle"))
-        if shape == "isolated" or remaining < 2:
-            size = 1
-        elif shape == "path":
-            size = rng.randint(2, remaining)
-        else:
-            size = rng.randint(3, remaining) if remaining >= 3 else remaining
-        members = list(range(vid, vid + size))
-        vid += size
-        remaining -= size
-        for v in members:
-            labels[v] = rng.randint(*label_range)
-        for a, b in zip(members, members[1:]):
-            edges.add(frozenset((a, b)))
-        if shape == "cycle" and size >= 3:
-            edges.add(frozenset((members[-1], members[0])))
-    return LabelledGraph(labels=labels, edges=frozenset(edges))
-
-
-def shuffled_copy(rng: random.Random, g: LabelledGraph) -> LabelledGraph:
-    """Isomorphic copy under a random vertex renaming."""
-    names = list(g.labels)
-    targets = list(range(1000, 1000 + len(names)))
-    rng.shuffle(targets)
-    mapping = dict(zip(names, targets))
-    return LabelledGraph(
-        labels={mapping[v]: lab for v, lab in g.labels.items()},
-        edges=frozenset(frozenset(mapping[v] for v in e) for e in g.edges),
-    )

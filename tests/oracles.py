@@ -6,9 +6,14 @@ avoids the package's own algorithms, so disagreements point at real
 defects rather than shared bugs.
 """
 
+import random
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
+
+from geneasm.compress import LabelledGraph
+from geneasm.errors import CapError
 
 
 def mag(p):
@@ -438,3 +443,153 @@ def successful_in(g, kinds):
         return memo[key]
 
     return walk(g)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: least rotation by comparing every rotation, isomorphism
+# by exhaustive label-respecting bijection search, and their test inputs
+
+
+def least_rotation(seq, step):
+    """Least of the rotations of seq by a multiple of step, by comparing them all."""
+    return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
+
+
+def _label_classes(labels1: dict, labels2: dict):
+    by_label1: dict = {}
+    by_label2: dict = {}
+    for v, lab in labels1.items():
+        by_label1.setdefault(lab, []).append(v)
+    for v, lab in labels2.items():
+        by_label2.setdefault(lab, []).append(v)
+    if set(by_label1) != set(by_label2):
+        return None
+    for lab in by_label1:
+        if len(by_label1[lab]) != len(by_label2[lab]):
+            return None
+    return by_label1, by_label2
+
+
+def _bijections(by_label1, by_label2):
+    labs = sorted(by_label1, key=str)
+    groups1 = [sorted(by_label1[lab], key=str) for lab in labs]
+    groups2 = [sorted(by_label2[lab], key=str) for lab in labs]
+
+    def recurse(idx, mapping):
+        if idx == len(labs):
+            yield dict(mapping)
+            return
+        g1, g2 = groups1[idx], groups2[idx]
+        for perm in permutations(g2):
+            mapping.update(zip(g1, perm))
+            yield from recurse(idx + 1, mapping)
+        for v in g1:
+            mapping.pop(v, None)
+
+    yield from recurse(0, {})
+
+
+MAX_BRUTE_FORCE_VERTICES = 10
+
+
+def brute_force_isomorphic(g1: LabelledGraph, g2: LabelledGraph) -> bool:
+    """Exhaustive label-respecting bijection search."""
+    if len(g1.labels) > MAX_BRUTE_FORCE_VERTICES or len(g2.labels) > MAX_BRUTE_FORCE_VERTICES:
+        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
+    if len(g1.labels) != len(g2.labels) or len(g1.edges) != len(g2.edges):
+        return False
+    classes = _label_classes(g1.labels, g2.labels)
+    if classes is None:
+        return False
+    for mapping in _bijections(*classes):
+        image = {frozenset(mapping[v] for v in e) for e in g1.edges}
+        if image == set(g2.edges):
+            return True
+    return False
+
+
+def brute_force_isomorphic_2edge(g1, g2) -> bool:
+    """Colour-preserving variant of the bijection search."""
+    labels1 = {v: g1.label(v) for v in g1.vertices}
+    labels2 = {v: g2.label(v) for v in g2.vertices}
+    if len(labels1) > MAX_BRUTE_FORCE_VERTICES or len(labels2) > MAX_BRUTE_FORCE_VERTICES:
+        raise CapError(f"brute force is capped at {MAX_BRUTE_FORCE_VERTICES} vertices")
+    if len(labels1) != len(labels2):
+        return False
+    classes = _label_classes(labels1, labels2)
+    if classes is None:
+        return False
+    reality2 = {frozenset(e) for e in g2.reality_edges}
+    desire2 = {frozenset(e) for e in g2.desire_edges}
+    for mapping in _bijections(*classes):
+        reality_image = {frozenset(mapping[v] for v in e) for e in g1.reality_edges}
+        if reality_image != reality2:
+            continue
+        desire_image = {frozenset(mapping[v] for v in e) for e in g1.desire_edges}
+        if desire_image == desire2:
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class ColouredGraph:
+    """Generic 2-edge-coloured graph carrier with the reduction-graph interface."""
+
+    _labels: dict
+    reality_edges: tuple = field(default=())
+    desire_edges: tuple = field(default=())
+
+    @property
+    def vertices(self):
+        return tuple(sorted(self._labels))
+
+    def label(self, v):
+        return self._labels[v]
+
+
+def swap_colours(g) -> ColouredGraph:
+    """Exchange the two edge colours (for colour-sensitivity checks)."""
+    return ColouredGraph(
+        _labels={v: g.label(v) for v in g.vertices},
+        reality_edges=tuple(g.desire_edges),
+        desire_edges=tuple(g.reality_edges),
+    )
+
+
+def random_degree2_graph(rng: random.Random, max_vertices: int = 10, label_range=(2, 6)):
+    """Random disjoint union of isolated vertices, paths, and cycles."""
+    n = rng.randint(1, max_vertices)
+    labels = {}
+    edges = set()
+    vid = 0
+    remaining = n
+    while remaining:
+        shape = rng.choice(("isolated", "path", "cycle"))
+        if shape == "isolated" or remaining < 2:
+            size = 1
+        elif shape == "path":
+            size = rng.randint(2, remaining)
+        else:
+            size = rng.randint(3, remaining) if remaining >= 3 else remaining
+        members = list(range(vid, vid + size))
+        vid += size
+        remaining -= size
+        for v in members:
+            labels[v] = rng.randint(*label_range)
+        for a, b in zip(members, members[1:]):
+            edges.add(frozenset((a, b)))
+        if shape == "cycle" and size >= 3:
+            edges.add(frozenset((members[-1], members[0])))
+    return LabelledGraph(labels=labels, edges=frozenset(edges))
+
+
+def shuffled_copy(rng: random.Random, g: LabelledGraph) -> LabelledGraph:
+    """Isomorphic copy under a random vertex renaming."""
+    names = list(g.labels)
+    targets = list(range(1000, 1000 + len(names)))
+    rng.shuffle(targets)
+    mapping = dict(zip(names, targets))
+    return LabelledGraph(
+        labels={mapping[v]: lab for v, lab in g.labels.items()},
+        edges=frozenset(frozenset(mapping[v] for v in e) for e in g.edges),
+    )

@@ -9,6 +9,7 @@ import random
 import time
 from itertools import permutations, product
 
+import oracles
 from geneasm import (
     compress,
     direct,
@@ -361,14 +362,14 @@ def test_a12_isomorphism_engine_agrees_with_brute_force():
     rng = random.Random(1212)
     disagreements = 0
     for _ in range(500):
-        g1 = sampling.random_degree2_graph(rng, max_vertices=10)
+        g1 = oracles.random_degree2_graph(rng, max_vertices=10)
         g2 = (
-            sampling.shuffled_copy(rng, g1)
+            oracles.shuffled_copy(rng, g1)
             if rng.random() < 0.5
-            else sampling.random_degree2_graph(rng, max_vertices=10)
+            else oracles.random_degree2_graph(rng, max_vertices=10)
         )
         if (iso.canonical_labelled(g1) == iso.canonical_labelled(g2)) != (
-            iso.brute_force_isomorphic(g1, g2)
+            oracles.brute_force_isomorphic(g1, g2)
         ):
             disagreements += 1
     checked = 0
@@ -381,7 +382,7 @@ def test_a12_isomorphism_engine_agrees_with_brute_force():
         gu = reduction.ReductionGraph(u)
         gv = reduction.ReductionGraph(v)
         if (iso.canonical_2edge(gu) == iso.canonical_2edge(gv)) != (
-            iso.brute_force_isomorphic_2edge(gu, gv)
+            oracles.brute_force_isomorphic_2edge(gu, gv)
         ):
             disagreements += 1
     _report(

@@ -25,7 +25,14 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
         (layer, kappa) for kappa in (4, 8) for layer in bench.LAYERS
     ]
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
-    assert capsys.readouterr().out.count("\n") == 4  # header, rule, one row per kappa
+    assert report["cli_kappa"] == 8
+    assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
+    assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["cli_rows"])
+    # every process succeeds; iso-check exits 1 when its two strings differ
+    assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
+               for r in report["cli_rows"])
+    # layer table: header, rule, one row per kappa; CLI table: header, rule, one row per command
+    assert capsys.readouterr().out.count("\n") == 4 + 2 + len(bench.CLI_COMMANDS)
 
 
 def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
@@ -34,3 +41,4 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert all(r["calls"] == 1 for r in rows if r["kappa"] == 4)
     assert all("over 0.0 s at kappa 4" in r["skipped"] for r in rows if r["kappa"] == 8)
+    assert all(r["calls"] == 1 for r in json.loads(out.read_text())["cli_rows"])

@@ -284,7 +284,7 @@ def _inflate(g):
             if slots[w]:
                 reality.append(frozenset((slots[v].pop(), slots[w].pop())))
     assert all(not rest for rest in slots.values())
-    return compress.ColouredGraph(
+    return oracles.ColouredGraph(
         _labels=labels, reality_edges=tuple(reality), desire_edges=tuple(desire)
     )
 

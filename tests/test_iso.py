@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from geneasm import compress, iso, pointers, reduction, sampling
+import oracles
+from geneasm import iso, pointers, reduction
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
 
@@ -32,7 +33,7 @@ class TestCanonicalLabelled:
         a = cycle_graph((3, 6, 2, 4, 5, 7))
         b = cycle_graph((7, 5, 4, 2, 6, 3))
         assert iso.canonical_labelled(a) == iso.canonical_labelled(b)
-        assert iso.brute_force_isomorphic(a, b)
+        assert oracles.brute_force_isomorphic(a, b)
 
     def test_path_direction(self):
         a = lg({0: 2, 1: 3, 2: 4}, [(0, 1), (1, 2)])
@@ -73,12 +74,12 @@ class TestCanonicalLabelled:
         rng = random.Random(71)
         checked_iso = 0
         for _ in range(500):
-            g1 = sampling.random_degree2_graph(rng, max_vertices=8)
+            g1 = oracles.random_degree2_graph(rng, max_vertices=8)
             if rng.random() < 0.5:
-                g2 = sampling.shuffled_copy(rng, g1)
+                g2 = oracles.shuffled_copy(rng, g1)
             else:
-                g2 = sampling.random_degree2_graph(rng, max_vertices=8)
-            want = iso.brute_force_isomorphic(g1, g2)
+                g2 = oracles.random_degree2_graph(rng, max_vertices=8)
+            want = oracles.brute_force_isomorphic(g1, g2)
             got = iso.canonical_labelled(g1) == iso.canonical_labelled(g2)
             assert got == want
             checked_iso += want
@@ -133,7 +134,7 @@ class TestCanonical2Edge:
             v = _random_legal(rng, max_domain=2)
             gu = reduction.ReductionGraph(u)
             gv = reduction.ReductionGraph(v)
-            want = iso.brute_force_isomorphic_2edge(gu, gv)
+            want = oracles.brute_force_isomorphic_2edge(gu, gv)
             got = iso.canonical_2edge(gu) == iso.canonical_2edge(gv)
             assert got == want
             pairs += want
@@ -144,27 +145,57 @@ class TestCanonical2Edge:
         # the opposite roles; swapping colours must still be detected
         u = (2, 3, -2, 3)
         rg = reduction.ReductionGraph(u)
-        swapped = compress.swap_colours(rg)
+        swapped = oracles.swap_colours(rg)
         assert iso.canonical_2edge(rg) != iso.canonical_2edge(swapped)
 
     def test_colour_swap_on_symmetric_graph(self):
         rg = reduction.ReductionGraph((2, 2))
-        swapped = compress.swap_colours(rg)
+        swapped = oracles.swap_colours(rg)
         assert iso.canonical_2edge(rg) == iso.canonical_2edge(swapped)
+
+
+class TestLeastRotation:
+    """The linear least rotation against comparing every rotation (``oracles.least_rotation``)."""
+
+    @staticmethod
+    def _sequences(rng, step):
+        for _ in range(1500):
+            blocks = rng.randint(1, 30)
+            alphabet = rng.randint(1, 4)
+            kind = rng.random()
+            if kind < 0.3:  # periodic: a random period repeated
+                period = tuple(rng.randint(1, alphabet) for _ in range(rng.randint(1, 3) * step))
+                yield period * blocks
+            elif kind < 0.4:  # constant
+                yield (rng.randint(1, alphabet),) * (blocks * step)
+            else:
+                yield tuple(rng.randint(1, alphabet) for _ in range(blocks * step))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_matches_every_rotation_compared(self, step):
+        rng = random.Random(74 + step)
+        for seq in self._sequences(rng, step):
+            assert iso._least_rotation(seq, step) == oracles.least_rotation(seq, step)
+
+    def test_long_cycle(self):
+        rng = random.Random(76)
+        seq = tuple(rng.randint(2, 5) for _ in range(2000))
+        for step in (1, 2):
+            assert iso._least_rotation(seq, step) == oracles.least_rotation(seq, step)
 
 
 class TestBruteForce:
     def test_reflexive(self):
         g = cycle_graph((2, 3, 4))
-        assert iso.brute_force_isomorphic(g, g)
+        assert oracles.brute_force_isomorphic(g, g)
 
     def test_label_multiset_mismatch(self):
-        assert not iso.brute_force_isomorphic(lg({0: 2}, []), lg({0: 3}, []))
+        assert not oracles.brute_force_isomorphic(lg({0: 2}, []), lg({0: 3}, []))
 
     def test_size_cap(self):
         big = lg({i: 2 for i in range(11)}, [])
         with pytest.raises(CapError):
-            iso.brute_force_isomorphic(big, big)
+            oracles.brute_force_isomorphic(big, big)
 
 
 def _random_legal(rng, max_domain=5):

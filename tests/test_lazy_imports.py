@@ -1,0 +1,85 @@
+"""The package and the CLI load submodules on first use.
+
+``import geneasm`` binds no submodule, each public name resolves to the
+object its submodule defines, and a short CLI verb loads only the modules
+on its own code path.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import geneasm
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs the CLI the way ``python -m geneasm.cli`` does, then prints the
+# modules the run added to sys.modules as the last line of stdout.
+_RUN_AS_MAIN = (
+    "import runpy, sys\n"
+    "before = set(sys.modules)\n"
+    "sys.argv = ['geneasm', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('geneasm.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def _modules_loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["encode", "--", "M7 M1 M6 M3 M5 -M2 M4"], set()),
+        (["decode", "--", "72673456-3-245"], set()),
+        (["validate", "--", "24535423"], set()),
+        (["random", "--seed", "3", "--kappa", "7", "--count", "2"], {"geneasm.sampling"}),
+    ],
+    ids=["encode", "decode", "validate", "random"],
+)
+def test_short_verbs_load_only_their_modules(argv, extra):
+    loaded = _modules_loaded_by(argv)
+    ours = {name for name in loaded if name.split(".")[0] == "geneasm"}
+    assert ours <= {"geneasm", "geneasm.cli", "geneasm.errors", "geneasm.pointers"} | extra
+    assert "geneasm.pointers" in ours
+    assert not {"dataclasses", "json"} & loaded
+
+
+def test_every_export_is_its_submodules_object():
+    for name in geneasm.__all__:
+        module = importlib.import_module(f"geneasm.{geneasm._EXPORTS[name]}")
+        assert getattr(geneasm, name) is getattr(module, name)
+    assert set(geneasm.__all__) <= set(dir(geneasm))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from geneasm import *", namespace)
+    assert set(geneasm.__all__) <= set(namespace)
+    for name in geneasm.__all__:
+        assert namespace[name] is getattr(geneasm, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        geneasm.nope
+    assert not hasattr(geneasm, "brute_force_isomorphic")
+
+
+def test_submodules_resolve_as_attributes():
+    # in a fresh process, where import geneasm has bound no submodule yet
+    code = "import geneasm, sys; print(geneasm.kernels is sys.modules['geneasm.kernels'])"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["True"]

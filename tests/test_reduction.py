@@ -136,6 +136,36 @@ class TestPositions:
         # for 2 2 the desire pair {I_1, I'_2} doubles as reality edge e_2
         assert rg_of("22").posn_edge(frozenset({(1, 0), (2, 1)})) == 2
 
+    def test_positions_match_the_set_lookup(self):
+        """posn_edge, position and rspos against looking e up in the set of reality edges."""
+
+        def set_posn_edge(rg, e):
+            if e not in set(rg.reality_edges):
+                raise ValueError("not a reality edge")
+            (posn,) = {rg.posn(v) for v in e}
+            return posn
+
+        rng = random.Random(58)
+        for trial in range(80):
+            kappa = rng.randint(2, 9)
+            u = _random_realistic(rng, kappa) if trial % 2 else _random_legal(rng)
+            rg = reduction.ReductionGraph(u)
+            for e in rg.reality_edges:
+                assert rg.posn_edge(e) == reduction.position(rg, e) == set_posn_edge(rg, e)
+            foreign = [frozenset({(0, 1), (1, 0)}), frozenset({(rg.n, 1), (rg.n + 1, 0)}),
+                       frozenset({(1, 1)}), frozenset()]
+            for e in list(rg.desire_edges) + foreign:
+                if e in rg.reality_edges:  # a desire pair that doubles as a reality edge
+                    continue
+                with pytest.raises(ValueError):
+                    set_posn_edge(rg, e)
+                with pytest.raises(ValueError):
+                    rg.posn_edge(e)
+            for chain in reduction.find_root_subgraphs(rg):
+                for k in range(2, len(chain.desire_chain) + 1):
+                    want = set_posn_edge(rg, chain.reality_links[k - 2])
+                    assert reduction.rspos(rg, chain, k) == want
+
     def test_position_helper_dispatch(self):
         rg = rg_of("2323")
         assert reduction.position(rg, (2, 1)) == 2
