@@ -2,7 +2,7 @@
 and the short CLI verbs in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
-                                       [--kappas 8 32 128 512 2048] [--out FILE]
+                                       [--kappas 8 32 128 512 2048 8192] [--out FILE]
 
 Standard library only; geneasm is imported from the ``src/`` next to this
 directory.  For each kappa one realistic string is drawn from
@@ -11,6 +11,8 @@ each on inputs built beforehand:
 
     parse_pointer_string       the string in spaced format
     overlap_graph              the parsed string
+    emit_overlap_json          the overlap graph
+    parse_overlap_json         the overlap graph's JSON
     ReductionGraph             the parsed string
     cps                        the reduction graph
     direct_reduction_graph     the overlap graph (as ``overlap_graph`` returns it)
@@ -21,8 +23,11 @@ each on inputs built beforehand:
 
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
-A layer whose single call takes longer than the budget is skipped at every
-larger kappa, and the skip is recorded.
+A layer is skipped from the next kappa on when its single call takes longer
+than the budget, or would at the next kappa if its time grew with kappa
+squared (the overlap graph has about kappa^2 / 6 edges, so no layer grows
+faster); the skip and its reason are recorded, and the inputs of a skipped
+case are never built.
 
 The CLI rows time whole fresh processes, with the same best-of rule:
 ``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
@@ -36,6 +41,7 @@ version, core count, git SHA and seed, and a table is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -51,7 +57,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling  # noqa: E402
 
 SEED = 1
-LADDER = (8, 32, 128, 512, 2048)
+LADDER = (8, 32, 128, 512, 2048, 8192)
 CLI_KAPPA = 8
 CLI_COMMANDS = (
     "python -c pass",
@@ -70,6 +76,8 @@ CLI_COMMANDS = (
 LAYERS = (
     "parse_pointer_string",
     "overlap_graph",
+    "emit_overlap_json",
+    "parse_overlap_json",
     "ReductionGraph",
     "cps",
     "direct_reduction_graph",
@@ -81,16 +89,20 @@ LAYERS = (
 
 
 def cases(u):
-    """Each layer as (function, argument), the argument built outside the timer."""
-    text = pointers.format_pointer_string(u)
-    rg = reduction.ReductionGraph(u)
+    """Each layer as (function, builder of its argument), built outside the timer on demand."""
+    rg = functools.cache(lambda: reduction.ReductionGraph(u))
+    graph = functools.cache(lambda: overlap.overlap_graph(u))
     return {
-        "parse_pointer_string": (pointers.parse_pointer_string, text),
-        "overlap_graph": (overlap.overlap_graph, u),
-        "ReductionGraph": (reduction.ReductionGraph, u),
+        "parse_pointer_string": (pointers.parse_pointer_string,
+                                 lambda: pointers.format_pointer_string(u)),
+        "overlap_graph": (overlap.overlap_graph, lambda: u),
+        "emit_overlap_json": (overlap.emit_overlap_json, graph),
+        "parse_overlap_json": (overlap.parse_overlap_json,
+                               lambda: overlap.emit_overlap_json(graph())),
+        "ReductionGraph": (reduction.ReductionGraph, lambda: u),
         "cps": (compress.cps, rg),
-        "direct_reduction_graph": (direct.direct_reduction_graph, overlap.overlap_graph(u)),
-        "canonical_labelled": (iso.canonical_labelled, compress.cps(rg)),
+        "direct_reduction_graph": (direct.direct_reduction_graph, graph),
+        "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),
         "canonical_2edge": (iso.canonical_2edge, rg),
         "ReductionGraph.components": (reduction.ReductionGraph.components, rg),
         "find_root_subgraphs": (reduction.find_root_subgraphs, rg),
@@ -173,21 +185,25 @@ def git_sha():
 def measure(kappas, repeat, budget):
     rng = random.Random(SEED)
     rows = []
-    over: dict[str, int] = {}  # layer -> the kappa at which one call went over budget
-    for kappa in kappas:
+    skipped: dict[str, str] = {}  # layer -> why it is skipped from here on
+    for i, kappa in enumerate(kappas):
         u = sampling.random_realistic_string(rng, kappa)
         built = cases(u)
+        following = kappas[i + 1] if i + 1 < len(kappas) else None
         for layer in LAYERS:
-            if layer in over:
-                rows.append({"layer": layer, "kappa": kappa,
-                             "skipped": f"one call took over {budget} s at kappa {over[layer]}"})
+            if layer in skipped:
+                rows.append({"layer": layer, "kappa": kappa, "skipped": skipped[layer]})
                 continue
-            fn, arg = built[layer]
-            best, calls = best_of(fn, arg, repeat, budget)
+            fn, make_arg = built[layer]
+            best, calls = best_of(fn, make_arg(), repeat, budget)
             rows.append({"layer": layer, "kappa": kappa, "best_ms": round(best * 1e3, 4),
                          "calls": calls})
             if best > budget:
-                over[layer] = kappa
+                skipped[layer] = f"one call took over {budget} s at kappa {kappa}"
+            elif following and best * (following / kappa) ** 2 > budget:
+                skipped[layer] = (f"one call took {best:.3g} s at kappa {kappa}, so growing "
+                                  f"with kappa squared it would take over {budget} s "
+                                  f"at kappa {following}")
     return rows
 
 

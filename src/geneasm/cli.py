@@ -145,8 +145,8 @@ def _cmd_overlap(args) -> int:
 
         _emit(dot.overlap_dot(g))
     elif args.format == "text":
-        _emit("vertices: " + " ".join(f"{p}{g.sign(p)}" for p in sorted(g.vertices)))
-        _emit("edges: " + " ".join(f"{p}-{q}" for p, q in sorted(g.edges)))
+        _emit("vertices: " + " ".join(f"{p}{g.sign(p)}" for p in g.vertex_order))
+        _emit("edges: " + " ".join(f"{p}-{q}" for p, above in g.neighbors_above() for q in above))
     else:
         _emit(overlap.emit_overlap_json(g))
     return EXIT_OK

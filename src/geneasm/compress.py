@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-
-def neighbor_table(vertices, edges) -> dict:
-    """Each vertex mapped to the frozenset of vertices it shares an edge with."""
-    table = {v: set() for v in vertices}
-    for a, b in edges:
-        table[a].add(b)
-        table[b].add(a)
-    return {v: frozenset(ws) for v, ws in table.items()}
+from .record import Record
 
 
 def components(starts, neighbors) -> list[frozenset]:
@@ -74,32 +66,56 @@ def alternating_cycles(graph) -> list[list]:
     return cycles
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
-    """Simple labelled graph; vertex ids are arbitrary hashable values."""
+class LabelledGraph(Record):
+    """Simple labelled graph; vertex ids are arbitrary hashable values.
 
-    labels: dict
-    edges: frozenset  # of frozenset({u, v})
+    The graph holds ``labels`` and ``adjacency``, each vertex mapped to
+    its neighbour frozenset in ``labels`` order.  ``edges``, the frozenset
+    of frozenset({u, v}) pairs, is derived on first use.  Graphs compare
+    by labels and adjacency and, holding dicts, are unhashable.
+    """
 
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 2:
+    __hash__ = None
+
+    def __init__(self, labels: dict, edges):
+        """``edges``: any iterable of vertex pairs, each a two-element collection."""
+        edges = tuple(edges)
+        for e in edges:
+            if len(e) != 2 or len(set(e)) != 2:
                 raise ValueError(f"edges must join two distinct vertices, got {set(e)!r}")
             for v in e:
-                if v not in self.labels:
+                if v not in labels:
                     raise ValueError(f"edge endpoint {v!r} is not a vertex")
+        self._fill(labels, edges)
+
+    @classmethod
+    def _from_pairs(cls, labels: dict, pairs) -> LabelledGraph:
+        """The graph with these edges, each a pair of distinct vertices of labels; unchecked."""
+        g = cls.__new__(cls)
+        g._fill(labels, pairs)
+        return g
+
+    def _fill(self, labels, pairs):
+        table = {v: set() for v in labels}
+        for a, b in pairs:
+            table[a].add(b)
+            table[b].add(a)
+        self.__dict__.update(labels=labels,
+                             adjacency={v: frozenset(ws) for v, ws in table.items()})
+
+    def _fields(self) -> tuple:
+        return self.labels, self.adjacency
+
+    def __repr__(self) -> str:
+        return f"LabelledGraph(labels={self.labels!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(frozenset((v, w)) for v, ws in self.adjacency.items() for w in ws)
 
     @property
     def vertices(self):
         return self.labels.keys()
-
-    @cached_property
-    def adjacency(self) -> dict:
-        """Each vertex mapped to its neighbour frozenset, in ``labels`` order.
-
-        Built on first use; not a field, so not compared.
-        """
-        return neighbor_table(self.labels, self.edges)
 
     def neighbors(self, v) -> frozenset:
         return self.adjacency.get(v, frozenset())
@@ -125,18 +141,14 @@ def cps(graph) -> LabelledGraph:
     desire_of: dict = {}  # vertex -> ids of the desire edges through it
     labels = {}
     for e in graph.desire_edges:
-        vid = tuple(sorted(e))
-        lab = {graph.label(v) for v in vid}
-        if len(lab) != 1:
+        vid = a, b = tuple(sorted(e))
+        labels[vid] = label = graph.label(a)
+        if graph.label(b) != label:
             raise ValueError(f"desire edge {vid!r} joins differently labelled vertices")
-        labels[vid] = lab.pop()
-        for v in vid:
-            desire_of.setdefault(v, []).append(vid)
-    edges = set()
-    for e in graph.reality_edges:
-        v1, v2 = tuple(e)
-        for d1 in desire_of.get(v1, ()):
-            for d2 in desire_of.get(v2, ()):
-                if d1 != d2:
-                    edges.add(frozenset((d1, d2)))
-    return LabelledGraph(labels=labels, edges=frozenset(edges))
+        desire_of.setdefault(a, []).append(vid)
+        desire_of.setdefault(b, []).append(vid)
+    pairs = []
+    for v1, v2 in graph.reality_edges:
+        ends = desire_of.get(v2, ())
+        pairs += [(d1, d2) for d1 in desire_of.get(v1, ()) for d2 in ends if d1 != d2]
+    return LabelledGraph._from_pairs(labels, pairs)

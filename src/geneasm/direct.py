@@ -39,12 +39,12 @@ be serialized verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .compress import LabelledGraph
 from .errors import ParseError
 from .overlap import OverlapGraph
+from .record import Record
 
 _VERTEX_RE = re.compile(r"^J(p?)([0-9]+)$")
 
@@ -72,12 +72,14 @@ def vertex_sort_key(name: str):
     return (int(m.group(2)), 1 if m.group(1) else 0)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A satisfied edge condition: the index set P and the evaluated XOR chain."""
 
-    subset: frozenset[int]
-    value: frozenset[int]
+    __slots__ = ("subset", "value")
+
+    def __init__(self, subset: frozenset[int], value: frozenset[int]):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "value", value)
 
 
 def candidate_edges(kappa: int):
@@ -120,11 +122,10 @@ def _mask(ts) -> int:
 
 def _prefix_xor(g: OverlapGraph, kappa: int) -> list[int]:
     """S(k) for k = 0..kappa as bitmasks, with S(0) = S(1) = 0."""
-    masks = g.neighbor_masks
+    masks, positive = g.neighbor_masks, g.positive_mask
     prefix = [0, 0]
     for t in range(2, kappa + 1):
-        d = masks[t] ^ (1 << t if t in g.positive else 0)
-        prefix.append(prefix[-1] ^ d)
+        prefix.append(prefix[-1] ^ masks[t] ^ (positive & (1 << t)))
     return prefix
 
 
@@ -169,7 +170,7 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     for bucket in buckets.values():
         for i, p in enumerate(bucket):
             pairs += [(nonroot_vertex(p), nonroot_vertex(q)) for q in bucket[i + 1 :]]
-    return LabelledGraph(labels=_labels(kappa), edges=frozenset(map(frozenset, pairs)))
+    return LabelledGraph._from_pairs(_labels(kappa), pairs)
 
 
 def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
@@ -219,8 +220,10 @@ def parse_direct_json(text: str) -> LabelledGraph:
     kappa = payload["kappa"]
     if not isinstance(kappa, int) or kappa < 2:
         raise ParseError(f"kappa must be an integer >= 2, got {kappa!r}")
+    if not isinstance(payload["edges"], list):
+        raise ParseError(f"direct graph JSON 'edges' must be a list, "
+                         f"got {type(payload['edges']).__name__}")
     labels = _labels(kappa)
-    edges = set()
     for pair in payload["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"malformed edge {pair!r}")
@@ -229,5 +232,4 @@ def parse_direct_json(text: str) -> LabelledGraph:
                 raise ParseError(f"unknown vertex {name!r}")
         if pair[0] == pair[1]:
             raise ParseError(f"self-loop on {pair[0]!r}")
-        edges.add(frozenset(pair))
-    return LabelledGraph(labels=labels, edges=frozenset(edges))
+    return LabelledGraph._from_pairs(labels, payload["edges"])

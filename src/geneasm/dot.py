@@ -16,10 +16,10 @@ from .reduction import ReductionGraph, vertex_name
 
 def overlap_dot(g: OverlapGraph) -> str:
     lines = ["graph overlap {"]
-    for p in sorted(g.vertices):
+    for p in g.vertex_order:
         lines.append(f'  v{p} [label="{p}{g.sign(p)}"];')
-    for p, q in sorted(g.edges):
-        lines.append(f"  v{p} -- v{q};")
+    for p, above in g.neighbors_above():
+        lines += [f"  v{p} -- v{q};" for q in above]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -43,9 +43,9 @@ def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
     """The first witness arrangement in scan order, as a signed tuple, or None.
 
     adjacency_masks[p] is the bitmask of p's neighbours for each p in
-    2..kappa (a dict, or a sequence indexed by magnitude such as
-    ``OverlapGraph.neighbor_masks``); positive_mask has bit p set for
-    every positive p.
+    2..kappa (a dict, or a sequence indexed by magnitude such as the
+    ``neighbor_masks`` of an ``OverlapGraph`` on {2..kappa}, where slot and
+    magnitude agree); positive_mask has bit p set for every positive p.
     """
     adjacency = [0] * (kappa + 2)
     for p in range(2, kappa + 1):

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cached_property
 
 from . import pointers
-from .compress import components, neighbor_table
 from .errors import CapError, ParseError, RealismError
+from .record import Record
 
 DEFAULT_MAX_KAPPA = 12
 
@@ -23,24 +23,102 @@ def _max_kappa_default() -> int:
         raise CapError(f"GENEASM_MAX_KAPPA must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class OverlapGraph:
-    """Vertex-signed simple graph on a set of pointer magnitudes."""
+def bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    vertices: frozenset[int]
-    positive: frozenset[int]
-    edges: frozenset[tuple[int, int]]  # each pair stored as (min, max)
 
-    def __post_init__(self):
-        if not self.positive <= self.vertices:
+def _slot_masks(n: int) -> list[int]:
+    """Zeroed neighbour masks for n vertices: slots 0..n+1, or just slot 0 if n is 0."""
+    return [0] * (n + 2 if n else 1)
+
+
+class OverlapGraph(Record):
+    """Vertex-signed simple graph on a set of pointer magnitudes.
+
+    The graph holds bitmasks over slots: slot s holds the vertex
+    ``vertex_order[s - 2]``, so slot 2 holds the smallest, on {2..kappa}
+    a vertex's slot is its magnitude, and the masks grow with the vertex
+    count, not with the magnitudes.  ``vertex_mask`` and ``positive_mask``
+    have the bits of the vertices and of the positive vertices, and
+    ``neighbor_masks[s]`` those of the neighbours of slot s; the tuple
+    runs to the last slot (``(0,)`` for the empty graph).  ``vertices``,
+    ``positive`` and ``edges`` are views derived on first use; equality
+    and hashing use the masks.
+    """
+
+    def __init__(self, vertices, positive, edges):
+        vertices, positive = frozenset(vertices), frozenset(positive)
+        if not positive <= vertices:
             raise ValueError("positive vertices must be vertices")
-        for p, q in self.edges:
+        order = tuple(sorted(vertices))
+        slot = {p: s for s, p in enumerate(order, 2)}
+        masks = _slot_masks(len(order))
+        for p, q in edges:
             if p == q:
                 raise ValueError("self-loops are not allowed")
             if p > q:
                 raise ValueError("edge pairs must be stored (min, max)")
-            if p not in self.vertices or q not in self.vertices:
+            if p not in slot or q not in slot:
                 raise ValueError(f"edge ({p}, {q}) leaves the vertex set")
+            masks[slot[p]] |= 1 << slot[q]
+            masks[slot[q]] |= 1 << slot[p]
+        self._fill(order, sum(1 << slot[p] for p in positive), masks)
+
+    @classmethod
+    def _from_masks(cls, order: tuple, positive_mask: int, masks) -> OverlapGraph:
+        """The graph on the sorted vertices order with these slot masks, unchecked."""
+        g = cls.__new__(cls)
+        g._fill(order, positive_mask, masks)
+        return g
+
+    def _fill(self, order, positive_mask, masks):
+        self.__dict__.update(
+            vertex_order=order,
+            vertex_mask=(1 << (len(order) + 2)) - 4,
+            positive_mask=positive_mask,
+            neighbor_masks=tuple(masks),
+        )
+
+    def _fields(self) -> tuple:
+        return self.vertex_order, self.positive_mask, self.neighbor_masks
+
+    def __repr__(self) -> str:
+        return (f"OverlapGraph(vertices={self.vertices!r}, positive={self.positive!r}, "
+                f"edges={self.edges!r})")
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.vertex_order)
+
+    @cached_property
+    def positive(self) -> frozenset[int]:
+        return frozenset(self.vertex_order[s - 2] for s in bits(self.positive_mask))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge as a (min, max) pair."""
+        return frozenset((p, q) for p, above in self.neighbors_above() for q in above)
+
+    def neighbors_above(self, names=None):
+        """(p, the neighbours of p larger than p, ascending) for each p that has one, in order.
+
+        A walk over the masks, so the edges come in sorted order.  ``names``,
+        if given, names each vertex in sorted order (as its text, say), and
+        the neighbours come as their names.
+        """
+        order = self.vertex_order
+        names = order if names is None else names
+        for s, mask in enumerate(self.neighbor_masks):
+            above = mask >> (s + 1)
+            if above:
+                # bin() reversed reads bit 0 first, the vertex in slot s + 1;
+                # on dense masks this is twice as fast as peeling bits off
+                yield order[s - 2], [q for q, bit in zip(names[s - 1 :], bin(above)[:1:-1])
+                                     if bit == "1"]
 
     @property
     def negative(self) -> frozenset[int]:
@@ -51,77 +129,67 @@ class OverlapGraph:
             raise ValueError(f"{p} is not a vertex")
         return "+" if p in self.positive else "-"
 
-    @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        """Built on first use; not a field, so not compared."""
-        return neighbor_table(self.vertices, self.edges)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Neighbour bitmask of each vertex, indexed by magnitude.
-
-        Entry p has bit q set for every edge p-q; entries of non-vertices
-        are 0, and the tuple ends at the largest vertex.  Built on first
-        use (``overlap_graph`` fills it in as it scans); not a field, so
-        not compared.
-        """
-        masks = [0] * (max(self.vertices, default=0) + 1)
-        for p, q in self.edges:
-            masks[p] |= 1 << q
-            masks[q] |= 1 << p
-        return tuple(masks)
-
     def neighbors(self, q: int) -> frozenset[int]:
         if q not in self.vertices:
             raise ValueError(f"{q} is not a vertex")
-        return self._adjacency[q]
+        order = self.vertex_order
+        mask = self.neighbor_masks[bisect_left(order, q) + 2]
+        return frozenset(order[t - 2] for t in bits(mask))
+
+    @cached_property
+    def component_masks(self) -> tuple[int, ...]:
+        """Slot masks of the connected components, by smallest vertex: one BFS over the masks."""
+        masks = self.neighbor_masks
+        left = self.vertex_mask
+        comps = []
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for s in bits(frontier):
+                    reach |= masks[s]
+                frontier = reach & ~comp
+                comp |= frontier
+            comps.append(comp)
+            left ^= comp
+        return tuple(comps)
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest vertex."""
-        return components(sorted(self.vertices), self._adjacency.__getitem__)
+        order = self.vertex_order
+        return [frozenset(order[s - 2] for s in bits(comp)) for comp in self.component_masks]
 
     def is_discrete(self) -> bool:
-        return not self.edges
+        return not any(self.neighbor_masks)
 
     def contiguous_domain(self) -> bool:
         """True iff the vertex set is exactly {2, ..., kappa}."""
-        return self.vertices == frozenset(range(2, len(self.vertices) + 2))
-
-
-def make_edge(p: int, q: int) -> tuple[int, int]:
-    if p == q:
-        raise ValueError("self-loops are not allowed")
-    return (p, q) if p < q else (q, p)
+        return self.vertex_order == tuple(range(2, len(self.vertex_order) + 2))
 
 
 def overlap_graph(u) -> OverlapGraph:
     """Overlap graph of a legal string: overlapping pairs, signed by polarity.
 
-    One pass with prefix bitmasks: ``seen`` holds the magnitudes occurring
-    an odd number of times so far, so at the second occurrence of p its
-    XOR with the value just after the first occurrence leaves exactly the
-    magnitudes that occur once between the two, the neighbours of p.
+    One pass with prefix bitmasks over slots: ``seen`` holds the slots of
+    the magnitudes occurring an odd number of times so far, so at the
+    second occurrence of p its XOR with the value just after the first
+    occurrence leaves exactly the magnitudes that occur once between the
+    two, the neighbours of p.
     """
     u = tuple(u)
-    pos = pointers.positive_set(u)  # raises unless u is legal
+    positive = pointers.positive_set(u)  # raises unless u is legal
+    order = tuple(sorted(pointers.domain(u)))
+    slot = {p: s for s, p in enumerate(order, 2)}
+    masks = _slot_masks(len(order))
     opened: dict[int, int] = {}
-    masks = [0] * (max(map(pointers.magnitude, u), default=0) + 1)
     seen = 0
-    edges = []
     for x in u:
-        p = pointers.magnitude(x)
-        if p in opened:
-            masks[p] = between = seen ^ opened[p]
-            between &= -(2 << p)  # each edge once, from its smaller end
-            while between:
-                low = between & -between
-                edges.append((p, low.bit_length() - 1))
-                between ^= low
-        seen ^= 1 << p
-        opened.setdefault(p, seen)
-    g = OverlapGraph(vertices=frozenset(opened), positive=pos, edges=frozenset(edges))
-    g.__dict__["neighbor_masks"] = tuple(masks)  # the cached_property's slot
-    return g
+        s = slot[-x if x < 0 else x]
+        if s in opened:
+            masks[s] = seen ^ opened[s]
+        seen ^= 1 << s
+        opened.setdefault(s, seen)
+    return OverlapGraph._from_masks(order, sum(1 << slot[p] for p in positive), masks)
 
 
 def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
@@ -146,8 +214,7 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
             f"kappa={kappa} exceeds the realism cap {max_kappa}; "
             "raise --max-kappa or GENEASM_MAX_KAPPA"
         )
-    positive_mask = sum(1 << p for p in g.positive)
-    return kernels.scan_for_arrangement(g.neighbor_masks, positive_mask, kappa)
+    return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, kappa)
 
 
 def require_realistic(g: OverlapGraph, max_kappa: int | None = None):
@@ -161,14 +228,16 @@ def require_realistic(g: OverlapGraph, max_kappa: int | None = None):
 # JSON wire format
 
 def emit_overlap_json(g: OverlapGraph) -> str:
-    """Canonical JSON: vertices sorted by magnitude, edge pairs sorted."""
-    import json
+    """Canonical JSON: vertices sorted by magnitude, edge pairs sorted.
 
-    payload = {
-        "vertices": [{"p": p, "sign": g.sign(p)} for p in sorted(g.vertices)],
-        "edges": [[p, q] for p, q in sorted(g.edges)],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    Written as text, one join per vertex, in the bytes ``json.dumps`` gives
+    with separators (",", ":"); no list of edges is built.
+    """
+    vertices = ",".join(f'{{"p":{p},"sign":"{g.sign(p)}"}}' for p in g.vertex_order)
+    closers = [f"{q}]" for q in g.vertex_order]
+    edges = ",".join(f"[{p}," + f",[{p},".join(above)
+                     for p, above in g.neighbors_above(closers))
+    return '{"vertices":[' + vertices + '],"edges":[' + edges + "]}"
 
 
 def parse_overlap_json(text: str) -> OverlapGraph:
@@ -180,37 +249,36 @@ def parse_overlap_json(text: str) -> OverlapGraph:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or set(payload) != {"vertices", "edges"}:
         raise ParseError("overlap graph JSON needs exactly 'vertices' and 'edges'")
-    vertices = set()
-    positive = set()
+    for key in ("vertices", "edges"):
+        if not isinstance(payload[key], list):
+            raise ParseError(f"overlap graph JSON '{key}' must be a list, "
+                             f"got {type(payload[key]).__name__}")
+    signs = {}
     for entry in payload["vertices"]:
         if not isinstance(entry, dict) or set(entry) != {"p", "sign"}:
             raise ParseError(f"malformed vertex entry {entry!r}")
         p = entry["p"]
         if not isinstance(p, int) or p < 2:
             raise ParseError(f"vertex magnitude must be an integer >= 2, got {p!r}")
-        if p in vertices:
+        if p in signs:
             raise ParseError(f"duplicate vertex {p}")
         if entry["sign"] not in ("+", "-"):
             raise ParseError(f"vertex sign must be '+' or '-', got {entry['sign']!r}")
-        vertices.add(p)
-        if entry["sign"] == "+":
-            positive.add(p)
-    edges = set()
+        signs[p] = entry["sign"]
+    order = tuple(sorted(signs))
+    slot = {p: s for s, p in enumerate(order, 2)}
+    masks = _slot_masks(len(order))
     for pair in payload["edges"]:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"malformed edge {pair!r}")
         p, q = pair
+        if not isinstance(p, int) or not isinstance(q, int):
+            raise ParseError(f"malformed edge {pair!r}")
         if p == q:
             raise ParseError(f"self-loop on {p}")
-        if p not in vertices or q not in vertices:
+        if p not in slot or q not in slot:
             raise ParseError(f"edge ({p}, {q}) references a missing vertex")
-        edges.add(make_edge(p, q))
-    return OverlapGraph(
-        vertices=frozenset(vertices),
-        positive=frozenset(positive),
-        edges=frozenset(edges),
-    )
+        masks[slot[p]] |= 1 << slot[q]
+        masks[slot[q]] |= 1 << slot[p]
+    positive = sum(1 << slot[p] for p in order if signs[p] == "+")
+    return OverlapGraph._from_masks(order, positive, masks)

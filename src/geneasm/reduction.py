@@ -15,11 +15,10 @@ which keeps positions computable from the vertex itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import pointers
 from .compress import alternating_cycles
 from .errors import LegalityError
+from .record import Record
 
 Vertex = tuple[int, int]
 Edge = frozenset
@@ -102,13 +101,19 @@ def position(rg: ReductionGraph, item) -> int:
     return rg.posn_edge(item)
 
 
-@dataclass(frozen=True)
-class RootSubgraph:
-    """A chain of desire edges labelled 2..kappa joined by reality edges."""
+class RootSubgraph(Record):
+    """A chain of desire edges labelled 2..kappa joined by reality edges.
 
-    desire_chain: tuple[Edge, ...]
-    reality_links: tuple[Edge, ...]
-    free_ends: tuple[Vertex, Vertex]  # chain endpoints at labels 2 and kappa
+    ``free_ends`` are the chain's endpoints at labels 2 and kappa.
+    """
+
+    __slots__ = ("desire_chain", "reality_links", "free_ends")
+
+    def __init__(self, desire_chain: tuple[Edge, ...], reality_links: tuple[Edge, ...],
+                 free_ends: tuple[Vertex, Vertex]):
+        object.__setattr__(self, "desire_chain", desire_chain)
+        object.__setattr__(self, "reality_links", reality_links)
+        object.__setattr__(self, "free_ends", free_ends)
 
     @property
     def vertices(self) -> frozenset[Vertex]:

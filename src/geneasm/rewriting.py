@@ -12,11 +12,12 @@ flipping their signs) before removing it, and the double rule removes
 two adjacent negative vertices, toggling each outside pair that is seen
 an odd number of times across the two neighborhoods.
 
-The graph rules act on bitmask states (V, P, adj), where each rule is
-one XOR per neighbour; ``applicable_graph_rules``, ``apply_graph_rule``
-and both searches share that one implementation.  The string searches
-find each string's occurrence positions once and apply its rules without
-re-checking them.
+The graph rules act on bitmask states (V, P, adj) over the slots of
+``OverlapGraph``, where each rule is one XOR per neighbour;
+``applicable_graph_rules``, ``apply_graph_rule`` and both searches share
+that one implementation, and name vertices by magnitude only in the rules
+they hand out.  The string searches find each string's occurrence
+positions once and apply its rules without re-checking them.
 
 Reduction sequences are serialized in composition order (rightmost rule
 applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
@@ -25,11 +26,11 @@ applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import pointers
 from .errors import CapError, ParseError
-from .overlap import OverlapGraph
+from .overlap import OverlapGraph, _slot_masks, bits
+from .record import Record
 
 STRING_KINDS = ("snr", "spr", "sdr")
 GRAPH_KINDS = ("gnr", "gpr", "gdr")
@@ -41,12 +42,14 @@ DEFAULT_STRING_DOMAIN_CAP = 6
 DEFAULT_GRAPH_KAPPA_CAP = 7
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """One rule application: its kind (``snr`` ... ``gdr``) and pointer parameters."""
 
-    kind: str
-    params: tuple[int, ...]
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
         if len(self.params) == 1:
@@ -180,26 +183,30 @@ def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DO
 
 # ---------------------------------------------------------------------------
 # graph rules on bitmask states (V, P, adj): vertex mask, positive mask, and
-# adj[p] the neighbour mask of p (0 once p is removed), indexed by magnitude
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
+# adj[s] the neighbour mask of slot s (0 once s is removed), over the slots of
+# the OverlapGraph the search starts from; rules in a state name slots
 
 def _graph_state(g: OverlapGraph):
-    return sum(1 << p for p in g.vertices), sum(1 << p for p in g.positive), g.neighbor_masks
+    return g.vertex_mask, g.positive_mask, g.neighbor_masks
 
 
-def _overlap_of(state) -> OverlapGraph:
+def _named(rule: GraphRule, order) -> GraphRule:
+    """The rule with its slots replaced by the magnitudes of the vertices in them."""
+    return GraphRule(rule.kind, tuple(order[s - 2] for s in rule.params))
+
+
+def _overlap_of(state, order) -> OverlapGraph:
+    """The graph of a state, its slots renumbered past the removed ones."""
     vertices, positive, adj = state
-    return OverlapGraph(
-        vertices=frozenset(_bits(vertices)),
-        positive=frozenset(_bits(positive)),
-        edges=frozenset((p, q) for p in _bits(vertices) for q in _bits(adj[p]) if p < q),
-    )
+    kept = {s: new for new, s in enumerate(bits(vertices), 2)}
+
+    def moved(mask):
+        return sum(1 << kept[t] for t in bits(mask))
+
+    masks = _slot_masks(len(kept))
+    for s, new in kept.items():
+        masks[new] = moved(adj[s])
+    return OverlapGraph._from_masks(tuple(order[s - 2] for s in kept), moved(positive), masks)
 
 
 def _graph_rules(state, kinds) -> list[GraphRule]:
@@ -208,13 +215,13 @@ def _graph_rules(state, kinds) -> list[GraphRule]:
     negative = vertices & ~positive
     out = []
     if "gnr" in kinds:
-        out += [GraphRule("gnr", (p,)) for p in _bits(negative) if not adj[p]]
+        out += [GraphRule("gnr", (p,)) for p in bits(negative) if not adj[p]]
     if "gpr" in kinds:
-        out += [GraphRule("gpr", (p,)) for p in _bits(positive)]
+        out += [GraphRule("gpr", (p,)) for p in bits(positive)]
     if "gdr" in kinds:
-        for p in _bits(negative):
+        for p in bits(negative):
             above = -(2 << p)  # the bits of q > p
-            out += [GraphRule("gdr", (p, q)) for q in _bits(adj[p] & negative & above)]
+            out += [GraphRule("gdr", (p, q)) for q in bits(adj[p] & negative & above)]
     return out
 
 
@@ -228,7 +235,7 @@ def _graph_step(state, rule: GraphRule):
         # local complementation at p: toggle every pair of neighbours, flip their signs
         (p,) = rule.params
         nbrs, keep = adj[p], ~(1 << p)
-        for x in _bits(nbrs):
+        for x in bits(nbrs):
             adj[x] = (adj[x] ^ nbrs ^ (1 << x)) & keep
         adj[p] = 0
         return vertices & keep, (positive & keep) ^ nbrs, tuple(adj)
@@ -237,7 +244,7 @@ def _graph_step(state, rule: GraphRule):
     p, q = rule.params
     np_, nq = adj[p], adj[q]
     keep = ~((1 << p) | (1 << q))
-    for x in _bits((np_ | nq) & keep):
+    for x in bits((np_ | nq) & keep):
         a = adj[x]
         if np_ >> x & 1:
             a ^= nq
@@ -249,14 +256,17 @@ def _graph_step(state, rule: GraphRule):
 
 
 def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[GraphRule]:
-    return _graph_rules(_graph_state(g), _check_kinds(kinds, GRAPH_KINDS))
+    rules = _graph_rules(_graph_state(g), _check_kinds(kinds, GRAPH_KINDS))
+    return [_named(rule, g.vertex_order) for rule in rules]
 
 
 def apply_graph_rule(g: OverlapGraph, rule: GraphRule) -> OverlapGraph:
     state = _graph_state(g)
-    if rule not in _graph_rules(state, _check_kinds((rule.kind,), GRAPH_KINDS)):
+    kinds = _check_kinds((rule.kind,), GRAPH_KINDS)
+    in_slots = {_named(r, g.vertex_order): r for r in _graph_rules(state, kinds)}
+    if rule not in in_slots:
         raise ValueError(f"rule {rule} is not applicable")
-    return _overlap_of(_graph_step(state, rule))
+    return _overlap_of(_graph_step(state, in_slots[rule]), g.vertex_order)
 
 
 def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kappa=DEFAULT_GRAPH_KAPPA_CAP):
@@ -268,7 +278,7 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
 
     def walk(state):
         if not state[0]:
-            yield list(prefix)
+            yield [_named(rule, g.vertex_order) for rule in prefix]
             return
         for rule in _graph_rules(state, kinds):
             prefix.append(rule)
@@ -313,18 +323,20 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
     """
     kinds = _check_kinds(kinds, GRAPH_KINDS)
     connected = reduction_components == 1
-    components = g.components()
-    all_negative = not g.positive
+    components = g.component_masks
+    positive = g.positive_mask
+    all_negative = not positive
     if kinds == frozenset():
-        return not g.vertices
+        return not g.vertex_mask
     if kinds == {"gnr"}:
         return g.is_discrete() and all_negative
     if kinds == {"gpr"}:
-        return connected and all(comp & g.positive for comp in components)
+        return connected and all(comp & positive for comp in components)
     if kinds == {"gdr"}:
         return connected and all_negative
     if kinds == {"gnr", "gpr"}:
-        return all(len(comp) == 1 or comp & g.positive for comp in components)
+        # a component of one vertex has one bit set
+        return all(not comp & (comp - 1) or comp & positive for comp in components)
     if kinds == {"gnr", "gdr"}:
         return all_negative
     if kinds == {"gpr", "gdr"}:

@@ -254,6 +254,30 @@ def _xor_witnesses(g, core, optional, target):
     return sorted(found, key=lambda w: sorted(w[0]))
 
 
+def cps_edge_set(graph):
+    """(labels, edges) of the desire-edge compression, edges as a frozenset of frozensets.
+
+    The construction ``compress.cps`` used before labelled graphs held a
+    neighbour table: collapsed vertices are the desire edges as sorted
+    endpoint pairs, joined when a reality edge runs between two of them.
+    """
+    desire_of = {}
+    labels = {}
+    for e in graph.desire_edges:
+        vid = tuple(sorted(e))
+        labels[vid] = graph.label(vid[0])
+        for v in vid:
+            desire_of.setdefault(v, []).append(vid)
+    edges = set()
+    for e in graph.reality_edges:
+        v1, v2 = tuple(e)
+        for d1 in desire_of.get(v1, ()):
+            for d2 in desire_of.get(v2, ()):
+                if d1 != d2:
+                    edges.add(frozenset((d1, d2)))
+    return labels, frozenset(edges)
+
+
 def encode_arrangement(arrangement):
     """Pointer string of a signed arrangement of the segments 1..kappa."""
     kappa = len(arrangement)

@@ -24,6 +24,8 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert [(r["layer"], r["kappa"]) for r in report["rows"]] == [
         (layer, kappa) for kappa in (4, 8) for layer in bench.LAYERS
     ]
+    assert {"emit_overlap_json", "parse_overlap_json"} <= set(bench.LAYERS)
+    assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     assert report["cli_kappa"] == 8
     assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
@@ -42,3 +44,19 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     assert all(r["calls"] == 1 for r in rows if r["kappa"] == 4)
     assert all("over 0.0 s at kappa 4" in r["skipped"] for r in rows if r["kappa"] == 8)
     assert all(r["calls"] == 1 for r in json.loads(out.read_text())["cli_rows"])
+
+
+def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatch):
+    timed = []
+
+    def every_call_takes_30_ms(fn, arg, repeat, budget):
+        timed.append(fn)
+        return 0.03, 1
+
+    monkeypatch.setattr(bench, "best_of", every_call_takes_30_ms)
+    rows = bench.measure([4, 5, 20], repeat=1, budget=0.1)
+    # 0.03 s * (5/4)^2 stays under 0.1 s; 0.03 s * (20/5)^2 does not
+    assert len(timed) == 2 * len(bench.LAYERS)
+    assert all(r["best_ms"] == 30 for r in rows if r["kappa"] in (4, 5))
+    assert all(r["skipped"] == "one call took 0.03 s at kappa 5, so growing with kappa "
+               "squared it would take over 0.1 s at kappa 20" for r in rows if r["kappa"] == 20)

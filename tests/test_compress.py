@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from geneasm import compress, iso, pointers, reduction
+from geneasm.compress import LabelledGraph
 
 
 def cps_of(text):
@@ -71,6 +72,21 @@ class TestCps:
         assert set(out.labels) == {("a", "b"), ("b", "c")}
         assert out.edges == frozenset()
 
+    def test_matches_the_edge_set_construction(self):
+        rng = random.Random(64)
+        carriers = [reduction.ReductionGraph(_random_legal(rng, max_domain=7)) for _ in range(150)]
+        carriers.append(oracles.ColouredGraph(
+            _labels={"a": 2, "b": 2, "c": 2, "d": 3, "e": 3},
+            reality_edges=(frozenset({"b", "d"}), frozenset({"c", "e"})),
+            desire_edges=(frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"d", "e"})),
+        ))
+        for graph in carriers:
+            out = compress.cps(graph)
+            labels, edges = oracles.cps_edge_set(graph)
+            assert out.labels == labels and list(out.labels) == list(labels)
+            assert out.edges == edges
+            assert out == LabelledGraph(labels, edges)
+
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)
         strings = [_random_legal(rng, max_domain=2) for _ in range(40)]
@@ -83,3 +99,29 @@ class TestCps:
                     compress.cps(rg_u), compress.cps(rg_v)
                 )
                 assert two_edge == collapsed
+
+
+class TestLabelledGraph:
+    def test_constructor_checks_every_edge(self):
+        labels = {"a": 2, "b": 3, "c": 3}
+        for bad in (
+            [frozenset({"a"})],
+            [("a", "a")],
+            [("a", "b", "c")],
+            [("a", "z")],
+            [frozenset({"z", "b"})],
+        ):
+            with pytest.raises(ValueError):
+                LabelledGraph(labels, bad)
+
+    def test_equality_uses_labels_and_adjacency(self):
+        g = LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b"), ["b", "c"], ("b", "a")])
+        assert g.edges == {frozenset("ab"), frozenset("bc")}
+        assert g.adjacency == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        assert g == LabelledGraph({"c": 3, "b": 3, "a": 2}, g.edges)
+        assert g != LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b")])
+        assert g != LabelledGraph({"a": 2, "b": 3, "c": 2}, g.edges)
+        with pytest.raises(TypeError):
+            hash(g)
+        with pytest.raises(AttributeError):
+            g.labels = {}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling
+from geneasm.compress import LabelledGraph
 from geneasm.errors import ParseError
 
 
@@ -222,9 +223,11 @@ class TestHashJoin:
     @settings(max_examples=150, deadline=None)
     @given(graphs_on_domain())
     def test_matches_per_candidate_loop_and_definition(self, g):
-        built = direct.direct_reduction_graph(g).edges
+        graph = direct.direct_reduction_graph(g)
+        built = graph.edges
         assert built == oracles.per_candidate_direct_edges(g)
         kappa = len(g.vertices) + 1
+        assert graph == LabelledGraph(graph.labels, oracles.per_candidate_direct_edges(g))
         assert built == {
             edge(a, b)
             for a, b in combinations(_names(kappa), 2)
@@ -305,6 +308,7 @@ class TestJson:
         back = direct.parse_direct_json(text)
         assert back.labels == built.labels
         assert back.edges == built.edges
+        assert back == built
         assert direct.emit_direct_json(back) == text
 
     @pytest.mark.parametrize(
@@ -316,6 +320,8 @@ class TestJson:
             '{"kappa":3,"edges":[["J2","J9"]]}',
             '{"kappa":3,"edges":[["J2","J2"]]}',
             '{"kappa":3,"edges":["J2"]}',
+            '{"kappa":3,"edges":{}}',
+            '{"kappa":3,"edges":"J2J3"}',
         ],
     )
     def test_parse_errors(self, bad):

@@ -55,6 +55,27 @@ def test_short_verbs_load_only_their_modules(argv, extra):
     assert not {"dataclasses", "json"} & loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overlap", "--format", "text", "--", "72673456-3-245"],
+        ["reduction-graph", "--format", "json", "--", "72673456-3-245"],
+        ["cps", "--format", "text", "--", "72673456-3-245"],
+        ["direct", "--explain", "--string=72673456-3-245"],
+        ["iso-check", "--cps", "2323", "--direct", '{"kappa":3,"edges":[]}'],
+        ["components", "--", "72673456-3-245"],
+        ["count-negative", "--string=72673456-3-245"],
+        ["classify", "--string=72673456-3-245"],
+        ["check-realism", "--graph", '{"vertices":[{"p":2,"sign":"-"}],"edges":[]}'],
+        ["crossval", "--seed", "1", "--trials", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_verb_loads_dataclasses(argv):
+    # dataclasses brings in inspect, ast, dis and tokenize: 8-18 ms per process
+    assert "dataclasses" not in _modules_loaded_by(argv)
+
+
 def test_every_export_is_its_submodules_object():
     for name in geneasm.__all__:
         module = importlib.import_module(f"geneasm.{geneasm._EXPORTS[name]}")

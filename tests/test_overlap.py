@@ -1,10 +1,11 @@
-import dataclasses
+import json
 import random
+import tracemalloc
 
 import pytest
 
 import oracles
-from geneasm import overlap, pointers, sampling
+from geneasm import overlap, pointers, rewriting, sampling
 from geneasm.errors import CapError, ParseError
 
 
@@ -88,20 +89,47 @@ class TestConstruction:
         assert graph_of("").neighbor_masks == (0,)
 
     def test_neighbor_masks_match_the_interleaving_oracle(self):
-        # overlap_graph fills the view in as it scans; a graph built from
-        # the same fields derives it from the edges
+        # overlap_graph fills the masks in as it scans; a graph built from
+        # the same fields derives them from the edges.  Masks are indexed by
+        # slot, 2 + the vertex's rank, which is the magnitude on {2..kappa}.
         rng = random.Random(24)
         for _ in range(200):
             u = sampling.random_legal_string(rng, max_domain=8, gaps=True)
             g = overlap.overlap_graph(u)
             rebuilt = overlap.OverlapGraph(g.vertices, g.positive, g.edges)
-            want = [0] * (max(g.vertices) + 1)
+            slot = {p: s for s, p in enumerate(sorted(g.vertices), 2)}
+            want = [0] * (len(slot) + 2)
             for p, q in oracles.overlap_pairs(u):
-                want[p] |= 1 << q
-                want[q] |= 1 << p
+                want[slot[p]] |= 1 << slot[q]
+                want[slot[q]] |= 1 << slot[p]
             assert g.neighbor_masks == rebuilt.neighbor_masks == tuple(want)
             assert g == rebuilt and hash(g) == hash(rebuilt)
-        assert "neighbor_masks" not in {f.name for f in dataclasses.fields(g)}
+        # views computed on one graph only do not enter the comparison
+        g.components(), g.edges, g.negative
+        fresh = overlap.OverlapGraph(g.vertices, g.positive, g.edges)
+        assert "edges" in vars(g) and "edges" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh)
+
+    def test_one_edge_or_one_sign_apart_is_unequal(self):
+        rng = random.Random(26)
+        for _ in range(100):
+            u = sampling.random_legal_string(rng, max_domain=6, gaps=True)
+            g = overlap.overlap_graph(u)
+            order = sorted(g.vertices)
+            p = rng.choice(order)
+            flipped = overlap.OverlapGraph(g.vertices, g.positive ^ {p}, g.edges)
+            assert flipped != g and flipped.positive ^ g.positive == {p}
+            if len(order) > 1:
+                a, b = sorted(rng.sample(order, 2))
+                toggled = overlap.OverlapGraph(g.vertices, g.positive, g.edges ^ {(a, b)})
+                assert toggled != g and toggled.edges ^ g.edges == {(a, b)}
+
+    def test_graphs_are_immutable(self):
+        g = graph_of("2323")
+        with pytest.raises(AttributeError):
+            g.neighbor_masks = (0,)
+        with pytest.raises(AttributeError):
+            del g.positive_mask
 
     def test_neighbor_errors(self):
         g = graph_of("22")
@@ -112,6 +140,87 @@ class TestConstruction:
         g = graph_of("22334455")
         assert g.components() == [frozenset({p}) for p in (2, 3, 4, 5)]
         assert len(graph_of("24535423").components()) == 1
+
+
+def _oracle_components(vertices, pairs):
+    """Connected components by smallest vertex, by repeated edge scans."""
+    comps = []
+    left = set(vertices)
+    while left:
+        comp = {min(left)}
+        grown = True
+        while grown:
+            grown = False
+            for p, q in pairs:
+                if (p in comp) != (q in comp):
+                    comp |= {p, q}
+                    grown = True
+        comps.append(frozenset(comp))
+        left -= comp
+    return comps
+
+
+def _with_isolated_pointer(rng, u):
+    """(w, v, m): w is u with every magnitude >= m raised by one, and v is w
+    with the pair m m inserted, so v's overlap graph is w's plus the
+    isolated negative vertex m, in a slot that may lie among the others."""
+    m = rng.randint(2, max(map(pointers.magnitude, u)) + 1)
+    w = [x + (1 if x >= m else -1 if x <= -m else 0) for x in u]
+    at = rng.randint(0, len(w))
+    return tuple(w), tuple(w[:at] + [m, m] + w[at:]), m
+
+
+class TestRepresentation:
+    def test_every_construction_path_agrees_with_the_oracle(self):
+        # overlap_graph, parse_overlap_json, the public constructor and
+        # apply_graph_rule, on legal strings with and without domain gaps
+        rng = random.Random(27)
+        for _ in range(300):
+            u = sampling.random_legal_string(rng, max_domain=7, gaps=True)
+            w, v, m = _with_isolated_pointer(rng, u)
+            pairs, positive = oracles.signed_overlap(w)
+            vertices = pointers.domain(w)
+            shuffled = sorted(pairs)
+            rng.shuffle(shuffled)
+            text = json.dumps({
+                "vertices": [{"p": p, "sign": "+" if p in positive else "-"}
+                             for p in rng.sample(sorted(vertices), len(vertices))],
+                "edges": [list(pq) if rng.random() < 0.5 else list(pq)[::-1]
+                          for pq in shuffled],
+            })
+            graphs = [
+                overlap.overlap_graph(w),
+                overlap.parse_overlap_json(text),
+                overlap.OverlapGraph(vertices, positive, pairs),
+                rewriting.apply_graph_rule(overlap.overlap_graph(v),
+                                           rewriting.Rule("gnr", (m,))),
+            ]
+            for g in graphs:
+                assert g.vertices == vertices
+                assert g.positive == positive
+                assert g.edges == pairs
+                walked = [(p, q) for p, above in g.neighbors_above() for q in above]
+                assert walked == sorted(pairs)
+                assert g.components() == _oracle_components(vertices, pairs)
+                for p in vertices:
+                    assert g.neighbors(p) == {q for pq in pairs if p in pq for q in pq} - {p}
+                assert g == graphs[0] and hash(g) == hash(graphs[0])
+
+
+class TestMemory:
+    def test_sparse_magnitudes_cost_no_memory(self):
+        # masks are indexed by rank, so a magnitude of 10**7 costs no 10**7-bit int
+        u = (10**7, 10**7)
+        text = '{"vertices":[{"p":10000000,"sign":"-"}],"edges":[]}'
+        for build, arg in ((overlap.overlap_graph, u), (overlap.parse_overlap_json, text)):
+            tracemalloc.start()
+            try:
+                g = build(arg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert g.vertices == {10**7} and overlap.emit_overlap_json(g) == text
 
 
 class TestJson:
@@ -141,6 +250,10 @@ class TestJson:
             '{"vertices":[{"p":2,"sign":"x"}],"edges":[]}',
             '{"vertices":[{"p":1,"sign":"-"}],"edges":[]}',
             '{"vertices":[{"p":2,"sign":"-"}],"edges":[[2,2]]}',
+            '{"vertices":[],"edges":{}}',
+            '{"vertices":{},"edges":[]}',
+            '{"vertices":"22","edges":[]}',
+            '{"vertices":[],"edges":7}',
         ],
     )
     def test_parse_errors(self, bad):
