@@ -9,17 +9,19 @@ directory.  For each kappa one realistic string is drawn from
 ``random.Random(SEED)``, in ladder order, and these layers are timed on it,
 each on inputs built beforehand:
 
-    parse_pointer_string       the string in spaced format
-    overlap_graph              the parsed string
-    emit_overlap_json          the overlap graph
-    parse_overlap_json         the overlap graph's JSON
-    ReductionGraph             the parsed string
-    cps                        the reduction graph
-    direct_reduction_graph     the overlap graph (as ``overlap_graph`` returns it)
-    canonical_labelled         the compressed reduction graph
-    canonical_2edge            the reduction graph
-    ReductionGraph.components  the reduction graph
-    find_root_subgraphs        the reduction graph
+    parse_pointer_string            the string in spaced format
+    overlap_graph                   the parsed string
+    emit_overlap_json               the overlap graph
+    parse_overlap_json              the overlap graph's JSON
+    ReductionGraph                  the parsed string
+    cps                             the reduction graph
+    direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
+    canonical_labelled              the compressed reduction graph
+    canonical_2edge                 the reduction graph
+    ReductionGraph.components       the reduction graph
+    ReductionGraph.component_count  the reduction graph
+    find_root_subgraphs             the reduction graph
+    is_rooted                       the reduction graph
 
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
@@ -84,7 +86,9 @@ LAYERS = (
     "canonical_labelled",
     "canonical_2edge",
     "ReductionGraph.components",
+    "ReductionGraph.component_count",
     "find_root_subgraphs",
+    "is_rooted",
 )
 
 
@@ -105,7 +109,9 @@ def cases(u):
         "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),
         "canonical_2edge": (iso.canonical_2edge, rg),
         "ReductionGraph.components": (reduction.ReductionGraph.components, rg),
+        "ReductionGraph.component_count": (reduction.ReductionGraph.component_count, rg),
         "find_root_subgraphs": (reduction.find_root_subgraphs, rg),
+        "is_rooted": (reduction.is_rooted, rg),
     }
 
 

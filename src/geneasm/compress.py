@@ -130,25 +130,24 @@ class LabelledGraph(Record):
         return len(self.components())
 
 
-def cps(graph) -> LabelledGraph:
-    """Collapse each desire edge to a single vertex, keeping reality adjacency.
+def cps(rg) -> LabelledGraph:
+    """The compression cps(R_u) of a reduction graph: one vertex per desire edge.
 
-    Works on any 2-edge-coloured graph whose desire edges join equally
-    labelled vertices; two collapsed vertices are adjacent when some
-    reality edge runs between distinct desire edges.  Output vertex ids
-    are the desire edges themselves, encoded as sorted endpoint pairs.
+    Two compressed vertices are adjacent when a reality edge runs between
+    their desire edges.  Vertex ids are the desire edges as sorted
+    (i, side) endpoint pairs, labelled by magnitude, in ``rg.desire_edges``
+    order.  The compression reads the graph's index arrays: reality edge k
+    (odd) joins index k to k+1, mod 2n.  Compressing other 2-edge-coloured
+    graphs is left to the tests' edge-set oracle.
     """
-    desire_of: dict = {}  # vertex -> ids of the desire edges through it
+    from .reduction import ReductionGraph, vertex
+
+    if not isinstance(rg, ReductionGraph):
+        raise TypeError(f"cps compresses reduction graphs, got {type(rg).__name__}")
+    ids = [None] * (2 * rg.n)  # one id object per desire edge, at both ends
     labels = {}
-    for e in graph.desire_edges:
-        vid = a, b = tuple(sorted(e))
-        labels[vid] = label = graph.label(a)
-        if graph.label(b) != label:
-            raise ValueError(f"desire edge {vid!r} joins differently labelled vertices")
-        desire_of.setdefault(a, []).append(vid)
-        desire_of.setdefault(b, []).append(vid)
-    pairs = []
-    for v1, v2 in graph.reality_edges:
-        ends = desire_of.get(v2, ())
-        pairs += [(d1, d2) for d1 in desire_of.get(v1, ()) for d2 in ends if d1 != d2]
+    for a, b in rg.desire_pairs():
+        ids[a] = ids[b] = vid = (vertex(a), vertex(b))
+        labels[vid] = rg.magnitudes[a >> 1]
+    pairs = [(d1, d2) for d1, d2 in zip(ids[1::2], ids[2::2] + ids[:1]) if d1 is not d2]
     return LabelledGraph._from_pairs(labels, pairs)

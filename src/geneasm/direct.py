@@ -228,7 +228,7 @@ def parse_direct_json(text: str) -> LabelledGraph:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"malformed edge {pair!r}")
         for name in pair:
-            if name not in labels:
+            if not isinstance(name, str) or name not in labels:
                 raise ParseError(f"unknown vertex {name!r}")
         if pair[0] == pair[1]:
             raise ParseError(f"self-loop on {pair[0]!r}")

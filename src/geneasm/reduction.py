@@ -9,14 +9,24 @@ Every vertex lies on exactly one reality and one desire edge, so the
 graph is a disjoint union of even cycles alternating between the two
 edge colours.
 
-Vertices are (index, side) pairs with side 0 for I_i and side 1 for I'_i,
-which keeps positions computable from the vertex itself.
+Vertices are (i, side) pairs with side 0 for I_i and side 1 for I'_i,
+which keeps positions computable from the vertex itself.  Inside the
+graph, vertex (i, side) is the index k = 2*(i-1) + side, so the indices
+0..2n-1 run in (i, side) order.  The graph holds two arrays: ``desire[k]``,
+the index at the other end of k's desire edge, and ``magnitudes[i-1]``,
+the magnitude at position i.  Reality partners need no table: e_i joins
+I'_i = 2i-1 to I_(i+1) = 2i, so an odd k is joined to k+1 and an even k
+to k-1, both mod 2n.  Components, root chains and positions are walks
+over these arrays.  The edge views ``vertices``, ``reality_edges`` and
+``desire_edges`` hold (i, side) pairs and frozenset edges for output and
+tests; each is derived on first use.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import pointers
-from .compress import alternating_cycles
 from .errors import LegalityError
 from .record import Record
 
@@ -29,6 +39,11 @@ def vertex_name(v: Vertex) -> str:
     return f"Ip{i}" if side else f"I{i}"
 
 
+def vertex(k: int) -> Vertex:
+    """The (i, side) vertex with index k."""
+    return (k >> 1) + 1, k & 1
+
+
 class ReductionGraph:
     def __init__(self, seq):
         seq = tuple(seq)
@@ -36,30 +51,55 @@ class ReductionGraph:
             raise LegalityError("reduction graphs are defined for legal strings")
         self.seq = seq
         self.n = len(seq)
-        self.vertices: tuple[Vertex, ...] = tuple(
-            (i, side) for i in range(1, self.n + 1) for side in (0, 1)
-        )
-        self.reality_edges: tuple[Edge, ...] = tuple(
-            frozenset({(i, 1), (i % self.n + 1, 0)}) for i in range(1, self.n + 1)
-        )
-        desire = []
-        at = pointers.occurrence_index(seq)
-        for p in sorted(at):
-            i, j = at[p]
-            if seq[i - 1] == seq[j - 1]:
-                desire.append(frozenset({(i, 1), (j, 0)}))
-                desire.append(frozenset({(i, 0), (j, 1)}))
-            else:
-                desire.append(frozenset({(i, 0), (j, 0)}))
-                desire.append(frozenset({(i, 1), (j, 1)}))
-        self.desire_edges: tuple[Edge, ...] = tuple(desire)
-        self._desire_of: dict[Vertex, Edge] = {}
-        for e in desire:
-            for v in e:
-                self._desire_of[v] = e
+        self.magnitudes = list(map(abs, seq))
+        desire = [0] * (2 * self.n)
+        for i, j in pointers.occurrence_index(seq).values():
+            a, b = 2 * i - 2, 2 * j - 2
+            # equal occurrences join I_i to I'_j and I'_i to I_j; complementary
+            # ones join I_i to I_j and I'_i to I'_j
+            s = 1 if seq[i - 1] == seq[j - 1] else 0
+            desire[a], desire[b + s] = b + s, a
+            desire[a + 1], desire[b + 1 - s] = b + 1 - s, a + 1
+        self.desire = desire
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(vertex, range(2 * self.n)))
+
+    @cached_property
+    def reality_edges(self) -> tuple[Edge, ...]:
+        return tuple(map(self.reality_edge_at, range(1, self.n + 1)))
+
+    @cached_property
+    def desire_edges(self) -> tuple[Edge, ...]:
+        return tuple(frozenset((vertex(a), vertex(b))) for a, b in self.desire_pairs())
+
+    def desire_pairs(self) -> list[tuple[int, int]]:
+        """Desire edges as index pairs (k, desire[k]) with k < desire[k], in ``desire_edges`` order.
+
+        The order is by magnitude.  Of a magnitude's two edges, the one
+        through I'_i comes first when they are straight and the one through
+        I_i when crossed, where i is the first occurrence.
+        """
+        desire = self.desire
+        firsts = sorted((i for i in range(self.n) if desire[2 * i] > 2 * i),
+                        key=self.magnitudes.__getitem__)
+        pairs = []
+        for i in firsts:
+            k = 2 * i + (desire[2 * i] & 1)  # straight: I_i joins the odd I'_j
+            pairs += ((k, desire[k]), (k ^ 1, desire[k ^ 1]))
+        return pairs
+
+    def _index(self, v) -> int:
+        """Index k of vertex v, or -1 if v is not a vertex of this graph."""
+        if isinstance(v, tuple) and len(v) == 2:
+            i, side = v
+            if isinstance(i, int) and 1 <= i <= self.n and side in (0, 1):
+                return 2 * i - 2 + side
+        return -1
 
     def label(self, v: Vertex) -> int:
-        return pointers.magnitude(self.seq[v[0] - 1])
+        return self.magnitudes[v[0] - 1]
 
     def posn(self, v: Vertex) -> int:
         """Position of the unique reality edge through v."""
@@ -69,29 +109,59 @@ class ReductionGraph:
         return i - 1 if i > 1 else self.n
 
     def posn_edge(self, e: Edge) -> int:
-        """Position of reality edge e: the one reality edge through an endpoint is e."""
-        v = next(iter(e), None)
-        if v in self._desire_of and self.reality_edges[self.posn(v) - 1] == e:
-            return self.posn(v)
+        """Position of reality edge e, which joins an odd index k to k+1 (mod 2n)."""
+        if isinstance(e, (set, frozenset)) and len(e) == 2:
+            k, other = sorted(map(self._index, e))
+            if k >= 0 and other == (k + 1 if k & 1 else k - 1) % (2 * self.n):
+                return (k + 1) >> 1 or self.n
         raise ValueError("positions are defined for reality edges only")
 
     def reality_edge_at(self, position: int) -> Edge:
         if not 1 <= position <= self.n:
             raise ValueError(f"positions run 1..{self.n}, got {position}")
-        return self.reality_edges[position - 1]
+        return frozenset(((position, 1), (position % self.n + 1, 0)))
 
     def reality_edge_of(self, v: Vertex) -> Edge:
         return self.reality_edge_at(self.posn(v))
 
     def desire_edge_of(self, v: Vertex) -> Edge:
-        return self._desire_of[v]
+        k = self._index(v)
+        if k < 0:
+            raise KeyError(v)
+        return frozenset((vertex(k), vertex(self.desire[k])))
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Alternating cycles, each sorted, ordered by smallest (i, side)."""
-        return [tuple(sorted(cycle)) for cycle in alternating_cycles(self)]
+        desire, m = self.desire, 2 * self.n
+        seen = bytearray(m)
+        out = []
+        for start in range(m):
+            if seen[start]:
+                continue
+            cycle = []
+            k = start
+            while not seen[k]:
+                other = desire[k]
+                seen[k] = seen[other] = 1
+                cycle += (k, other)
+                k = (other + 1 if other & 1 else other - 1) % m
+            out.append(tuple(map(vertex, sorted(cycle))))
+        return out
 
     def component_count(self) -> int:
-        return len(self.components())
+        desire, m = self.desire, 2 * self.n
+        seen = bytearray(m)
+        count = 0
+        for start in range(m):
+            if seen[start]:
+                continue
+            count += 1
+            k = start
+            while not seen[k]:
+                other = desire[k]
+                seen[k] = seen[other] = 1
+                k = (other + 1 if other & 1 else other - 1) % m
+        return count
 
 
 def position(rg: ReductionGraph, item) -> int:
@@ -129,64 +199,55 @@ class RootSubgraph(Record):
         return e in self.reality_links
 
 
-def _other(edge: Edge, v: Vertex) -> Vertex:
-    a, b = tuple(edge)
-    return b if a == v else a
+def _root_walks(rg: ReductionGraph):
+    """Each root chain as the index walk [k0, k1, ..., k_last], in chain order.
+
+    The walk alternates desire edges (k0, k1), (k2, k3), ... with the
+    reality links (k1, k2), (k3, k4), ...; k0 and k_last are the free ends.
+    Walks start from each end of the two label-2 desire edges, in index
+    order.  After that choice the walk is forced: every vertex has one
+    reality edge and one desire edge, so each start extends in at most one
+    way.  For kappa = 2 both ends of an edge give the same chain.  Strings
+    whose domain is not exactly {2..kappa} have none.
+    """
+    n, mags, desire = rg.n, rg.magnitudes, rg.desire
+    kappa = n // 2 + 1
+    if not n or min(mags) < 2 or max(mags) != kappa:
+        return
+    m = 2 * n
+    i = mags.index(2)
+    for a in (2 * i, 2 * i + 1):
+        for start, low in ((a, desire[a]), (desire[a], a)):
+            walk = [low, start]
+            k = start
+            for label in range(3, kappa + 1):
+                link = (k + 1 if k & 1 else k - 1) % m
+                if mags[link >> 1] != label:
+                    break
+                k = desire[link]
+                walk += (link, k)
+            else:
+                yield walk
 
 
 def find_root_subgraphs(rg: ReductionGraph) -> list[RootSubgraph]:
-    """All root chains, in deterministic order.
-
-    After fixing the label-2 desire edge and the endpoint it continues
-    from, the walk is forced: every vertex has one reality edge and one
-    desire edge, so each candidate start extends in at most one way.
-    Strings whose domain is not exactly {2..kappa} have none.
-    """
-    dom = pointers.domain(rg.seq)
-    kappa = len(dom) + 1
-    if kappa < 2 or dom != frozenset(range(2, kappa + 1)):
-        return []
-
+    """All root chains, in deterministic order (see ``_root_walks``)."""
     found: list[RootSubgraph] = []
     seen: set[tuple] = set()
-    starts = sorted(
-        (e for e in rg.desire_edges if rg.label(min(e)) == 2), key=sorted
-    )
-    for d2 in starts:
-        for start in sorted(d2):
-            chain = [d2]
-            links = []
-            free_low = _other(d2, start)
-            cursor = start
-            ok = True
-            for label in range(3, kappa + 1):
-                link = rg.reality_edge_of(cursor)
-                nxt = _other(link, cursor)
-                if rg.label(nxt) != label:
-                    ok = False
-                    break
-                d = rg.desire_edge_of(nxt)
-                links.append(link)
-                chain.append(d)
-                cursor = _other(d, nxt)
-            if not ok:
-                continue
-            key = (tuple(chain), tuple(links))
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(
-                RootSubgraph(
-                    desire_chain=tuple(chain),
-                    reality_links=tuple(links),
-                    free_ends=(free_low, cursor),
-                )
-            )
+    for walk in _root_walks(rg):
+        path = list(map(vertex, walk))
+        chain = tuple(frozenset(path[t:t + 2]) for t in range(0, len(path), 2))
+        links = tuple(frozenset(path[t:t + 2]) for t in range(1, len(path) - 1, 2))
+        if (chain, links) in seen:
+            continue
+        seen.add((chain, links))
+        found.append(RootSubgraph(desire_chain=chain, reality_links=links,
+                                  free_ends=(path[0], path[-1])))
     return found
 
 
 def is_rooted(rg: ReductionGraph) -> bool:
-    return bool(find_root_subgraphs(rg))
+    return next(_root_walks(rg), None) is not None
 
 
 def rspos(rg: ReductionGraph, chain: RootSubgraph, k: int) -> int:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
+from geneasm.reduction import RootSubgraph
 
 
 def mag(p):
@@ -258,14 +259,18 @@ def cps_edge_set(graph):
     """(labels, edges) of the desire-edge compression, edges as a frozenset of frozensets.
 
     The construction ``compress.cps`` used before labelled graphs held a
-    neighbour table: collapsed vertices are the desire edges as sorted
+    neighbour table, and the one for 2-edge-coloured carriers other than
+    reduction graphs: collapsed vertices are the desire edges as sorted
     endpoint pairs, joined when a reality edge runs between two of them.
+    A desire edge must join equally labelled vertices.
     """
     desire_of = {}
     labels = {}
     for e in graph.desire_edges:
         vid = tuple(sorted(e))
         labels[vid] = graph.label(vid[0])
+        if graph.label(vid[1]) != labels[vid]:
+            raise ValueError(f"desire edge {vid!r} joins differently labelled vertices")
         for v in vid:
             desire_of.setdefault(v, []).append(vid)
     edges = set()
@@ -276,6 +281,101 @@ def cps_edge_set(graph):
                 if d1 != d2:
                     edges.add(frozenset((d1, d2)))
     return labels, frozenset(edges)
+
+
+class EdgeSetReductionGraph:
+    """``ReductionGraph`` as it was built before it held index arrays.
+
+    Every reality and desire edge is a frozenset of (i, side) vertices,
+    built in the same order; lookups go through a vertex-to-desire-edge
+    dict and the tuple of reality edges.
+    """
+
+    def __init__(self, seq):
+        seq = tuple(seq)
+        self.seq = seq
+        self.n = n = len(seq)
+        self.vertices = tuple((i, side) for i in range(1, n + 1) for side in (0, 1))
+        self.reality_edges = tuple(
+            frozenset({(i, 1), (i % n + 1, 0)}) for i in range(1, n + 1)
+        )
+        at = {}
+        for i, x in enumerate(seq, 1):
+            at.setdefault(mag(x), []).append(i)
+        desire = []
+        for p in sorted(at):
+            i, j = at[p]
+            if seq[i - 1] == seq[j - 1]:
+                desire.append(frozenset({(i, 1), (j, 0)}))
+                desire.append(frozenset({(i, 0), (j, 1)}))
+            else:
+                desire.append(frozenset({(i, 0), (j, 0)}))
+                desire.append(frozenset({(i, 1), (j, 1)}))
+        self.desire_edges = tuple(desire)
+        self._desire_of = {v: e for e in desire for v in e}
+
+    def label(self, v):
+        return mag(self.seq[v[0] - 1])
+
+    def posn(self, v):
+        i, side = v
+        if side == 1:
+            return i
+        return i - 1 if i > 1 else self.n
+
+    def posn_edge(self, e):
+        v = next(iter(e), None)
+        if v in self._desire_of and self.reality_edges[self.posn(v) - 1] == e:
+            return self.posn(v)
+        raise ValueError("positions are defined for reality edges only")
+
+    def reality_edge_of(self, v):
+        position = self.posn(v)
+        if not 1 <= position <= self.n:
+            raise ValueError(f"positions run 1..{self.n}, got {position}")
+        return self.reality_edges[position - 1]
+
+    def desire_edge_of(self, v):
+        return self._desire_of[v]
+
+    def components(self):
+        return components(self.n, [self.reality_edges, self.desire_edges])
+
+
+def edge_set_root_subgraphs(rg):
+    """Root chains of an ``EdgeSetReductionGraph`` by the frozenset walk ``find_root_subgraphs`` used."""
+
+    def other(edge, v):
+        a, b = tuple(edge)
+        return b if a == v else a
+
+    dom = {mag(x) for x in rg.seq}
+    kappa = len(dom) + 1
+    if kappa < 2 or dom != set(range(2, kappa + 1)):
+        return []
+    found = []
+    seen = set()
+    starts = sorted((e for e in rg.desire_edges if rg.label(min(e)) == 2), key=sorted)
+    for d2 in starts:
+        for start in sorted(d2):
+            chain, links = [d2], []
+            cursor = start
+            for label in range(3, kappa + 1):
+                link = rg.reality_edge_of(cursor)
+                nxt = other(link, cursor)
+                if rg.label(nxt) != label:
+                    break
+                d = rg.desire_edge_of(nxt)
+                links.append(link)
+                chain.append(d)
+                cursor = other(d, nxt)
+            else:
+                key = (tuple(chain), tuple(links))
+                if key not in seen:
+                    seen.add(key)
+                    found.append(RootSubgraph(desire_chain=tuple(chain), reality_links=tuple(links),
+                                              free_ends=(other(d2, start), cursor)))
+    return found
 
 
 def encode_arrangement(arrangement):

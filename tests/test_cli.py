@@ -116,6 +116,61 @@ class TestBasicVerbs:
         assert out.count(" -- ") == 0 and out.count("label=") == 2
 
 
+
+# Full stdout of the reduction-graph and cps verbs, taken from the
+# frozenset-edge construction they replaced.
+_GOLDEN = {
+    ("reduction-graph", "json", "32-43-24"):
+        '{"desire":[["I1","Ip4"],["I2","I5"],["I3","I6"],["I4","Ip1"],["Ip2","Ip5"],["Ip3","Ip6"]],'
+        '"labels":{"I1":3,"I2":2,"I3":4,"I4":3,"I5":2,"I6":4,"Ip1":3,"Ip2":2,"Ip3":4,"Ip4":3,'
+        '"Ip5":2,"Ip6":4},"n":6,"reality":[["I2","Ip1"],["I3","Ip2"],["I4","Ip3"],["I5","Ip4"],'
+        '["I6","Ip5"],["I1","Ip6"]]}\n',
+    ("reduction-graph", "dot", "32-43-24"):
+        'graph reduction {\n  I1 [label="3"];\n  Ip1 [label="3"];\n  I2 [label="2"];\n'
+        '  Ip2 [label="2"];\n  I3 [label="4"];\n  Ip3 [label="4"];\n  I4 [label="3"];\n'
+        '  Ip4 [label="3"];\n  I5 [label="2"];\n  Ip5 [label="2"];\n  I6 [label="4"];\n'
+        '  Ip6 [label="4"];\n  Ip1 -- I2 [penwidth=2];\n  Ip2 -- I3 [penwidth=2];\n'
+        '  Ip3 -- I4 [penwidth=2];\n  Ip4 -- I5 [penwidth=2];\n  Ip5 -- I6 [penwidth=2];\n'
+        '  I1 -- Ip6 [penwidth=2];\n  I1 -- Ip4 [style=dashed];\n  Ip1 -- I4 [style=dashed];\n'
+        '  I2 -- I5 [style=dashed];\n  Ip2 -- Ip5 [style=dashed];\n  I3 -- I6 [style=dashed];\n'
+        '  Ip3 -- Ip6 [style=dashed];\n}\n',
+    ("reduction-graph", "text", "32-43-24"):
+        "vertices=12 reality=6 desire=6 components=8,4\n",
+    ("cps", "json", "32-43-24"):
+        '{"labels":[3,3,2,2,4,4],"edges":[[0,2],[0,5],[1,2],[1,5],[3,4]]}\n',
+    ("cps", "dot", "32-43-24"):
+        'graph cps {\n  n0 [label="3"];\n  n1 [label="3"];\n  n2 [label="2"];\n'
+        '  n3 [label="2"];\n  n4 [label="4"];\n  n5 [label="4"];\n  n0 -- n2;\n  n0 -- n5;\n'
+        '  n1 -- n2;\n  n1 -- n5;\n  n3 -- n4;\n}\n',
+    ("cps", "text", "32-43-24"):
+        "c[2,3,4,3]|p[2,4]\n",
+    ("reduction-graph", "json", "-3-223"):
+        '{"desire":[["I1","I4"],["I2","I3"],["Ip1","Ip4"],["Ip2","Ip3"]],'
+        '"labels":{"I1":3,"I2":2,"I3":2,"I4":3,"Ip1":3,"Ip2":2,"Ip3":2,"Ip4":3},"n":4,'
+        '"reality":[["I2","Ip1"],["I3","Ip2"],["I4","Ip3"],["I1","Ip4"]]}\n',
+    ("reduction-graph", "dot", "-3-223"):
+        'graph reduction {\n  I1 [label="3"];\n  Ip1 [label="3"];\n  I2 [label="2"];\n'
+        '  Ip2 [label="2"];\n  I3 [label="2"];\n  Ip3 [label="2"];\n  I4 [label="3"];\n'
+        '  Ip4 [label="3"];\n  Ip1 -- I2 [penwidth=2];\n  Ip2 -- I3 [penwidth=2];\n'
+        '  Ip3 -- I4 [penwidth=2];\n  I1 -- Ip4 [penwidth=2];\n  I1 -- I4 [style=dashed];\n'
+        '  Ip1 -- Ip4 [style=dashed];\n  I2 -- I3 [style=dashed];\n  Ip2 -- Ip3 [style=dashed];\n}\n',
+    ("reduction-graph", "text", "-3-223"):
+        "vertices=8 reality=4 desire=4 components=8\n",
+    ("cps", "json", "-3-223"):
+        '{"labels":[3,3,2,2],"edges":[[0,1],[0,3],[1,2],[2,3]]}\n',
+    ("cps", "dot", "-3-223"):
+        'graph cps {\n  n0 [label="3"];\n  n1 [label="3"];\n  n2 [label="2"];\n'
+        '  n3 [label="2"];\n  n0 -- n1;\n  n0 -- n3;\n  n1 -- n2;\n  n2 -- n3;\n}\n',
+    ("cps", "text", "-3-223"):
+        "c[2,2,3,3]\n",
+}
+
+
+@pytest.mark.parametrize("verb, fmt, string", sorted(_GOLDEN))
+def test_graph_verbs_golden_stdout(verb, fmt, string):
+    assert run([verb, "--format", fmt, "--", string]) == (0, _GOLDEN[verb, fmt, string], "")
+
+
 class TestPipelines:
     def test_direct_json_and_explain(self):
         code, out, _ = run(["direct", "--string", "453475623267", "--explain"])
@@ -189,6 +244,13 @@ class TestPipelines:
         assert (code, out) == (1, "not-isomorphic\n")
         code, out, _ = run(["iso-check", "--strings", "2323", "3232"])
         assert (code, out) == (0, "isomorphic\n")
+
+    @pytest.mark.parametrize("member", ['["J2"]', '{"J2":1}', "2"])
+    def test_iso_check_rejects_non_string_edge_members(self, member):
+        graph = '{"kappa":3,"edges":[[' + member + ',"J3"]]}'
+        code, out, err = run(["iso-check", "--cps", "2323", "--direct", graph])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown vertex ")
 
     def test_iso_check_needs_two_sides(self):
         code, _, err = run(["iso-check", "--cps", "22"])

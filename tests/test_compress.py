@@ -59,7 +59,7 @@ class TestCps:
             desire_edges=(frozenset({"a", "b"}),),
         )
         with pytest.raises(ValueError):
-            compress.cps(g)
+            oracles.cps_edge_set(g)
 
     def test_general_carrier_with_shared_vertices(self):
         # vertices may sit on several desire edges outside reduction graphs
@@ -68,24 +68,41 @@ class TestCps:
             reality_edges=(frozenset({"b", "d"}),),
             desire_edges=(frozenset({"a", "b"}), frozenset({"b", "c"})),
         )
-        out = compress.cps(g)
-        assert set(out.labels) == {("a", "b"), ("b", "c")}
-        assert out.edges == frozenset()
+        labels, edges = oracles.cps_edge_set(g)
+        assert set(labels) == {("a", "b"), ("b", "c")}
+        assert edges == frozenset()
+
+    def test_rejects_graphs_other_than_reduction_graphs(self):
+        rg = reduction.ReductionGraph((2, 2))
+        carrier = oracles.ColouredGraph(
+            _labels={v: rg.label(v) for v in rg.vertices},
+            reality_edges=rg.reality_edges,
+            desire_edges=rg.desire_edges,
+        )
+        with pytest.raises(TypeError):
+            compress.cps(carrier)
+        with pytest.raises(TypeError):
+            compress.cps((2, 2))
 
     def test_matches_the_edge_set_construction(self):
         rng = random.Random(64)
-        carriers = [reduction.ReductionGraph(_random_legal(rng, max_domain=7)) for _ in range(150)]
-        carriers.append(oracles.ColouredGraph(
-            _labels={"a": 2, "b": 2, "c": 2, "d": 3, "e": 3},
-            reality_edges=(frozenset({"b", "d"}), frozenset({"c", "e"})),
-            desire_edges=(frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"d", "e"})),
-        ))
-        for graph in carriers:
+        for _ in range(150):
+            graph = reduction.ReductionGraph(_random_legal(rng, max_domain=7))
             out = compress.cps(graph)
             labels, edges = oracles.cps_edge_set(graph)
             assert out.labels == labels and list(out.labels) == list(labels)
             assert out.edges == edges
             assert out == LabelledGraph(labels, edges)
+        # a carrier with a vertex on two desire edges, which no reduction graph has
+        carrier = oracles.ColouredGraph(
+            _labels={"a": 2, "b": 2, "c": 2, "d": 3, "e": 3},
+            reality_edges=(frozenset({"b", "d"}), frozenset({"c", "e"})),
+            desire_edges=(frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"d", "e"})),
+        )
+        labels, edges = oracles.cps_edge_set(carrier)
+        assert list(labels.items()) == [(("a", "b"), 2), (("b", "c"), 2), (("d", "e"), 3)]
+        assert edges == {frozenset({("a", "b"), ("d", "e")}), frozenset({("b", "c"), ("d", "e")})}
+        assert LabelledGraph(labels, edges).adjacency[("d", "e")] == {("a", "b"), ("b", "c")}
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)

@@ -322,6 +322,9 @@ class TestJson:
             '{"kappa":3,"edges":["J2"]}',
             '{"kappa":3,"edges":{}}',
             '{"kappa":3,"edges":"J2J3"}',
+            '{"kappa":3,"edges":[[["J2"],"J3"]]}',
+            '{"kappa":3,"edges":[["J2",{"J3":1}]]}',
+            '{"kappa":3,"edges":[[2,"J3"]]}',
         ],
     )
     def test_parse_errors(self, bad):

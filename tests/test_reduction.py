@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geneasm import pointers, reduction, sampling
+from geneasm import compress, pointers, reduction, sampling
 from geneasm.errors import LegalityError
 
 
@@ -22,6 +22,55 @@ def _random_legal(rng, max_domain=5):
         letters.append(-m if rng.random() < 0.5 else m)
     rng.shuffle(letters)
     return tuple(letters)
+
+
+@st.composite
+def legal_strings(draw, max_domain=12):
+    """Legal strings: each magnitude twice, barred at random, in random order.
+
+    Domains are {2..kappa} or drawn with gaps, and may hold 10**6.
+    """
+    contiguous = st.integers(0, max_domain).map(lambda size: list(range(2, size + 2)))
+    gapped = st.lists(st.integers(2, 40) | st.just(10**6), max_size=max_domain, unique=True)
+    mags = draw(contiguous | gapped)
+    order = draw(st.permutations([m for m in mags for _ in range(2)]))
+    barred = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return tuple(-m if bar else m for m, bar in zip(order, barred))
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (KeyError, ValueError) as exc:
+        return "raises", type(exc)
+
+
+def assert_matches_edge_sets(u):
+    """The index-array graph against the frozenset-edge construction it replaced."""
+    rg = reduction.ReductionGraph(u)
+    old = oracles.EdgeSetReductionGraph(u)
+    assert rg.vertices == old.vertices
+    assert rg.reality_edges == old.reality_edges
+    assert rg.desire_edges == old.desire_edges
+    assert rg.components() == old.components()
+    assert rg.component_count() == len(old.components())
+    chains = reduction.find_root_subgraphs(rg)
+    assert chains == oracles.edge_set_root_subgraphs(old)
+    assert reduction.is_rooted(rg) == bool(chains)
+    for chain in chains:
+        for k in range(1, len(chain.desire_chain) + 2):
+            assert reduction.rspos(rg, chain, k) == reduction.rspos(old, chain, k)
+    foreign = [frozenset({(0, 1), (1, 0)}), frozenset({(rg.n, 1), (rg.n + 1, 0)}),
+               frozenset({(1, 1)}), frozenset(), frozenset({(1, 2), (2, 0)})]
+    for e in old.reality_edges + old.desire_edges + tuple(foreign):
+        assert _outcome(rg.posn_edge, e) == _outcome(old.posn_edge, e)
+    for v in old.vertices + ((0, 1), (rg.n + 1, 0), (1, 2)):
+        assert _outcome(rg.desire_edge_of, v) == _outcome(old.desire_edge_of, v)
+        assert _outcome(rg.reality_edge_of, v) == _outcome(old.reality_edge_of, v)
+    out = compress.cps(rg)
+    labels, edges = oracles.cps_edge_set(old)
+    assert list(out.labels.items()) == list(labels.items())
+    assert out.edges == edges
 
 
 def _random_realistic(rng, kappa):
@@ -102,6 +151,29 @@ class TestConstruction:
         assert set(rg.desire_edges) == set(desire) and len(rg.desire_edges) == len(desire)
         labels = [rg.label(min(e)) for e in rg.desire_edges]
         assert labels == sorted(m for m in mags for _ in range(2))
+
+    def test_matches_the_edge_set_construction(self):
+        rng = random.Random(59)
+        samples = [(), (2, 2), (-2, -2), (-2, 2), (10**6, -10**6), (2, 10**6, -2, 10**6)]
+        # magnitudes below 2, which the parser refuses and the graph accepts
+        samples += [(1, 3, 1, -3), (1, 1), (0, 2, 0, 2)]
+        # random_legal_string leaves gaps in the domain of about a third of these
+        samples += [sampling.random_legal_string(rng, max_domain=12) for _ in range(300)]
+        samples += [_random_realistic(rng, rng.randint(2, 40)) for _ in range(100)]
+        # strings that start with a barred pointer
+        samples += [pointers.complement(u) for u in samples if u and u[0] > 0][:100]
+        # the largest magnitude 10**6 in place of one magnitude
+        for u in samples[9:60]:
+            top = max(map(abs, u))
+            samples.append(tuple(x if abs(x) != top else x // top * 10**6 for x in u))
+        assert sum(u[0] < 0 for u in samples if u) > 100
+        for u in samples:
+            assert_matches_edge_sets(u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(legal_strings())
+    def test_matches_the_edge_set_construction_on_generated_strings(self, u):
+        assert_matches_edge_sets(u)
 
     def test_every_vertex_on_one_edge_of_each_colour(self):
         rng = random.Random(42)
