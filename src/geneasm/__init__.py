@@ -68,9 +68,7 @@ _EXPORTS = {
             "rspos",
         ),
         "rewriting": (
-            "GraphRule",
             "Rule",
-            "StringRule",
             "applicable_graph_rules",
             "applicable_string_rules",
             "apply_graph_rule",

@@ -3,8 +3,8 @@
 One verb per invocation; output is deterministic for a fixed seed.  Exit
 codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
-violation, 6 input over a search cap (such as the realism cap, set by
-``--max-kappa`` or ``GENEASM_MAX_KAPPA``) or a malformed cap setting.
+violation, 6 input over a cap (the realism cap, ``--max-kappa`` or
+``GENEASM_MAX_KAPPA``; ``direct.MAX_DIRECT_KAPPA``) or a bad cap setting.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.
 

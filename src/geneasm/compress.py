@@ -1,4 +1,10 @@
-"""Labelled graphs and the compression that turns desire edges into vertices."""
+"""Labelled graphs of maximum degree 2, and the compression that turns desire edges into vertices.
+
+Every labelled graph this package builds (``cps``, the direct
+construction, parsed direct-graph JSON) has maximum degree two, so a
+``LabelledGraph`` holds two partner arrays over vertex indices, not a
+neighbour set per vertex.
+"""
 
 from __future__ import annotations
 
@@ -7,127 +13,113 @@ from functools import cached_property
 from .record import Record
 
 
-def components(starts, neighbors) -> list[frozenset]:
-    """Connected components, in the order their first vertex appears in starts.
-
-    ``neighbors`` maps a vertex to an iterable of the vertices joined to it.
-    """
-    seen = set()
-    comps = []
-    for start in starts:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in neighbors(stack.pop()):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _partners(edges, colour: str) -> dict:
-    """Each endpoint mapped to the other end of its one edge of this colour."""
-    other = {}
-    for a, b in edges:
-        if a in other or b in other:
-            raise ValueError(f"vertices must lie on exactly one {colour} edge")
-        other[a] = b
-        other[b] = a
-    return other
-
-
-def alternating_cycles(graph) -> list[list]:
-    """Components of a 2-edge-coloured graph with one edge of each colour per vertex.
-
-    Each cycle starts at the first of its vertices in ``graph.vertices``
-    and leaves it along its desire edge; cycles come in that order, which
-    is by smallest vertex for reduction graphs.
-    """
-    desire = _partners(graph.desire_edges, "desire")
-    reality = _partners(graph.reality_edges, "reality")
-    if desire.keys() != set(graph.vertices) or reality.keys() != desire.keys():
-        raise ValueError("every vertex needs one reality and one desire edge")
-    seen = set()
-    cycles = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        cycle = []
-        v = start
-        while not cycle or v != start:
-            cycle += (v, desire[v])
-            v = reality[cycle[-1]]
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
-
-
 class LabelledGraph(Record):
-    """Simple labelled graph; vertex ids are arbitrary hashable values.
+    """Simple labelled graph of maximum degree 2; vertex ids are arbitrary hashable values.
 
-    The graph holds ``labels`` and ``adjacency``, each vertex mapped to
-    its neighbour frozenset in ``labels`` order.  ``edges``, the frozenset
-    of frozenset({u, v}) pairs, is derived on first use.  Graphs compare
-    by labels and adjacency and, holding dicts, are unhashable.
+    It holds ``labels`` (vertex id -> label; a vertex's index is its place
+    here) and the partner arrays ``first`` and ``second`` of neighbour
+    indices, -1 for none, a lone neighbour in ``first``.  ``edges``, the
+    frozenset of frozenset({u, v}) id pairs, is derived on first use.
+    Graphs compare by labels and edges and, holding dicts, are unhashable.
     """
 
     __hash__ = None
 
     def __init__(self, labels: dict, edges):
         """``edges``: any iterable of vertex pairs, each a two-element collection."""
-        edges = tuple(edges)
+        index = {v: i for i, v in enumerate(labels)}
+        pairs = []
         for e in edges:
             if len(e) != 2 or len(set(e)) != 2:
                 raise ValueError(f"edges must join two distinct vertices, got {set(e)!r}")
             for v in e:
-                if v not in labels:
+                if v not in index:
                     raise ValueError(f"edge endpoint {v!r} is not a vertex")
-        self._fill(labels, edges)
+            a, b = e
+            pairs.append((index[a], index[b]))
+        self._fill(labels, pairs)
 
     @classmethod
-    def _from_pairs(cls, labels: dict, pairs) -> LabelledGraph:
-        """The graph with these edges, each a pair of distinct vertices of labels; unchecked."""
+    def from_index_pairs(cls, labels: dict, pairs) -> LabelledGraph:
+        """The graph joining each pair of distinct vertex indices; repeated pairs are skipped."""
         g = cls.__new__(cls)
         g._fill(labels, pairs)
         return g
 
     def _fill(self, labels, pairs):
-        table = {v: set() for v in labels}
+        first = [-1] * len(labels)
+        second = first.copy()
         for a, b in pairs:
-            table[a].add(b)
-            table[b].add(a)
-        self.__dict__.update(labels=labels,
-                             adjacency={v: frozenset(ws) for v, ws in table.items()})
+            if first[a] == b or second[a] == b:
+                continue
+            for v, w in ((a, b), (b, a)):
+                if first[v] < 0:
+                    first[v] = w
+                elif second[v] < 0:
+                    second[v] = w
+                else:
+                    name = list(labels)[v]
+                    raise ValueError(f"vertex {name!r} would get a third edge (maximum degree 2)")
+        self.__dict__.update(labels=labels, first=first, second=second)
 
     def _fields(self) -> tuple:
-        return self.labels, self.adjacency
+        return self.labels, self.edges
 
     def __repr__(self) -> str:
         return f"LabelledGraph(labels={self.labels!r}, edges={self.edges!r})"
 
     @cached_property
     def edges(self) -> frozenset:
-        return frozenset(frozenset((v, w)) for v, ws in self.adjacency.items() for w in ws)
+        ids = self._ids
+        return frozenset(frozenset((ids[v], ids[w]))
+                         for partners in (self.first, self.second)
+                         for v, w in enumerate(partners) if v < w)
 
     @property
     def vertices(self):
         return self.labels.keys()
 
+    @cached_property
+    def _ids(self) -> tuple:
+        return tuple(self.labels)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {v: i for i, v in enumerate(self._ids)}
+
     def neighbors(self, v) -> frozenset:
-        return self.adjacency.get(v, frozenset())
+        i = self._index.get(v)
+        if i is None:
+            return frozenset()
+        return frozenset(self._ids[w] for w in (self.first[i], self.second[i]) if w >= 0)
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
-    def components(self) -> list[frozenset]:
-        return components(self.labels, self.adjacency.__getitem__)
+    def walks(self):
+        """Each component as a list of vertex indices in walk order.
+
+        Paths and isolated vertices come first, each walked from its end of
+        lowest index; what is left is cycles, each walked from its vertex of
+        lowest index towards its ``first`` partner.  A walk is a cycle
+        exactly when its start has a ``second`` partner.
+        """
+        first, second = self.first, self.second
+        seen = bytearray(len(first))
+        ends = [v for v, w in enumerate(second) if w < 0]
+        for start in ends + list(range(len(first))):
+            if seen[start]:
+                continue
+            walk, v = [], start
+            while v >= 0 and not seen[v]:
+                seen[v] = 1
+                walk.append(v)
+                w = first[v]
+                v = w if w >= 0 and not seen[w] else second[v]
+            yield walk
 
     def component_count(self) -> int:
-        return len(self.components())
+        return sum(1 for _ in self.walks())
 
 
 def cps(rg) -> LabelledGraph:
@@ -144,10 +136,10 @@ def cps(rg) -> LabelledGraph:
 
     if not isinstance(rg, ReductionGraph):
         raise TypeError(f"cps compresses reduction graphs, got {type(rg).__name__}")
-    ids = [None] * (2 * rg.n)  # one id object per desire edge, at both ends
+    at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
     labels = {}
     for a, b in rg.desire_pairs():
-        ids[a] = ids[b] = vid = (vertex(a), vertex(b))
-        labels[vid] = rg.magnitudes[a >> 1]
-    pairs = [(d1, d2) for d1, d2 in zip(ids[1::2], ids[2::2] + ids[:1]) if d1 is not d2]
-    return LabelledGraph._from_pairs(labels, pairs)
+        at[a] = at[b] = len(labels)
+        labels[vertex(a), vertex(b)] = rg.magnitudes[a >> 1]
+    pairs = [(d1, d2) for d1, d2 in zip(at[1::2], at[2::2] + at[:1]) if d1 != d2]
+    return LabelledGraph.from_index_pairs(labels, pairs)

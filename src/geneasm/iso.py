@@ -7,19 +7,19 @@ classes isomorphism reduces to normalizing each component's label
 sequence under rotation and reflection, so a canonical form is a sorted
 multiset of per-component codes rendered as a stable ASCII string.
 
-Both codes come from one walk per component and one least rotation.
-``canonical_labelled`` walks paths and isolated vertices from an end and
-cycles from any vertex; ``canonical_2edge`` walks each alternating cycle
-desire edge first (``compress.alternating_cycles``).  A path's code is the
-smaller of its two readings, a cycle's the least rotation of either
-reading, so no code depends on where its walk started.  The least
-rotation comes from a linear two-candidate scan, so a code costs O(L)
-for a component of L vertices.
+Both codes come from one index walk per component and one least
+rotation, read from the graphs' arrays.  ``canonical_labelled`` takes
+``LabelledGraph.walks()``: paths and isolated vertices from an end, then
+cycles from any vertex.  ``canonical_2edge`` takes
+``ReductionGraph.cycles()``: each alternating cycle desire edge first.
+Other 2-edge-coloured graphs are left to the tests' generic oracle.  A
+path's code is the smaller of its two readings, a cycle's the least
+rotation of either reading, so no code depends on where its walk
+started.  The least rotation comes from a linear two-candidate scan, so
+a code costs O(L) for a component of L vertices.
 """
 
 from __future__ import annotations
-
-from .compress import LabelledGraph, alternating_cycles
 
 
 def _least_rotation(seq: tuple, step: int) -> tuple:
@@ -54,59 +54,39 @@ def _least_rotation(seq: tuple, step: int) -> tuple:
     return seq[r:] + seq[:r]
 
 
-def _walk(adjacency: dict, start, seen: set) -> list:
-    """start's component in walk order, each vertex marked seen when reached.
-
-    From an end this reads a whole path; from a cycle vertex, the cycle.
-    """
-    order = []
-    fresh = [start]
-    while fresh:
-        v = fresh[0]
-        seen.add(v)
-        order.append(v)
-        fresh = [w for w in adjacency[v] if w not in seen]
-    return order
-
-
 def _code(kind: str, labels: tuple) -> str:
     return kind + "[" + ",".join(str(x) for x in labels) + "]"
 
 
-def canonical_labelled(g: LabelledGraph) -> str:
-    """Canonical code; equal codes iff isomorphic, for max-degree-2 graphs.
+def canonical_labelled(g) -> str:
+    """Canonical code of a ``LabelledGraph``; equal codes iff isomorphic.
 
-    Walks start at the vertices of degree below 2 first, so every path is
-    read from an end and what is left to walk is cycles.
+    Reads the components from ``g.walks()``: paths and isolated vertices
+    from an end, then cycles.
     """
-    adjacency = g.adjacency
-    if any(len(ws) > 2 for ws in adjacency.values()):
-        raise ValueError("canonical forms support maximum degree 2 only")
-    seen: set = set()
+    labels = tuple(g.labels.values())
+    second = g.second
     codes = []
-    ends = [v for v, ws in adjacency.items() if len(ws) < 2]
-    for start in ends + list(adjacency):
-        if start in seen:
-            continue
-        labels = tuple(g.labels[v] for v in _walk(adjacency, start, seen))
-        degree = len(adjacency[start])
-        if degree == 2:
-            codes.append(("c", min(_least_rotation(labels, 1), _least_rotation(labels[::-1], 1))))
+    for walk in g.walks():
+        seq = tuple(labels[v] for v in walk)
+        if second[walk[0]] >= 0:
+            codes.append(("c", min(_least_rotation(seq, 1), _least_rotation(seq[::-1], 1))))
         else:
-            codes.append(("p" if degree else "v", min(labels, labels[::-1])))
-    return "|".join(_code(kind, labels) for kind, labels in sorted(codes))
+            codes.append(("p" if len(walk) > 1 else "v", min(seq, seq[::-1])))
+    return "|".join(_code(kind, seq) for kind, seq in sorted(codes))
 
 
-def canonical_2edge(g) -> str:
-    """Canonical code for alternating-cycle 2-edge-coloured graphs.
+def canonical_2edge(rg) -> str:
+    """Canonical code of a ``ReductionGraph``, read from ``rg.cycles()``.
 
-    Components are traversed desire edge first; the code is the minimum
-    over all desire-first traversals, so codes match exactly for
+    Each cycle is walked desire edge first; its code is the minimum over
+    all desire-first readings, so codes match exactly for
     colour-preserving isomorphisms.
     """
+    magnitudes = rg.magnitudes
     codes = []
-    for cycle in alternating_cycles(g):
-        labels = tuple(g.label(v) for v in cycle)
+    for cycle in rg.cycles():
+        labels = tuple(magnitudes[k >> 1] for k in cycle)
         # desire edges sit at index pairs (0,1), (2,3), ...; rotations by even
         # offsets and plain reversal preserve that phase, odd offsets do not
         codes.append(min(_least_rotation(labels, 2), _least_rotation(labels[::-1], 2)))

@@ -16,8 +16,8 @@ graph, vertex (i, side) is the index k = 2*(i-1) + side, so the indices
 the index at the other end of k's desire edge, and ``magnitudes[i-1]``,
 the magnitude at position i.  Reality partners need no table: e_i joins
 I'_i = 2i-1 to I_(i+1) = 2i, so an odd k is joined to k+1 and an even k
-to k-1, both mod 2n.  Components, root chains and positions are walks
-over these arrays.  The edge views ``vertices``, ``reality_edges`` and
+to k-1, both mod 2n.  Cycles, root chains and positions are walks over
+these arrays.  The edge views ``vertices``, ``reality_edges`` and
 ``desire_edges`` hold (i, side) pairs and frozenset edges for output and
 tests; each is derived on first use.
 """
@@ -130,11 +130,10 @@ class ReductionGraph:
             raise KeyError(v)
         return frozenset((vertex(k), vertex(self.desire[k])))
 
-    def components(self) -> list[tuple[Vertex, ...]]:
-        """Alternating cycles, each sorted, ordered by smallest (i, side)."""
+    def cycles(self):
+        """Alternating cycles as index walks k, desire[k], ..., from their least k, in that order."""
         desire, m = self.desire, 2 * self.n
         seen = bytearray(m)
-        out = []
         for start in range(m):
             if seen[start]:
                 continue
@@ -145,8 +144,11 @@ class ReductionGraph:
                 seen[k] = seen[other] = 1
                 cycle += (k, other)
                 k = (other + 1 if other & 1 else other - 1) % m
-            out.append(tuple(map(vertex, sorted(cycle))))
-        return out
+            yield cycle
+
+    def components(self) -> list[tuple[Vertex, ...]]:
+        """Alternating cycles, each sorted, ordered by smallest (i, side)."""
+        return [tuple(map(vertex, sorted(cycle))) for cycle in self.cycles()]
 
     def component_count(self) -> int:
         desire, m = self.desire, 2 * self.n

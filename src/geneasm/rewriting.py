@@ -43,7 +43,10 @@ DEFAULT_GRAPH_KAPPA_CAP = 7
 
 
 class Rule(Record):
-    """One rule application: its kind (``snr`` ... ``gdr``) and pointer parameters."""
+    """One rule application: its kind (``snr`` ... ``gdr``) and pointer parameters.
+
+    String and graph rules share this class; the kind tells them apart.
+    """
 
     __slots__ = ("kind", "params")
 
@@ -57,10 +60,6 @@ class Rule(Record):
         return f"{self.kind}_{{{self.params[0]},{self.params[1]}}}"
 
 
-# the string and graph systems share one rule class; the kind tells them apart
-StringRule = GraphRule = Rule
-
-
 def _check_kinds(kinds, allowed):
     kinds = frozenset(kinds)
     if not kinds <= frozenset(allowed):
@@ -71,23 +70,23 @@ def _check_kinds(kinds, allowed):
 # ---------------------------------------------------------------------------
 # string rules
 
-def _string_rules(u, kinds, at) -> list[StringRule]:
+def _string_rules(u, kinds, at) -> list[Rule]:
     """Rules applicable to the legal string u with occurrence table at."""
     dom = sorted(at)
     negative = [p for p in dom if u[at[p][0] - 1] == u[at[p][1] - 1]]
     out = []
     if "snr" in kinds:
-        out += [StringRule("snr", (p,)) for p in negative if at[p][1] == at[p][0] + 1]
+        out += [Rule("snr", (p,)) for p in negative if at[p][1] == at[p][0] + 1]
     if "spr" in kinds:
-        out += [StringRule("spr", (p,)) for p in dom if u[at[p][0] - 1] != u[at[p][1] - 1]]
+        out += [Rule("spr", (p,)) for p in dom if u[at[p][0] - 1] != u[at[p][1] - 1]]
     if "sdr" in kinds:
         for p in negative:
             i1, i2 = at[p]
-            out += [StringRule("sdr", (p, q)) for q in negative if i1 < at[q][0] < i2 < at[q][1]]
+            out += [Rule("sdr", (p, q)) for q in negative if i1 < at[q][0] < i2 < at[q][1]]
     return out
 
 
-def _string_step(u, rule: StringRule, at):
+def _string_step(u, rule: Rule, at):
     """Apply a rule known to be applicable to u."""
     i1, i2 = at[rule.params[0]]
     if rule.kind == "snr":
@@ -109,7 +108,7 @@ def _string_successors(u, kinds):
     return [(rule, _string_step(u, rule, at)) for rule in _string_rules(u, kinds, at)]
 
 
-def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[StringRule]:
+def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[Rule]:
     """Rules applicable to a legal string, deterministically ordered."""
     kinds = _check_kinds(kinds, STRING_KINDS)
     u = tuple(u)
@@ -117,7 +116,7 @@ def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[StringRule]:
     return _string_rules(u, kinds, pointers.occurrence_index(u))
 
 
-def apply_string_rule(u, rule: StringRule):
+def apply_string_rule(u, rule: Rule):
     """Apply one rule; the result is legal with a strictly smaller domain."""
     u = tuple(u)
     if rule not in applicable_string_rules(u, kinds=(rule.kind,)):
@@ -136,14 +135,14 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     if len(pointers.domain(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
     pointers.positive_set(u)  # raises unless u is legal; every rule keeps legality
-    edges: dict[tuple, list[tuple[StringRule, tuple]]] = {}
+    edges: dict[tuple, list[tuple[Rule, tuple]]] = {}
 
     def successors(v):
         if v not in edges:
             edges[v] = _string_successors(v, kinds)
         return edges[v]
 
-    prefix: list[StringRule] = []
+    prefix: list[Rule] = []
 
     def walk(v):
         if not v:
@@ -190,9 +189,9 @@ def _graph_state(g: OverlapGraph):
     return g.vertex_mask, g.positive_mask, g.neighbor_masks
 
 
-def _named(rule: GraphRule, order) -> GraphRule:
+def _named(rule: Rule, order) -> Rule:
     """The rule with its slots replaced by the magnitudes of the vertices in them."""
-    return GraphRule(rule.kind, tuple(order[s - 2] for s in rule.params))
+    return Rule(rule.kind, tuple(order[s - 2] for s in rule.params))
 
 
 def _overlap_of(state, order) -> OverlapGraph:
@@ -209,23 +208,23 @@ def _overlap_of(state, order) -> OverlapGraph:
     return OverlapGraph._from_masks(tuple(order[s - 2] for s in kept), moved(positive), masks)
 
 
-def _graph_rules(state, kinds) -> list[GraphRule]:
+def _graph_rules(state, kinds) -> list[Rule]:
     """Applicable rules: gnr, then gpr, then gdr in sorted edge order."""
     vertices, positive, adj = state
     negative = vertices & ~positive
     out = []
     if "gnr" in kinds:
-        out += [GraphRule("gnr", (p,)) for p in bits(negative) if not adj[p]]
+        out += [Rule("gnr", (p,)) for p in bits(negative) if not adj[p]]
     if "gpr" in kinds:
-        out += [GraphRule("gpr", (p,)) for p in bits(positive)]
+        out += [Rule("gpr", (p,)) for p in bits(positive)]
     if "gdr" in kinds:
         for p in bits(negative):
             above = -(2 << p)  # the bits of q > p
-            out += [GraphRule("gdr", (p, q)) for q in bits(adj[p] & negative & above)]
+            out += [Rule("gdr", (p, q)) for q in bits(adj[p] & negative & above)]
     return out
 
 
-def _graph_step(state, rule: GraphRule):
+def _graph_step(state, rule: Rule):
     """Apply a rule known to be applicable to the state."""
     vertices, positive, adj = state
     if rule.kind == "gnr":  # p is isolated, so only its vertex bit goes
@@ -255,12 +254,12 @@ def _graph_step(state, rule: GraphRule):
     return vertices & keep, positive, tuple(adj)
 
 
-def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[GraphRule]:
+def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[Rule]:
     rules = _graph_rules(_graph_state(g), _check_kinds(kinds, GRAPH_KINDS))
     return [_named(rule, g.vertex_order) for rule in rules]
 
 
-def apply_graph_rule(g: OverlapGraph, rule: GraphRule) -> OverlapGraph:
+def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:
     state = _graph_state(g)
     kinds = _check_kinds((rule.kind,), GRAPH_KINDS)
     in_slots = {_named(r, g.vertex_order): r for r in _graph_rules(state, kinds)}
@@ -274,7 +273,7 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
     kinds = _check_kinds(kinds, GRAPH_KINDS)
     if len(g.vertices) + 1 > max_kappa:
         raise CapError(f"kappa exceeds the search cap {max_kappa}")
-    prefix: list[GraphRule] = []
+    prefix: list[Rule] = []
 
     def walk(state):
         if not state[0]:

@@ -579,6 +579,57 @@ def least_rotation(seq, step):
     return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
 
 
+def _partners(edges, colour: str) -> dict:
+    """Each endpoint mapped to the other end of its one edge of this colour."""
+    other = {}
+    for a, b in edges:
+        if a in other or b in other:
+            raise ValueError(f"vertices must lie on exactly one {colour} edge")
+        other[a] = b
+        other[b] = a
+    return other
+
+
+def alternating_cycles(graph) -> list[list]:
+    """Components of a 2-edge-coloured graph with one edge of each colour per vertex.
+
+    Each cycle starts at the first of its vertices in ``graph.vertices``
+    and leaves it along its desire edge; cycles come in that order.  It
+    takes any carrier with the reduction-graph interface and partner dicts
+    built from its edges, the reference for ``ReductionGraph.cycles``.
+    """
+    desire = _partners(graph.desire_edges, "desire")
+    reality = _partners(graph.reality_edges, "reality")
+    if desire.keys() != set(graph.vertices) or reality.keys() != desire.keys():
+        raise ValueError("every vertex needs one reality and one desire edge")
+    seen = set()
+    cycles = []
+    for start in graph.vertices:
+        if start in seen:
+            continue
+        cycle = []
+        v = start
+        while not cycle or v != start:
+            cycle += (v, desire[v])
+            v = reality[cycle[-1]]
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+def canonical_2edge(graph) -> str:
+    """``iso.canonical_2edge`` for any carrier: least even rotation by comparing them all.
+
+    Each alternating cycle is read desire edge first, forwards and
+    backwards; its code is the least of every even rotation of both.
+    """
+    codes = []
+    for cycle in alternating_cycles(graph):
+        labels = tuple(graph.label(v) for v in cycle)
+        codes.append(min(least_rotation(labels, 2), least_rotation(labels[::-1], 2)))
+    return "|".join("C[" + ",".join(map(str, labels)) + "]" for labels in sorted(codes))
+
+
 def _label_classes(labels1: dict, labels2: dict):
     by_label1: dict = {}
     by_label2: dict = {}

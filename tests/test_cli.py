@@ -252,6 +252,21 @@ class TestPipelines:
         assert (code, out) == (2, "")
         assert err.startswith("error: unknown vertex ")
 
+    def test_iso_check_rejects_a_third_edge(self):
+        graph = '{"kappa":3,"edges":[["J2","J3"],["J2","Jp2"],["J2","Jp3"]]}'
+        code, out, err = run(["iso-check", "--cps", "2323", "--direct", graph])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vertex 'J2' would get a third edge")
+        assert "Traceback" not in err
+
+    def test_iso_check_kappa_bound(self):
+        from geneasm.direct import MAX_DIRECT_KAPPA
+
+        graph = '{"kappa":%d,"edges":[]}' % (MAX_DIRECT_KAPPA + 1)
+        code, out, err = run(["iso-check", "--cps", "2323", "--direct", graph])
+        assert (code, out) == (6, "")
+        assert err.startswith("error: direct graph JSON has kappa ")
+
     def test_iso_check_needs_two_sides(self):
         code, _, err = run(["iso-check", "--cps", "22"])
         assert code == 2

@@ -102,7 +102,7 @@ class TestCps:
         labels, edges = oracles.cps_edge_set(carrier)
         assert list(labels.items()) == [(("a", "b"), 2), (("b", "c"), 2), (("d", "e"), 3)]
         assert edges == {frozenset({("a", "b"), ("d", "e")}), frozenset({("b", "c"), ("d", "e")})}
-        assert LabelledGraph(labels, edges).adjacency[("d", "e")] == {("a", "b"), ("b", "c")}
+        assert LabelledGraph(labels, edges).neighbors(("d", "e")) == {("a", "b"), ("b", "c")}
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)
@@ -131,10 +131,32 @@ class TestLabelledGraph:
             with pytest.raises(ValueError):
                 LabelledGraph(labels, bad)
 
+    def test_walks_read_each_component_once(self):
+        rng = random.Random(65)
+        for _ in range(300):
+            g = oracles.random_degree2_graph(rng, max_vertices=12)
+            ids = list(g.labels)
+            walks = list(g.walks())
+            assert sorted(v for walk in walks for v in walk) == list(range(len(ids)))
+            walked = 0
+            for walk in walks:
+                closed = g.second[walk[0]] >= 0  # a cycle; otherwise read from an end
+                steps = list(zip(walk, walk[1:])) + ([(walk[-1], walk[0])] if closed else [])
+                assert all(frozenset((ids[a], ids[b])) in g.edges for a, b in steps)
+                assert not closed or len(walk) >= 3
+                walked += len(steps)
+            assert walked == len(g.edges)  # so no edge joins two walks
+            assert g.component_count() == len(walks)
+
+    def test_repeated_edges_are_skipped(self):
+        g = LabelledGraph.from_index_pairs({"a": 2, "b": 3}, [(0, 1), (1, 0), (0, 1)])
+        assert (g.first, g.second) == ([1, 0], [-1, -1])
+        assert g.edges == {frozenset("ab")}
+
     def test_equality_uses_labels_and_adjacency(self):
         g = LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b"), ["b", "c"], ("b", "a")])
         assert g.edges == {frozenset("ab"), frozenset("bc")}
-        assert g.adjacency == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        assert {v: g.neighbors(v) for v in g.labels} == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
         assert g == LabelledGraph({"c": 3, "b": 3, "a": 2}, g.edges)
         assert g != LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b")])
         assert g != LabelledGraph({"a": 2, "b": 3, "c": 2}, g.edges)

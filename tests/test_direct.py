@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
-from geneasm.errors import ParseError
+from geneasm.errors import CapError, ParseError
 
 
 def gamma(text):
@@ -151,7 +151,21 @@ class TestMainEquivalence:
             built = direct.direct_reduction_graph(overlap.overlap_graph(u))
             inflated = _inflate(built)
             rg = reduction.ReductionGraph(u)
-            assert iso.canonical_2edge(inflated) == iso.canonical_2edge(rg)
+            assert oracles.canonical_2edge(inflated) == iso.canonical_2edge(rg)
+
+
+class TestDegreeBound:
+    def test_every_signed_graph_up_to_kappa_5(self):
+        # realism is not needed for degree 2: all 1,098 signed graphs on
+        # {2..kappa}, kappa <= 5, realistic or not (a third edge would raise)
+        count = 0
+        for kappa in range(2, 6):
+            for edges, positive in oracles.signed_graphs(kappa):
+                g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
+                built = direct.direct_reduction_graph(g)
+                assert all(built.degree(v) <= 2 for v in built.labels)
+                count += 1
+        assert count == 1098
 
 
 class TestDefinitionReference:
@@ -330,3 +344,21 @@ class TestJson:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             direct.parse_direct_json(bad)
+
+    def test_third_edge_names_its_vertex(self):
+        text = '{"kappa":4,"edges":[["J2","J3"],["Jp4","J3"],["J4","J2"],["J3","J4"]]}'
+        with pytest.raises(ParseError, match="vertex 'J3' would get a third edge"):
+            direct.parse_direct_json(text)
+        # an edge listed twice, in either order, is one edge
+        graph = direct.parse_direct_json('{"kappa":3,"edges":[["J2","J3"],["J3","J2"]]}')
+        assert graph.edges == {edge("J2", "J3")}
+        assert graph.degree("J2") == 1
+
+    def test_kappa_bound(self):
+        assert direct.MAX_DIRECT_KAPPA >= 8 * 8192
+        graph = direct.parse_direct_json('{"kappa":8192,"edges":[["Jp8192","J2"]]}')
+        assert len(graph.labels) == 2 * 8191 and len(graph.edges) == 1
+        with pytest.raises(CapError):
+            direct.parse_direct_json('{"kappa":%d,"edges":[]}' % (direct.MAX_DIRECT_KAPPA + 1))
+        with pytest.raises(CapError):
+            direct.parse_direct_json('{"kappa":200000,"edges":[]}')

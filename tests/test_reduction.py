@@ -54,6 +54,8 @@ def assert_matches_edge_sets(u):
     assert rg.desire_edges == old.desire_edges
     assert rg.components() == old.components()
     assert rg.component_count() == len(old.components())
+    walks = [list(map(reduction.vertex, cycle)) for cycle in rg.cycles()]
+    assert walks == oracles.alternating_cycles(old)
     chains = reduction.find_root_subgraphs(rg)
     assert chains == oracles.edge_set_root_subgraphs(old)
     assert reduction.is_rooted(rg) == bool(chains)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from geneasm import overlap, pointers, reduction, rewriting
 from geneasm.errors import CapError, ParseError
-from geneasm.rewriting import GraphRule, StringRule
+from geneasm.rewriting import Rule
 
 
 def gamma(text):
@@ -35,39 +35,39 @@ def _random_realistic(rng, kappa):
 
 class TestStringRules:
     def test_negative_rule(self):
-        assert rewriting.apply_string_rule((2, 2), StringRule("snr", (2,))) == ()
+        assert rewriting.apply_string_rule((2, 2), Rule("snr", (2,))) == ()
         assert rewriting.apply_string_rule(
-            (3, 2, 2, 3), StringRule("snr", (2,))
+            (3, 2, 2, 3), Rule("snr", (2,))
         ) == (3, 3)
         # barred adjacent pairs count as the same rule
-        assert rewriting.apply_string_rule((-2, -2), StringRule("snr", (2,))) == ()
+        assert rewriting.apply_string_rule((-2, -2), Rule("snr", (2,))) == ()
 
     def test_positive_rule(self):
         assert rewriting.apply_string_rule(
-            (2, 3, -2, 3), StringRule("spr", (2,))
+            (2, 3, -2, 3), Rule("spr", (2,))
         ) == (-3, 3)
-        assert rewriting.apply_string_rule((2, -2), StringRule("spr", (2,))) == ()
+        assert rewriting.apply_string_rule((2, -2), Rule("spr", (2,))) == ()
 
     def test_double_rule(self):
         assert rewriting.apply_string_rule(
-            (2, 3, 2, 3), StringRule("sdr", (2, 3))
+            (2, 3, 2, 3), Rule("sdr", (2, 3))
         ) == ()
         assert rewriting.apply_string_rule(
-            (4, 2, 3, 2, 3, 4), StringRule("sdr", (2, 3))
+            (4, 2, 3, 2, 3, 4), Rule("sdr", (2, 3))
         ) == (4, 4)
         # segments swap around the removed occurrences
         assert rewriting.apply_string_rule(
-            (2, 4, 4, 3, 2, 5, 5, 3), StringRule("sdr", (2, 3))
+            (2, 4, 4, 3, 2, 5, 5, 3), Rule("sdr", (2, 3))
         ) == (5, 5, 4, 4)
 
     def test_applicability(self):
         u = (2, 3, 2, 3)
-        assert rewriting.applicable_string_rules(u) == [StringRule("sdr", (2, 3))]
+        assert rewriting.applicable_string_rules(u) == [Rule("sdr", (2, 3))]
         v = (2, 3, -2, 3)
-        assert rewriting.applicable_string_rules(v) == [StringRule("spr", (2,))]
+        assert rewriting.applicable_string_rules(v) == [Rule("spr", (2,))]
         assert rewriting.applicable_string_rules(v, kinds=("snr",)) == []
         with pytest.raises(ValueError):
-            rewriting.apply_string_rule((2, 3, 2, 3), StringRule("snr", (2,)))
+            rewriting.apply_string_rule((2, 3, 2, 3), Rule("snr", (2,)))
 
     def test_rules_shrink_domain_and_preserve_legality(self):
         rng = random.Random(91)
@@ -124,18 +124,18 @@ class TestNegativeRuleCounts:
 
     def test_single_pair_string(self):
         seqs = list(rewriting.successful_string_reductions((2, 2)))
-        assert seqs == [[StringRule("snr", (2,))]]
+        assert seqs == [[Rule("snr", (2,))]]
 
 
 class TestGraphRules:
     def test_negative_rule_removes_isolated_vertex(self):
         g = gamma("22")
-        out = rewriting.apply_graph_rule(g, GraphRule("gnr", (2,)))
+        out = rewriting.apply_graph_rule(g, Rule("gnr", (2,)))
         assert not out.vertices
 
     def test_positive_rule_locally_complements(self):
         g = gamma("72673456-3-245")
-        out = rewriting.apply_graph_rule(g, GraphRule("gpr", (3,)))
+        out = rewriting.apply_graph_rule(g, Rule("gpr", (3,)))
         # neighbors of 3 were {4,5,6}: pairwise edges toggle off, signs flip
         assert out.vertices == {2, 4, 5, 6, 7}
         assert out.positive == {2, 4, 5, 6}
@@ -143,7 +143,7 @@ class TestGraphRules:
 
     def test_double_rule_toggles_odd_pairs(self):
         g = gamma("453475623267")
-        out = rewriting.apply_graph_rule(g, GraphRule("gdr", (3, 6)))
+        out = rewriting.apply_graph_rule(g, Rule("gdr", (3, 6)))
         assert out.vertices == {2, 4, 5, 7}
         assert out.positive == frozenset()
         assert out.edges == {(4, 5), (5, 7)}
@@ -151,11 +151,11 @@ class TestGraphRules:
     def test_inapplicable_rules(self):
         g = gamma("72673456-3-245")
         with pytest.raises(ValueError):
-            rewriting.apply_graph_rule(g, GraphRule("gnr", (2,)))  # 2 is positive
+            rewriting.apply_graph_rule(g, Rule("gnr", (2,)))  # 2 is positive
         with pytest.raises(ValueError):
-            rewriting.apply_graph_rule(g, GraphRule("gdr", (2, 4)))  # 2 is positive
+            rewriting.apply_graph_rule(g, Rule("gdr", (2, 4)))  # 2 is positive
         with pytest.raises(ValueError):
-            rewriting.apply_graph_rule(gamma("2233"), GraphRule("gdr", (2, 3)))
+            rewriting.apply_graph_rule(gamma("2233"), Rule("gdr", (2, 3)))
 
     def test_rules_shrink_vertex_count(self):
         rng = random.Random(94)
@@ -191,7 +191,7 @@ class TestPublishedReductions:
     def test_sequence_serialization_round_trip(self):
         text = "gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}"
         rules = rewriting.parse_rule_sequence(text)
-        assert rules[0] == GraphRule("gdr", (3, 6))  # rightmost applies first
+        assert rules[0] == Rule("gdr", (3, 6))  # rightmost applies first
         assert rewriting.format_rule_sequence(rules) == text
 
     @pytest.mark.parametrize("bad", ["xyz_2", "snr", "snr_{2,3}", "sdr_2", "gdr_4"])
@@ -292,7 +292,7 @@ class TestSuccessfulness:
             rewriting.successful_in(gamma("22"), {"gnr", "nope"})
 
     def test_string_sequence_formatting(self):
-        rules = [StringRule("sdr", (2, 3)), StringRule("snr", (4,))]
+        rules = [Rule("sdr", (2, 3)), Rule("snr", (4,))]
         assert rewriting.format_rule_sequence(rules) == "snr_4 sdr_{2,3}"
         assert rewriting.parse_rule_sequence("snr_4 sdr_{2,3}") == rules
 
@@ -319,7 +319,7 @@ def test_string_and_graph_rules_commute(u):
     """gamma(r(u)) == r^(gamma(u)) with snr->gnr, spr->gpr, sdr->gdr (params sorted)."""
     g = overlap.overlap_graph(u)
     for rule in rewriting.applicable_string_rules(u):
-        hat = GraphRule("g" + rule.kind[1:], tuple(sorted(rule.params)))
+        hat = Rule("g" + rule.kind[1:], tuple(sorted(rule.params)))
         assert overlap.overlap_graph(
             rewriting.apply_string_rule(u, rule)
         ) == rewriting.apply_graph_rule(g, hat)
