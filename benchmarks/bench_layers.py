@@ -10,12 +10,14 @@ directory.  For each kappa one realistic string is drawn from
 each on inputs built beforehand:
 
     parse_pointer_string            the string in spaced format
+    realistic_decode                the parsed string
     overlap_graph                   the parsed string
     emit_overlap_json               the overlap graph
     parse_overlap_json              the overlap graph's JSON
     ReductionGraph                  the parsed string
     cps                             the reduction graph
     direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
+    emit_direct_json                the directly constructed reduction graph
     canonical_labelled              the compressed reduction graph
     canonical_2edge                 the reduction graph
     ReductionGraph.components       the reduction graph
@@ -77,12 +79,14 @@ CLI_COMMANDS = (
 )
 LAYERS = (
     "parse_pointer_string",
+    "realistic_decode",
     "overlap_graph",
     "emit_overlap_json",
     "parse_overlap_json",
     "ReductionGraph",
     "cps",
     "direct_reduction_graph",
+    "emit_direct_json",
     "canonical_labelled",
     "canonical_2edge",
     "ReductionGraph.components",
@@ -99,6 +103,7 @@ def cases(u):
     return {
         "parse_pointer_string": (pointers.parse_pointer_string,
                                  lambda: pointers.format_pointer_string(u)),
+        "realistic_decode": (pointers.realistic_decode, lambda: u),
         "overlap_graph": (overlap.overlap_graph, lambda: u),
         "emit_overlap_json": (overlap.emit_overlap_json, graph),
         "parse_overlap_json": (overlap.parse_overlap_json,
@@ -106,6 +111,8 @@ def cases(u):
         "ReductionGraph": (reduction.ReductionGraph, lambda: u),
         "cps": (compress.cps, rg),
         "direct_reduction_graph": (direct.direct_reduction_graph, graph),
+        "emit_direct_json": (direct.emit_direct_json,
+                             lambda: direct.direct_reduction_graph(graph())),
         "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),
         "canonical_2edge": (iso.canonical_2edge, rg),
         "ReductionGraph.components": (reduction.ReductionGraph.components, rg),

@@ -214,12 +214,8 @@ def _cmd_direct(args) -> int:
         overlap.require_realistic(g, max_kappa=args.max_kappa)
     built = direct.direct_reduction_graph(g)
     if args.explain:
-        kappa = len(g.vertices) + 1
-        for (a, b), _condition in direct.candidate_edges(kappa):
-            for w in direct.condition_witnesses(g, (a, b)):
-                subset = "{" + ",".join(str(t) for t in sorted(w.subset)) + "}"
-                value = "{" + ",".join(str(t) for t in sorted(w.value)) + "}"
-                _emit(f"{{{a},{b}}} P={subset} value={value}")
+        for line in direct.explain_lines(g):
+            _emit(line)
     if args.format == "dot":
         from . import dot
 

@@ -2,44 +2,32 @@
 
 For a realistic overlap graph on {2..kappa} the compressed reduction
 graph of any witness string can be reconstructed from the graph alone.
-Vertices come in pairs J_p (off the root chain) and J'_p (on it); the
-chain J'_2 - J'_3 - ... - J'_kappa is always present, and every other
-candidate edge carries a symmetric-difference condition over the
-neighbour sets N(t): the edge exists exactly when some index set P
-satisfies
+Vertices come in pairs J_p (off the root chain) and J'_p (on it).  The
+chain J'_2 - ... - J'_kappa is always present; every other edge comes
+from one rule.  With D(t) = N(t) XOR ({t} if t is positive) and prefix
+sums S(k) = D(2) XOR ... XOR D(k), S(0) = S(1) = 0, each vertex gives
+ends, each a (key, prefix index) pair:
 
-    XOR of N(t) for t in P  ==  (positives in P) XOR target
+    J_t         (S(t-1) XOR {t}, t-1)  and  (S(t) XOR {t}, t)
+    J'_2        (0, 1)
+    J'_kappa    (S(kappa), kappa), for kappa > 2
 
-where P is a window of consecutive indices lo..hi (the core) together
-with any choice of the optional endpoints.  Moving the positives to the
-left, with D(t) = N(t) XOR ({t} if t is positive) and prefix sums
-S(k) = D(2) XOR ... XOR D(k), the condition reads
-S(hi) XOR S(lo - 1) XOR (D(e) for each chosen endpoint e) == target.
-Sets are int bitmasks read from ``OverlapGraph.neighbor_masks``.
+Two ends of different vertices with equal keys, at prefix indices
+a <= b, make an edge witnessed by the window P = {a+1..b}: S(b) XOR S(a)
+is then the set of the edge's J endpoints, that is
 
-``direct_reduction_graph`` never tests a candidate on its own.  Choosing
-the endpoint p of a window moves the prefix index by one, so for p < q
-the J_p - J_q condition holds exactly when
+    XOR of N(t) for t in P  ==  (positives in P) XOR (its J endpoints),
 
-    S(a) XOR {p}  ==  S(b) XOR {q}   for some a in {p-1, p}, b in {q-1, q}.
-
-Each vertex J_t thus has two keys S(t-1) XOR {t} and S(t) XOR {t}, and
-J_p - J_q is an edge exactly when p and q share a key: one pass that
-buckets the vertices by key finds every such edge in O(kappa) dictionary
-operations plus the size of the output.  The other families are O(kappa)
-comparisons against S: J'_2 - J_p needs S(p-1) or S(p) to equal {p},
-J'_kappa - J_p needs S(kappa) XOR S(p) or S(kappa) XOR S(p-1) to equal
-{p}, and J'_2 - J'_kappa needs S(kappa) to be empty.  ``candidate_edges``
-and ``condition_witnesses`` still list the candidates and evaluate each
-condition choice by choice, which is what ``geneasm direct --explain``
-prints.  Vertex ids are the strings "J<p>" and "Jp<p>" so edge lists can
-be serialized verbatim.
+and that XOR is the witness's value.  J'_2 - J'_kappa counts only for
+kappa > 3 (at kappa 3 it is the chain edge).  Bucketing all ends by key
+finds every edge in O(kappa) dictionary operations plus the size of the
+output.  Sets are int bitmasks from ``OverlapGraph.neighbor_masks``;
+vertex ids are the strings "J<p>" and "Jp<p>", serialized verbatim.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .compress import LabelledGraph
 from .errors import CapError, ParseError
@@ -51,20 +39,9 @@ _VERTEX_RE = re.compile(r"^J(p?)([0-9]+)$")
 MAX_DIRECT_KAPPA = 1 << 16  # parse_direct_json builds all 2(kappa - 1) vertices
 
 
-def nonroot_vertex(p: int) -> str:
-    return f"J{p}"
-
-
-def root_vertex(p: int) -> str:
-    return f"Jp{p}"
-
-
 def _labels(kappa: int) -> dict[str, int]:
-    labels = {}
-    for p in range(2, kappa + 1):
-        labels[nonroot_vertex(p)] = p
-        labels[root_vertex(p)] = p
-    return labels
+    """J_p at index 2(p-2) and J'_p at 2(p-2)+1, each labelled p."""
+    return {name: p for p in range(2, kappa + 1) for name in (f"J{p}", f"Jp{p}")}
 
 
 def vertex_sort_key(name: str):
@@ -84,120 +61,116 @@ class Witness(Record):
         object.__setattr__(self, "value", value)
 
 
-def candidate_edges(kappa: int):
-    """Candidate edges in a fixed order, each with its condition.
-
-    A condition is (core, optional, target): P ranges over the core window
-    (a range of indices) joined with every subset of the optional endpoints.
-    Each pair is listed once; for kappa = 2 both ends of the root chain are
-    J'_2, so {J'_2, J_2} comes only from the first.
-    """
-    for p in range(2, kappa + 1):
-        for q in range(p + 1, kappa + 1):
-            yield (nonroot_vertex(p), nonroot_vertex(q)), (range(p + 1, q), (p, q), (p, q))
-    for p in range(2, kappa + 1):
-        yield (root_vertex(2), nonroot_vertex(p)), (range(2, p), (p,), (p,))
-        if kappa > 2:
-            yield (root_vertex(kappa), nonroot_vertex(p)), (range(p + 1, kappa + 1), (p,), (p,))
-    if kappa > 3:
-        yield (root_vertex(2), root_vertex(kappa)), (range(2, kappa + 1), (), ())
-
-
-@lru_cache(maxsize=1)  # `direct --explain` asks for every candidate of one kappa
-def _condition_table(kappa: int) -> dict:
-    """Conditions keyed by the vertex sort keys of the pair, as "J02" names J2."""
-    return {
-        frozenset(map(vertex_sort_key, pair)): condition
-        for pair, condition in candidate_edges(kappa)
-    }
-
-
 def _kappa(g: OverlapGraph) -> int:
     if not g.vertices or not g.contiguous_domain():
         raise ValueError("direct construction needs vertex set {2..kappa}")
     return len(g.vertices) + 1
 
 
-def _mask(ts) -> int:
-    return sum(1 << t for t in ts)
+def _matches(g: OverlapGraph, kappa: int, vertices):
+    """Each pair of ends of different vertices with equal keys, as (v, w, a, b) with a <= b.
 
-
-def _prefix_xor(g: OverlapGraph, kappa: int) -> list[int]:
-    """S(k) for k = 0..kappa as bitmasks, with S(0) = S(1) = 0."""
+    ``vertices`` and v, w are vertex indices as in ``_labels``; a and b are
+    the prefix indices of the ends of v and w.
+    """
     masks, positive = g.neighbor_masks, g.positive_mask
-    prefix = [0, 0]
+    s = [0, 0]  # S(k) for k = 0..kappa
     for t in range(2, kappa + 1):
-        prefix.append(prefix[-1] ^ masks[t] ^ (positive & (1 << t)))
-    return prefix
-
-
-def _matching_subsets(g: OverlapGraph, prefix: list[int], condition) -> list[Witness]:
-    """The edge test: every P satisfying one condition, ordered by sorted(P)."""
-    core, optional, target = condition
-    # (P', XOR of D over core + P') for every choice P' of optional endpoints
-    choices = [((), prefix[core.stop - 1] ^ prefix[core.start - 1])]
-    for e in optional:
-        d = prefix[e] ^ prefix[e - 1]
-        choices += [(extra + (e,), value ^ d) for extra, value in choices]
-    want = _mask(target)
-    hits = []
-    for extra, value in choices:
-        if value == want:
-            subset = frozenset(core).union(extra)
-            hits.append(Witness(subset=subset, value=(g.positive & subset) ^ frozenset(target)))
-    hits.sort(key=lambda w: sorted(w.subset))
-    return hits
+        s.append(s[-1] ^ masks[t] ^ (positive & (1 << t)))
+    ends = []  # (key, prefix index, vertex index)
+    for v in vertices:
+        t = v // 2 + 2
+        if not v & 1:
+            bit = 1 << t
+            ends += [(s[t - 1] ^ bit, t - 1, v), (s[t] ^ bit, t, v)]
+        elif t == 2:
+            ends.append((0, 1, v))
+        elif t == kappa:
+            ends.append((s[kappa], kappa, v))
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for key, a, v in ends:
+        buckets.setdefault(key, []).append((a, v))
+    for bucket in buckets.values():
+        for i, (a, v) in enumerate(bucket):
+            for b, w in bucket[i + 1 :]:
+                if v != w:
+                    yield (v, w, a, b) if a <= b else (w, v, b, a)
 
 
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
-    """The root chain plus every candidate edge whose condition holds.
+    """The root chain plus an edge for each matched pair of ends.
 
-    J_p has index 2(p-2) and J'_p 2(p-2)+1.  The caller is responsible for
-    realism; other input gets edges by the same rules, whose maximum degree
-    2 held on every signed graph up to kappa 6 and on 40,000 random ones up
-    to kappa 24 (a third edge would raise ``ValueError``).
+    The caller is responsible for realism; other input gets edges by the
+    same rule, whose maximum degree 2 held on every signed graph up to
+    kappa 6 and on 40,000 random ones up to kappa 24 (a third edge would
+    raise ``ValueError``).  The kappa-3 match J'_2 - J'_3 repeats a chain edge.
     """
     kappa = _kappa(g)
-    s = _prefix_xor(g, kappa)
-    first_root, last_root = 1, 2 * kappa - 3
-    pairs = [(k, k + 2) for k in range(first_root, last_root, 2)]
-    if kappa > 3 and not s[kappa]:
-        pairs.append((first_root, last_root))
-    buckets: dict[int, list[int]] = {}  # key S(a) ^ {t}, a in {t-1, t} -> those J_t
-    for t in range(2, kappa + 1):
-        bit, j = 1 << t, 2 * t - 4
-        if bit in (s[t - 1], s[t]):
-            pairs.append((first_root, j))
-        if kappa > 2 and bit in (s[kappa] ^ s[t - 1], s[kappa] ^ s[t]):
-            pairs.append((last_root, j))
-        for key in {s[t - 1] ^ bit, s[t] ^ bit}:
-            buckets.setdefault(key, []).append(j)
-    for bucket in buckets.values():
-        for i, j in enumerate(bucket):
-            pairs += [(j, k) for k in bucket[i + 1 :]]
+    pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
+    pairs += [(v, w) for v, w, _, _ in _matches(g, kappa, range(2 * kappa - 2))]
     return LabelledGraph.from_index_pairs(_labels(kappa), pairs)
 
 
-def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
-    """All index sets satisfying the condition for one candidate edge.
+def _witnesses(g: OverlapGraph, kappa: int, vertices) -> list[tuple[tuple, list[int], Witness]]:
+    """(sort key, vertex indices root first, witness) for each window among ``vertices``.
 
-    The candidate is a pair of vertex ids such as ("J2", "J6") or
-    ("Jp2", "Jp7"); root-chain edges {J'_p, J'_(p+1)} hold unconditionally
-    and report a single empty witness, and pairs that are not candidates
-    have none.
+    They come in candidate order: J_p - J_q by (p, q); then for each p,
+    J'_2 - J_p and J'_kappa - J_p; then J'_2 - J'_kappa; each edge's by (lo, hi).
+    """
+    found = []
+    for v, w, a, b in _matches(g, kappa, vertices):
+        roots = sorted(x for x in (v, w) if x & 1)
+        if len(roots) == 2 and kappa <= 3:
+            continue
+        js = sorted(x for x in (v, w) if not x & 1)
+        window = frozenset(range(a + 1, b + 1))
+        value = (g.positive & window) ^ frozenset(x // 2 + 2 for x in js)
+        found.append(((len(roots), *js, *roots, a, b), roots + js, Witness(window, value)))
+    found.sort(key=lambda item: item[0])
+    return found
+
+
+def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
+    """All index sets satisfying the condition for one vertex pair, ordered by sorted(P).
+
+    The pair is of vertex ids such as ("J2", "J6") or ("Jp2", "Jp7");
+    root-chain edges {J'_p, J'_(p+1)} hold unconditionally and report a
+    single empty witness, and pairs without a matched pair of ends have none.
     """
     kappa = _kappa(g)
-    a, b = sorted(edge, key=vertex_sort_key)
-    for name in (a, b):
-        if not 2 <= vertex_sort_key(name)[0] <= kappa:
-            raise ValueError(f"vertex {name!r} is outside 2..{kappa}")
-    (ka, root_a), (kb, root_b) = keys = vertex_sort_key(a), vertex_sort_key(b)
+    keys = sorted(map(vertex_sort_key, edge))
+    if not all(2 <= k <= kappa for k, _ in keys):
+        raise ValueError(f"a vertex of {tuple(edge)!r} is outside 2..{kappa}")
+    (ka, root_a), (kb, root_b) = keys
     if root_a and root_b and kb == ka + 1:
         return [Witness(subset=frozenset(), value=frozenset())]
-    condition = _condition_table(kappa).get(frozenset(keys))
-    if condition is None:
-        return []
-    return _matching_subsets(g, _prefix_xor(g, kappa), condition)
+    vertices = {2 * (k - 2) + root for k, root in keys}
+    return [w for _, _, w in _witnesses(g, kappa, vertices)]
+
+
+def _set_text(values) -> str:
+    return "{" + ",".join(map(str, sorted(values))) + "}"
+
+
+def explain_lines(g: OverlapGraph):
+    """``geneasm direct --explain``: "{Jp7,J5} P={6,7} value={5}" per window, in candidate order."""
+    kappa = _kappa(g)
+    names = list(_labels(kappa))
+    for _, vertices, w in _witnesses(g, kappa, range(2 * kappa - 2)):
+        pair = ",".join(names[v] for v in vertices)
+        yield f"{{{pair}}} P={_set_text(w.subset)} value={_set_text(w.value)}"
+
+
+def sorted_ids(graph: LabelledGraph) -> tuple[list, list[tuple]]:
+    """The vertex ids in ``vertex_sort_key`` order, and the edges as id pairs in that order."""
+    ids = list(graph.labels)
+    order = sorted(range(len(ids)), key=lambda v: vertex_sort_key(ids[v]))
+    rank = {v: r for r, v in enumerate(order)}
+    pairs = sorted((rank[v], rank[w]) if rank[v] < rank[w] else (rank[w], rank[v])
+                   for partners in (graph.first, graph.second)
+                   for v, w in enumerate(partners) if v < w)
+    names = [ids[v] for v in order]
+    return names, [(names[x], names[y]) for x, y in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +180,7 @@ def emit_direct_json(graph: LabelledGraph) -> str:
     import json
 
     kappa = max(graph.labels.values())
-    pairs = [sorted(e, key=vertex_sort_key) for e in graph.edges]
-    pairs.sort(key=lambda pair: tuple(vertex_sort_key(v) for v in pair))
-    payload = {"kappa": kappa, "edges": [[a, b] for a, b in pairs]}
+    payload = {"kappa": kappa, "edges": [[a, b] for a, b in sorted_ids(graph)[1]]}
     return json.dumps(payload, separators=(",", ":"))
 
 

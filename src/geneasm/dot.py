@@ -54,16 +54,12 @@ def labelled_dot(g: LabelledGraph, graph_name: str = "labelled") -> str:
 
 def direct_dot(g: LabelledGraph) -> str:
     """DOT for directly constructed reduction graphs, keeping J/Jp vertex ids."""
-    from .direct import vertex_sort_key
+    from .direct import sorted_ids
 
-    order = sorted(g.labels, key=vertex_sort_key)
+    order, pairs = sorted_ids(g)
     lines = ["graph direct {"]
     for v in order:
         lines.append(f'  {v} [label="{g.labels[v]}"];')
-    pairs = sorted(
-        (tuple(sorted(e, key=vertex_sort_key)) for e in g.edges),
-        key=lambda pair: tuple(vertex_sort_key(v) for v in pair),
-    )
     for a, b in pairs:
         lines.append(f"  {a} -- {b};")
     lines.append("}")

@@ -257,7 +257,10 @@ def realistic_decode(seq) -> Arrangement | None:
 
     Backtracking segmentation over the blocks 2 | kappa | k(k+1) and their
     inverses; among several witnesses the first by segment index with
-    unbarred tried before barred is returned.
+    unbarred tried before barred is returned.  Blocks are indexed by their
+    first pointer.  Only 2 (M1, then M2) and -kappa (-M(kappa-1), then
+    -Mkappa) start two, and each occurs at most twice, so the walk, on an
+    explicit stack, returns to a choice a bounded number of times: O(kappa).
     """
     seq = tuple(seq)
     if not is_legal(seq):
@@ -269,33 +272,34 @@ def realistic_decode(seq) -> Arrangement | None:
     if len(seq) != 2 * kappa - 2:
         return None
 
-    blocks = []
+    # first pointer -> (k, block of Mk) in the order they are tried
+    starts: dict[int, list[tuple[int, PointerString]]] = {}
     for k in range(1, kappa + 1):
-        blocks.append((k, _segment_block(k, kappa)))
-        blocks.append((-k, _segment_block(-k, kappa)))
+        for block_k in (k, -k):
+            block = _segment_block(block_k, kappa)
+            starts.setdefault(block[0], []).append((block_k, block))
 
     used = [False] * (kappa + 1)
-    chosen: list[int] = []
-
-    def walk(i: int) -> bool:
-        if i == len(seq):
-            return True
-        for k, block in blocks:
-            if used[magnitude(k)]:
-                continue
-            if seq[i : i + len(block)] != block:
-                continue
+    stack: list[tuple[int, int, int]] = []  # (position, choice at it, block k) per segment
+    i = choice = 0
+    while i < len(seq):
+        options = starts.get(seq[i], ())
+        while choice < len(options):
+            k, block = options[choice]
+            if not used[magnitude(k)] and seq[i : i + len(block)] == block:
+                break
+            choice += 1
+        if choice < len(options):
             used[magnitude(k)] = True
-            chosen.append(k)
-            if walk(i + len(block)):
-                return True
-            chosen.pop()
+            stack.append((i, choice, k))
+            i, choice = i + len(block), 0
+        elif stack:
+            i, choice, k = stack.pop()
             used[magnitude(k)] = False
-        return False
-
-    if walk(0):
-        return tuple(chosen)
-    return None
+            choice += 1
+        else:
+            return None
+    return tuple(k for _, _, k in stack)
 
 
 def is_realistic(seq) -> bool:

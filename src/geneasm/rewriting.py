@@ -156,30 +156,6 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     yield from walk(u)
 
 
-def is_successful_string(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP) -> bool:
-    """Decision variant with memoization on exact strings."""
-    kinds = _check_kinds(kinds, STRING_KINDS)
-    u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
-        raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.positive_set(u)  # raises unless u is legal; every rule keeps legality
-    memo: dict[tuple, bool] = {}
-
-    def walk(v):
-        if not v:
-            return True
-        if v in memo:
-            return memo[v]
-        memo[v] = False
-        for _, w in _string_successors(v, kinds):
-            if walk(w):
-                memo[v] = True
-                break
-        return memo[v]
-
-    return walk(u)
-
-
 # ---------------------------------------------------------------------------
 # graph rules on bitmask states (V, P, adj): vertex mask, positive mask, and
 # adj[s] the neighbour mask of slot s (0 once s is removed), over the slots of

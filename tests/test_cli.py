@@ -1,9 +1,11 @@
 import io
 import json
+import random
 
 import pytest
 
-from geneasm import cli
+import oracles
+from geneasm import cli, overlap, pointers, sampling
 
 
 def run(argv):
@@ -171,6 +173,22 @@ def test_graph_verbs_golden_stdout(verb, fmt, string):
     assert run([verb, "--format", fmt, "--", string]) == (0, _GOLDEN[verb, fmt, string], "")
 
 
+def _candidate_pairs(kappa):
+    """The direct construction's candidate edges, in the order `direct --explain` lists them."""
+    pairs = [(f"J{p}", f"J{q}") for p in range(2, kappa + 1) for q in range(p + 1, kappa + 1)]
+    for p in range(2, kappa + 1):
+        pairs.append(("Jp2", f"J{p}"))
+        if kappa > 2:
+            pairs.append((f"Jp{kappa}", f"J{p}"))
+    if kappa > 3:
+        pairs.append(("Jp2", f"Jp{kappa}"))
+    return pairs
+
+
+def _set_text(values):
+    return "{" + ",".join(map(str, sorted(values))) + "}"
+
+
 class TestPipelines:
     def test_direct_json_and_explain(self):
         code, out, _ = run(["direct", "--string", "453475623267", "--explain"])
@@ -217,6 +235,28 @@ class TestPipelines:
     )
     def test_direct_explain_golden(self, string, want):
         assert run(["direct", "--string", string, "--explain"]) == (0, want, "")
+
+    def test_direct_explain_lists_witnesses_in_candidate_order(self):
+        rng = random.Random(12)
+        for kappa in range(2, 13):
+            for realistic in (True, False):
+                for _ in range(4):
+                    if realistic:
+                        u = sampling.random_realistic_string(rng, kappa)
+                    else:
+                        u = [m if rng.random() < 0.5 else -m
+                             for m in range(2, kappa + 1) for _ in "ab"]
+                        rng.shuffle(u)
+                    g = overlap.overlap_graph(u)
+                    want = [
+                        f"{{{a},{b}}} P={_set_text(subset)} value={_set_text(value)}\n"
+                        for a, b in _candidate_pairs(kappa)
+                        for subset, value in oracles.direct_witnesses(g, a, b)
+                    ]
+                    text = pointers.format_pointer_string(u, "spaced")
+                    code, out, err = run(["direct", "--string=" + text, "--explain"])
+                    assert (code, err) == (0, "")
+                    assert out.splitlines(keepends=True)[:-1] == want, text
 
     def test_direct_explain_kappa_2_lists_each_candidate_once(self):
         assert run(["direct", "--string", "2-2", "--explain"]) == (

@@ -163,6 +163,22 @@ class TestArrangements:
             assert back is not None
             assert pointers.encode_arrangement(back) == u
 
+    def test_decode_tries_blocks_in_segment_order(self):
+        # at kappa 2 both M1 and M2 read "2", and both -M1 and -M2 read "-2"
+        assert pointers.realistic_decode(seq("22")) == (1, 2)
+        assert pointers.realistic_decode(seq("2-2")) == (1, -2)
+        assert pointers.realistic_decode(seq("-2-2")) == (-1, -2)
+        # -4 starts -M3 = -4-3 and -M4 = -4
+        assert pointers.realistic_decode(seq("-4-3-4-223")) == (-3, -4, -1, 2)
+        assert pointers.realistic_decode(seq("-4-4-3-223")) == (-4, -3, -1, 2)
+
+    def test_decode_kappa_5000(self):
+        # one segment per step of an explicit stack, so no recursion limit applies
+        u = sampling.random_realistic_string(random.Random(5000), 5000)
+        back = pointers.realistic_decode(u)
+        assert back is not None
+        assert pointers.encode_arrangement(back) == u
+
 
 class TestOverlapCalculus:
     def test_overlap_sets_star_string(self):
