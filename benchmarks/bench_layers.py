@@ -10,6 +10,7 @@ directory.  For each kappa one realistic string is drawn from
 each on inputs built beforehand:
 
     parse_pointer_string            the string in spaced format
+    occurrence_index                the parsed string (the legality check)
     realistic_decode                the parsed string
     overlap_graph                   the parsed string
     emit_overlap_json               the overlap graph
@@ -79,6 +80,7 @@ CLI_COMMANDS = (
 )
 LAYERS = (
     "parse_pointer_string",
+    "occurrence_index",
     "realistic_decode",
     "overlap_graph",
     "emit_overlap_json",
@@ -103,6 +105,7 @@ def cases(u):
     return {
         "parse_pointer_string": (pointers.parse_pointer_string,
                                  lambda: pointers.format_pointer_string(u)),
+        "occurrence_index": (pointers.occurrence_index, lambda: u),
         "realistic_decode": (pointers.realistic_decode, lambda: u),
         "overlap_graph": (overlap.overlap_graph, lambda: u),
         "emit_overlap_json": (overlap.emit_overlap_json, graph),

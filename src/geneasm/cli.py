@@ -9,8 +9,9 @@ violation, 6 input over a cap (the realism cap, ``--max-kappa`` or
 so shell pipelines can branch on the outcome.
 
 ``direct``, ``count-negative`` and ``classify`` need a realistic overlap
-graph: on ``--graph`` input they decide realism first (exit 4 if the graph
-is not realistic, exit 6 over the realism cap).  The verbs that take a
+graph: on ``--graph`` input they decide realism first and exit 4 with
+``overlap graph is not realistic`` if it is not (a vertex set other than
+{2..kappa} included), or 6 over the realism cap.  The verbs that take a
 pointer string as a positional argument accept one that starts with a
 barred pointer, as in ``geneasm components -3-223``; ``--`` before it
 still works.
@@ -70,10 +71,7 @@ def _parse_string_arg(value: str):
 
 def _legal_string_arg(value: str):
     seq = _parse_string_arg(value)
-    if not pointers.is_legal(seq):
-        raise LegalityError(
-            f"not a legal string: {pointers.format_pointer_string(seq)!r}"
-        )
+    pointers.occurrence_index(seq)  # raises LegalityError unless seq is legal
     return seq
 
 
@@ -84,11 +82,21 @@ def _format_string(seq) -> str:
 
 
 def _overlap_graph_arg(args):
+    """The overlap graph of ``--graph`` JSON or of the legal ``--string``."""
     from . import overlap
 
-    if getattr(args, "graph", None):
+    if args.graph:
         return overlap.parse_overlap_json(_read_source(args.graph))
     return overlap.overlap_graph(_legal_string_arg(args.string))
+
+
+def _realistic_graph_arg(args):
+    """The ``--graph`` overlap graph, which must be realistic (exit 4; exit 6 over the cap)."""
+    from . import overlap
+
+    g = overlap.parse_overlap_json(_read_source(args.graph))
+    overlap.require_realistic(g, max_kappa=args.max_kappa)
+    return g
 
 
 def _emit(text: str) -> None:
@@ -205,13 +213,9 @@ def _cmd_cps(args) -> int:
 
 
 def _cmd_direct(args) -> int:
-    from . import direct, overlap
+    from . import direct
 
-    g = _overlap_graph_arg(args)
-    if not g.vertices or not g.contiguous_domain():
-        raise RealismError("direct construction needs vertex set {2..kappa}")
-    if args.graph:
-        overlap.require_realistic(g, max_kappa=args.max_kappa)
+    g = _realistic_graph_arg(args) if args.graph else _overlap_graph_arg(args)
     built = direct.direct_reduction_graph(g)
     if args.explain:
         for line in direct.explain_lines(g):
@@ -261,14 +265,10 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_count_negative(args) -> int:
-    from . import overlap, rewriting
+    from . import rewriting
 
     if args.graph:
-        g = overlap.parse_overlap_json(_read_source(args.graph))
-        if not g.vertices or not g.contiguous_domain():
-            raise RealismError("graph-side prediction needs vertex set {2..kappa}")
-        overlap.require_realistic(g, max_kappa=args.max_kappa)
-        _emit(str(rewriting.predicted_negative_rule_count(g)))
+        _emit(str(rewriting.predicted_negative_rule_count(_realistic_graph_arg(args))))
         return EXIT_OK
     seq = _legal_string_arg(args.string)
     if not seq:
@@ -281,8 +281,7 @@ def _cmd_classify(args) -> int:
     from . import direct, overlap, rewriting
 
     if args.graph:
-        g = overlap.parse_overlap_json(_read_source(args.graph))
-        overlap.require_realistic(g, max_kappa=args.max_kappa)
+        g = _realistic_graph_arg(args)
     else:
         seq = _legal_string_arg(args.string)
         if not pointers.is_realistic(seq):

@@ -27,14 +27,10 @@ vertex ids are the strings "J<p>" and "Jp<p>", serialized verbatim.
 
 from __future__ import annotations
 
-import re
-
 from .compress import LabelledGraph
 from .errors import CapError, ParseError
 from .overlap import OverlapGraph
 from .record import Record
-
-_VERTEX_RE = re.compile(r"^J(p?)([0-9]+)$")
 
 MAX_DIRECT_KAPPA = 1 << 16  # parse_direct_json builds all 2(kappa - 1) vertices
 
@@ -42,13 +38,6 @@ MAX_DIRECT_KAPPA = 1 << 16  # parse_direct_json builds all 2(kappa - 1) vertices
 def _labels(kappa: int) -> dict[str, int]:
     """J_p at index 2(p-2) and J'_p at 2(p-2)+1, each labelled p."""
     return {name: p for p in range(2, kappa + 1) for name in (f"J{p}", f"Jp{p}")}
-
-
-def vertex_sort_key(name: str):
-    m = _VERTEX_RE.match(name)
-    if not m:
-        raise ValueError(f"not a direct-construction vertex id: {name!r}")
-    return (int(m.group(2)), 1 if m.group(1) else 0)
 
 
 class Witness(Record):
@@ -59,12 +48,6 @@ class Witness(Record):
     def __init__(self, subset: frozenset[int], value: frozenset[int]):
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "value", value)
-
-
-def _kappa(g: OverlapGraph) -> int:
-    if not g.vertices or not g.contiguous_domain():
-        raise ValueError("direct construction needs vertex set {2..kappa}")
-    return len(g.vertices) + 1
 
 
 def _matches(g: OverlapGraph, kappa: int, vertices):
@@ -105,7 +88,7 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     kappa 6 and on 40,000 random ones up to kappa 24 (a third edge would
     raise ``ValueError``).  The kappa-3 match J'_2 - J'_3 repeats a chain edge.
     """
-    kappa = _kappa(g)
+    kappa = g.kappa()
     pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
     pairs += [(v, w) for v, w, _, _ in _matches(g, kappa, range(2 * kappa - 2))]
     return LabelledGraph.from_index_pairs(_labels(kappa), pairs)
@@ -137,15 +120,14 @@ def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
     root-chain edges {J'_p, J'_(p+1)} hold unconditionally and report a
     single empty witness, and pairs without a matched pair of ends have none.
     """
-    kappa = _kappa(g)
-    keys = sorted(map(vertex_sort_key, edge))
-    if not all(2 <= k <= kappa for k, _ in keys):
-        raise ValueError(f"a vertex of {tuple(edge)!r} is outside 2..{kappa}")
-    (ka, root_a), (kb, root_b) = keys
-    if root_a and root_b and kb == ka + 1:
+    kappa = g.kappa()
+    index = {name: v for v, name in enumerate(_labels(kappa))}
+    if not all(name in index for name in edge):
+        raise ValueError(f"a vertex of {tuple(edge)!r} is not one of J2..J{kappa}, Jp2..Jp{kappa}")
+    v, w = sorted(index[name] for name in edge)
+    if v & 1 and w == v + 2:
         return [Witness(subset=frozenset(), value=frozenset())]
-    vertices = {2 * (k - 2) + root for k, root in keys}
-    return [w for _, _, w in _witnesses(g, kappa, vertices)]
+    return [x for _, _, x in _witnesses(g, kappa, {v, w})]
 
 
 def _set_text(values) -> str:
@@ -154,7 +136,7 @@ def _set_text(values) -> str:
 
 def explain_lines(g: OverlapGraph):
     """``geneasm direct --explain``: "{Jp7,J5} P={6,7} value={5}" per window, in candidate order."""
-    kappa = _kappa(g)
+    kappa = g.kappa()
     names = list(_labels(kappa))
     for _, vertices, w in _witnesses(g, kappa, range(2 * kappa - 2)):
         pair = ",".join(names[v] for v in vertices)
@@ -162,15 +144,15 @@ def explain_lines(g: OverlapGraph):
 
 
 def sorted_ids(graph: LabelledGraph) -> tuple[list, list[tuple]]:
-    """The vertex ids in ``vertex_sort_key`` order, and the edges as id pairs in that order."""
-    ids = list(graph.labels)
-    order = sorted(range(len(ids)), key=lambda v: vertex_sort_key(ids[v]))
-    rank = {v: r for r, v in enumerate(order)}
-    pairs = sorted((rank[v], rank[w]) if rank[v] < rank[w] else (rank[w], rank[v])
-                   for partners in (graph.first, graph.second)
+    """The vertex ids in index order, and the edges as id pairs sorted by index.
+
+    Every graph ``direct_reduction_graph`` and ``parse_direct_json`` build
+    holds its ids as ``_labels`` does, so index order is J2, Jp2, J3, Jp3, ...
+    """
+    names = list(graph.labels)
+    pairs = sorted((v, w) for partners in (graph.first, graph.second)
                    for v, w in enumerate(partners) if v < w)
-    names = [ids[v] for v in order]
-    return names, [(names[x], names[y]) for x, y in pairs]
+    return names, [(names[v], names[w]) for v, w in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,22 @@ class OverlapGraph(Record):
         return not any(self.neighbor_masks)
 
     def contiguous_domain(self) -> bool:
-        """True iff the vertex set is exactly {2, ..., kappa}."""
-        return self.vertex_order == tuple(range(2, len(self.vertex_order) + 2))
+        """True iff the vertex set is exactly {2, ..., kappa} for some kappa >= 2.
+
+        The vertices are sorted and distinct, so the two ends decide it.
+        """
+        order = self.vertex_order
+        return bool(order) and order[0] == 2 and order[-1] == len(order) + 1
+
+    def kappa(self) -> int:
+        """kappa for a graph on {2..kappa}; any other vertex set raises ``RealismError``.
+
+        Realistic graphs, the only ones the paper builds reduction graphs
+        from, always have such a vertex set.
+        """
+        if not self.contiguous_domain():
+            raise RealismError("overlap graph is not realistic: its vertex set is not {2..kappa}")
+        return len(self.vertex_order) + 1
 
 
 def overlap_graph(u) -> OverlapGraph:
@@ -177,8 +191,8 @@ def overlap_graph(u) -> OverlapGraph:
     two, the neighbours of p.
     """
     u = tuple(u)
-    positive = pointers.positive_set(u)  # raises unless u is legal
-    order = tuple(sorted(pointers.domain(u)))
+    at = pointers.occurrence_index(u)  # raises unless u is legal
+    order = tuple(sorted(at))
     slot = {p: s for s, p in enumerate(order, 2)}
     masks = _slot_masks(len(order))
     opened: dict[int, int] = {}
@@ -189,7 +203,9 @@ def overlap_graph(u) -> OverlapGraph:
             masks[s] = seen ^ opened[s]
         seen ^= 1 << s
         opened.setdefault(s, seen)
-    return OverlapGraph._from_masks(order, sum(1 << slot[p] for p in positive), masks)
+    # summed in slot order, so each partial sum is as short as it can be
+    positive = sum(1 << s for s, p in enumerate(order, 2) if u[at[p][0] - 1] != u[at[p][1] - 1])
+    return OverlapGraph._from_masks(order, positive, masks)
 
 
 def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
@@ -206,9 +222,9 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
 
     if max_kappa is None:
         max_kappa = _max_kappa_default()
-    if not g.vertices or not g.contiguous_domain():
+    if not g.contiguous_domain():
         return None
-    kappa = len(g.vertices) + 1
+    kappa = g.kappa()
     if kappa > max_kappa:
         raise CapError(
             f"kappa={kappa} exceeds the realism cap {max_kappa}; "
@@ -218,6 +234,7 @@ def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
 
 
 def require_realistic(g: OverlapGraph, max_kappa: int | None = None):
+    """The witness of ``is_realistic_overlap``; ``RealismError`` if there is none."""
     arr = is_realistic_overlap(g, max_kappa=max_kappa)
     if arr is None:
         raise RealismError("overlap graph is not realistic")

@@ -141,17 +141,12 @@ def _check_arrangement(arr: Arrangement) -> None:
 # string operations
 
 def is_legal(seq) -> bool:
-    """True iff every magnitude present occurs exactly twice."""
-    counts: dict[int, int] = {}
-    for p in seq:
-        m = magnitude(p)
-        counts[m] = counts.get(m, 0) + 1
-    return all(c == 2 for c in counts.values())
-
-
-def _require_legal(seq) -> None:
-    if not is_legal(seq):
-        raise LegalityError(f"not a legal string: {format_pointer_string(seq)!r}")
+    """True iff every magnitude present occurs exactly twice (see ``occurrence_index``)."""
+    try:
+        occurrence_index(seq)
+    except LegalityError:
+        return False
+    return True
 
 
 def complement(seq) -> PointerString:
@@ -188,17 +183,7 @@ def domain(seq) -> frozenset[int]:
 
 def positive_set(seq) -> frozenset[int]:
     """Magnitudes occurring once barred and once unbarred."""
-    _require_legal(seq)
-    first: dict[int, int] = {}
-    pos = set()
-    for p in seq:
-        m = magnitude(p)
-        if m in first:
-            if first[m] != p:
-                pos.add(m)
-        else:
-            first[m] = p
-    return frozenset(pos)
+    return frozenset(p for p, (i, j) in occurrence_index(seq).items() if seq[i - 1] != seq[j - 1])
 
 
 def negative_set(seq) -> frozenset[int]:
@@ -213,16 +198,22 @@ def kappa_of(seq) -> int:
 def occurrence_index(seq) -> dict[int, tuple[int, int]]:
     """1-based positions of the two occurrences of each magnitude, in one pass.
 
-    The string must be legal; a magnitude occurring once is left out.
+    This is the legality check: it raises ``LegalityError`` unless every
+    magnitude occurs exactly twice.  The index holds each magnitude that
+    occurs at least twice, so n is twice its size exactly when no magnitude
+    occurs once or more than twice.
     """
     first: dict[int, int] = {}
     at = {}
-    for i, x in enumerate(seq, 1):
-        p = magnitude(x)
+    n = 0
+    for n, x in enumerate(seq, 1):
+        p = -x if x < 0 else x
         if p in first:
-            at[p] = (first[p], i)
+            at[p] = (first[p], n)
         else:
-            first[p] = i
+            first[p] = n
+    if 2 * len(at) != n:
+        raise LegalityError(f"not a legal string: {format_pointer_string(seq)!r}")
     return at
 
 
@@ -311,7 +302,6 @@ def is_realistic(seq) -> bool:
 
 def overlap_set(seq, p: int) -> frozenset[int]:
     """Magnitudes whose occurrence interval interleaves the p-interval."""
-    _require_legal(seq)
     at = occurrence_index(seq)
     if magnitude(p) not in at:
         raise ValueError(f"pointer {p} does not occur in the string")
@@ -325,7 +315,7 @@ def positional_overlap(seq, i: int, j: int) -> frozenset[int]:
     Positions are the n+1 gaps of a length-n string, numbered 0..n; the
     value is symmetric in i and j.
     """
-    _require_legal(seq)
+    occurrence_index(seq)  # raises unless seq is legal
     n = len(seq)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"positions must lie in 0..{n}, got ({i}, {j})")

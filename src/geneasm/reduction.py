@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import pointers
-from .errors import LegalityError
 from .record import Record
 
 Vertex = tuple[int, int]
@@ -47,13 +46,12 @@ def vertex(k: int) -> Vertex:
 class ReductionGraph:
     def __init__(self, seq):
         seq = tuple(seq)
-        if not pointers.is_legal(seq):
-            raise LegalityError("reduction graphs are defined for legal strings")
+        at = pointers.occurrence_index(seq)  # raises unless seq is legal
         self.seq = seq
         self.n = len(seq)
         self.magnitudes = list(map(abs, seq))
         desire = [0] * (2 * self.n)
-        for i, j in pointers.occurrence_index(seq).values():
+        for i, j in at.values():
             a, b = 2 * i - 2, 2 * j - 2
             # equal occurrences join I_i to I'_j and I'_i to I_j; complementary
             # ones join I_i to I_j and I'_i to I'_j
@@ -151,19 +149,7 @@ class ReductionGraph:
         return [tuple(map(vertex, sorted(cycle))) for cycle in self.cycles()]
 
     def component_count(self) -> int:
-        desire, m = self.desire, 2 * self.n
-        seen = bytearray(m)
-        count = 0
-        for start in range(m):
-            if seen[start]:
-                continue
-            count += 1
-            k = start
-            while not seen[k]:
-                other = desire[k]
-                seen[k] = seen[other] = 1
-                k = (other + 1 if other & 1 else other - 1) % m
-        return count
+        return sum(1 for _ in self.cycles())
 
 
 def position(rg: ReductionGraph, item) -> int:
@@ -196,9 +182,6 @@ class RootSubgraph(Record):
 
     def contains_vertex(self, v: Vertex) -> bool:
         return any(v in e for e in self.desire_chain)
-
-    def contains_reality_edge(self, e: Edge) -> bool:
-        return e in self.reality_links
 
 
 def _root_walks(rg: ReductionGraph):

@@ -112,16 +112,17 @@ def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[Rule]:
     """Rules applicable to a legal string, deterministically ordered."""
     kinds = _check_kinds(kinds, STRING_KINDS)
     u = tuple(u)
-    pointers.positive_set(u)  # raises unless u is legal
-    return _string_rules(u, kinds, pointers.occurrence_index(u))
+    return _string_rules(u, kinds, pointers.occurrence_index(u))  # raises unless u is legal
 
 
 def apply_string_rule(u, rule: Rule):
     """Apply one rule; the result is legal with a strictly smaller domain."""
+    kinds = _check_kinds((rule.kind,), STRING_KINDS)
     u = tuple(u)
-    if rule not in applicable_string_rules(u, kinds=(rule.kind,)):
+    at = pointers.occurrence_index(u)  # raises unless u is legal
+    if rule not in _string_rules(u, kinds, at):
         raise ValueError(f"rule {rule} is not applicable to {u}")
-    return _string_step(u, rule, pointers.occurrence_index(u))
+    return _string_step(u, rule, at)
 
 
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
@@ -134,7 +135,7 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.positive_set(u)  # raises unless u is legal; every rule keeps legality
+    pointers.occurrence_index(u)  # raises unless u is legal; every rule keeps legality
     edges: dict[tuple, list[tuple[Rule, tuple]]] = {}
 
     def successors(v):
@@ -326,13 +327,12 @@ def predicted_negative_rule_count(x) -> int:
     """Component count of the associated reduction graph, minus one.
 
     Accepts a non-empty legal string (string side) or a realistic overlap
-    graph with contiguous domain (graph side).
+    graph (graph side; a vertex set other than {2..kappa} raises
+    ``RealismError``).
     """
     from . import direct, reduction
 
     if isinstance(x, OverlapGraph):
-        if not x.vertices or not x.contiguous_domain():
-            raise ValueError("graph-side prediction needs vertex set {2..kappa}")
         return direct.direct_reduction_graph(x).component_count() - 1
     seq = tuple(x)
     if not seq:

@@ -26,6 +26,8 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     ]
     assert {"emit_overlap_json", "parse_overlap_json"} <= set(bench.LAYERS)
     assert {"realistic_decode", "emit_direct_json"} <= set(bench.LAYERS)
+    # the legality check every string-side layer reads
+    assert "occurrence_index" in bench.LAYERS
     # the scale benchmark's op calls both
     assert {"ReductionGraph.component_count", "is_rooted"} <= set(bench.LAYERS)
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)

@@ -266,6 +266,7 @@ class TestPipelines:
     def test_direct_requires_contiguous_domain(self):
         code, _, err = run(["direct", "--string", "2244"])
         assert code == 4
+        assert err == "error: overlap graph is not realistic: its vertex set is not {2..kappa}\n"
 
     def test_iso_check_cps_vs_direct(self, tmp_path):
         code, direct_json, _ = run(["direct", "--string", "72673456-3-245"])
@@ -370,6 +371,14 @@ class TestEdgeInputs:
     @pytest.mark.parametrize("verb", ["direct", "count-negative"])
     def test_graph_input_must_be_realistic(self, verb):
         _, overlap_json, _ = run(["overlap", "24535423"])  # the star: not realistic
+        assert run([verb, "--graph", overlap_json.strip()]) == (
+            4, "", "error: overlap graph is not realistic\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["direct", "count-negative", "classify"])
+    @pytest.mark.parametrize("text", ["2244", "4-4", "3535", ""])
+    def test_gapped_graph_input_is_not_realistic(self, verb, text):
+        _, overlap_json, _ = run(["overlap", text])
         assert run([verb, "--graph", overlap_json.strip()]) == (
             4, "", "error: overlap graph is not realistic\n"
         )

@@ -3,12 +3,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
+import strategies
 from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
-from geneasm.errors import CapError, ParseError
+from geneasm.errors import CapError, ParseError, RealismError
 
 
 def gamma(text):
@@ -108,10 +108,11 @@ class TestWorkedExamples:
 
     def test_witness_vertex_validation(self):
         g = gamma("22")
-        with pytest.raises(ValueError):
-            direct.condition_witnesses(g, ("J2", "J9"))
-        with pytest.raises(ValueError):
-            direct.condition_witnesses(g, ("Q2", "J2"))
+        for pair in (("J2", "J9"), ("Q2", "J2"), ("J1", "Jp2"), ("Jp02", "J2")):
+            with pytest.raises(ValueError, match="is not one of J2..J2, Jp2..Jp2$"):
+                direct.condition_witnesses(g, pair)
+        with pytest.raises(RealismError):
+            direct.condition_witnesses(gamma("2244"), ("J2", "J4"))
 
 
 class TestMainEquivalence:
@@ -208,25 +209,6 @@ class TestDefinitionReference:
             assert direct.direct_reduction_graph(g).edges == want_edges
 
 
-@st.composite
-def graphs_on_domain(draw, max_kappa=14):
-    """Signed graphs on {2..kappa}: half encode an arrangement, half are random."""
-    kappa = draw(st.integers(2, max_kappa))
-    if draw(st.booleans()):
-        order = draw(st.permutations(range(1, kappa + 1)))
-        inverted = draw(st.lists(st.booleans(), min_size=kappa, max_size=kappa))
-        arr = tuple(-k if inv else k for k, inv in zip(order, inverted))
-        return overlap.overlap_graph(pointers.encode_arrangement(arr))
-    vertices = range(2, kappa + 1)
-    pairs = list(combinations(vertices, 2))
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return overlap.OverlapGraph(
-        vertices=frozenset(vertices),
-        positive=frozenset(draw(st.sets(st.sampled_from(vertices)))),
-        edges=frozenset(pq for pq, keep in zip(pairs, chosen) if keep),
-    )
-
-
 def _names(kappa):
     return [f"J{p}" for p in range(2, kappa + 1)] + [f"Jp{p}" for p in range(2, kappa + 1)]
 
@@ -235,7 +217,7 @@ class TestHashJoin:
     """The hash join against the per-candidate loop it replaced and the definition."""
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs_on_domain())
+    @given(strategies.graphs_on_domain())
     def test_matches_per_candidate_loop_and_definition(self, g):
         graph = direct.direct_reduction_graph(g)
         built = graph.edges
@@ -307,6 +289,22 @@ def _inflate(g):
 
 
 class TestJson:
+    def test_ids_come_in_label_then_root_order(self):
+        """J2, Jp2, J3, Jp3, ...: the order of the number, then J before Jp, of each id."""
+
+        def key(name):
+            return int(name.lstrip("Jp")), name.startswith("Jp")
+
+        rng = random.Random(17)
+        for kappa in (2, 3, 5, 12, 40):
+            built = direct.direct_reduction_graph(
+                overlap.overlap_graph(sampling.random_realistic_string(rng, kappa)))
+            for graph in (built, direct.parse_direct_json(direct.emit_direct_json(built))):
+                names, pairs = direct.sorted_ids(graph)
+                assert names == sorted(graph.labels, key=key)
+                assert pairs == sorted((tuple(sorted(e, key=key)) for e in graph.edges),
+                                       key=lambda pair: tuple(map(key, pair)))
+
     def test_golden_edges(self):
         built = direct.direct_reduction_graph(gamma("453475623267"))
         text = direct.emit_direct_json(built)

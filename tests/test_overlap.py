@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from geneasm import overlap, pointers, rewriting, sampling
-from geneasm.errors import CapError, ParseError
+from geneasm.errors import CapError, ParseError, RealismError
 
 
 def graph_of(text):
@@ -317,6 +317,34 @@ class TestRealismOracle:
         monkeypatch.setenv("GENEASM_MAX_KAPPA", "twelve")
         with pytest.raises(CapError, match="GENEASM_MAX_KAPPA must be an integer"):
             overlap.is_realistic_overlap(g)
+
+
+class TestKappa:
+    """``kappa()`` is the {2..kappa} check; any other vertex set raises ``RealismError``."""
+
+    @pytest.mark.parametrize("text, kappa", [("22", 2), ("2-2", 2), ("2332", 3),
+                                             ("453475623267", 7)])
+    def test_contiguous(self, text, kappa):
+        g = graph_of(text)
+        assert g.contiguous_domain()
+        assert g.kappa() == kappa
+
+    @pytest.mark.parametrize("vertices", [(), (3,), (2, 4), (3, 4, 5), (2, 3, 5), (2, 10**6)])
+    def test_empty_and_gapped(self, vertices):
+        g = overlap.OverlapGraph(vertices, (), ())
+        assert not g.contiguous_domain()
+        with pytest.raises(RealismError, match="^overlap graph is not realistic: "):
+            g.kappa()
+
+    def test_matches_the_vertex_set(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            vertices = rng.sample(range(2, 12), rng.randint(0, 6))
+            g = overlap.OverlapGraph(vertices, (), ())
+            contiguous = sorted(vertices) == list(range(2, len(vertices) + 2)) and vertices
+            assert g.contiguous_domain() == bool(contiguous)
+            if contiguous:
+                assert g.kappa() == len(vertices) + 1
 
 
 def _random_legal(rng, max_domain=5):

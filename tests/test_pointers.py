@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from geneasm import pointers, sampling
 from geneasm.errors import LegalityError, ParseError
 
@@ -69,6 +73,10 @@ class TestBasics:
         assert pointers.is_legal((2, 4, 5, 3, 5, 4, 2, 3))
         assert pointers.is_legal((2, 2, 4, 4))
         assert not pointers.is_legal((2, 3, 2))
+        # a singleton, a triple and a quadruple
+        assert not pointers.is_legal((-2,))
+        assert not pointers.is_legal((2, -2, 2, 3, 3))
+        assert not pointers.is_legal((2, 2, -2, 2))
         assert pointers.is_legal(())
         assert pointers.is_legal((2, -2))
 
@@ -112,6 +120,24 @@ class TestBasics:
     def test_polarity_requires_legality(self):
         with pytest.raises(LegalityError):
             pointers.positive_set((2, 3, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(strategies.legal_strings(max_domain=5), strategies.signed_sequences()))
+def test_occurrence_index_is_the_legality_check(u):
+    """It raises iff some magnitude does not occur exactly twice; is_legal and positive_set agree."""
+    legal = all(count == 2 for count in Counter(map(abs, u)).values())
+    assert pointers.is_legal(u) == legal
+    if not legal:
+        message = f"not a legal string: {pointers.format_pointer_string(u)!r}"
+        for check in (pointers.occurrence_index, pointers.positive_set):
+            with pytest.raises(LegalityError) as raised:
+                check(u)
+            assert str(raised.value) == message
+        return
+    at = pointers.occurrence_index(u)
+    assert at == {p: oracles.occurrence_positions(u, p) for p in pointers.domain(u)}
+    assert pointers.positive_set(u) == {abs(x) for x in u if -x in u}
 
 
 class TestArrangements:

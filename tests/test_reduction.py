@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strategies
 from geneasm import compress, pointers, reduction, sampling
 from geneasm.errors import LegalityError
 
@@ -22,20 +23,6 @@ def _random_legal(rng, max_domain=5):
         letters.append(-m if rng.random() < 0.5 else m)
     rng.shuffle(letters)
     return tuple(letters)
-
-
-@st.composite
-def legal_strings(draw, max_domain=12):
-    """Legal strings: each magnitude twice, barred at random, in random order.
-
-    Domains are {2..kappa} or drawn with gaps, and may hold 10**6.
-    """
-    contiguous = st.integers(0, max_domain).map(lambda size: list(range(2, size + 2)))
-    gapped = st.lists(st.integers(2, 40) | st.just(10**6), max_size=max_domain, unique=True)
-    mags = draw(contiguous | gapped)
-    order = draw(st.permutations([m for m in mags for _ in range(2)]))
-    barred = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-    return tuple(-m if bar else m for m, bar in zip(order, barred))
 
 
 def _outcome(f, *args):
@@ -85,7 +72,7 @@ def _random_realistic(rng, kappa):
 
 class TestConstruction:
     def test_rejects_illegal_strings(self):
-        with pytest.raises(LegalityError):
+        with pytest.raises(LegalityError, match=r"^not a legal string: '2 3 2'$"):
             reduction.ReductionGraph((2, 3, 2))
 
     def test_mixed_polarity_example(self):
@@ -173,7 +160,7 @@ class TestConstruction:
             assert_matches_edge_sets(u)
 
     @settings(max_examples=300, deadline=None)
-    @given(legal_strings())
+    @given(strategies.legal_strings())
     def test_matches_the_edge_set_construction_on_generated_strings(self, u):
         assert_matches_edge_sets(u)
 

@@ -3,9 +3,9 @@ from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
+import strategies
 from geneasm import overlap, pointers, reduction, rewriting
 from geneasm.errors import CapError, ParseError
 from geneasm.rewriting import Rule
@@ -304,17 +304,8 @@ class TestSuccessfulness:
         assert oracles.canonical_graph_key(g1) != oracles.canonical_graph_key(g3)
 
 
-@st.composite
-def legal_strings(draw, max_domain=6):
-    """Legal strings over up to max_domain magnitudes from 2..9, gaps allowed."""
-    mags = draw(st.lists(st.integers(2, 9), min_size=1, max_size=max_domain, unique=True))
-    order = draw(st.permutations([m for m in mags for _ in range(2)]))
-    barred = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-    return tuple(-m if bar else m for m, bar in zip(order, barred))
-
-
 @settings(max_examples=300, deadline=None)
-@given(legal_strings())
+@given(strategies.legal_strings(max_domain=6))
 def test_string_and_graph_rules_commute(u):
     """gamma(r(u)) == r^(gamma(u)) with snr->gnr, spr->gpr, sdr->gdr (params sorted)."""
     g = overlap.overlap_graph(u)
