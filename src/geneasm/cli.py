@@ -6,7 +6,10 @@ not legal, 4 realism required but absent, 5 internal invariant
 violation, 6 input over a cap (the realism cap, ``--max-kappa`` or
 ``GENEASM_MAX_KAPPA``; ``direct.MAX_DIRECT_KAPPA``) or a bad cap setting.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
-so shell pipelines can branch on the outcome.
+so shell pipelines can branch on the outcome.  An error prints one
+``error:`` line; its exit code comes from one table, ``_EXIT_CODES``, and
+is 2 for any other ``ValueError``, an unreadable ``@file`` or a missing
+option value (``--graph=``; ``--string=--``, which argparse reads as none).
 
 ``direct``, ``count-negative`` and ``classify`` need a realistic overlap
 graph: on ``--graph`` input they decide realism first and exit 4 with
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import combinations
 
 from . import pointers
 from .errors import CapError, LegalityError, ParseError, RealismError
@@ -38,25 +42,20 @@ EXIT_NOT_REALISTIC = 4
 EXIT_INTERNAL = 5
 EXIT_CAP = 6
 
-SUBSET_ORDER = (
-    frozenset(),
-    frozenset({"gnr"}),
-    frozenset({"gpr"}),
-    frozenset({"gdr"}),
-    frozenset({"gnr", "gpr"}),
-    frozenset({"gnr", "gdr"}),
-    frozenset({"gpr", "gdr"}),
-    frozenset({"gnr", "gpr", "gdr"}),
-)
+_EXIT_CODES = {LegalityError: EXIT_NOT_LEGAL, RealismError: EXIT_NOT_REALISTIC, CapError: EXIT_CAP}
+
+# the rule sets S of {Gnr, Gpr, Gdr} by size, each in that order; the kinds are
+# spelled here because importing ``rewriting`` at load would undo the lazy imports
+SUBSET_ORDER = tuple(s for r in range(4) for s in combinations(("gnr", "gpr", "gdr"), r))
 
 
 def _subset_name(kinds) -> str:
-    order = {"gnr": 0, "gpr": 1, "gdr": 2}
-    names = sorted(kinds, key=order.get)
-    return "{" + ",".join(k.capitalize() for k in names) + "}"
+    return "{" + ",".join(k.capitalize() for k in kinds) + "}"
 
 
-def _read_source(value: str) -> str:
+def _read_source(value) -> str:
+    if not isinstance(value, str):
+        raise ParseError("missing option value")
     if value == "-":
         return sys.stdin.read()
     if value.startswith("@"):
@@ -70,6 +69,7 @@ def _parse_string_arg(value: str):
 
 
 def _legal_string_arg(value: str):
+    """The string, checked here for verbs whose library call answers "not realistic" instead."""
     seq = _parse_string_arg(value)
     pointers.occurrence_index(seq)  # raises LegalityError unless seq is legal
     return seq
@@ -82,12 +82,12 @@ def _format_string(seq) -> str:
 
 
 def _overlap_graph_arg(args):
-    """The overlap graph of ``--graph`` JSON or of the legal ``--string``."""
+    """The overlap graph of ``--graph`` JSON or of the ``--string``."""
     from . import overlap
 
-    if args.graph:
+    if args.graph is not None:
         return overlap.parse_overlap_json(_read_source(args.graph))
-    return overlap.overlap_graph(_legal_string_arg(args.string))
+    return overlap.overlap_graph(_parse_string_arg(args.string))
 
 
 def _realistic_graph_arg(args):
@@ -103,6 +103,15 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_witness(arr) -> int:
+    """A witness arrangement (exit 0), or "not-realistic" (exit 4) when there is none."""
+    if arr is None:
+        _emit("not-realistic")
+        return EXIT_NOT_REALISTIC
+    _emit(pointers.format_arrangement(arr))
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # verb implementations
 
@@ -112,17 +121,12 @@ def _cmd_validate(args) -> int:
     if args.format == "json":
         import json
 
-        _emit(
-            json.dumps(
-                {
-                    "legal": legal,
-                    "domain": sorted(pointers.domain(seq)),
-                    "positive": sorted(pointers.positive_set(seq)) if legal else None,
-                    "negative": sorted(pointers.negative_set(seq)) if legal else None,
-                },
-                separators=(",", ":"),
-            )
-        )
+        dom = pointers.domain(seq)
+        positive = pointers.positive_set(seq) if legal else None
+        _emit(json.dumps({"legal": legal, "domain": sorted(dom),
+                          "positive": sorted(positive) if legal else None,
+                          "negative": sorted(dom - positive) if legal else None},
+                         separators=(",", ":")))
     else:
         _emit("legal" if legal else "not-legal")
     return EXIT_OK if legal else EXIT_NOT_LEGAL
@@ -135,19 +139,13 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    seq = _legal_string_arg(args.string)
-    arr = pointers.realistic_decode(seq)
-    if arr is None:
-        _emit("not-realistic")
-        return EXIT_NOT_REALISTIC
-    _emit(pointers.format_arrangement(arr))
-    return EXIT_OK
+    return _emit_witness(pointers.realistic_decode(_legal_string_arg(args.string)))
 
 
 def _cmd_overlap(args) -> int:
     from . import overlap
 
-    g = overlap.overlap_graph(_legal_string_arg(args.string))
+    g = overlap.overlap_graph(_parse_string_arg(args.string))
     if args.format == "dot":
         from . import dot
 
@@ -163,7 +161,7 @@ def _cmd_overlap(args) -> int:
 def _cmd_reduction_graph(args) -> int:
     from . import reduction
 
-    rg = reduction.ReductionGraph(_legal_string_arg(args.string))
+    rg = reduction.ReductionGraph(_parse_string_arg(args.string))
     if args.format == "dot":
         from . import dot
 
@@ -181,7 +179,7 @@ def _cmd_reduction_graph(args) -> int:
         }
         _emit(json.dumps(payload, separators=(",", ":"), sort_keys=True))
     else:
-        sizes = ",".join(str(len(c)) for c in rg.components())
+        sizes = ",".join(str(len(c)) for c in rg.cycles())
         _emit(f"vertices={2 * rg.n} reality={rg.n} desire={rg.n} components={sizes}")
     return EXIT_OK
 
@@ -189,7 +187,7 @@ def _cmd_reduction_graph(args) -> int:
 def _cmd_cps(args) -> int:
     from . import compress, reduction
 
-    rg = reduction.ReductionGraph(_legal_string_arg(args.string))
+    rg = reduction.ReductionGraph(_parse_string_arg(args.string))
     g = compress.cps(rg)
     if args.format == "dot":
         from . import dot
@@ -215,7 +213,7 @@ def _cmd_cps(args) -> int:
 def _cmd_direct(args) -> int:
     from . import direct
 
-    g = _realistic_graph_arg(args) if args.graph else _overlap_graph_arg(args)
+    g = _realistic_graph_arg(args) if args.graph is not None else _overlap_graph_arg(args)
     built = direct.direct_reduction_graph(g)
     if args.explain:
         for line in direct.explain_lines(g):
@@ -238,13 +236,13 @@ def _cmd_iso_check(args) -> int:
 
     sides = []
     if args.cps is not None:
-        rg = reduction.ReductionGraph(_legal_string_arg(args.cps))
+        rg = reduction.ReductionGraph(_parse_string_arg(args.cps))
         sides.append(iso.canonical_labelled(compress.cps(rg)))
     if args.direct is not None:
         sides.append(iso.canonical_labelled(direct.parse_direct_json(_read_source(args.direct))))
     if args.strings is not None:
         for text in args.strings:
-            rg = reduction.ReductionGraph(_legal_string_arg(text))
+            rg = reduction.ReductionGraph(_parse_string_arg(text))
             sides.append(iso.canonical_2edge(rg))
     if len(sides) != 2:
         raise ParseError("iso-check compares exactly two graphs "
@@ -259,7 +257,7 @@ def _cmd_iso_check(args) -> int:
 def _cmd_components(args) -> int:
     from . import reduction
 
-    rg = reduction.ReductionGraph(_legal_string_arg(args.string))
+    rg = reduction.ReductionGraph(_parse_string_arg(args.string))
     _emit(str(rg.component_count()))
     return EXIT_OK
 
@@ -267,20 +265,18 @@ def _cmd_components(args) -> int:
 def _cmd_count_negative(args) -> int:
     from . import rewriting
 
-    if args.graph:
-        _emit(str(rewriting.predicted_negative_rule_count(_realistic_graph_arg(args))))
-        return EXIT_OK
-    seq = _legal_string_arg(args.string)
-    if not seq:
+    if args.graph is not None:
+        x = _realistic_graph_arg(args)
+    elif not (x := _parse_string_arg(args.string)):
         raise LegalityError("the empty string has no negative-rule prediction")
-    _emit(str(rewriting.predicted_negative_rule_count(seq)))
+    _emit(str(rewriting.predicted_negative_rule_count(x)))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     from . import direct, overlap, rewriting
 
-    if args.graph:
+    if args.graph is not None:
         g = _realistic_graph_arg(args)
     else:
         seq = _legal_string_arg(args.string)
@@ -297,13 +293,8 @@ def _cmd_classify(args) -> int:
 def _cmd_check_realism(args) -> int:
     from . import overlap
 
-    g = _overlap_graph_arg(args)
-    arr = overlap.is_realistic_overlap(g, max_kappa=args.max_kappa)
-    if arr is None:
-        _emit("not-realistic")
-        return EXIT_NOT_REALISTIC
-    _emit(pointers.format_arrangement(arr))
-    return EXIT_OK
+    return _emit_witness(overlap.is_realistic_overlap(_overlap_graph_arg(args),
+                                                      max_kappa=args.max_kappa))
 
 
 def _cmd_random(args) -> int:
@@ -328,61 +319,53 @@ def _cmd_crossval(args) -> int:
     from . import compress, direct, iso, overlap, reduction, rewriting, sampling
 
     rng = random.Random(args.seed)
-    stats = {
-        "root-subgraph": [0, 0],
-        "cps-vs-direct": [0, 0],
-        "negative-count": [0, 0],
-        "classifier": [0, 0],
-    }
+    ran = dict.fromkeys(("root-subgraph", "cps-vs-direct", "negative-count", "classifier"), 0)
+    bad = dict.fromkeys(ran, 0)
     for _ in range(args.trials):
         kappa = rng.randint(2, args.kappa)
         u = sampling.random_realistic_string(rng, kappa)
         rg = reduction.ReductionGraph(u)
         g = overlap.overlap_graph(u)
-        failed = []
-
-        stats["root-subgraph"][0] += 1
-        if not reduction.is_rooted(rg):
-            failed.append("root-subgraph")
-
         built = direct.direct_reduction_graph(g)
-        stats["cps-vs-direct"][0] += 1
-        if iso.canonical_labelled(compress.cps(rg)) != iso.canonical_labelled(built):
-            failed.append("cps-vs-direct")
-
+        passed = {
+            "root-subgraph": reduction.is_rooted(rg),
+            "cps-vs-direct":
+                iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built),
+        }
         if kappa <= 5:
-            stats["negative-count"][0] += 1
-            want = rg.component_count() - 1
             counts = {
                 sum(1 for r in seq if r.kind == "snr")
                 for seq in rewriting.successful_string_reductions(u)
             }
-            if counts != {want}:
-                failed.append("negative-count")
-
+            passed["negative-count"] = counts == {rg.component_count() - 1}
         if kappa <= 6:
-            stats["classifier"][0] += 1
             comps = built.component_count()
-            for kinds in SUBSET_ORDER:
-                brute = rewriting.successful_in(g, kinds)
-                closed = rewriting.successful_in_classifier(g, kinds, comps)
-                if brute != closed:
-                    failed.append("classifier")
-                    break
-
-        for check in failed:
-            stats[check][1] += 1
-            _emit(f"check={check} kappa={kappa} input={_format_string(u)}")
-    failures = 0
-    for check in ("root-subgraph", "cps-vs-direct", "negative-count", "classifier"):
-        ran, bad = stats[check]
-        failures += bad
-        _emit(f"check={check} trials={ran} failures={bad}")
-    return EXIT_OK if failures == 0 else EXIT_INTERNAL
+            passed["classifier"] = all(
+                rewriting.successful_in(g, s) == rewriting.successful_in_classifier(g, s, comps)
+                for s in SUBSET_ORDER
+            )
+        for check, ok in passed.items():
+            ran[check] += 1
+            if not ok:
+                bad[check] += 1
+                _emit(f"check={check} kappa={kappa} input={_format_string(u)}")
+    for check in ran:
+        _emit(f"check={check} trials={ran[check]} failures={bad[check]}")
+    return EXIT_OK if not any(bad.values()) else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _graph_or_string(p, string_help) -> None:
+    """The input of the overlap-graph verbs: ``--graph`` or ``--string``, and the realism cap."""
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
+    src.add_argument("--string", help=string_help)
+    p.add_argument("--max-kappa", type=int, default=None,
+                   help="largest kappa the realism search takes "
+                        "(default: GENEASM_MAX_KAPPA, else 12)")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -419,13 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
     p = add("direct", _cmd_direct, help="reduction graph built from an overlap graph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
-    src.add_argument("--string", help="legal string whose overlap graph to use")
+    _graph_or_string(p, "legal string whose overlap graph to use")
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--explain", action="store_true", help="print edge condition witnesses")
-    p.add_argument("--max-kappa", type=int, default=None,
-                   help="cap for the realism search on graph input")
 
     p = add("iso-check", _cmd_iso_check, help="compare two graphs up to isomorphism")
     p.add_argument("--cps", help="legal string; compress its reduction graph")
@@ -437,24 +416,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("string")
 
     p = add("count-negative", _cmd_count_negative, help="predicted negative-rule count")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
-    src.add_argument("--string", help="legal string")
-    p.add_argument("--max-kappa", type=int, default=None,
-                   help="cap for the realism search on graph input")
+    _graph_or_string(p, "legal string")
 
     p = add("classify", _cmd_classify, help="successfulness for every rule-set choice")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
-    src.add_argument("--string", help="realistic string")
-    p.add_argument("--max-kappa", type=int, default=None,
-                   help="cap for the realism search on graph input")
+    _graph_or_string(p, "realistic string")
 
     p = add("check-realism", _cmd_check_realism, help="search for a witness arrangement")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
-    src.add_argument("--string", help="legal string whose overlap graph to test")
-    p.add_argument("--max-kappa", type=int, default=None)
+    _graph_or_string(p, "legal string whose overlap graph to test")
 
     p = add("random", _cmd_random, help="seeded random arrangements")
     p.add_argument("--seed", type=int, required=True)
@@ -497,21 +465,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_barred_string_last(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except LegalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_LEGAL
-    except RealismError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REALISTIC
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _EXIT_CODES.get(type(exc), EXIT_PARSE)
     except AssertionError as exc:  # pragma: no cover
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

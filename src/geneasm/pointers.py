@@ -142,11 +142,7 @@ def _check_arrangement(arr: Arrangement) -> None:
 
 def is_legal(seq) -> bool:
     """True iff every magnitude present occurs exactly twice (see ``occurrence_index``)."""
-    try:
-        occurrence_index(seq)
-    except LegalityError:
-        return False
-    return True
+    return _occurrences(seq) is not None
 
 
 def complement(seq) -> PointerString:
@@ -199,9 +195,19 @@ def occurrence_index(seq) -> dict[int, tuple[int, int]]:
     """1-based positions of the two occurrences of each magnitude, in one pass.
 
     This is the legality check: it raises ``LegalityError`` unless every
-    magnitude occurs exactly twice.  The index holds each magnitude that
-    occurs at least twice, so n is twice its size exactly when no magnitude
-    occurs once or more than twice.
+    magnitude occurs exactly twice.
+    """
+    at = _occurrences(seq)
+    if at is None:
+        raise LegalityError(f"not a legal string: {format_pointer_string(seq)!r}")
+    return at
+
+
+def _occurrences(seq) -> dict[int, tuple[int, int]] | None:
+    """The occurrence index, or None when seq is not legal.
+
+    The index holds each magnitude that occurs at least twice, so n is
+    twice its size exactly when no magnitude occurs once or more than twice.
     """
     first: dict[int, int] = {}
     at = {}
@@ -212,9 +218,7 @@ def occurrence_index(seq) -> dict[int, tuple[int, int]]:
             at[p] = (first[p], n)
         else:
             first[p] = n
-    if 2 * len(at) != n:
-        raise LegalityError(f"not a legal string: {format_pointer_string(seq)!r}")
-    return at
+    return at if 2 * len(at) == n else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from geneasm import cli, overlap, pointers, sampling
+from geneasm import cli, errors, overlap, pointers, sampling
 
 
 def run(argv):
@@ -491,11 +491,62 @@ class TestSeededVerbs:
         assert a == b
 
 
+_MISSING = "missing option value"
+_EMPTY_JSON = "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+
+
 class TestParserBehaviour:
     def test_unknown_verb_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.ParseError, 2),
+            (errors.LegalityError, 3),
+            (errors.RealismError, 4),
+            (errors.CapError, 6),
+            (ValueError, 2),
+            (OSError, 2),
+        ],
+    )
+    def test_exit_code_table(self, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_components", fail)
+        assert run(["components", "2323"]) == (code, "", "error: boom\n")
+
+    def test_unreadable_file_exits_2(self):
+        code, out, err = run(["components", "@/nonexistent/file"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [([verb, option], want)
+         for verb in ("direct", "count-negative", "classify", "check-realism")
+         for option, want in (("--string=--", _MISSING), ("--graph=--", _MISSING),
+                              ("--graph=", _EMPTY_JSON))]
+        + [(["iso-check", "--cps=--"], _MISSING),
+           (["iso-check", "--cps", "2323", "--direct=--"], _MISSING)],
+    )
+    def test_missing_option_value_exits_2(self, argv, want):
+        # argparse reads "--string=--" as no value, and "--graph=" is empty JSON
+        assert run(argv) == (2, "", f"error: {want}\n")
+
+    def test_string_verbs_are_the_parsers_positional_string_verbs(self):
+        import argparse
+
+        parser = cli._build_parser()
+        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        positional = {
+            name for name, sub in verbs.choices.items()
+            if any(a.dest == "string" and not a.option_strings for a in sub._actions)
+        }
+        assert cli._STRING_VERBS == positional
 
 
 def _discrete_graph_json(kappa):
