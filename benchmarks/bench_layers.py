@@ -1,5 +1,5 @@
 """Time each layer of the string-side pipeline on its own, over a kappa ladder,
-and the short CLI verbs in fresh processes.
+the GPRS search over all eight rule sets, and the short CLI verbs in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048 8192] [--out FILE]
@@ -26,13 +26,21 @@ each on inputs built beforehand:
     find_root_subgraphs             the reduction graph
     is_rooted                       the reduction graph
 
+The search row times ``rewriting.successful_in`` for each of the eight rule
+sets S of {gnr, gpr, gdr} on the graph of the realistic string that
+``random.Random(SEED)`` draws first at each kappa of ``SEARCH_KAPPAS``, with
+the search cap raised to that kappa.  The first call on a graph stores the
+answer for all eight sets on it, so every timed repeat gets a graph object
+built anew outside the timer; on one object the repeats would time a lookup.
+
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
 A layer is skipped from the next kappa on when its single call takes longer
 than the budget, or would at the next kappa if its time grew with kappa
 squared (the overlap graph has about kappa^2 / 6 edges, so no layer grows
 faster); the skip and its reason are recorded, and the inputs of a skipped
-case are never built.
+case are never built.  The search grows exponentially, so its row is skipped
+from the next kappa on as soon as one call takes longer than the budget.
 
 The CLI rows time whole fresh processes, with the same best-of rule:
 ``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
@@ -59,10 +67,14 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling  # noqa: E402
+from geneasm import (  # noqa: E402
+    cli, compress, direct, iso, overlap, pointers, reduction, rewriting, sampling,
+)
 
 SEED = 1
 LADDER = (8, 32, 128, 512, 2048, 8192)
+SEARCH_KAPPAS = (6, 8, 10, 12)
+SEARCH_ROW = "successful_in, 8 sets"
 CLI_KAPPA = 8
 CLI_COMMANDS = (
     "python -c pass",
@@ -125,10 +137,15 @@ def cases(u):
     }
 
 
-def best_of(fn, arg, repeat, budget):
-    """(best seconds, calls made): one call, then more until repeat calls or budget seconds."""
+def best_of(fn, arg, repeat, budget, fresh=None):
+    """(best seconds, calls made): one call, then more until repeat calls or budget seconds.
+
+    ``fresh``, if given, builds the argument anew before each call, outside the timer.
+    """
     times = []
     while not times or (len(times) < repeat and sum(times) < budget):
+        if fresh is not None:
+            arg = fresh()
         start = time.perf_counter()
         fn(arg)
         times.append(time.perf_counter() - start)
@@ -223,6 +240,29 @@ def measure(kappas, repeat, budget):
     return rows
 
 
+def measure_search(repeat, budget, kappas=SEARCH_KAPPAS):
+    """The search row: all eight rule sets on the seed's realistic graph at each kappa."""
+    rows = []
+    skipped = None
+    for kappa in kappas:
+        if skipped:
+            rows.append({"layer": SEARCH_ROW, "kappa": kappa, "skipped": skipped})
+            continue
+        u = sampling.random_realistic_string(random.Random(SEED), kappa)
+
+        def all_sets(g, kappa=kappa):
+            for kinds in cli.SUBSET_ORDER:
+                rewriting.successful_in(g, kinds, max_kappa=kappa)
+
+        best, calls = best_of(all_sets, None, repeat, budget,
+                              fresh=lambda u=u: overlap.overlap_graph(u))
+        rows.append({"layer": SEARCH_ROW, "kappa": kappa, "best_ms": round(best * 1e3, 4),
+                     "calls": calls})
+        if best > budget:
+            skipped = f"one call took over {budget} s at kappa {kappa}"
+    return rows
+
+
 def table(rows, kappas):
     cell = {(r["layer"], r["kappa"]): r for r in rows}
     lines = ["| kappa | " + " | ".join(f"`{layer}`" for layer in LAYERS) + " |",
@@ -233,6 +273,13 @@ def table(rows, kappas):
             r = cell[(layer, kappa)]
             values.append("skipped" if "skipped" in r else f"{r['best_ms']:.3g}")
         lines.append(f"| {kappa} | " + " | ".join(values) + " |")
+    return "\n".join(lines)
+
+
+def search_table(rows):
+    lines = [f"| kappa | `{SEARCH_ROW}` |", "|---|---|"]
+    lines += [f"| {r['kappa']} | " + ("skipped" if "skipped" in r else f"{r['best_ms']:.3g}") + " |"
+              for r in rows]
     return "\n".join(lines)
 
 
@@ -253,6 +300,7 @@ def main(argv=None):
         parser.error("--repeat must be >= 1 and every kappa >= 2")
 
     rows = measure(args.kappas, args.repeat, args.budget)
+    search_rows = measure_search(args.repeat, args.budget)
     cli_rows = measure_cli(args.repeat, args.budget)
     sha, dirty = git_sha()
     report = {
@@ -268,6 +316,7 @@ def main(argv=None):
         "kappas": args.kappas,
         "unit": "ms, best of the calls made",
         "rows": rows,
+        "search_rows": search_rows,
         "cli_kappa": CLI_KAPPA,
         "cli_rows": cli_rows,
     }
@@ -275,6 +324,7 @@ def main(argv=None):
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(table(rows, args.kappas))
+    print(search_table(search_rows))
     print(cli_table(cli_rows))
     return 0
 

@@ -265,10 +265,7 @@ def _cmd_components(args) -> int:
 def _cmd_count_negative(args) -> int:
     from . import rewriting
 
-    if args.graph is not None:
-        x = _realistic_graph_arg(args)
-    elif not (x := _parse_string_arg(args.string)):
-        raise LegalityError("the empty string has no negative-rule prediction")
+    x = _realistic_graph_arg(args) if args.graph is not None else _parse_string_arg(args.string)
     _emit(str(rewriting.predicted_negative_rule_count(x)))
     return EXIT_OK
 
@@ -302,6 +299,8 @@ def _cmd_random(args) -> int:
 
     from . import sampling
 
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         arr = sampling.random_arrangement(rng, args.kappa)
@@ -318,6 +317,10 @@ def _cmd_crossval(args) -> int:
 
     from . import compress, direct, iso, overlap, reduction, rewriting, sampling
 
+    if args.kappa < 2:
+        raise ValueError("kappa must be >= 2")
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = random.Random(args.seed)
     ran = dict.fromkeys(("root-subgraph", "cps-vs-direct", "negative-count", "classifier"), 0)
     bad = dict.fromkeys(ran, 0)

@@ -258,13 +258,11 @@ def realistic_decode(seq) -> Arrangement | None:
     explicit stack, returns to a choice a bounded number of times: O(kappa).
     """
     seq = tuple(seq)
-    if not is_legal(seq):
+    at = _occurrences(seq)  # the one pass over seq; its keys are the domain
+    if at is None:
         return None
-    dom = domain(seq)
-    kappa = len(dom) + 1
-    if kappa < 2 or dom != frozenset(range(2, kappa + 1)):
-        return None
-    if len(seq) != 2 * kappa - 2:
+    kappa = len(at) + 1
+    if kappa < 2 or at.keys() != set(range(2, kappa + 1)):
         return None
 
     # first pointer -> (k, block of Mk) in the order they are tried

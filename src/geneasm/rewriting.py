@@ -13,10 +13,16 @@ two adjacent negative vertices, toggling each outside pair that is seen
 an odd number of times across the two neighborhoods.
 
 The graph rules act on bitmask states (V, P, adj) over the slots of
-``OverlapGraph``, where each rule is one XOR per neighbour;
-``applicable_graph_rules``, ``apply_graph_rule`` and both searches share
-that one implementation, and name vertices by magnitude only in the rules
-they hand out.  The string searches find each string's occurrence
+``OverlapGraph``, where each rule is one XOR per neighbour and a slot
+tuple (kind, p, q) inside the module; ``applicable_graph_rules``,
+``apply_graph_rule`` and both searches share that one implementation, and
+only the ``Rule`` records they hand out name vertices by magnitude.  One
+memoized search decides all eight rule sets S of {gnr, gpr, gdr} at once:
+S is a 3-bit code (gnr 1, gpr 2, gdr 4), a state's answer is an 8-bit mask
+with bit code(S) set when S reduces it, and the walk follows a rule of
+kind k only for the sets it still wants that hold k.  The first
+``successful_in`` or ``successful_rule_sets`` call on a graph object stores
+that mask on it.  The string searches find each string's occurrence
 positions once and apply its rules without re-checking them.
 
 Reduction sequences are serialized in composition order (rightmost rule
@@ -26,9 +32,10 @@ applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 from . import pointers
-from .errors import CapError, ParseError
+from .errors import CapError, LegalityError, ParseError
 from .overlap import OverlapGraph, _slot_masks, bits
 from .record import Record
 
@@ -60,10 +67,10 @@ class Rule(Record):
         return f"{self.kind}_{{{self.params[0]},{self.params[1]}}}"
 
 
-def _check_kinds(kinds, allowed):
+def _check_kinds(kinds, allowed: frozenset):
     kinds = frozenset(kinds)
-    if not kinds <= frozenset(allowed):
-        raise ValueError(f"unknown rule kinds {sorted(kinds - frozenset(allowed))}")
+    if not kinds <= allowed:
+        raise ValueError(f"unknown rule kinds {sorted(kinds - allowed)}")
     return kinds
 
 
@@ -110,14 +117,14 @@ def _string_successors(u, kinds):
 
 def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[Rule]:
     """Rules applicable to a legal string, deterministically ordered."""
-    kinds = _check_kinds(kinds, STRING_KINDS)
+    kinds = _check_kinds(kinds, ALL_STRING_RULES)
     u = tuple(u)
     return _string_rules(u, kinds, pointers.occurrence_index(u))  # raises unless u is legal
 
 
 def apply_string_rule(u, rule: Rule):
     """Apply one rule; the result is legal with a strictly smaller domain."""
-    kinds = _check_kinds((rule.kind,), STRING_KINDS)
+    kinds = _check_kinds((rule.kind,), ALL_STRING_RULES)
     u = tuple(u)
     at = pointers.occurrence_index(u)  # raises unless u is legal
     if rule not in _string_rules(u, kinds, at):
@@ -131,7 +138,7 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     Plain depth-first enumeration; per-string successor lists are memoized
     on the exact string so shared substructure is computed once.
     """
-    kinds = _check_kinds(kinds, STRING_KINDS)
+    kinds = _check_kinds(kinds, ALL_STRING_RULES)
     u = tuple(u)
     if len(pointers.domain(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
@@ -160,15 +167,27 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
 # ---------------------------------------------------------------------------
 # graph rules on bitmask states (V, P, adj): vertex mask, positive mask, and
 # adj[s] the neighbour mask of slot s (0 once s is removed), over the slots of
-# the OverlapGraph the search starts from; rules in a state name slots
+# the OverlapGraph the search starts from.  Inside the module a rule is a slot
+# tuple (kind index into GRAPH_KINDS, p, q), q None for gnr and gpr; a rule set
+# is a 3-bit code, bit k set when it holds GRAPH_KINDS[k]
+
+# the rule sets by size, each in GRAPH_KINDS order, as ``cli.SUBSET_ORDER``, and
+# their codes; an 8-bit mask of rule sets has bit code(S) set for each S in it
+_SET_ORDER = tuple(frozenset(s) for r in range(4) for s in combinations(GRAPH_KINDS, r))
+_CODE = {kinds: sum(1 << GRAPH_KINDS.index(name) for name in kinds) for kinds in _SET_ORDER}
+_ALL_SETS = 0xFF
+# _WITH[k]: the sets that hold GRAPH_KINDS[k]; gnr is in the sets with odd codes
+_WITH = (0xAA, 0xCC, 0xF0)
+
 
 def _graph_state(g: OverlapGraph):
     return g.vertex_mask, g.positive_mask, g.neighbor_masks
 
 
-def _named(rule: Rule, order) -> Rule:
-    """The rule with its slots replaced by the magnitudes of the vertices in them."""
-    return Rule(rule.kind, tuple(order[s - 2] for s in rule.params))
+def _named(rule, order) -> Rule:
+    """The slot tuple as a Rule on the magnitudes of the vertices in its slots."""
+    k, p, q = rule
+    return Rule(GRAPH_KINDS[k], (order[p - 2],) if q is None else (order[p - 2], order[q - 2]))
 
 
 def _overlap_of(state, order) -> OverlapGraph:
@@ -185,31 +204,31 @@ def _overlap_of(state, order) -> OverlapGraph:
     return OverlapGraph._from_masks(tuple(order[s - 2] for s in kept), moved(positive), masks)
 
 
-def _graph_rules(state, kinds) -> list[Rule]:
-    """Applicable rules: gnr, then gpr, then gdr in sorted edge order."""
+def _graph_rules(state, kinds: int) -> list[tuple]:
+    """Applicable rules of the kinds in the code: gnr, then gpr, then gdr in sorted edge order."""
     vertices, positive, adj = state
     negative = vertices & ~positive
     out = []
-    if "gnr" in kinds:
-        out += [Rule("gnr", (p,)) for p in bits(negative) if not adj[p]]
-    if "gpr" in kinds:
-        out += [Rule("gpr", (p,)) for p in bits(positive)]
-    if "gdr" in kinds:
+    if kinds & 1:
+        out += [(0, p, None) for p in bits(negative) if not adj[p]]
+    if kinds & 2:
+        out += [(1, p, None) for p in bits(positive)]
+    if kinds & 4:
         for p in bits(negative):
-            above = -(2 << p)  # the bits of q > p
-            out += [Rule("gdr", (p, q)) for q in bits(adj[p] & negative & above)]
+            partners = adj[p] & negative & -(2 << p)  # the negative neighbours q > p
+            if partners:
+                out += [(2, p, q) for q in bits(partners)]
     return out
 
 
-def _graph_step(state, rule: Rule):
+def _graph_step(state, kind: int, p: int, q):
     """Apply a rule known to be applicable to the state."""
     vertices, positive, adj = state
-    if rule.kind == "gnr":  # p is isolated, so only its vertex bit goes
-        return vertices & ~(1 << rule.params[0]), positive, adj
+    if kind == 0:  # p is isolated, so only its vertex bit goes
+        return vertices & ~(1 << p), positive, adj
     adj = list(adj)
-    if rule.kind == "gpr":
+    if kind == 1:
         # local complementation at p: toggle every pair of neighbours, flip their signs
-        (p,) = rule.params
         nbrs, keep = adj[p], ~(1 << p)
         for x in bits(nbrs):
             adj[x] = (adj[x] ^ nbrs ^ (1 << x)) & keep
@@ -217,7 +236,6 @@ def _graph_step(state, rule: Rule):
         return vertices & keep, (positive & keep) ^ nbrs, tuple(adj)
     # toggle x-y when x is in N(p) and y in N(q), or the other way round; a
     # vertex in both receives N(p) ^ N(q), in which its own bit cancels
-    p, q = rule.params
     np_, nq = adj[p], adj[q]
     keep = ~((1 << p) | (1 << q))
     for x in bits((np_ | nq) & keep):
@@ -232,25 +250,29 @@ def _graph_step(state, rule: Rule):
 
 
 def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[Rule]:
-    rules = _graph_rules(_graph_state(g), _check_kinds(kinds, GRAPH_KINDS))
+    rules = _graph_rules(_graph_state(g), _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)])
     return [_named(rule, g.vertex_order) for rule in rules]
 
 
 def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:
     state = _graph_state(g)
-    kinds = _check_kinds((rule.kind,), GRAPH_KINDS)
+    kinds = _CODE[_check_kinds((rule.kind,), ALL_GRAPH_RULES)]
     in_slots = {_named(r, g.vertex_order): r for r in _graph_rules(state, kinds)}
     if rule not in in_slots:
         raise ValueError(f"rule {rule} is not applicable")
-    return _overlap_of(_graph_step(state, in_slots[rule]), g.vertex_order)
+    return _overlap_of(_graph_step(state, *in_slots[rule]), g.vertex_order)
+
+
+def _check_graph_cap(g: OverlapGraph, max_kappa) -> None:
+    if len(g.vertex_order) + 1 > max_kappa:
+        raise CapError(f"kappa exceeds the search cap {max_kappa}")
 
 
 def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kappa=DEFAULT_GRAPH_KAPPA_CAP):
     """Yield every rule sequence (application order) reducing g to the empty graph."""
-    kinds = _check_kinds(kinds, GRAPH_KINDS)
-    if len(g.vertices) + 1 > max_kappa:
-        raise CapError(f"kappa exceeds the search cap {max_kappa}")
-    prefix: list[Rule] = []
+    kinds = _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)]
+    _check_graph_cap(g, max_kappa)
+    prefix: list[tuple] = []
 
     def walk(state):
         if not state[0]:
@@ -258,36 +280,84 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
             return
         for rule in _graph_rules(state, kinds):
             prefix.append(rule)
-            yield from walk(_graph_step(state, rule))
+            yield from walk(_graph_step(state, *rule))
             prefix.pop()
 
     yield from walk(_graph_state(g))
 
 
-def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> bool:
-    """Exhaustive search decision, memoized on the exact bitmask state.
+def _success_mask(g: OverlapGraph) -> int:
+    """The 8-bit mask of the rule sets that reduce g, bit ``_CODE[S]`` for S: one search.
 
-    A canonical form would also merge isomorphic states, but computing it
-    at every node costs more than the repeated searches it saves.
+    ``walk(state, want)`` decides the sets in ``want`` for a state.  A rule
+    of kind k helps exactly the sets that hold k, so it is followed only for
+    the wanted sets with k not yet found successful, and the walk stops once
+    every wanted set is found.  The memo holds (decided, succeeded) masks per
+    state; every rule removes a vertex, so no state is met again while it is
+    being decided, and an entry is final for the sets it has decided.  A
+    state met again for more sets is searched for those only.
+
+    An isolated negative vertex needs no choice: no rule but its own gnr
+    removes it, and no other rule touches it (gpr and gdr act on neighbours
+    only), so a state with one is reduced by exactly the sets with gnr that
+    reduce it without that vertex.  So the walk always lists the gnr rules,
+    which come first, and the first of them, if any, is its only branch.
     """
-    kinds = _check_kinds(kinds, GRAPH_KINDS)
-    if len(g.vertices) + 1 > max_kappa:
-        raise CapError(f"kappa exceeds the search cap {max_kappa}")
-    memo: dict[tuple, bool] = {}
+    memo: dict[tuple, tuple[int, int]] = {}
 
-    def walk(state):
+    def walk(state, want):
         if not state[0]:
-            return True
-        if state in memo:
-            return memo[state]
-        memo[state] = False
-        for rule in _graph_rules(state, kinds):
-            if walk(_graph_step(state, rule)):
-                memo[state] = True
-                break
-        return memo[state]
+            return _ALL_SETS
+        decided, found = memo.get(state, (0, 0))
+        left = want & ~decided & ~found
+        if not left:
+            return found
+        rules = _graph_rules(state, 1 | (left & _WITH[1] and 2) | (left & _WITH[2] and 4))
+        if rules and rules[0][0] == 0:
+            if left & _WITH[0]:
+                found |= walk(_graph_step(state, *rules[0]), left & _WITH[0]) & _WITH[0]
+        else:
+            for k, p, q in rules:
+                sub = left & _WITH[k] & ~found
+                if sub:
+                    found |= walk(_graph_step(state, k, p, q), sub) & _WITH[k]
+                    if not left & ~found:
+                        break
+        memo[state] = decided | want, found
+        return found
 
-    return walk(_graph_state(g))
+    mask = g._rule_set_mask
+    if mask is None:
+        mask = walk(_graph_state(g), _ALL_SETS)
+        # in the instance dict, as cached_property stores; not a field, so == and hash ignore it
+        object.__setattr__(g, "_rule_set_mask", mask)
+    return mask
+
+
+def successful_rule_sets(g: OverlapGraph, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> list[frozenset]:
+    """The rule sets S of {gnr, gpr, gdr} that reduce g to the empty graph.
+
+    In the order of ``cli.SUBSET_ORDER``: by size, then gnr < gpr < gdr.
+    """
+    _check_graph_cap(g, max_kappa)
+    mask = _success_mask(g)
+    return [kinds for kinds in _SET_ORDER if mask >> _CODE[kinds] & 1]
+
+
+def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> bool:
+    """Exhaustive search decision: does some sequence of rules in ``kinds`` reduce g?
+
+    One search decides all eight rule sets at once (see ``_success_mask``):
+    a set is a 3-bit code (gnr 1, gpr 2, gdr 4) and a state's answer an
+    8-bit mask with bit ``code`` set when the set reduces it, so the empty
+    graph answers 0xFF and S = {} fails on every other graph.  The first
+    call on a graph object stores the mask on it, so the eight calls of a
+    classifier check cost one search; the kinds and the cap are checked on
+    every call.
+    """
+    code = _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)]
+    _check_graph_cap(g, max_kappa)
+    return bool(_success_mask(g) >> code & 1)
 
 
 def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) -> bool:
@@ -297,7 +367,7 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
     constructed reduction graph; connectivity of that graph is the only
     global ingredient the classification needs.
     """
-    kinds = _check_kinds(kinds, GRAPH_KINDS)
+    kinds = _check_kinds(kinds, ALL_GRAPH_RULES)
     connected = reduction_components == 1
     components = g.component_masks
     positive = g.positive_mask
@@ -326,9 +396,9 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
 def predicted_negative_rule_count(x) -> int:
     """Component count of the associated reduction graph, minus one.
 
-    Accepts a non-empty legal string (string side) or a realistic overlap
-    graph (graph side; a vertex set other than {2..kappa} raises
-    ``RealismError``).
+    Accepts a non-empty legal string (string side; the empty string raises
+    ``LegalityError``) or a realistic overlap graph (graph side; a vertex
+    set other than {2..kappa} raises ``RealismError``).
     """
     from . import direct, reduction
 
@@ -336,7 +406,7 @@ def predicted_negative_rule_count(x) -> int:
         return direct.direct_reduction_graph(x).component_count() - 1
     seq = tuple(x)
     if not seq:
-        raise ValueError("prediction is undefined for the empty string")
+        raise LegalityError("the empty string has no negative-rule prediction")
     return reduction.ReductionGraph(seq).component_count() - 1
 
 

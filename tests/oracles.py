@@ -569,6 +569,34 @@ def successful_in(g, kinds):
     return walk(g)
 
 
+def successful_in_per_set(g, kinds):
+    """The search ``rewriting.successful_in`` ran before one search decided all eight sets.
+
+    One walk per rule set over the package's bitmask states, memoized on
+    the exact state, with the package's own rule listing and steps (which
+    the edge-set rules above check); it is the reference for how the one
+    search propagates the sets it still wants, not for the rules.
+    """
+    from geneasm import rewriting
+
+    code = rewriting._CODE[frozenset(kinds)]
+    memo = {}
+
+    def walk(state):
+        if not state[0]:
+            return True
+        if state in memo:
+            return memo[state]
+        memo[state] = False
+        for rule in rewriting._graph_rules(state, code):
+            if walk(rewriting._graph_step(state, *rule)):
+                memo[state] = True
+                break
+        return memo[state]
+
+    return walk(rewriting._graph_state(g))
+
+
 # ---------------------------------------------------------------------------
 # canonical forms: least rotation by comparing every rotation, isomorphism
 # by exhaustive label-respecting bijection search, and their test inputs

@@ -27,13 +27,20 @@ def signed_sequences(max_size=10):
 
 
 @st.composite
+def arrangements(draw, min_kappa=2, max_kappa=8):
+    """Micronuclear arrangements: the segments 1..kappa in any order, each inverted at random."""
+    kappa = draw(st.integers(min_kappa, max_kappa))
+    order = draw(st.permutations(range(1, kappa + 1)))
+    inverted = draw(st.lists(st.booleans(), min_size=kappa, max_size=kappa))
+    return tuple(-k if inv else k for k, inv in zip(order, inverted))
+
+
+@st.composite
 def graphs_on_domain(draw, max_kappa=14):
     """Signed graphs on {2..kappa}: half encode an arrangement, half are random."""
     kappa = draw(st.integers(2, max_kappa))
     if draw(st.booleans()):
-        order = draw(st.permutations(range(1, kappa + 1)))
-        inverted = draw(st.lists(st.booleans(), min_size=kappa, max_size=kappa))
-        arr = tuple(-k if inv else k for k, inv in zip(order, inverted))
+        arr = draw(arrangements(kappa, kappa))
         return overlap.overlap_graph(pointers.encode_arrangement(arr))
     vertices = range(2, kappa + 1)
     pairs = list(combinations(vertices, 2))

@@ -38,8 +38,16 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])
-    # layer table: header, rule, one row per kappa; CLI table: header, rule, one row per command
-    assert capsys.readouterr().out.count("\n") == 4 + 2 + len(bench.CLI_COMMANDS)
+    # the search row: all eight rule sets, on a fresh graph per repeat
+    assert bench.SEARCH_KAPPAS == (6, 8, 10, 12)
+    assert [(r["layer"], r["kappa"]) for r in report["search_rows"]] == [
+        (bench.SEARCH_ROW, kappa) for kappa in bench.SEARCH_KAPPAS
+    ]
+    assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["search_rows"])
+    # layer, search and CLI tables: header, rule, one row per kappa or command
+    assert capsys.readouterr().out.count("\n") == (
+        4 + 2 + len(bench.SEARCH_KAPPAS) + 2 + len(bench.CLI_COMMANDS)
+    )
 
 
 def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
@@ -48,7 +56,26 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert all(r["calls"] == 1 for r in rows if r["kappa"] == 4)
     assert all("over 0.0 s at kappa 4" in r["skipped"] for r in rows if r["kappa"] == 8)
-    assert all(r["calls"] == 1 for r in json.loads(out.read_text())["cli_rows"])
+    report = json.loads(out.read_text())
+    assert all(r["calls"] == 1 for r in report["cli_rows"])
+    first, *rest = report["search_rows"]
+    assert first["calls"] == 1
+    assert all(r["skipped"] == "one call took over 0.0 s at kappa 6" for r in rest)
+
+
+def test_the_search_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
+    stored = []
+    search = bench.rewriting.successful_in
+
+    def successful_in(g, kinds, max_kappa):
+        stored.append(g._rule_set_mask is not None)
+        return search(g, kinds, max_kappa=max_kappa)
+
+    monkeypatch.setattr(bench.rewriting, "successful_in", successful_in)
+    rows = bench.measure_search(repeat=3, budget=10, kappas=(6,))
+    assert rows[0]["calls"] == 3
+    # each repeat's first call meets a graph with no stored answer, its other seven one
+    assert stored == ([False] + [True] * 7) * 3
 
 
 def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatch):

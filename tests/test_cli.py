@@ -57,8 +57,9 @@ class TestBasicVerbs:
         assert (code, out) == (0, "2\n")
         code, out, _ = run(["count-negative", "--string", "72673456-3-245"])
         assert (code, out) == (0, "1\n")
-        code, _, _ = run(["count-negative", "--string", ""])
-        assert code == 3
+        assert run(["count-negative", "--string="]) == (
+            3, "", "error: the empty string has no negative-rule prediction\n"
+        )
 
     def test_overlap_dot_golden(self):
         code, out, _ = run(["overlap", "2323", "--format", "dot"])
@@ -484,6 +485,17 @@ class TestSeededVerbs:
             assert kappa == f"kappa={pointers.kappa_of(seq)}"
             assert run(["components", "--", text])[0] == 0
             assert run(["classify", f"--string={text}"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["crossval", "--seed", "1", "--kappa", "1"], "kappa must be >= 2"),
+         (["crossval", "--seed", "1", "--kappa", "0"], "kappa must be >= 2"),
+         (["crossval", "--seed", "1", "--trials", "-3"], "trials must be >= 0"),
+         (["random", "--seed", "1", "--kappa", "1"], "kappa must be >= 2"),
+         (["random", "--seed", "1", "--count", "-1"], "count must be >= 0")],
+    )
+    def test_bad_sizes_exit_2_with_one_error_line(self, argv, message):
+        assert run(argv) == (2, "", f"error: {message}\n")
 
     def test_crossval_deterministic(self):
         a = run(["crossval", "--seed", "9", "--trials", "8", "--kappa", "6"])

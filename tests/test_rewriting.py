@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import oracles
 import strategies
 from geneasm import overlap, pointers, reduction, rewriting
-from geneasm.errors import CapError, ParseError
+from geneasm.errors import CapError, LegalityError, ParseError
 from geneasm.rewriting import Rule
 
 
@@ -102,7 +102,7 @@ class TestNegativeRuleCounts:
         assert rewriting.predicted_negative_rule_count((2, -2)) == 0
 
     def test_rejects_empty_string(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LegalityError, match="^the empty string has no negative-rule prediction$"):
             rewriting.predicted_negative_rule_count(())
 
     def test_graph_side_requires_contiguous_domain(self):
@@ -367,3 +367,74 @@ class TestAgainstOracles:
             for kinds in TestSuccessfulness.SUBSETS:
                 got = [_plain(seq) for seq in rewriting.successful_graph_reductions(g, kinds)]
                 assert got == oracles.successful_graph_reductions(g, kinds)
+
+
+class TestOneSearchForEverySet:
+    """``successful_rule_sets`` and the mask it stores, against the per-set search it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.graphs_on_domain(max_kappa=8))
+    def test_matches_the_per_set_search_and_the_oracle(self, g):
+        sets = rewriting.successful_rule_sets(g, max_kappa=8)
+        assert sets == [s for s in TestSuccessfulness.SUBSETS
+                        if oracles.successful_in_per_set(g, s)]
+        if len(g.vertices) + 1 <= 5:
+            assert sets == [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in(g, s)]
+
+    def test_a_state_met_again_for_more_sets_is_searched_for_them(self):
+        # the walk meets some state first for a few sets and later for more; a memo
+        # that took the first visit as final for every set misses a successful one here
+        g = overlap.OverlapGraph(range(2, 7), {3, 4, 5, 6},
+                                 {(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)})
+        assert rewriting.successful_rule_sets(g) == [
+            s for s in TestSuccessfulness.SUBSETS if oracles.successful_in_per_set(g, s)
+        ]
+
+    def test_order_is_the_cli_subset_order(self):
+        from geneasm import cli
+
+        g = gamma("2233")  # two isolated negative vertices: every set with gnr succeeds
+        assert rewriting.successful_rule_sets(g) == [
+            frozenset(s) for s in cli.SUBSET_ORDER if "gnr" in s
+        ]
+        assert rewriting.successful_rule_sets(gamma("")) == TestSuccessfulness.SUBSETS
+
+    def test_equal_graphs_built_separately_each_get_their_answer(self):
+        g1, g2 = gamma("453475623267"), gamma("453475623267")
+        other = gamma("72673456-3-245")
+        assert g1 == g2 and g1 is not g2
+        want = [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in_per_set(g1, s)]
+        want_other = [s for s in TestSuccessfulness.SUBSETS
+                      if oracles.successful_in_per_set(other, s)]
+        assert want != want_other
+        assert rewriting.successful_rule_sets(g1) == want
+        # the answer is stored on the graph asked, not in a table an equal graph reads
+        assert g1._rule_set_mask is not None and g2._rule_set_mask is None
+        # and it is not a field: equality and hashing ignore it
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert rewriting.successful_rule_sets(other) == want_other
+        assert rewriting.successful_rule_sets(g2) == want
+        for s in TestSuccessfulness.SUBSETS:
+            assert rewriting.successful_in(g1, s) == (s in want)
+            assert rewriting.successful_in(other, s) == (s in want_other)
+
+    def test_stored_answer_keeps_the_cap_and_kinds_checks(self):
+        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 9))))
+        assert rewriting.successful_in(g, {"gnr", "gdr"}, max_kappa=8)
+        with pytest.raises(CapError):
+            rewriting.successful_in(g, {"gnr", "gdr"})
+        with pytest.raises(CapError):
+            rewriting.successful_rule_sets(g, max_kappa=7)
+        with pytest.raises(ValueError):
+            rewriting.successful_in(g, {"gnr", "nope"}, max_kappa=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.arrangements(max_kappa=7))
+def test_classifier_equals_search_on_encoded_arrangements(arr):
+    from geneasm import direct
+
+    g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+    comps = direct.direct_reduction_graph(g).component_count()
+    for kinds in TestSuccessfulness.SUBSETS:
+        assert rewriting.successful_in_classifier(g, kinds, comps) == rewriting.successful_in(g, kinds)
