@@ -1,5 +1,6 @@
-"""Time each layer of the string-side pipeline on its own, over a kappa ladder,
-the GPRS search over all eight rule sets, and the short CLI verbs in fresh processes.
+"""Time each layer of the string-side pipeline and the realism decision on its own,
+over a kappa ladder, the GPRS search over all eight rule sets, and the short CLI
+verbs and ``check-realism --graph`` in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048 8192] [--out FILE]
@@ -15,6 +16,7 @@ each on inputs built beforehand:
     overlap_graph                   the parsed string
     emit_overlap_json               the overlap graph
     parse_overlap_json              the overlap graph's JSON
+    is_realistic_overlap            the overlap graph (realistic, as it encodes a string)
     ReductionGraph                  the parsed string
     cps                             the reduction graph
     direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
@@ -46,7 +48,10 @@ The CLI rows time whole fresh processes, with the same best-of rule:
 ``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
 and ``python -m geneasm.cli VERB ...`` for each short verb on inputs drawn
 from ``random.Random(SEED)`` at kappa 8.  What a verb costs over the bare
-interpreter is its imports plus its work.  The results go to
+interpreter is its imports plus its work.  ``check-realism --graph`` also
+runs on a JSON file holding the overlap graph of the realistic string that
+``random.Random(SEED)`` draws first at each kappa of ``CLI_GRAPH_KAPPAS``;
+there parsing the JSON costs more than deciding realism.  The results go to
 ``BENCH_layers.json`` at the repository root (or ``--out``) with the Python
 version, core count, git SHA and seed, and a table is printed.
 """
@@ -76,6 +81,7 @@ LADDER = (8, 32, 128, 512, 2048, 8192)
 SEARCH_KAPPAS = (6, 8, 10, 12)
 SEARCH_ROW = "successful_in, 8 sets"
 CLI_KAPPA = 8
+CLI_GRAPH_KAPPAS = (512, 2048)
 CLI_COMMANDS = (
     "python -c pass",
     "import geneasm.cli",
@@ -89,6 +95,7 @@ CLI_COMMANDS = (
     "direct",
     "iso-check",
     "check-realism",
+    *(f"check-realism --graph at kappa {kappa}" for kappa in CLI_GRAPH_KAPPAS),
 )
 LAYERS = (
     "parse_pointer_string",
@@ -97,6 +104,7 @@ LAYERS = (
     "overlap_graph",
     "emit_overlap_json",
     "parse_overlap_json",
+    "is_realistic_overlap",
     "ReductionGraph",
     "cps",
     "direct_reduction_graph",
@@ -123,6 +131,7 @@ def cases(u):
         "emit_overlap_json": (overlap.emit_overlap_json, graph),
         "parse_overlap_json": (overlap.parse_overlap_json,
                                lambda: overlap.emit_overlap_json(graph())),
+        "is_realistic_overlap": (overlap.is_realistic_overlap, graph),
         "ReductionGraph": (reduction.ReductionGraph, lambda: u),
         "cps": (compress.cps, rg),
         "direct_reduction_graph": (direct.direct_reduction_graph, graph),
@@ -176,6 +185,12 @@ def cli_argvs(kappa, workdir):
         "iso-check": ["iso-check", "--strings", *files],
         "check-realism": ["check-realism", "--string=" + text],
     }
+    for size in CLI_GRAPH_KAPPAS:
+        g = overlap.overlap_graph(sampling.random_realistic_string(random.Random(SEED), size))
+        path = os.path.join(workdir, f"graph-{size}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(overlap.emit_overlap_json(g))
+        verbs[f"check-realism --graph at kappa {size}"] = ["check-realism", "--graph=@" + path]
     python = [sys.executable]
     argvs = {"python -c pass": python + ["-c", "pass"],
              "import geneasm.cli": python + ["-c", "import geneasm.cli"]}

@@ -3,8 +3,8 @@
 One verb per invocation; output is deterministic for a fixed seed.  Exit
 codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
-violation, 6 input over a cap (the realism cap, ``--max-kappa`` or
-``GENEASM_MAX_KAPPA``; ``direct.MAX_DIRECT_KAPPA``) or a bad cap setting.
+violation, 6 input over a cap (``direct.MAX_DIRECT_KAPPA`` on
+direct-construction JSON, or a rewriting search cap).
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.  An error prints one
 ``error:`` line; its exit code comes from one table, ``_EXIT_CODES``, and
@@ -14,10 +14,10 @@ option value (``--graph=``; ``--string=--``, which argparse reads as none).
 ``direct``, ``count-negative`` and ``classify`` need a realistic overlap
 graph: on ``--graph`` input they decide realism first and exit 4 with
 ``overlap graph is not realistic`` if it is not (a vertex set other than
-{2..kappa} included), or 6 over the realism cap.  The verbs that take a
-pointer string as a positional argument accept one that starts with a
-barred pointer, as in ``geneasm components -3-223``; ``--`` before it
-still works.
+{2..kappa} included).  Realism is decided by reconstruction, with no
+search and no cap on kappa.  The verbs that take a pointer string as a
+positional argument accept one that starts with a barred pointer, as in
+``geneasm components -3-223``; ``--`` before it still works.
 
 Only the modules a verb runs are imported: each verb imports its own at
 call time, and the package loads its submodules on first use, so
@@ -91,11 +91,11 @@ def _overlap_graph_arg(args):
 
 
 def _realistic_graph_arg(args):
-    """The ``--graph`` overlap graph, which must be realistic (exit 4; exit 6 over the cap)."""
+    """The ``--graph`` overlap graph, which must be realistic (exit 4)."""
     from . import overlap
 
     g = overlap.parse_overlap_json(_read_source(args.graph))
-    overlap.require_realistic(g, max_kappa=args.max_kappa)
+    overlap.require_realistic(g)
     return g
 
 
@@ -276,10 +276,10 @@ def _cmd_classify(args) -> int:
     if args.graph is not None:
         g = _realistic_graph_arg(args)
     else:
-        seq = _legal_string_arg(args.string)
+        seq = _parse_string_arg(args.string)
+        g = overlap.overlap_graph(seq)  # its occurrence index is the legality check
         if not pointers.is_realistic(seq):
             raise RealismError("classification needs a realistic string")
-        g = overlap.overlap_graph(seq)
     comps = direct.direct_reduction_graph(g).component_count()
     for kinds in SUBSET_ORDER:
         verdict = rewriting.successful_in_classifier(g, kinds, comps)
@@ -290,8 +290,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check_realism(args) -> int:
     from . import overlap
 
-    return _emit_witness(overlap.is_realistic_overlap(_overlap_graph_arg(args),
-                                                      max_kappa=args.max_kappa))
+    return _emit_witness(overlap.is_realistic_overlap(_overlap_graph_arg(args)))
 
 
 def _cmd_random(args) -> int:
@@ -361,13 +360,10 @@ def _cmd_crossval(args) -> int:
 # argument parsing
 
 def _graph_or_string(p, string_help) -> None:
-    """The input of the overlap-graph verbs: ``--graph`` or ``--string``, and the realism cap."""
+    """The input of the overlap-graph verbs: ``--graph`` or ``--string``."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="overlap graph JSON (@file, -, or literal)")
     src.add_argument("--string", help=string_help)
-    p.add_argument("--max-kappa", type=int, default=None,
-                   help="largest kappa the realism search takes "
-                        "(default: GENEASM_MAX_KAPPA, else 12)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

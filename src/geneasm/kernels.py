@@ -1,4 +1,4 @@
-"""Exact realism decision by pruned depth-first search over arrangements.
+"""Exact realism decision by reconstructing the witness arrangement.
 
 A signed graph on {2..kappa} is realistic when some arrangement of the
 segments 1..kappa, each possibly inverted, encodes to a string with that
@@ -9,26 +9,46 @@ and p, and an inverted segment reverses and bars its pointers.
 Witness contract: the arrangement returned is the first one in the order
 of a full scan -- permutations of 1..kappa in lexicographic order, then
 inversion masks as ascending integers, bit t inverting the segment in
-slot t.  The search reaches it without visiting the rest:
+slot t.  ``tests/oracles.py`` keeps that scan, and the pruned search this
+module used to run, as references.
 
-* Signs fix the inversions.  p is positive exactly when one of its two
-  segments is inverted, so the inversions of all segments follow from
-  that of segment 1.  Each permutation has two candidate masks, and a
-  search node carries the candidates (at most two) still consistent with
-  the graph, so no flip choice can hide a smaller permutation.
-* Segment 1 is fixed in slot 0.  Rotating an arrangement rotates its
-  string, which keeps every overlap and every sign, so whenever some
-  permutation has a witness, the first permutation with one starts
-  with 1.
-* Pruning.  Permutation prefixes are extended in lexicographic order.
-  When the second occurrence of p is placed, the magnitudes occurring
-  once between its two occurrences are the XOR of the prefix masks
-  (the trick ``overlap.overlap_graph`` uses) and must equal p's
-  neighbour mask.
+Proof that the reconstruction finds exactly the witnesses with segment 1
+in slot 0, in O(kappa) big-int steps:
 
-The first permutation that completes is therefore the scan's first
-permutation with a witness, and its smaller surviving mask the scan's
-mask.  ``tests/oracles.py`` keeps the full scan as the reference.
+* Inversions.  p is positive exactly when one of its segments p - 1 and
+  p is inverted.  With segment 1 not inverted, inv[m] = inv[m - 1] XOR
+  [m is positive] fixes every inversion.
+* T_p.  Between the two occurrences of p lie part of segment p - 1, the
+  whole segments T_p in the slots strictly between p - 1 and p, and part
+  of segment p.  Going forward (p - 1 before p), the parts are p - 1
+  after p when segment p - 1 is inverted (p - 1 >= 2), and p + 1 before
+  p when segment p is inverted (p + 1 <= kappa); going backward they are
+  the complement of those two bits.  So D = N(p) XOR partial is the XOR
+  of the blocks {m, m + 1} of the segments of T_p, and segment 1, in
+  slot 0, is never in T_p.  Bit j of D is then [j - 1 in T_p] XOR
+  [j in T_p], and T_p is the prefix XOR of D (``d ^= d << s`` for s = 1,
+  2, 4, ...): one T_p per direction.
+* Direction.  The true T_p leaves out p - 1, so D has an even number of
+  bits below p, and p is not in N(p), so T_p leaves out p too.  The two
+  directions differ by bit p - 1 (for p >= 3), which flips that parity:
+  exactly one direction can hold.  At p = 2 it is forward, since segment
+  1 is first.  So slot(p) = slot(p - 1) +/- (|T_p| + 1) is forced.
+* Soundness.  If the slots form a permutation and, for every p, the
+  segments in the slots strictly between p - 1 and p are T_p, then each
+  p sees N(p) between its occurrences with the sign g gives it: the
+  arrangement encodes to g, with no re-encode needed.
+* The twin.  Reversing and inverting the whole string keeps every overlap
+  and every sign, and so does rotating it (overlap is interleaving on a
+  circle).  So the mirror (-a1, -a_kappa, ..., -a2) of the witness
+  (a1, ..., a_kappa) found is the one witness with segment 1 first and
+  inverted.  Every witness rotates to one of the two, so the first
+  permutation with a witness starts with 1, and the scan's first witness
+  is the smaller of the two by (unsigned permutation, inversion mask).
+
+Counting: the (kappa - 1)! * 2^kappa signed arrangements with segment 1
+first each encode to a realistic graph, and each realistic graph has
+exactly these two of them, so realistic graphs on {2..kappa} number
+(kappa - 1)! * 2^(kappa - 1).
 """
 
 from __future__ import annotations
@@ -47,63 +67,39 @@ def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
     ``neighbor_masks`` of an ``OverlapGraph`` on {2..kappa}, where slot and
     magnitude agree); positive_mask has bit p set for every positive p.
     """
-    adjacency = [0] * (kappa + 2)
-    for p in range(2, kappa + 1):
-        adjacency[p] = adjacency_masks[p]
-    # inverted[c][m]: is segment m inverted in candidate c (c = inversion of segment 1)
-    inverted = [[0, 0]]
+    inverted = [0, 0]  # inverted[m] for segment m, segment 1 not inverted
     for m in range(2, kappa + 1):
-        inverted[0].append(inverted[0][-1] ^ ((positive_mask >> m) & 1))
-    inverted.append([f ^ 1 for f in inverted[0]])
-
-    def segment_pointers(m):
-        if m == 1:
-            return (2,)
-        if m == kappa:
-            return (kappa,)
-        return (m, m + 1)
-
-    # blocks[c][m]: (p, bit of p, bit of p's other segment) in string order
-    blocks = ([()], [()])
-    for m in range(1, kappa + 1):
-        for c in (0, 1):
-            order = segment_pointers(m)[::-1] if inverted[c][m] else segment_pointers(m)
-            blocks[c].append(tuple((p, 1 << p, 1 << (p - 1 if p == m else p)) for p in order))
-    block_mask = [0] + [sum(1 << p for p in segment_pointers(m)) for m in range(1, kappa + 1)]
-    # opened[c][p]: prefix mask just after the first occurrence of p in candidate c;
-    # a branch writes it before reading it, so backtracking needs no undo
-    opened = ([0] * (kappa + 2), [0] * (kappa + 2))
-    perm = [1]
-
-    def place(c, m, seen, placed):
-        """Append segment m under candidate c; False if a pointer it closes fails."""
-        first = opened[c]
-        for p, bit, other in blocks[c][m]:
-            if placed & other:
-                if seen ^ first[p] != adjacency[p]:
-                    return False
-            else:
-                first[p] = seen ^ bit
-            seen ^= bit
-        return True
-
-    def search(seen, placed, alive):
-        """Inversion mask of the first completion of perm, or None."""
-        if len(perm) == kappa:
-            return min(sum(inverted[c][k] << t for t, k in enumerate(perm)) for c in alive)
-        for m in range(2, kappa + 1):
-            if placed & (1 << m):
-                continue
-            survivors = [c for c in alive if place(c, m, seen, placed)]
-            if survivors:
-                perm.append(m)
-                inv = search(seen ^ block_mask[m], placed | (1 << m), survivors)
-                if inv is not None:
-                    return inv
-                perm.pop()
-        return None
-
-    inv = search(block_mask[1], 1 << 1, [c for c in (0, 1) if place(c, 1, 0, 0)])
-    if inv is None:
-        return None
-    return tuple(-k if (inv >> t) & 1 else k for t, k in enumerate(perm))
+        inverted.append(inverted[-1] ^ ((positive_mask >> m) & 1))
+    segments = (1 << (kappa + 1)) - 1
+    slot = [0] * (kappa + 1)
+    between = [0] * (kappa + 1)  # between[p]: T_p
+    for p in range(2, kappa + 1):
+        low = 1 << (p - 1) if p > 2 else 0
+        high = 1 << (p + 1) if p < kappa else 0
+        d = adjacency_masks[p] ^ (low if inverted[p - 1] else 0) ^ (high if inverted[p] else 0)
+        forward = not (d & ((1 << p) - 1)).bit_count() & 1
+        if not forward:
+            d ^= low | high
+        s = 1
+        while s < kappa:
+            d ^= d << s
+            s <<= 1
+        between[p] = d = d & segments
+        width = d.bit_count() + 1
+        slot[p] = slot[p - 1] + width if forward else slot[p - 1] - width
+    order = [0] * kappa  # order[t]: the segment in slot t
+    for m, t in enumerate(slot[1:], 1):
+        if not 0 <= t < kappa or order[t]:
+            return None
+        order[t] = m
+    prefix = [0]  # prefix[t]: the segments in slots < t
+    for m in order:
+        prefix.append(prefix[-1] | 1 << m)
+    for p in range(2, kappa + 1):
+        a, b = sorted((slot[p - 1], slot[p]))
+        if prefix[b] ^ prefix[a + 1] != between[p]:
+            return None
+    witness = tuple(-m if inverted[m] else m for m in order)
+    twin = (-witness[0],) + tuple(-k for k in reversed(witness[1:]))
+    return min(witness, twin, key=lambda w: ([abs(k) for k in w],
+                                             sum(1 << t for t, k in enumerate(w) if k < 0)))

@@ -1,26 +1,13 @@
-"""Signed overlap graphs of legal strings, with an exact realism decision."""
+"""Signed overlap graphs of legal strings, with an exact realism decision that needs no search."""
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from functools import cached_property
 
 from . import pointers
-from .errors import CapError, ParseError, RealismError
+from .errors import ParseError, RealismError
 from .record import Record
-
-DEFAULT_MAX_KAPPA = 12
-
-
-def _max_kappa_default() -> int:
-    value = os.environ.get("GENEASM_MAX_KAPPA", "")
-    if not value:
-        return DEFAULT_MAX_KAPPA
-    try:
-        return int(value)
-    except ValueError:
-        raise CapError(f"GENEASM_MAX_KAPPA must be an integer, got {value!r}") from None
 
 
 def bits(mask: int):
@@ -210,34 +197,24 @@ def overlap_graph(u) -> OverlapGraph:
     return OverlapGraph._from_masks(order, positive, masks)
 
 
-def is_realistic_overlap(g: OverlapGraph, max_kappa: int | None = None):
+def is_realistic_overlap(g: OverlapGraph):
     """A witness arrangement encoding to g, or None if g is not realistic.
 
-    The witness is the first arrangement in scan order (see ``kernels``),
-    found by a pruned depth-first search.  Graphs whose vertex set is not
-    exactly {2..kappa} are rejected immediately (encoded strings never have
-    domain gaps).  The search is exponential in the worst case, so kappa is
-    capped (default 12, overridable via the argument or GENEASM_MAX_KAPPA);
-    a larger graph raises CapError.
+    The witness is the first arrangement in scan order, reconstructed in
+    O(kappa) big-int steps with no search (see ``kernels``), so any kappa
+    is decided.  Graphs whose vertex set is not exactly {2..kappa} are
+    rejected immediately (encoded strings never have domain gaps).
     """
     from . import kernels
 
-    if max_kappa is None:
-        max_kappa = _max_kappa_default()
     if not g.contiguous_domain():
         return None
-    kappa = g.kappa()
-    if kappa > max_kappa:
-        raise CapError(
-            f"kappa={kappa} exceeds the realism cap {max_kappa}; "
-            "raise --max-kappa or GENEASM_MAX_KAPPA"
-        )
-    return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, kappa)
+    return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, g.kappa())
 
 
-def require_realistic(g: OverlapGraph, max_kappa: int | None = None):
+def require_realistic(g: OverlapGraph):
     """The witness of ``is_realistic_overlap``; ``RealismError`` if there is none."""
-    arr = is_realistic_overlap(g, max_kappa=max_kappa)
+    arr = is_realistic_overlap(g)
     if arr is None:
         raise RealismError("overlap graph is not realistic")
     return arr

@@ -30,11 +30,17 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert "occurrence_index" in bench.LAYERS
     # the scale benchmark's op calls both
     assert {"ReductionGraph.component_count", "is_rooted"} <= set(bench.LAYERS)
+    # the realism decision, on the realistic graph of each kappa's string
+    assert "is_realistic_overlap" in bench.LAYERS
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     assert report["cli_kappa"] == 8
     assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["cli_rows"])
+    # check-realism on graph JSON files, as fresh processes at large kappa; exit 0: realistic
+    assert bench.CLI_GRAPH_KAPPAS == (512, 2048)
+    assert bench.CLI_COMMANDS[-2:] == ("check-realism --graph at kappa 512",
+                                       "check-realism --graph at kappa 2048")
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])
@@ -92,3 +98,4 @@ def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatc
     assert all(r["best_ms"] == 30 for r in rows if r["kappa"] in (4, 5))
     assert all(r["skipped"] == "one call took 0.03 s at kappa 5, so growing with kappa "
                "squared it would take over 0.1 s at kappa 20" for r in rows if r["kappa"] == 20)
+

@@ -333,8 +333,15 @@ class TestPipelines:
         ]
 
     def test_classify_rejects_non_realistic(self):
-        code, _, err = run(["classify", "--string", "24535423"])
-        assert code == 4
+        assert run(["classify", "--string", "24535423"]) == (
+            4, "", "error: classification needs a realistic string\n"
+        )
+
+    def test_classify_rejects_non_legal(self):
+        # the overlap graph's occurrence index is the legality check, before realism
+        assert run(["classify", "--string", "232"]) == (
+            3, "", "error: not a legal string: '2 3 2'\n"
+        )
 
     def test_check_realism(self):
         code, out, _ = run(["check-realism", "--string", "24535423"])
@@ -384,13 +391,16 @@ class TestEdgeInputs:
             4, "", "error: overlap graph is not realistic\n"
         )
 
-    @pytest.mark.parametrize("verb", ["direct", "count-negative"])
-    def test_graph_input_max_kappa(self, verb):
+    @pytest.mark.parametrize("verb", ["direct", "count-negative", "classify", "check-realism"])
+    def test_graph_input_max_kappa(self, verb, capsys):
+        # realism has no cap, so --max-kappa is an unknown option on either input
         _, overlap_json, _ = run(["overlap", "453475623267"])
-        assert run([verb, "--graph", overlap_json.strip(), "--max-kappa", "7"])[0] == 0
-        code, out, err = run([verb, "--graph", overlap_json.strip(), "--max-kappa", "6"])
-        assert (code, out) == (6, "")
-        assert "kappa=7 exceeds the realism cap 6" in err
+        for source in (["--graph", overlap_json.strip()], ["--string", "453475623267"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([verb, *source, "--max-kappa", "7"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: unrecognized arguments: --max-kappa 7\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -580,25 +590,25 @@ class TestRealismCap:
         assert len(out.splitlines()) == 8
 
     @pytest.mark.parametrize("verb", ["check-realism", "classify", "direct", "count-negative"])
-    def test_kappa_13_graph_exceeds_the_cap(self, verb):
-        code, out, err = run([verb, "--graph", _discrete_graph_json(13)])
-        assert (code, out) == (6, "")
-        assert err == "error: kappa=13 exceeds the realism cap 12; raise --max-kappa or GENEASM_MAX_KAPPA\n"
-
-    def test_max_kappa_flag_lowers_the_cap(self):
-        code, _, err = run(["check-realism", "--string", self.KAPPA_9, "--max-kappa", "8"])
-        assert code == 6
-        assert "kappa=9 exceeds the realism cap 8" in err
+    def test_kappa_13_graph_is_decided(self, verb):
+        assert run([verb, "--graph", _discrete_graph_json(13)])[0] == 0
+        domain = range(2, 14)
+        star = json.dumps({"vertices": [{"p": p, "sign": "-"} for p in domain],
+                           "edges": [[2, q] for q in domain if q > 2]})
+        code, out, err = run([verb, "--graph", star])
+        assert code == 4
+        assert (out, err) == (("not-realistic\n", "") if verb == "check-realism" else
+                              ("", "error: overlap graph is not realistic\n"))
 
     def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("GENEASM_MAX_KAPPA", "13")
-        assert run(["check-realism", "--graph", _discrete_graph_json(13)])[0] == 0
+        # GENEASM_MAX_KAPPA is not read: no environment variable caps realism
         monkeypatch.setenv("GENEASM_MAX_KAPPA", "8")
-        assert run(["check-realism", "--string", self.KAPPA_9])[0] == 6
+        assert run(["check-realism", "--graph", _discrete_graph_json(13)]) == (
+            0, " ".join(f"M{k}" for k in range(1, 14)) + "\n", ""
+        )
+        assert run(["check-realism", "--string", self.KAPPA_9])[0] == 0
 
     @pytest.mark.parametrize("value", ["eight", "8.5", " "])
     def test_bad_env_value(self, monkeypatch, value):
         monkeypatch.setenv("GENEASM_MAX_KAPPA", value)
-        code, out, err = run(["check-realism", "--string", "22"])
-        assert (code, out) == (6, "")
-        assert err == f"error: GENEASM_MAX_KAPPA must be an integer, got {value!r}\n"
+        assert run(["check-realism", "--string", "22"]) == (0, "M1 M2\n", "")

@@ -1,6 +1,7 @@
-"""The realism search against the full scan it replaced (tests/oracles.py)."""
+"""The realism reconstruction against the full scan and the pruned search (tests/oracles.py)."""
 
 import random
+from math import factorial
 
 import oracles
 from geneasm import kernels, overlap, pointers
@@ -21,6 +22,12 @@ def _adjacency_inputs(g):
 def _scan(edges, positive, kappa):
     g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
     return kernels.scan_for_arrangement(*_adjacency_inputs(g))
+
+
+def _random_arrangement(rng, kappa):
+    entries = list(range(1, kappa + 1))
+    rng.shuffle(entries)
+    return tuple(-k if rng.random() < 0.5 else k for k in entries)
 
 
 def _toggles(edges, positive, kappa):
@@ -45,6 +52,17 @@ def test_every_graph_up_to_kappa_5_matches_full_scan():
         assert realistic == len(oracles.first_witnesses(kappa))
 
 
+def test_realistic_graphs_number_factorial_times_power_of_two():
+    # two witnesses with segment 1 first per realistic graph, out of (kappa - 1)! * 2^kappa
+    for kappa in range(2, 7):
+        assert len(oracles.first_witnesses(kappa)) == factorial(kappa - 1) * 2 ** (kappa - 1)
+    # every kappa-6 graph too, witness by witness: 128 of them pass the slot
+    # permutation check and fail only the between-sets check
+    realistic = sum(_assert_matches_full_scan(edges, positive, 6) is not None
+                    for edges, positive in oracles.signed_graphs(6))
+    assert realistic == factorial(5) * 2 ** 5
+
+
 def test_seeded_kappa_6_graphs_and_toggles_match_full_scan():
     rng = random.Random(6)
     realistic = sorted(oracles.first_witnesses(6), key=lambda key: (sorted(key[0]), sorted(key[1])))
@@ -55,6 +73,36 @@ def test_seeded_kappa_6_graphs_and_toggles_match_full_scan():
             found += _assert_matches_full_scan(*toggled, 6) is not None
     # toggles reach both realistic and non-realistic graphs
     assert 0 < found < 40 * 15
+
+
+def test_seeded_kappa_7_to_12_graphs_and_toggles_match_the_search():
+    rng = random.Random(712)
+    found = 0
+    for kappa in range(7, 13):
+        for _ in range(4):
+            g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
+            p, q = rng.sample(range(2, kappa + 1), 2)
+            for edges, positive in ((g.edges, g.positive),
+                                    (g.edges ^ {(min(p, q), max(p, q))}, g.positive),
+                                    (g.edges, g.positive ^ {p})):
+                inputs = _adjacency_inputs(
+                    overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges))
+                want = oracles.search_witness(*inputs)
+                assert kernels.scan_for_arrangement(*inputs) == want, (edges, positive)
+                found += want is not None
+    # the toggles reach non-realistic graphs
+    assert 24 <= found < 72
+
+
+def test_both_mirror_witnesses_encode_to_the_graph():
+    rng = random.Random(40)
+    for kappa in list(range(2, 13)) + [20, 40]:
+        g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
+        witness = _scan(g.edges, g.positive, kappa)
+        twin = (-witness[0],) + tuple(-k for k in reversed(witness[1:]))
+        assert abs(witness[0]) == 1 and witness != twin
+        for arr in (witness, twin):
+            assert overlap.overlap_graph(pointers.encode_arrangement(arr)) == g
 
 
 def test_scan_order_is_deterministic():
@@ -68,10 +116,7 @@ def test_witnesses_reencode_up_to_kappa_12():
     rng = random.Random(12)
     for kappa in range(7, 13):
         for _ in range(3):
-            entries = list(range(1, kappa + 1))
-            rng.shuffle(entries)
-            arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
-            g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+            g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
             witness = _scan(g.edges, g.positive, kappa)
             assert witness is not None and abs(witness[0]) == 1  # segment 1 leads
             assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g

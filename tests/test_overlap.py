@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from geneasm import overlap, pointers, rewriting, sampling
-from geneasm.errors import CapError, ParseError, RealismError
+from geneasm.errors import ParseError, RealismError
 
 
 def graph_of(text):
@@ -295,28 +295,30 @@ class TestRealismOracle:
             overlap.OverlapGraph(frozenset(), frozenset(), frozenset())
         ) is None
 
-    def test_kappa_cap(self):
-        u = pointers.encode_arrangement(tuple(range(1, 9)))
-        g = overlap.overlap_graph(u)
-        with pytest.raises(ValueError):
-            overlap.is_realistic_overlap(g, max_kappa=7)
-
-    def test_kappa_cap_env_override(self, monkeypatch):
-        u = pointers.encode_arrangement(tuple(range(1, 6)))
-        g = overlap.overlap_graph(u)
+    def test_large_kappa_is_decided(self, monkeypatch):
+        # no cap on kappa, and no environment variable sets one
         monkeypatch.setenv("GENEASM_MAX_KAPPA", "4")
-        with pytest.raises(ValueError):
-            overlap.is_realistic_overlap(g)
-        monkeypatch.setenv("GENEASM_MAX_KAPPA", "6")
-        assert overlap.is_realistic_overlap(g) is not None
+        rng = random.Random(2048)
+        for kappa in (13, 100, 2048):
+            g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
+            witness = overlap.require_realistic(g)
+            assert abs(witness[0]) == 1
+            assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
 
-    def test_kappa_cap_raises_cap_error(self, monkeypatch):
-        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 14))))
-        with pytest.raises(CapError, match="kappa=13 exceeds the realism cap 12"):
-            overlap.is_realistic_overlap(g)
-        monkeypatch.setenv("GENEASM_MAX_KAPPA", "twelve")
-        with pytest.raises(CapError, match="GENEASM_MAX_KAPPA must be an integer"):
-            overlap.is_realistic_overlap(g)
+    @pytest.mark.parametrize("kappa", [12, 16])
+    def test_structured_worst_cases_are_decided(self, kappa):
+        # the pruned search's slowest shapes: about 2 s each at kappa 16
+        domain = frozenset(range(2, kappa + 1))
+        complete = overlap.OverlapGraph(domain, domain, frozenset(
+            (p, q) for p in domain for q in domain if p < q))
+        star = overlap.OverlapGraph(domain, frozenset(), frozenset(
+            (2, q) for q in range(3, kappa + 1)))
+        for g in (complete, star):
+            assert overlap.is_realistic_overlap(g) is None
+            with pytest.raises(RealismError, match="^overlap graph is not realistic$"):
+                overlap.require_realistic(g)
+            if kappa <= 12:
+                assert oracles.search_witness(g.neighbor_masks, g.positive_mask, kappa) is None
 
 
 class TestKappa:
