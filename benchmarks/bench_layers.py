@@ -20,13 +20,21 @@ each on inputs built beforehand:
     ReductionGraph                  the parsed string
     cps                             the reduction graph
     direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
-    emit_direct_json                the directly constructed reduction graph
-    canonical_labelled              the compressed reduction graph
+    emit_direct_json                the directly constructed reduction graph *
+    canonical_labelled              the compressed reduction graph *
     canonical_2edge                 the reduction graph
     ReductionGraph.components       the reduction graph
     ReductionGraph.component_count  the reduction graph
     find_root_subgraphs             the reduction graph
     is_rooted                       the reduction graph
+    cps-vs-direct                   the parsed string: the calls of one perfbench
+                                    ``scale`` op (both graphs, both canonical
+                                    forms, ``is_rooted``, both component counts)
+
+A labelled graph names its vertices and walks its components once, on
+first use, and keeps both; so the layers marked * get a graph built anew,
+outside the timer, before every timed repeat.  On one graph the repeats
+after the first would time a cache hit.
 
 The search row times ``rewriting.successful_in`` for each of the eight rule
 sets S of {gnr, gpr, gdr} on the graph of the realistic string that
@@ -115,7 +123,20 @@ LAYERS = (
     "ReductionGraph.component_count",
     "find_root_subgraphs",
     "is_rooted",
+    "cps-vs-direct",
 )
+# the layers whose argument is a LabelledGraph, built anew for every repeat
+FRESH = frozenset({"emit_direct_json", "canonical_labelled"})
+
+
+def cps_vs_direct(u):
+    """The calls of one perfbench ``scale`` op: is cps(R_u) isomorphic to direct(gamma_u)?"""
+    g = overlap.overlap_graph(u)
+    rg = reduction.ReductionGraph(u)
+    compressed = compress.cps(rg)
+    built = direct.direct_reduction_graph(g)
+    return (iso.canonical_labelled(compressed) == iso.canonical_labelled(built),
+            reduction.is_rooted(rg), rg.component_count() == built.component_count())
 
 
 def cases(u):
@@ -143,6 +164,7 @@ def cases(u):
         "ReductionGraph.component_count": (reduction.ReductionGraph.component_count, rg),
         "find_root_subgraphs": (reduction.find_root_subgraphs, rg),
         "is_rooted": (reduction.is_rooted, rg),
+        "cps-vs-direct": (cps_vs_direct, lambda: u),
     }
 
 
@@ -243,7 +265,10 @@ def measure(kappas, repeat, budget):
                 rows.append({"layer": layer, "kappa": kappa, "skipped": skipped[layer]})
                 continue
             fn, make_arg = built[layer]
-            best, calls = best_of(fn, make_arg(), repeat, budget)
+            if layer in FRESH:
+                best, calls = best_of(fn, None, repeat, budget, fresh=make_arg)
+            else:
+                best, calls = best_of(fn, make_arg(), repeat, budget)
             rows.append({"layer": layer, "kappa": kappa, "best_ms": round(best * 1e3, 4),
                          "calls": calls})
             if best > budget:

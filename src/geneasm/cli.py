@@ -68,13 +68,6 @@ def _parse_string_arg(value: str):
     return pointers.parse_pointer_string(_read_source(value).strip())
 
 
-def _legal_string_arg(value: str):
-    """The string, checked here for verbs whose library call answers "not realistic" instead."""
-    seq = _parse_string_arg(value)
-    pointers.occurrence_index(seq)  # raises LegalityError unless seq is legal
-    return seq
-
-
 def _format_string(seq) -> str:
     if seq and max(pointers.magnitude(p) for p in seq) <= 9:
         return pointers.format_pointer_string(seq, "compact")
@@ -139,7 +132,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    return _emit_witness(pointers.realistic_decode(_legal_string_arg(args.string)))
+    seq = _parse_string_arg(args.string)
+    arr = pointers.realistic_decode(seq)  # its one pass decides legality too
+    if arr is None:
+        pointers.occurrence_index(seq)  # exit 3, not 4, for a string that is not legal
+    return _emit_witness(arr)
 
 
 def _cmd_overlap(args) -> int:

@@ -2,8 +2,13 @@
 
 Every labelled graph this package builds (``cps``, the direct
 construction, parsed direct-graph JSON) has maximum degree two, so a
-``LabelledGraph`` holds two partner arrays over vertex indices, not a
-neighbour set per vertex.
+``LabelledGraph`` is a tuple of labels by vertex index and two partner
+arrays over vertex indices, not a neighbour set per vertex.  Vertex ids
+are named only on request: a graph keeps the plain data they come from
+(``cps`` its desire pairs, the direct construction its kappa), and the
+id -> label dict and the edge set are derived from it on first use.
+The canonical form and the component count read only the indices, from
+one walk per graph, kept on it.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ from .record import Record
 class LabelledGraph(Record):
     """Simple labelled graph of maximum degree 2; vertex ids are arbitrary hashable values.
 
-    It holds ``labels`` (vertex id -> label; a vertex's index is its place
-    here) and the partner arrays ``first`` and ``second`` of neighbour
-    indices, -1 for none, a lone neighbour in ``first``.  ``edges``, the
-    frozenset of frozenset({u, v}) id pairs, is derived on first use.
-    Graphs compare by labels and edges and, holding dicts, are unhashable.
+    It holds ``index_labels``, the label of each vertex index, and the
+    partner arrays ``first`` and ``second`` of neighbour indices, -1 for
+    none, a lone neighbour in ``first``.  Its ids come from ``id_source``,
+    a pair (function, argument) whose call gives them in index order.
+    ``ids``, ``labels`` (vertex id -> label, in index order), ``edges``
+    (the frozenset of frozenset({u, v}) id pairs) and the walks are
+    derived on first use.  Graphs compare by labels and edges and, holding
+    dicts, are unhashable.
     """
 
     __hash__ = None
@@ -37,30 +45,42 @@ class LabelledGraph(Record):
                     raise ValueError(f"edge endpoint {v!r} is not a vertex")
             a, b = e
             pairs.append((index[a], index[b]))
-        self._fill(labels, pairs)
+        # tuple() of a tuple is that tuple: the ids are given
+        self._fill(tuple(labels.values()), pairs, (tuple, tuple(labels)))
 
     @classmethod
-    def from_index_pairs(cls, labels: dict, pairs) -> LabelledGraph:
+    def from_index_pairs(cls, index_labels: tuple, pairs, id_source: tuple) -> LabelledGraph:
         """The graph joining each pair of distinct vertex indices; repeated pairs are skipped."""
         g = cls.__new__(cls)
-        g._fill(labels, pairs)
+        g._fill(index_labels, pairs, id_source)
         return g
 
-    def _fill(self, labels, pairs):
-        first = [-1] * len(labels)
+    def _fill(self, index_labels, pairs, id_source):
+        first = [-1] * len(index_labels)
         second = first.copy()
         for a, b in pairs:
             if first[a] == b or second[a] == b:
                 continue
-            for v, w in ((a, b), (b, a)):
-                if first[v] < 0:
-                    first[v] = w
-                elif second[v] < 0:
-                    second[v] = w
-                else:
-                    name = list(labels)[v]
-                    raise ValueError(f"vertex {name!r} would get a third edge (maximum degree 2)")
-        self.__dict__.update(labels=labels, first=first, second=second)
+            if first[a] < 0:
+                first[a] = b
+            elif second[a] < 0:
+                second[a] = b
+            else:
+                self._third_edge(id_source, a)
+            if first[b] < 0:
+                first[b] = a
+            elif second[b] < 0:
+                second[b] = a
+            else:
+                self._third_edge(id_source, b)
+        self.__dict__.update(index_labels=index_labels, first=first, second=second,
+                             id_source=id_source)
+
+    @staticmethod
+    def _third_edge(id_source, v):
+        function, argument = id_source
+        raise ValueError(f"vertex {function(argument)[v]!r} would get a third edge "
+                         f"(maximum degree 2)")
 
     def _fields(self) -> tuple:
         return self.labels, self.edges
@@ -69,8 +89,17 @@ class LabelledGraph(Record):
         return f"LabelledGraph(labels={self.labels!r}, edges={self.edges!r})"
 
     @cached_property
+    def ids(self) -> tuple:
+        function, argument = self.id_source
+        return function(argument)
+
+    @cached_property
+    def labels(self) -> dict:
+        return dict(zip(self.ids, self.index_labels))
+
+    @cached_property
     def edges(self) -> frozenset:
-        ids = self._ids
+        ids = self.ids
         return frozenset(frozenset((ids[v], ids[w]))
                          for partners in (self.first, self.second)
                          for v, w in enumerate(partners) if v < w)
@@ -80,46 +109,57 @@ class LabelledGraph(Record):
         return self.labels.keys()
 
     @cached_property
-    def _ids(self) -> tuple:
-        return tuple(self.labels)
-
-    @cached_property
     def _index(self) -> dict:
-        return {v: i for i, v in enumerate(self._ids)}
+        return {v: i for i, v in enumerate(self.ids)}
 
     def neighbors(self, v) -> frozenset:
         i = self._index.get(v)
         if i is None:
             return frozenset()
-        return frozenset(self._ids[w] for w in (self.first[i], self.second[i]) if w >= 0)
+        return frozenset(self.ids[w] for w in (self.first[i], self.second[i]) if w >= 0)
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
-    def walks(self):
-        """Each component as a list of vertex indices in walk order.
+    def walks(self) -> tuple:
+        """Each component as a list of vertex indices in walk order, walked once and kept.
 
         Paths and isolated vertices come first, each walked from its end of
         lowest index; what is left is cycles, each walked from its vertex of
         lowest index towards its ``first`` partner.  A walk is a cycle
         exactly when its start has a ``second`` partner.
         """
+        return self._walks
+
+    @cached_property
+    def _walks(self) -> tuple:
         first, second = self.first, self.second
         seen = bytearray(len(first))
+        walks = []
         ends = [v for v, w in enumerate(second) if w < 0]
         for start in ends + list(range(len(first))):
             if seen[start]:
                 continue
-            walk, v = [], start
+            seen[start] = 1
+            walk = [start]
+            prev, v = start, first[start]
             while v >= 0 and not seen[v]:
                 seen[v] = 1
                 walk.append(v)
                 w = first[v]
-                v = w if w >= 0 and not seen[w] else second[v]
-            yield walk
+                prev, v = v, (second[v] if w == prev else w)  # on, away from prev
+            walks.append(walk)
+        return tuple(walks)
 
     def component_count(self) -> int:
-        return sum(1 for _ in self.walks())
+        return len(self._walks)
+
+
+def _desire_ids(pairs) -> tuple:
+    """The ids of compressed vertices: their desire edges as sorted (i, side) endpoint pairs."""
+    from .reduction import vertex
+
+    return tuple((vertex(a), vertex(b)) for a, b in pairs)
 
 
 def cps(rg) -> LabelledGraph:
@@ -128,18 +168,20 @@ def cps(rg) -> LabelledGraph:
     Two compressed vertices are adjacent when a reality edge runs between
     their desire edges.  Vertex ids are the desire edges as sorted
     (i, side) endpoint pairs, labelled by magnitude, in ``rg.desire_edges``
-    order.  The compression reads the graph's index arrays: reality edge k
-    (odd) joins index k to k+1, mod 2n.  Compressing other 2-edge-coloured
-    graphs is left to the tests' edge-set oracle.
+    order; the graph keeps the desire index pairs and names them on
+    request.  The compression reads the graph's index arrays: reality edge
+    k (odd) joins index k to k+1, mod 2n.  Compressing other
+    2-edge-coloured graphs is left to the tests' edge-set oracle.
     """
-    from .reduction import ReductionGraph, vertex
+    from .reduction import ReductionGraph
 
     if not isinstance(rg, ReductionGraph):
         raise TypeError(f"cps compresses reduction graphs, got {type(rg).__name__}")
+    desire = rg.desire_pairs()
     at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
-    labels = {}
-    for a, b in rg.desire_pairs():
-        at[a] = at[b] = len(labels)
-        labels[vertex(a), vertex(b)] = rg.magnitudes[a >> 1]
+    for i, (a, b) in enumerate(desire):
+        at[a] = at[b] = i
+    magnitudes = rg.magnitudes
+    index_labels = tuple([magnitudes[a >> 1] for a, _ in desire])
     pairs = [(d1, d2) for d1, d2 in zip(at[1::2], at[2::2] + at[:1]) if d1 != d2]
-    return LabelledGraph.from_index_pairs(labels, pairs)
+    return LabelledGraph.from_index_pairs(index_labels, pairs, (_desire_ids, desire))

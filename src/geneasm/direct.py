@@ -19,10 +19,14 @@ is then the set of the edge's J endpoints, that is
     XOR of N(t) for t in P  ==  (positives in P) XOR (its J endpoints),
 
 and that XOR is the witness's value.  J'_2 - J'_kappa counts only for
-kappa > 3 (at kappa 3 it is the chain edge).  Bucketing all ends by key
-finds every edge in O(kappa) dictionary operations plus the size of the
-output.  Sets are int bitmasks from ``OverlapGraph.neighbor_masks``;
-vertex ids are the strings "J<p>" and "Jp<p>", serialized verbatim.
+kappa > 3 (at kappa 3 it is the chain edge).  Each end is matched as it
+is made, with one dictionary probe against the ends made before it, so
+one pass finds every edge in O(kappa) dictionary operations plus the
+size of the output.  Sets are int bitmasks from
+``OverlapGraph.neighbor_masks``.  The graph is built on vertex indices,
+J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps only kappa to name them:
+its vertex ids, the strings "J<p>" and "Jp<p>" (serialized verbatim),
+are made on first use.
 """
 
 from __future__ import annotations
@@ -35,9 +39,15 @@ from .record import Record
 MAX_DIRECT_KAPPA = 1 << 16  # parse_direct_json builds all 2(kappa - 1) vertices
 
 
-def _labels(kappa: int) -> dict[str, int]:
-    """J_p at index 2(p-2) and J'_p at 2(p-2)+1, each labelled p."""
-    return {name: p for p in range(2, kappa + 1) for name in (f"J{p}", f"Jp{p}")}
+def _vertex_ids(kappa: int) -> tuple[str, ...]:
+    """The ids by vertex index: J_p at 2(p-2) and J'_p at 2(p-2)+1."""
+    return tuple(name for p in range(2, kappa + 1) for name in (f"J{p}", f"Jp{p}"))
+
+
+def _graph(kappa: int, pairs) -> LabelledGraph:
+    """The graph on J2, Jp2, ..., Jkappa, Jpkappa (each labelled p) joining each index pair."""
+    index_labels = tuple(p for p in range(2, kappa + 1) for _ in (0, 1))
+    return LabelledGraph.from_index_pairs(index_labels, pairs, (_vertex_ids, kappa))
 
 
 class Witness(Record):
@@ -50,34 +60,40 @@ class Witness(Record):
         object.__setattr__(self, "value", value)
 
 
-def _matches(g: OverlapGraph, kappa: int, vertices):
+def _matches(g: OverlapGraph, kappa: int, vertices) -> list[tuple[int, int, int, int]]:
     """Each pair of ends of different vertices with equal keys, as (v, w, a, b) with a <= b.
 
-    ``vertices`` and v, w are vertex indices as in ``_labels``; a and b are
-    the prefix indices of the ends of v and w.
+    ``vertices`` and v, w are vertex indices as in ``_vertex_ids``; a and b
+    are the prefix indices of the ends of v and w.  Each end is matched
+    against the ends made before it as it is made.
     """
     masks, positive = g.neighbor_masks, g.positive_mask
     s = [0, 0]  # S(k) for k = 0..kappa
     for t in range(2, kappa + 1):
         s.append(s[-1] ^ masks[t] ^ (positive & (1 << t)))
-    ends = []  # (key, prefix index, vertex index)
+    found = []
+    made: dict[int, list[tuple[int, int]]] = {}  # key -> (prefix index, vertex) of its ends
     for v in vertices:
         t = v // 2 + 2
         if not v & 1:
             bit = 1 << t
-            ends += [(s[t - 1] ^ bit, t - 1, v), (s[t] ^ bit, t, v)]
+            ends = ((s[t - 1] ^ bit, t - 1), (s[t] ^ bit, t))
         elif t == 2:
-            ends.append((0, 1, v))
+            ends = ((0, 1),)
         elif t == kappa:
-            ends.append((s[kappa], kappa, v))
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for key, a, v in ends:
-        buckets.setdefault(key, []).append((a, v))
-    for bucket in buckets.values():
-        for i, (a, v) in enumerate(bucket):
-            for b, w in bucket[i + 1 :]:
-                if v != w:
-                    yield (v, w, a, b) if a <= b else (w, v, b, a)
+            ends = ((s[kappa], kappa),)
+        else:
+            continue
+        for key, a in ends:
+            bucket = made.get(key)
+            if bucket is None:
+                made[key] = [(a, v)]
+                continue
+            for b, w in bucket:
+                if w != v:
+                    found.append((w, v, b, a) if b <= a else (v, w, a, b))
+            bucket.append((a, v))
+    return found
 
 
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
@@ -91,7 +107,7 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     kappa = g.kappa()
     pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
     pairs += [(v, w) for v, w, _, _ in _matches(g, kappa, range(2 * kappa - 2))]
-    return LabelledGraph.from_index_pairs(_labels(kappa), pairs)
+    return _graph(kappa, pairs)
 
 
 def _witnesses(g: OverlapGraph, kappa: int, vertices) -> list[tuple[tuple, list[int], Witness]]:
@@ -121,7 +137,7 @@ def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
     single empty witness, and pairs without a matched pair of ends have none.
     """
     kappa = g.kappa()
-    index = {name: v for v, name in enumerate(_labels(kappa))}
+    index = {name: v for v, name in enumerate(_vertex_ids(kappa))}
     if not all(name in index for name in edge):
         raise ValueError(f"a vertex of {tuple(edge)!r} is not one of J2..J{kappa}, Jp2..Jp{kappa}")
     v, w = sorted(index[name] for name in edge)
@@ -137,7 +153,7 @@ def _set_text(values) -> str:
 def explain_lines(g: OverlapGraph):
     """``geneasm direct --explain``: "{Jp7,J5} P={6,7} value={5}" per window, in candidate order."""
     kappa = g.kappa()
-    names = list(_labels(kappa))
+    names = _vertex_ids(kappa)
     for _, vertices, w in _witnesses(g, kappa, range(2 * kappa - 2)):
         pair = ",".join(names[v] for v in vertices)
         yield f"{{{pair}}} P={_set_text(w.subset)} value={_set_text(w.value)}"
@@ -147,9 +163,9 @@ def sorted_ids(graph: LabelledGraph) -> tuple[list, list[tuple]]:
     """The vertex ids in index order, and the edges as id pairs sorted by index.
 
     Every graph ``direct_reduction_graph`` and ``parse_direct_json`` build
-    holds its ids as ``_labels`` does, so index order is J2, Jp2, J3, Jp3, ...
+    holds its ids as ``_vertex_ids`` does, so index order is J2, Jp2, J3, Jp3, ...
     """
-    names = list(graph.labels)
+    names = list(graph.ids)
     pairs = sorted((v, w) for partners in (graph.first, graph.second)
                    for v, w in enumerate(partners) if v < w)
     return names, [(names[v], names[w]) for v, w in pairs]
@@ -161,7 +177,7 @@ def sorted_ids(graph: LabelledGraph) -> tuple[list, list[tuple]]:
 def emit_direct_json(graph: LabelledGraph) -> str:
     import json
 
-    kappa = max(graph.labels.values())
+    kappa = max(graph.index_labels)
     payload = {"kappa": kappa, "edges": [[a, b] for a, b in sorted_ids(graph)[1]]}
     return json.dumps(payload, separators=(",", ":"))
 
@@ -184,8 +200,7 @@ def parse_direct_json(text: str) -> LabelledGraph:
     if not isinstance(payload["edges"], list):
         raise ParseError(f"direct graph JSON 'edges' must be a list, "
                          f"got {type(payload['edges']).__name__}")
-    labels = _labels(kappa)
-    index = {name: i for i, name in enumerate(labels)}
+    index = {name: i for i, name in enumerate(_vertex_ids(kappa))}
     pairs = []
     for pair in payload["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -197,6 +212,6 @@ def parse_direct_json(text: str) -> LabelledGraph:
             raise ParseError(f"self-loop on {pair[0]!r}")
         pairs.append((index[pair[0]], index[pair[1]]))
     try:
-        return LabelledGraph.from_index_pairs(labels, pairs)
+        return _graph(kappa, pairs)
     except ValueError as exc:  # a third edge at a vertex
         raise ParseError(str(exc)) from exc

@@ -9,8 +9,9 @@ multiset of per-component codes rendered as a stable ASCII string.
 
 Both codes come from one index walk per component and one least
 rotation, read from the graphs' arrays.  ``canonical_labelled`` takes
-``LabelledGraph.walks()``: paths and isolated vertices from an end, then
-cycles from any vertex.  ``canonical_2edge`` takes
+``LabelledGraph.walks()``, the walk kept on the graph, and its label
+tuple: paths and isolated vertices from an end, then cycles from any
+vertex.  ``canonical_2edge`` takes
 ``ReductionGraph.cycles()``: each alternating cycle desire edge first.
 Other 2-edge-coloured graphs are left to the tests' generic oracle.  A
 path's code is the smaller of its two readings, a cycle's the least
@@ -55,20 +56,21 @@ def _least_rotation(seq: tuple, step: int) -> tuple:
 
 
 def _code(kind: str, labels: tuple) -> str:
-    return kind + "[" + ",".join(str(x) for x in labels) + "]"
+    return kind + "[" + ",".join(map(str, labels)) + "]"
 
 
 def canonical_labelled(g) -> str:
     """Canonical code of a ``LabelledGraph``; equal codes iff isomorphic.
 
-    Reads the components from ``g.walks()``: paths and isolated vertices
-    from an end, then cycles.
+    Reads only vertex indices: the components from ``g.walks()`` (paths
+    and isolated vertices from an end, then cycles), their labels from
+    ``g.index_labels``.  The vertex ids are never named.
     """
-    labels = tuple(g.labels.values())
+    label = g.index_labels.__getitem__
     second = g.second
     codes = []
     for walk in g.walks():
-        seq = tuple(labels[v] for v in walk)
+        seq = tuple(map(label, walk))
         if second[walk[0]] >= 0:
             codes.append(("c", min(_least_rotation(seq, 1), _least_rotation(seq[::-1], 1))))
         else:

@@ -32,6 +32,9 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert {"ReductionGraph.component_count", "is_rooted"} <= set(bench.LAYERS)
     # the realism decision, on the realistic graph of each kappa's string
     assert "is_realistic_overlap" in bench.LAYERS
+    # the perfbench scale op's calls, and the layers that get a fresh labelled graph
+    assert bench.LAYERS[-1] == "cps-vs-direct"
+    assert bench.FRESH == {"emit_direct_json", "canonical_labelled"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     assert report["cli_kappa"] == 8
@@ -84,10 +87,37 @@ def test_the_search_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
     assert stored == ([False] + [True] * 7) * 3
 
 
+def test_labelled_graph_rows_time_a_fresh_graph_per_repeat(bench, monkeypatch):
+    met = []  # (layer, whether the graph had been walked or named before the call)
+    canonical, emit = bench.iso.canonical_labelled, bench.direct.emit_direct_json
+
+    def canonical_labelled(g):
+        met.append(("canonical_labelled", "_walks" in vars(g)))
+        return canonical(g)
+
+    def emit_direct_json(g):
+        met.append(("emit_direct_json", "ids" in vars(g)))
+        return emit(g)
+
+    monkeypatch.setattr(bench.iso, "canonical_labelled", canonical_labelled)
+    monkeypatch.setattr(bench.direct, "emit_direct_json", emit_direct_json)
+    rows = bench.measure([6], repeat=3, budget=10)
+    assert all(r["calls"] == 3 for r in rows)
+    # three repeats of each row; each cps-vs-direct repeat takes two canonical forms
+    assert sorted(met) == [("canonical_labelled", False)] * 9 + [("emit_direct_json", False)] * 3
+
+
+def test_the_cps_vs_direct_row_runs_the_scale_check(bench):
+    rng = bench.random.Random(bench.SEED)
+    for kappa in (2, 8, 32):
+        u = bench.sampling.random_realistic_string(rng, kappa)
+        assert bench.cps_vs_direct(u) == (True, True, True)
+
+
 def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatch):
     timed = []
 
-    def every_call_takes_30_ms(fn, arg, repeat, budget):
+    def every_call_takes_30_ms(fn, arg, repeat, budget, fresh=None):
         timed.append(fn)
         return 0.03, 1
 

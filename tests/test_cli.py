@@ -48,6 +48,19 @@ class TestBasicVerbs:
         code, out, _ = run(["decode", "234432"])
         assert (code, out) == (4, "not-realistic\n")
 
+    def test_decode_tells_not_legal_from_not_realistic(self, monkeypatch):
+        assert run(["decode", "2342"]) == (3, "", "error: not a legal string: '2 3 4 2'\n")
+        assert run(["decode", "2-3-3"]) == (3, "", "error: not a legal string: '2 -3 -3'\n")
+        assert run(["decode", "234432"]) == (4, "not-realistic\n", "")
+        assert run(["decode", "2244"]) == (4, "not-realistic\n", "")
+        # a string that decodes costs one legality pass
+        passes = []
+        occurrences = pointers._occurrences
+        monkeypatch.setattr(pointers, "_occurrences", lambda seq: passes.append(seq) or
+                            occurrences(seq))
+        assert run(["decode", "72673456-3-245"]) == (0, "M7 M1 M6 M3 M5 -M2 M4\n", "")
+        assert len(passes) == 1
+
     def test_components(self):
         code, out, _ = run(["components", "453475623267"])
         assert (code, out) == (0, "3\n")
@@ -577,9 +590,11 @@ def _discrete_graph_json(kappa):
 
 
 class TestRealismCap:
+    """Realism has no cap: large graphs and strings are decided, whatever the environment."""
+
     KAPPA_9 = "67-8-7-9-856-5-42-9-3-234"
 
-    def test_kappa_9_is_under_the_default_cap(self):
+    def test_kappa_9_string_gets_its_witness(self):
         assert run(["check-realism", "--string", self.KAPPA_9]) == (
             0, "-M1 M4 -M5 M8 M7 -M6 -M3 M2 M9\n", ""
         )
@@ -600,7 +615,7 @@ class TestRealismCap:
         assert (out, err) == (("not-realistic\n", "") if verb == "check-realism" else
                               ("", "error: overlap graph is not realistic\n"))
 
-    def test_env_cap(self, monkeypatch):
+    def test_max_kappa_variable_is_ignored(self, monkeypatch):
         # GENEASM_MAX_KAPPA is not read: no environment variable caps realism
         monkeypatch.setenv("GENEASM_MAX_KAPPA", "8")
         assert run(["check-realism", "--graph", _discrete_graph_json(13)]) == (

@@ -148,8 +148,15 @@ class TestLabelledGraph:
             assert walked == len(g.edges)  # so no edge joins two walks
             assert g.component_count() == len(walks)
 
+    def test_one_walk_serves_the_canonical_form_and_the_count(self):
+        g = cps_of("72673456-3-245")
+        assert "_walks" not in vars(g)
+        iso.canonical_labelled(g)
+        walks = vars(g)["_walks"]
+        assert g.component_count() == 2 and g.walks() is walks
+
     def test_repeated_edges_are_skipped(self):
-        g = LabelledGraph.from_index_pairs({"a": 2, "b": 3}, [(0, 1), (1, 0), (0, 1)])
+        g = LabelledGraph.from_index_pairs((2, 3), [(0, 1), (1, 0), (0, 1)], (tuple, ("a", "b")))
         assert (g.first, g.second) == ([1, 0], [-1, -1])
         assert g.edges == {frozenset("ab")}
 

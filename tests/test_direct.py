@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations, permutations, product
 
@@ -122,6 +124,31 @@ class TestMainEquivalence:
         built = direct.direct_reduction_graph(g)
         assert all(built.degree(v) <= 2 for v in built.labels)
         assert iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    def test_cps_is_direct_on_every_arrangement(self, arr):
+        # the paper's main result as a property: cps(R_u) and direct(gamma_u) are isomorphic
+        u = pointers.encode_arrangement(arr)
+        rg = reduction.ReductionGraph(u)
+        g = overlap.overlap_graph(u)
+        compressed, built = compress.cps(rg), direct.direct_reduction_graph(g)
+        # neither has named its vertices yet, and each survives pickle and copy so
+        rebuilt = ((compressed, compress.cps(rg)), (built, direct.direct_reduction_graph(g)))
+        for graph, again in rebuilt:
+            assert not {"ids", "labels", "edges"} & set(vars(graph))
+            for twin in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+                assert type(twin) is LabelledGraph and twin == again
+        assert iso.canonical_labelled(compressed) == iso.canonical_labelled(built)
+        assert compressed.component_count() == built.component_count() == rg.component_count()
+        # both equal their definition-level edge sets, ids and labels included
+        labels, edges = oracles.cps_edge_set(rg)
+        assert list(compressed.labels.items()) == list(labels.items())
+        assert compressed.edges == edges
+        kappa = len(arr)
+        assert list(built.labels.items()) == [(name, p) for p in range(2, kappa + 1)
+                                              for name in (f"J{p}", f"Jp{p}")]
+        assert built.edges == oracles.per_candidate_direct_edges(g)
 
     def test_exhaustive_tiny_kappa(self):
         for kappa in (2, 3, 4):
