@@ -1,6 +1,6 @@
 """Time each layer of the string-side pipeline and the realism decision on its own,
-over a kappa ladder, the GPRS search over all eight rule sets, and the short CLI
-verbs and ``check-realism --graph`` in fresh processes.
+over a kappa ladder, the GPRS search over all eight rule sets, the SPRS searches,
+and the short CLI verbs and ``check-realism --graph`` in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048 8192] [--out FILE]
@@ -43,14 +43,21 @@ the search cap raised to that kappa.  The first call on a graph stores the
 answer for all eight sets on it, so every timed repeat gets a graph object
 built anew outside the timer; on one object the repeats would time a lookup.
 
+The string search rows time, on the realistic string that
+``random.Random(SEED)`` draws first at each kappa of
+``STRING_SEARCH_KAPPAS``, ``rewriting.successful_string_reductions`` (every
+sequence consumed) up to its default cap, and
+``rewriting.negative_rule_counts`` with the cap raised to that kappa.
+
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
 A layer is skipped from the next kappa on when its single call takes longer
 than the budget, or would at the next kappa if its time grew with kappa
 squared (the overlap graph has about kappa^2 / 6 edges, so no layer grows
 faster); the skip and its reason are recorded, and the inputs of a skipped
-case are never built.  The search grows exponentially, so its row is skipped
-from the next kappa on as soon as one call takes longer than the budget.
+case are never built.  The searches grow exponentially, so each of their
+rows is skipped from the next kappa on as soon as one call takes longer than
+the budget.
 
 The CLI rows time whole fresh processes, with the same best-of rule:
 ``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
@@ -88,6 +95,11 @@ SEED = 1
 LADDER = (8, 32, 128, 512, 2048, 8192)
 SEARCH_KAPPAS = (6, 8, 10, 12)
 SEARCH_ROW = "successful_in, 8 sets"
+STRING_SEARCH_KAPPAS = tuple(range(4, 13))
+ENUMERATE_ROW = "successful_string_reductions"
+COUNT_ROW = "negative_rule_counts"
+# the string enumerator runs at its default cap, a domain of kappa - 1
+ENUMERATE_KAPPA_CAP = rewriting.DEFAULT_STRING_DOMAIN_CAP + 1
 CLI_KAPPA = 8
 CLI_GRAPH_KAPPAS = (512, 2048)
 CLI_COMMANDS = (
@@ -303,6 +315,33 @@ def measure_search(repeat, budget, kappas=SEARCH_KAPPAS):
     return rows
 
 
+def enumerate_all(u):
+    """The number of successful string reductions of u, every sequence consumed."""
+    return sum(1 for _ in rewriting.successful_string_reductions(u))
+
+
+def measure_string_search(repeat, budget, kappas=STRING_SEARCH_KAPPAS):
+    """The string search rows: the enumerator up to its cap, and the count sets at every kappa."""
+    rows = []
+    skipped: dict[str, str] = {}
+    for kappa in kappas:
+        u = sampling.random_realistic_string(random.Random(SEED), kappa)
+        searches = [(COUNT_ROW, functools.partial(rewriting.negative_rule_counts,
+                                                  max_domain=kappa - 1))]
+        if kappa <= ENUMERATE_KAPPA_CAP:
+            searches.insert(0, (ENUMERATE_ROW, enumerate_all))
+        for row, fn in searches:
+            if row in skipped:
+                rows.append({"layer": row, "kappa": kappa, "skipped": skipped[row]})
+                continue
+            best, calls = best_of(fn, u, repeat, budget)
+            rows.append({"layer": row, "kappa": kappa, "best_ms": round(best * 1e3, 4),
+                         "calls": calls})
+            if best > budget:
+                skipped[row] = f"one call took over {budget} s at kappa {kappa}"
+    return rows
+
+
 def table(rows, kappas):
     cell = {(r["layer"], r["kappa"]): r for r in rows}
     lines = ["| kappa | " + " | ".join(f"`{layer}`" for layer in LAYERS) + " |",
@@ -320,6 +359,19 @@ def search_table(rows):
     lines = [f"| kappa | `{SEARCH_ROW}` |", "|---|---|"]
     lines += [f"| {r['kappa']} | " + ("skipped" if "skipped" in r else f"{r['best_ms']:.3g}") + " |"
               for r in rows]
+    return "\n".join(lines)
+
+
+def string_search_table(rows):
+    cell = {(r["layer"], r["kappa"]): r for r in rows}
+    lines = [f"| kappa | `{ENUMERATE_ROW}` | `{COUNT_ROW}` |", "|---|---|---|"]
+    for kappa in sorted({r["kappa"] for r in rows}):
+        values = []
+        for row in (ENUMERATE_ROW, COUNT_ROW):
+            r = cell.get((row, kappa))
+            values.append("—" if r is None else "skipped" if "skipped" in r
+                          else f"{r['best_ms']:.3g}")
+        lines.append(f"| {kappa} | " + " | ".join(values) + " |")
     return "\n".join(lines)
 
 
@@ -341,6 +393,7 @@ def main(argv=None):
 
     rows = measure(args.kappas, args.repeat, args.budget)
     search_rows = measure_search(args.repeat, args.budget)
+    string_search_rows = measure_string_search(args.repeat, args.budget)
     cli_rows = measure_cli(args.repeat, args.budget)
     sha, dirty = git_sha()
     report = {
@@ -357,6 +410,7 @@ def main(argv=None):
         "unit": "ms, best of the calls made",
         "rows": rows,
         "search_rows": search_rows,
+        "string_search_rows": string_search_rows,
         "cli_kappa": CLI_KAPPA,
         "cli_rows": cli_rows,
     }
@@ -365,6 +419,7 @@ def main(argv=None):
         fh.write("\n")
     print(table(rows, args.kappas))
     print(search_table(search_rows))
+    print(string_search_table(string_search_rows))
     print(cli_table(cli_rows))
     return 0
 

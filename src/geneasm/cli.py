@@ -332,11 +332,9 @@ def _cmd_crossval(args) -> int:
                 iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built),
         }
         if kappa <= 5:
-            counts = {
-                sum(1 for r in seq if r.kind == "snr")
-                for seq in rewriting.successful_string_reductions(u)
-            }
-            passed["negative-count"] = counts == {rg.component_count() - 1}
+            passed["negative-count"] = (
+                rewriting.negative_rule_counts(u) == {rg.component_count() - 1}
+            )
         if kappa <= 6:
             comps = built.component_count()
             passed["classifier"] = all(

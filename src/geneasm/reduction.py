@@ -51,7 +51,10 @@ class ReductionGraph:
         self.n = len(seq)
         self.magnitudes = list(map(abs, seq))
         desire = [0] * (2 * self.n)
-        for i, j in at.values():
+        firsts = []
+        for p in sorted(at):
+            i, j = at[p]
+            firsts.append(i - 1)
             a, b = 2 * i - 2, 2 * j - 2
             # equal occurrences join I_i to I'_j and I'_i to I_j; complementary
             # ones join I_i to I_j and I'_i to I'_j
@@ -59,6 +62,7 @@ class ReductionGraph:
             desire[a], desire[b + s] = b + s, a
             desire[a + 1], desire[b + 1 - s] = b + 1 - s, a + 1
         self.desire = desire
+        self._firsts = firsts  # the first position of each magnitude, 0-based, by magnitude
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -80,10 +84,8 @@ class ReductionGraph:
         I_i when crossed, where i is the first occurrence.
         """
         desire = self.desire
-        firsts = sorted((i for i in range(self.n) if desire[2 * i] > 2 * i),
-                        key=self.magnitudes.__getitem__)
         pairs = []
-        for i in firsts:
+        for i in self._firsts:
             k = 2 * i + (desire[2 * i] & 1)  # straight: I_i joins the odd I'_j
             pairs += ((k, desire[k]), (k ^ 1, desire[k ^ 1]))
         return pairs
@@ -149,7 +151,24 @@ class ReductionGraph:
         return [tuple(map(vertex, sorted(cycle))) for cycle in self.cycles()]
 
     def component_count(self) -> int:
-        return sum(1 for _ in self.cycles())
+        """The number of cycles, from one walk that starts only at even indices.
+
+        Every reality edge joins an odd index to an even one, so every cycle
+        holds an even index; the walk marks indices and builds no cycle.
+        """
+        desire, m = self.desire, 2 * self.n
+        seen = bytearray(m)
+        count = 0
+        for start in range(0, m, 2):
+            if seen[start]:
+                continue
+            count += 1
+            k = start
+            while not seen[k]:
+                other = desire[k]
+                seen[k] = seen[other] = 1
+                k = (other + 1 if other & 1 else other - 1) % m
+        return count
 
 
 def position(rg: ReductionGraph, item) -> int:

@@ -12,18 +12,29 @@ flipping their signs) before removing it, and the double rule removes
 two adjacent negative vertices, toggling each outside pair that is seen
 an odd number of times across the two neighborhoods.
 
-The graph rules act on bitmask states (V, P, adj) over the slots of
-``OverlapGraph``, where each rule is one XOR per neighbour and a slot
-tuple (kind, p, q) inside the module; ``applicable_graph_rules``,
-``apply_graph_rule`` and both searches share that one implementation, and
-only the ``Rule`` records they hand out name vertices by magnitude.  One
-memoized search decides all eight rule sets S of {gnr, gpr, gdr} at once:
-S is a 3-bit code (gnr 1, gpr 2, gdr 4), a state's answer is an 8-bit mask
-with bit code(S) set when S reduces it, and the walk follows a rule of
-kind k only for the sets it still wants that hold k.  The first
-``successful_in`` or ``successful_rule_sets`` call on a graph object stores
-that mask on it.  The string searches find each string's occurrence
-positions once and apply its rules without re-checking them.
+Inside the module a rule is a slot tuple (kind index, p, q), q None for
+the one-pointer rules, and a rule set is a 3-bit code (bit k for the k-th
+kind: snr or gnr 1, spr or gpr 2, sdr or gdr 4).  ``Rule`` records are
+built only for what leaves the module.  Each side has one rule
+implementation that the public rule functions and the searches share.
+
+String side: ``_string_successors`` pairs each applicable rule's slot
+tuple with its successor string, from one occurrence pass per state.
+Every rule keeps legality, so only a search's input is checked.
+``successful_string_reductions`` memoizes each exact string state's
+completions (the rule tuples that take it to the empty string) and names
+each slot tuple once per call; ``negative_rule_counts`` memoizes each
+state's set of snr counts instead, so it costs the number of states, not
+the number of sequences.
+
+Graph side: the rules act on bitmask states (V, P, adj) over the slots of
+``OverlapGraph``, each rule one XOR per neighbour, and the ``Rule``
+records handed out name vertices by magnitude.  One memoized search
+decides all eight rule sets S of {gnr, gpr, gdr} at once: a state's answer
+is an 8-bit mask with bit code(S) set when S reduces it, and the walk
+follows a rule of kind k only for the sets it still wants that hold k.
+The first ``successful_in`` or ``successful_rule_sets`` call on a graph
+object stores that mask on it.
 
 Reduction sequences are serialized in composition order (rightmost rule
 applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
@@ -67,101 +78,168 @@ class Rule(Record):
         return f"{self.kind}_{{{self.params[0]},{self.params[1]}}}"
 
 
-def _check_kinds(kinds, allowed: frozenset):
+def _codes(names: tuple[str, ...]) -> dict[frozenset, int]:
+    """Each rule set over names to its 3-bit code, bit k set when it holds names[k].
+
+    In the order of ``cli.SUBSET_ORDER``: by size, then in names order.
+    """
+    return {frozenset(s): sum(1 << names.index(x) for x in s)
+            for r in range(4) for s in combinations(names, r)}
+
+
+_STRING_CODE = _codes(STRING_KINDS)
+_CODE = _codes(GRAPH_KINDS)
+
+
+def _check_kinds(kinds, codes: dict[frozenset, int]) -> int:
+    """The code of a rule set in ``codes``; a kind outside them raises ``ValueError``."""
     kinds = frozenset(kinds)
-    if not kinds <= allowed:
+    code = codes.get(kinds)
+    if code is None:
+        allowed = frozenset().union(*codes)
         raise ValueError(f"unknown rule kinds {sorted(kinds - allowed)}")
-    return kinds
+    return code
 
 
 # ---------------------------------------------------------------------------
-# string rules
+# string rules on pointer tuples; a slot tuple (k, p, q) names STRING_KINDS[k]
+# on the pointers p and q
 
-def _string_rules(u, kinds, at) -> list[Rule]:
-    """Rules applicable to the legal string u with occurrence table at."""
-    dom = sorted(at)
-    negative = [p for p in dom if u[at[p][0] - 1] == u[at[p][1] - 1]]
+def _string_successors(u, kinds: int) -> list[tuple[tuple, tuple]]:
+    """(slot tuple, successor) for each rule of the kinds in the code that applies to u.
+
+    u must be legal; every rule keeps legality, so nothing is checked.  The
+    rules come as snr, spr, sdr, each by p and then q, all from one pass
+    that finds the two occurrences of each pointer.
+    """
+    first: dict[int, int] = {}
+    at = []  # (p, i, j): p occurs at the 0-based positions i < j
+    for j, x in enumerate(u):
+        p = -x if x < 0 else x
+        if p in first:
+            at.append((p, first[p], j))
+        else:
+            first[p] = j
+    at.sort()
+    negative = [(p, i, j) for p, i, j in at if u[i] == u[j]]
     out = []
-    if "snr" in kinds:
-        out += [Rule("snr", (p,)) for p in negative if at[p][1] == at[p][0] + 1]
-    if "spr" in kinds:
-        out += [Rule("spr", (p,)) for p in dom if u[at[p][0] - 1] != u[at[p][1] - 1]]
-    if "sdr" in kinds:
-        for p in negative:
-            i1, i2 = at[p]
-            out += [Rule("sdr", (p, q)) for q in negative if i1 < at[q][0] < i2 < at[q][1]]
+    if kinds & 1:
+        for p, i, j in negative:
+            if j == i + 1:
+                out.append(((0, p, None), u[:i] + u[j + 1:]))
+    if kinds & 2:
+        for p, i, j in at:
+            if u[i] != u[j]:
+                out.append(((1, p, None), u[:i] + tuple([-x for x in u[j - 1:i:-1]]) + u[j + 1:]))
+    if kinds & 4:
+        for p, i1, i2 in negative:
+            for q, j1, j2 in negative:
+                if i1 < j1 < i2 < j2:
+                    # swap the segments between the first p and the first q and
+                    # between the second p and the second q
+                    out.append(((2, p, q), u[:i1] + u[i2 + 1:j2] + u[j1 + 1:i2]
+                                + u[i1 + 1:j1] + u[j2 + 1:]))
     return out
 
 
-def _string_step(u, rule: Rule, at):
-    """Apply a rule known to be applicable to u."""
-    i1, i2 = at[rule.params[0]]
-    if rule.kind == "snr":
-        return u[: i1 - 1] + u[i2:]
-    if rule.kind == "spr":
-        return u[: i1 - 1] + pointers.inverse(u[i1 : i2 - 1]) + u[i2:]
-    j1, j2 = at[rule.params[1]]
-    return (
-        u[: i1 - 1]
-        + u[i2 : j2 - 1]  # segment between the second p and the second q
-        + u[j1 : i2 - 1]  # segment between the first q and the second p
-        + u[i1 : j1 - 1]  # segment between the first p and the first q
-        + u[j2:]
-    )
-
-
-def _string_successors(u, kinds):
-    at = pointers.occurrence_index(u)
-    return [(rule, _string_step(u, rule, at)) for rule in _string_rules(u, kinds, at)]
+def _string_rule(slot) -> Rule:
+    k, p, q = slot
+    return Rule(STRING_KINDS[k], (p,) if q is None else (p, q))
 
 
 def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[Rule]:
     """Rules applicable to a legal string, deterministically ordered."""
-    kinds = _check_kinds(kinds, ALL_STRING_RULES)
+    code = _check_kinds(kinds, _STRING_CODE)
     u = tuple(u)
-    return _string_rules(u, kinds, pointers.occurrence_index(u))  # raises unless u is legal
+    pointers.occurrence_index(u)  # raises unless u is legal
+    return [_string_rule(slot) for slot, _ in _string_successors(u, code)]
 
 
 def apply_string_rule(u, rule: Rule):
     """Apply one rule; the result is legal with a strictly smaller domain."""
-    kinds = _check_kinds((rule.kind,), ALL_STRING_RULES)
+    code = _check_kinds((rule.kind,), _STRING_CODE)
     u = tuple(u)
-    at = pointers.occurrence_index(u)  # raises unless u is legal
-    if rule not in _string_rules(u, kinds, at):
-        raise ValueError(f"rule {rule} is not applicable to {u}")
-    return _string_step(u, rule, at)
+    pointers.occurrence_index(u)  # raises unless u is legal
+    for slot, v in _string_successors(u, code):
+        if _string_rule(slot) == rule:
+            return v
+    raise ValueError(f"rule {rule} is not applicable to {u}")
+
+
+def _check_string_search(u, max_domain):
+    """u as a tuple; raises unless its domain is within the cap and it is legal."""
+    u = tuple(u)
+    if len(pointers.domain(u)) > max_domain:
+        raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
+    return u
 
 
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
     """Yield every rule sequence (application order) reducing u to the empty string.
 
-    Plain depth-first enumeration; per-string successor lists are memoized
-    on the exact string so shared substructure is computed once.
+    Depth-first order: a state's rules in ``applicable_string_rules`` order,
+    each followed by every completion of its successor.  A memo on the exact
+    string holds each state's completions, the rule tuples that take it to
+    the empty string, so shared substructure is computed once and each rule
+    becomes a ``Rule`` once per call.  All sequences are built before the
+    first is yielded.
     """
-    kinds = _check_kinds(kinds, ALL_STRING_RULES)
-    u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
-        raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.occurrence_index(u)  # raises unless u is legal; every rule keeps legality
-    edges: dict[tuple, list[tuple[Rule, tuple]]] = {}
+    code = _check_kinds(kinds, _STRING_CODE)
+    u = _check_string_search(u, max_domain)
+    named: dict[tuple, Rule] = {}
+    memo: dict[tuple, list[tuple]] = {(): [()]}
 
-    def successors(v):
-        if v not in edges:
-            edges[v] = _string_successors(v, kinds)
-        return edges[v]
+    def rule(slot):
+        r = named.get(slot)
+        if r is None:
+            r = named[slot] = _string_rule(slot)
+        return r
 
-    prefix: list[Rule] = []
+    def completions(v):
+        done = memo.get(v)
+        if done is None:
+            if len(v) == 2:  # one pair: p p takes snr, p -p spr, and sdr never applies
+                k = 0 if v[0] == v[1] else 1
+                done = [(rule((k, abs(v[0]), None)),)] if code >> k & 1 else []
+            else:
+                done = []
+                for slot, w in _string_successors(v, code):
+                    r = rule(slot)
+                    done += [(r, *rest) for rest in completions(w)]
+            memo[v] = done
+        return done
 
-    def walk(v):
-        if not v:
-            yield list(prefix)
-            return
-        for rule, w in successors(v):
-            prefix.append(rule)
-            yield from walk(w)
-            prefix.pop()
+    for seq in completions(u):
+        yield list(seq)
 
-    yield from walk(u)
+
+def negative_rule_counts(u, max_domain=DEFAULT_STRING_DOMAIN_CAP) -> set[int]:
+    """The numbers of snr rules in the successful reductions of u, over all three string rules.
+
+    The set ``{sum(r.kind == "snr" for r in seq) for seq in
+    successful_string_reductions(u)}``, from a memo over the same states
+    that holds each state's count set instead of its sequences:
+    counts(v) is the union over the rules r of counts(r(v)), plus one for
+    snr.  This costs the number of states, not the number of sequences.
+    """
+    u = _check_string_search(u, max_domain)
+    memo: dict[tuple, frozenset[int]] = {(): frozenset({0})}
+
+    def counts(v):
+        done = memo.get(v)
+        if done is None:
+            if len(v) == 2:  # one pair: p p takes snr, p -p spr
+                done = frozenset({int(v[0] == v[1])})
+            else:
+                found: set[int] = set()
+                for (k, _, _), w in _string_successors(v, 7):  # all three kinds
+                    found |= counts(w) if k else {c + 1 for c in counts(w)}
+                done = frozenset(found)
+            memo[v] = done
+        return done
+
+    return set(counts(u))
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +249,9 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
 # tuple (kind index into GRAPH_KINDS, p, q), q None for gnr and gpr; a rule set
 # is a 3-bit code, bit k set when it holds GRAPH_KINDS[k]
 
-# the rule sets by size, each in GRAPH_KINDS order, as ``cli.SUBSET_ORDER``, and
-# their codes; an 8-bit mask of rule sets has bit code(S) set for each S in it
-_SET_ORDER = tuple(frozenset(s) for r in range(4) for s in combinations(GRAPH_KINDS, r))
-_CODE = {kinds: sum(1 << GRAPH_KINDS.index(name) for name in kinds) for kinds in _SET_ORDER}
+# the rule sets in the order of ``cli.SUBSET_ORDER``; an 8-bit mask of rule sets
+# has bit _CODE[S] set for each S in it
+_SET_ORDER = tuple(_CODE)
 _ALL_SETS = 0xFF
 # _WITH[k]: the sets that hold GRAPH_KINDS[k]; gnr is in the sets with odd codes
 _WITH = (0xAA, 0xCC, 0xF0)
@@ -205,19 +282,38 @@ def _overlap_of(state, order) -> OverlapGraph:
 
 
 def _graph_rules(state, kinds: int) -> list[tuple]:
-    """Applicable rules of the kinds in the code: gnr, then gpr, then gdr in sorted edge order."""
+    """Applicable rules of the kinds in the code: gnr, then gpr, then gdr in sorted edge order.
+
+    Each loop peels the lowest set bit off a mask, as ``overlap.bits`` does.
+    """
     vertices, positive, adj = state
     negative = vertices & ~positive
     out = []
     if kinds & 1:
-        out += [(0, p, None) for p in bits(negative) if not adj[p]]
+        m = negative
+        while m:
+            low = m & -m
+            m ^= low
+            p = low.bit_length() - 1
+            if not adj[p]:
+                out.append((0, p, None))
     if kinds & 2:
-        out += [(1, p, None) for p in bits(positive)]
+        m = positive
+        while m:
+            low = m & -m
+            m ^= low
+            out.append((1, low.bit_length() - 1, None))
     if kinds & 4:
-        for p in bits(negative):
-            partners = adj[p] & negative & -(2 << p)  # the negative neighbours q > p
-            if partners:
-                out += [(2, p, q) for q in bits(partners)]
+        m = negative
+        while m:
+            low = m & -m
+            m ^= low
+            p = low.bit_length() - 1
+            partners = adj[p] & m  # the negative neighbours q > p
+            while partners:
+                high = partners & -partners
+                partners ^= high
+                out.append((2, p, high.bit_length() - 1))
     return out
 
 
@@ -230,19 +326,27 @@ def _graph_step(state, kind: int, p: int, q):
     if kind == 1:
         # local complementation at p: toggle every pair of neighbours, flip their signs
         nbrs, keep = adj[p], ~(1 << p)
-        for x in bits(nbrs):
-            adj[x] = (adj[x] ^ nbrs ^ (1 << x)) & keep
+        m = nbrs
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            adj[x] = (adj[x] ^ nbrs ^ low) & keep
         adj[p] = 0
         return vertices & keep, (positive & keep) ^ nbrs, tuple(adj)
     # toggle x-y when x is in N(p) and y in N(q), or the other way round; a
     # vertex in both receives N(p) ^ N(q), in which its own bit cancels
     np_, nq = adj[p], adj[q]
     keep = ~((1 << p) | (1 << q))
-    for x in bits((np_ | nq) & keep):
+    m = (np_ | nq) & keep
+    while m:
+        low = m & -m
+        m ^= low
+        x = low.bit_length() - 1
         a = adj[x]
-        if np_ >> x & 1:
+        if np_ & low:
             a ^= nq
-        if nq >> x & 1:
+        if nq & low:
             a ^= np_
         adj[x] = a & keep
     adj[p] = adj[q] = 0
@@ -250,13 +354,13 @@ def _graph_step(state, kind: int, p: int, q):
 
 
 def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[Rule]:
-    rules = _graph_rules(_graph_state(g), _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)])
+    rules = _graph_rules(_graph_state(g), _check_kinds(kinds, _CODE))
     return [_named(rule, g.vertex_order) for rule in rules]
 
 
 def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:
     state = _graph_state(g)
-    kinds = _CODE[_check_kinds((rule.kind,), ALL_GRAPH_RULES)]
+    kinds = _check_kinds((rule.kind,), _CODE)
     in_slots = {_named(r, g.vertex_order): r for r in _graph_rules(state, kinds)}
     if rule not in in_slots:
         raise ValueError(f"rule {rule} is not applicable")
@@ -270,7 +374,7 @@ def _check_graph_cap(g: OverlapGraph, max_kappa) -> None:
 
 def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kappa=DEFAULT_GRAPH_KAPPA_CAP):
     """Yield every rule sequence (application order) reducing g to the empty graph."""
-    kinds = _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)]
+    kinds = _check_kinds(kinds, _CODE)
     _check_graph_cap(g, max_kappa)
     prefix: list[tuple] = []
 
@@ -355,7 +459,7 @@ def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> 
     classifier check cost one search; the kinds and the cap are checked on
     every call.
     """
-    code = _CODE[_check_kinds(kinds, ALL_GRAPH_RULES)]
+    code = _check_kinds(kinds, _CODE)
     _check_graph_cap(g, max_kappa)
     return bool(_success_mask(g) >> code & 1)
 
@@ -367,25 +471,23 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
     constructed reduction graph; connectivity of that graph is the only
     global ingredient the classification needs.
     """
-    kinds = _check_kinds(kinds, ALL_GRAPH_RULES)
+    code = _check_kinds(kinds, _CODE)  # gnr 1, gpr 2, gdr 4
     connected = reduction_components == 1
-    components = g.component_masks
     positive = g.positive_mask
-    all_negative = not positive
-    if kinds == frozenset():
+    if code == 0:
         return not g.vertex_mask
-    if kinds == {"gnr"}:
-        return g.is_discrete() and all_negative
-    if kinds == {"gpr"}:
-        return connected and all(comp & positive for comp in components)
-    if kinds == {"gdr"}:
-        return connected and all_negative
-    if kinds == {"gnr", "gpr"}:
+    if code == 1:
+        return g.is_discrete() and not positive
+    if code == 2:
+        return connected and all(comp & positive for comp in g.component_masks)
+    if code == 4:
+        return connected and not positive
+    if code == 3:
         # a component of one vertex has one bit set
-        return all(not comp & (comp - 1) or comp & positive for comp in components)
-    if kinds == {"gnr", "gdr"}:
-        return all_negative
-    if kinds == {"gpr", "gdr"}:
+        return all(not comp & (comp - 1) or comp & positive for comp in g.component_masks)
+    if code == 5:
+        return not positive
+    if code == 6:
         return connected
     return True  # {gnr, gpr, gdr} always succeeds
 

@@ -676,6 +676,81 @@ def successful_in_per_set(g, kinds):
 
 
 # ---------------------------------------------------------------------------
+# string pointer reduction rules as Rule records, and the depth-first
+# enumeration of successful reductions that builds a Rule for each rule in
+# every state: the implementation ``rewriting.successful_string_reductions``
+# replaced, kept as the reference for its sequences, their order and its errors
+
+STRING_KINDS = frozenset({"snr", "spr", "sdr"})
+
+
+def _string_rules(u, kinds, at):
+    """Rules applicable to the legal string u with occurrence table at."""
+    from geneasm.rewriting import Rule
+
+    dom = sorted(at)
+    negative = [p for p in dom if u[at[p][0] - 1] == u[at[p][1] - 1]]
+    out = []
+    if "snr" in kinds:
+        out += [Rule("snr", (p,)) for p in negative if at[p][1] == at[p][0] + 1]
+    if "spr" in kinds:
+        out += [Rule("spr", (p,)) for p in dom if u[at[p][0] - 1] != u[at[p][1] - 1]]
+    if "sdr" in kinds:
+        for p in negative:
+            i1, i2 = at[p]
+            out += [Rule("sdr", (p, q)) for q in negative if i1 < at[q][0] < i2 < at[q][1]]
+    return out
+
+
+def _string_step(u, rule, at):
+    """Apply a rule known to be applicable to u."""
+    i1, i2 = at[rule.params[0]]
+    if rule.kind == "snr":
+        return u[: i1 - 1] + u[i2:]
+    if rule.kind == "spr":
+        return u[: i1 - 1] + tuple(-p for p in reversed(u[i1 : i2 - 1])) + u[i2:]
+    j1, j2 = at[rule.params[1]]
+    return u[: i1 - 1] + u[i2 : j2 - 1] + u[j1 : i2 - 1] + u[i1 : j1 - 1] + u[j2:]
+
+
+def successful_string_reductions(u, kinds=STRING_KINDS, max_domain=6):
+    """Yield every rule sequence (application order) reducing u to the empty string.
+
+    Plain depth-first enumeration; per-string successor lists are memoized
+    on the exact string.
+    """
+    from geneasm import pointers
+
+    kinds = frozenset(kinds)
+    if not kinds <= STRING_KINDS:
+        raise ValueError(f"unknown rule kinds {sorted(kinds - STRING_KINDS)}")
+    u = tuple(u)
+    if len(pointers.domain(u)) > max_domain:
+        raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.occurrence_index(u)  # raises unless u is legal; every rule keeps legality
+    edges = {}
+
+    def successors(v):
+        if v not in edges:
+            at = pointers.occurrence_index(v)
+            edges[v] = [(rule, _string_step(v, rule, at)) for rule in _string_rules(v, kinds, at)]
+        return edges[v]
+
+    prefix = []
+
+    def walk(v):
+        if not v:
+            yield list(prefix)
+            return
+        for rule, w in successors(v):
+            prefix.append(rule)
+            yield from walk(w)
+            prefix.pop()
+
+    yield from walk(u)
+
+
+# ---------------------------------------------------------------------------
 # canonical forms: least rotation by comparing every rotation, isomorphism
 # by exhaustive label-respecting bijection search, and their test inputs
 

@@ -53,9 +53,19 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
         (bench.SEARCH_ROW, kappa) for kappa in bench.SEARCH_KAPPAS
     ]
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["search_rows"])
-    # layer, search and CLI tables: header, rule, one row per kappa or command
+    # the string search rows: the enumerator to its default cap, the count sets to kappa 12
+    assert bench.STRING_SEARCH_KAPPAS == tuple(range(4, 13))
+    assert bench.ENUMERATE_KAPPA_CAP == 7
+    assert [(r["layer"], r["kappa"]) for r in report["string_search_rows"]] == [
+        (row, kappa) for kappa in bench.STRING_SEARCH_KAPPAS
+        for row in (bench.ENUMERATE_ROW, bench.COUNT_ROW)
+        if row == bench.COUNT_ROW or kappa <= 7
+    ]
+    assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["string_search_rows"])
+    # layer, search, string search and CLI tables: header, rule, one row per kappa or command
     assert capsys.readouterr().out.count("\n") == (
-        4 + 2 + len(bench.SEARCH_KAPPAS) + 2 + len(bench.CLI_COMMANDS)
+        4 + 2 + len(bench.SEARCH_KAPPAS) + 2 + len(bench.STRING_SEARCH_KAPPAS)
+        + 2 + len(bench.CLI_COMMANDS)
     )
 
 
@@ -70,6 +80,11 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     first, *rest = report["search_rows"]
     assert first["calls"] == 1
     assert all(r["skipped"] == "one call took over 0.0 s at kappa 6" for r in rest)
+    first_two, rest = report["string_search_rows"][:2], report["string_search_rows"][2:]
+    assert [(r["layer"], r["calls"]) for r in first_two] == [
+        (bench.ENUMERATE_ROW, 1), (bench.COUNT_ROW, 1)
+    ]
+    assert all(r["skipped"] == "one call took over 0.0 s at kappa 4" for r in rest)
 
 
 def test_the_search_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
@@ -85,6 +100,37 @@ def test_the_search_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
     assert rows[0]["calls"] == 3
     # each repeat's first call meets a graph with no stored answer, its other seven one
     assert stored == ([False] + [True] * 7) * 3
+
+
+def test_the_string_search_rows_run_each_kappas_first_string(bench, monkeypatch):
+    calls = []  # (search, string, max_domain)
+    enumerate_ = bench.rewriting.successful_string_reductions
+    count = bench.rewriting.negative_rule_counts
+
+    def successful_string_reductions(u):
+        calls.append(("enumerate", u, None))
+        return enumerate_(u)
+
+    def negative_rule_counts(u, max_domain):
+        calls.append(("count", u, max_domain))
+        return count(u, max_domain=max_domain)
+
+    monkeypatch.setattr(bench.rewriting, "successful_string_reductions",
+                        successful_string_reductions)
+    monkeypatch.setattr(bench.rewriting, "negative_rule_counts", negative_rule_counts)
+    rows = bench.measure_string_search(repeat=2, budget=10, kappas=(5, 7, 9))
+    first = {kappa: bench.sampling.random_realistic_string(bench.random.Random(bench.SEED), kappa)
+             for kappa in (5, 7, 9)}
+    assert calls == [call for kappa in (5, 7, 9) for call in
+                     [("enumerate", first[kappa], None)] * 2 * (kappa <= 7)
+                     + [("count", first[kappa], kappa - 1)] * 2]
+    assert [(r["layer"], r["kappa"]) for r in rows] == [
+        (bench.ENUMERATE_ROW, 5), (bench.COUNT_ROW, 5), (bench.ENUMERATE_ROW, 7),
+        (bench.COUNT_ROW, 7), (bench.COUNT_ROW, 9),
+    ]
+    # the enumerator row consumes every sequence
+    u = first[5]
+    assert bench.enumerate_all(u) == len(list(enumerate_(u))) > 1
 
 
 def test_labelled_graph_rows_time_a_fresh_graph_per_repeat(bench, monkeypatch):

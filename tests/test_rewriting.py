@@ -2,7 +2,7 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import oracles
 import strategies
@@ -125,6 +125,110 @@ class TestNegativeRuleCounts:
     def test_single_pair_string(self):
         seqs = list(rewriting.successful_string_reductions((2, 2)))
         assert seqs == [[Rule("snr", (2,))]]
+
+
+STRING_SUBSETS = [frozenset(s) for r in range(4) for s in combinations(rewriting.STRING_KINDS, r)]
+
+
+def _string_corpus():
+    """Seeded legal strings of domain <= 6, some with gaps, and realistic strings at kappa 2..7."""
+    rng = random.Random(102)
+    corpus = [(), (2, 2), (-2, -2), (2, -2), (2, 3, 2, 3), (2, 3, -2, 3), (3, 2, 2, 3)]
+    for _ in range(150):
+        size = rng.randint(1, 6)
+        mags = rng.sample(range(2, 40), size) if rng.random() < 0.3 else range(2, size + 2)
+        letters = [-m if rng.random() < 0.5 else m for m in mags for _ in range(2)]
+        rng.shuffle(letters)
+        corpus.append(tuple(letters))
+    corpus += [_random_realistic(rng, kappa) for kappa in range(2, 8) for _ in range(12)]
+    return corpus
+
+
+def _snr_counts(seqs):
+    return {sum(1 for r in seq if r.kind == "snr") for seq in seqs}
+
+
+class TestStringSearchAgainstTheDFS:
+    """The slot-tuple rules, the completion memo and the count sets, against the
+    depth-first enumeration they replaced (``oracles.successful_string_reductions``)."""
+
+    CORPUS = _string_corpus()
+
+    def test_same_sequences_in_the_same_order_for_every_kind_subset(self):
+        for u in self.CORPUS:
+            for kinds in STRING_SUBSETS:
+                assert list(rewriting.successful_string_reductions(u, kinds)) == list(
+                    oracles.successful_string_reductions(u, kinds)
+                ), (u, kinds)
+
+    def test_negative_rule_counts_are_the_enumerated_snr_counts(self):
+        for u in self.CORPUS:
+            assert rewriting.negative_rule_counts(u) == _snr_counts(
+                oracles.successful_string_reductions(u)
+            ), u
+
+    def test_rule_lists_and_successors(self):
+        for u in self.CORPUS:
+            at = pointers.occurrence_index(u)
+            for kinds in STRING_SUBSETS:
+                rules = rewriting.applicable_string_rules(u, kinds)
+                assert rules == oracles._string_rules(u, kinds, at)
+            for rule in rewriting.applicable_string_rules(u):
+                assert rewriting.apply_string_rule(u, rule) == oracles._string_step(u, rule, at)
+
+    def test_each_rule_is_built_once_per_call(self):
+        u = (2, 3, 4, 2, 3, 4, 5, 5)
+        seqs = list(rewriting.successful_string_reductions(u))
+        rules = [r for seq in seqs for r in seq]
+        assert len(seqs) > 1
+        assert len({id(r) for r in rules}) == len(set(rules))
+        # each sequence is a list of its own, as the depth-first enumeration yields
+        seqs[0].append(None)
+        assert seqs[0] != seqs[1] and None not in seqs[1]
+
+    def test_raised_caps_reach_kappa_12(self):
+        rng = random.Random(103)
+        for kappa in (8, 10, 12):
+            u = _random_realistic(rng, kappa)
+            counts = rewriting.negative_rule_counts(u, max_domain=kappa - 1)
+            assert counts == {reduction.ReductionGraph(u).component_count() - 1}
+            if kappa == 8:
+                seqs = rewriting.successful_string_reductions(u, max_domain=7)
+                assert _snr_counts(seqs) == counts
+
+    @pytest.mark.parametrize("u, kinds, max_domain, error", [
+        (tuple(range(2, 9)) * 2, rewriting.ALL_STRING_RULES, 6, CapError),
+        (tuple(range(2, 9)) * 2, rewriting.ALL_STRING_RULES, 7, None),
+        ((2, 3, 4, 2, 3, 4), rewriting.ALL_STRING_RULES, 2, CapError),
+        (tuple(range(2, 9)), rewriting.ALL_STRING_RULES, 6, CapError),  # the cap is checked first
+        ((2, 3, 2), rewriting.ALL_STRING_RULES, 6, LegalityError),
+        ((2, 2, 2, 2), rewriting.ALL_STRING_RULES, 6, LegalityError),
+        ((2, 2), ("snr", "gnr"), 6, ValueError),
+        (tuple(range(2, 9)), ("snr", "bogus"), 6, ValueError),  # the kinds come before the cap
+    ])
+    def test_the_same_errors_as_the_dfs(self, u, kinds, max_domain, error):
+        def outcome(search, *args):
+            try:
+                return "done", len(list(search(u, *args, max_domain=max_domain)))
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        want = outcome(oracles.successful_string_reductions, kinds)
+        assert want[0] == (error or "done")
+        assert outcome(rewriting.successful_string_reductions, kinds) == want
+        if kinds == rewriting.ALL_STRING_RULES:
+            counts = outcome(rewriting.negative_rule_counts)
+            assert counts[0] == want[0] and (error is None or counts == want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.legal_strings(max_domain=8))
+def test_every_successful_string_reduction_uses_components_minus_one_snr(u):
+    """The paper's string-side count: components(R_u) - 1 negative rules, on every sequence."""
+    assume(u)
+    reality, desire = oracles.reduction_edges(u)
+    components = oracles.component_count(len(u), [reality, desire])
+    assert rewriting.negative_rule_counts(u, max_domain=8) == {components - 1}
 
 
 class TestGraphRules:
