@@ -20,6 +20,8 @@ each on inputs built beforehand:
     ReductionGraph                  the parsed string
     cps                             the reduction graph
     direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
+    OverlapGraph.nullity            the overlap graph (the graph-side negative-rule
+                                    count, which ``classify`` also reads)
     emit_direct_json                the directly constructed reduction graph *
     canonical_labelled              the compressed reduction graph *
     canonical_2edge                 the reduction graph
@@ -128,6 +130,7 @@ LAYERS = (
     "ReductionGraph",
     "cps",
     "direct_reduction_graph",
+    "OverlapGraph.nullity",
     "emit_direct_json",
     "canonical_labelled",
     "canonical_2edge",
@@ -168,6 +171,7 @@ def cases(u):
         "ReductionGraph": (reduction.ReductionGraph, lambda: u),
         "cps": (compress.cps, rg),
         "direct_reduction_graph": (direct.direct_reduction_graph, graph),
+        "OverlapGraph.nullity": (overlap.OverlapGraph.nullity, graph),
         "emit_direct_json": (direct.emit_direct_json,
                              lambda: direct.direct_reduction_graph(graph())),
         "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),

@@ -80,6 +80,7 @@ _EXPORTS = {
             "successful_graph_reductions",
             "successful_in",
             "successful_in_classifier",
+            "successful_rule_sets",
             "successful_string_reductions",
         ),
     }.items()

@@ -268,7 +268,7 @@ def _cmd_count_negative(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from . import direct, overlap, rewriting
+    from . import overlap, rewriting
 
     if args.graph is not None:
         g = _realistic_graph_arg(args)
@@ -277,7 +277,7 @@ def _cmd_classify(args) -> int:
         g = overlap.overlap_graph(seq)  # its occurrence index is the legality check
         if not pointers.is_realistic(seq):
             raise RealismError("classification needs a realistic string")
-    comps = direct.direct_reduction_graph(g).component_count()
+    comps = g.nullity() + 1  # the reduction graph's component count
     for kinds in SUBSET_ORDER:
         verdict = rewriting.successful_in_classifier(g, kinds, comps)
         _emit(f"S={_subset_name(kinds)} successful={'true' if verdict else 'false'}")
@@ -337,10 +337,10 @@ def _cmd_crossval(args) -> int:
             )
         if kappa <= 6:
             comps = built.component_count()
-            passed["classifier"] = all(
-                rewriting.successful_in(g, s) == rewriting.successful_in_classifier(g, s, comps)
-                for s in SUBSET_ORDER
-            )
+            passed["classifier"] = rewriting.successful_rule_sets(g) == [
+                frozenset(s) for s in SUBSET_ORDER
+                if rewriting.successful_in_classifier(g, s, comps)
+            ]
         for check, ok in passed.items():
             ran[check] += 1
             if not ok:

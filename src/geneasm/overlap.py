@@ -143,6 +143,40 @@ class OverlapGraph(Record):
             left ^= comp
         return tuple(comps)
 
+    def nullity(self) -> int:
+        """The nullity over GF(2) of A, the adjacency matrix with a 1 at each positive vertex.
+
+        Every successful GPRS reduction of the graph, realistic or not, uses
+        exactly this many gnr rules:
+
+        * gnr removes an isolated negative vertex, a zero row and column of
+          A, so the nullity drops by one;
+        * gpr at a positive p is the Schur complement of A at the 1 on p's
+          diagonal (local complementation at p, the signs of N(p) flipped),
+          and gdr at adjacent negatives p, q the Schur complement at the
+          invertible block [[0, 1], [1, 0]] (the pivot, no sign changes);
+          a Schur complement at an invertible block keeps the nullity;
+        * the empty graph has nullity 0.
+
+        So the paper's "components of the reduction graph - 1" is this
+        number on the graph side.  One pass builds an xor basis of the rows
+        (``neighbor_masks[s]`` with bit s set when s is positive), keyed by
+        each row's highest bit; the rows it does not add are the nullity.
+        It is computed on each call, never when the graph is built.
+        """
+        masks, positive = self.neighbor_masks, self.positive_mask
+        basis: dict[int, int] = {}  # highest bit -> basis row
+        for s in range(2, len(self.vertex_order) + 2):
+            row = masks[s] | (positive & (1 << s))
+            while row:
+                top = row.bit_length() - 1
+                pivot = basis.get(top)
+                if pivot is None:
+                    basis[top] = row
+                    break
+                row ^= pivot
+        return len(self.vertex_order) - len(basis)
+
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest vertex."""
         order = self.vertex_order
@@ -163,7 +197,9 @@ class OverlapGraph(Record):
         """kappa for a graph on {2..kappa}; any other vertex set raises ``RealismError``.
 
         Realistic graphs, the only ones the paper builds reduction graphs
-        from, always have such a vertex set.
+        from, always have such a vertex set.  The direct construction reads
+        it; the graph-side negative-rule count calls it only for this check,
+        and reads the count from ``nullity``.
         """
         if not self.contiguous_domain():
             raise RealismError("overlap graph is not realistic: its vertex set is not {2..kappa}")

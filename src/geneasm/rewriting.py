@@ -465,11 +465,16 @@ def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> 
 
 
 def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) -> bool:
-    """Closed-form successfulness for realistic overlap graphs.
+    """Closed-form successfulness: does some sequence of rules in ``kinds`` reduce g?
 
-    ``reduction_components`` is the component count of the directly
-    constructed reduction graph; connectivity of that graph is the only
-    global ingredient the classification needs.
+    ``reduction_components`` is the component count of the reduction graph:
+    that of the directly constructed one, or ``g.nullity() + 1``, which is
+    the same number on realistic graphs.  Whether it is 1 is the only
+    global ingredient the classification needs.  With the nullity, the
+    answer is proved for realistic graphs and for six of the eight sets on
+    every signed graph; for {gpr} and {gnr, gpr} on graphs that are not
+    realistic it is checked (exhaustively to kappa 5 in the tests), not
+    proved.
     """
     code = _check_kinds(kinds, _CODE)  # gnr 1, gpr 2, gdr 4
     connected = reduction_components == 1
@@ -496,16 +501,20 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
 # negative-rule counting
 
 def predicted_negative_rule_count(x) -> int:
-    """Component count of the associated reduction graph, minus one.
+    """The number of negative rules in every successful reduction.
 
-    Accepts a non-empty legal string (string side; the empty string raises
-    ``LegalityError``) or a realistic overlap graph (graph side; a vertex
-    set other than {2..kappa} raises ``RealismError``).
+    Accepts a non-empty legal string (string side: the component count of
+    its reduction graph, minus one; the empty string raises
+    ``LegalityError``) or a signed graph on {2..kappa}, realistic or not
+    (graph side: ``OverlapGraph.nullity``, which on the overlap graph of a
+    legal string equals the string side's count; a vertex set other than
+    {2..kappa} raises ``RealismError``).
     """
-    from . import direct, reduction
-
     if isinstance(x, OverlapGraph):
-        return direct.direct_reduction_graph(x).component_count() - 1
+        x.kappa()  # raises unless the vertex set is {2..kappa}
+        return x.nullity()
+    from . import reduction
+
     seq = tuple(x)
     if not seq:
         raise LegalityError("the empty string has no negative-rule prediction")

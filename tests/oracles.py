@@ -523,6 +523,22 @@ def graph_neighbors(g, p):
     return frozenset(b if a == p else a for a, b in g.edges if p in (a, b))
 
 
+def gf2_nullity(g):
+    """log2 of the number of vertex sets X with |N(v) & X| + [v positive, v in X] even at every v.
+
+    Those X are the kernel of the adjacency matrix over GF(2) with a 1 on
+    the diagonal at each positive vertex; every subset is tried.
+    """
+    vertices = sorted(g.vertices)
+    rows = [graph_neighbors(g, v) | ({v} & g.positive) for v in vertices]
+    kernel = sum(
+        all(len(row & x) % 2 == 0 for row in rows)
+        for r in range(len(vertices) + 1)
+        for x in map(frozenset, combinations(vertices, r))
+    )
+    return kernel.bit_length() - 1
+
+
 def applicable_graph_rules(g, kinds=("gnr", "gpr", "gdr")):
     """(kind, params) pairs: isolated negatives, positives, negative edges, each sorted."""
     negative = g.vertices - g.positive

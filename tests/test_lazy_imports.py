@@ -76,6 +76,21 @@ def test_no_verb_loads_dataclasses(argv):
     assert "dataclasses" not in _modules_loaded_by(argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--string=72673456-3-245"],
+        ["classify", "--graph", '{"vertices":[{"p":2,"sign":"-"}],"edges":[]}'],
+        ["count-negative", "--string=72673456-3-245"],
+        ["count-negative", "--graph", '{"vertices":[{"p":2,"sign":"-"}],"edges":[]}'],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[1].split('=')[0]}",
+)
+def test_counting_verbs_build_no_reduction_graph_from_the_overlap_graph(argv):
+    # the component count they need is the overlap graph's nullity + 1
+    assert not {"geneasm.direct", "geneasm.compress"} & _modules_loaded_by(argv)
+
+
 def test_every_export_is_its_submodules_object():
     for name in geneasm.__all__:
         module = importlib.import_module(f"geneasm.{geneasm._EXPORTS[name]}")

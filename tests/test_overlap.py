@@ -1,11 +1,14 @@
 import json
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
 
 import oracles
-from geneasm import overlap, pointers, rewriting, sampling
+import strategies
+from geneasm import overlap, pointers, reduction, rewriting, sampling
 from geneasm.errors import ParseError, RealismError
 
 
@@ -347,6 +350,52 @@ class TestKappa:
             assert g.contiguous_domain() == bool(contiguous)
             if contiguous:
                 assert g.kappa() == len(vertices) + 1
+
+
+class TestNullity:
+    """``nullity()``: the GF(2) nullity of the adjacency matrix with a 1 at each positive vertex."""
+
+    @pytest.mark.parametrize("text, nullity", [("", 0), ("22", 1), ("2-2", 0), ("2233", 2),
+                                               ("2323", 0), ("453475623267", 2),
+                                               ("72673456-3-245", 1)])
+    def test_worked_examples(self, text, nullity):
+        assert graph_of(text).nullity() == nullity
+
+    def test_matches_the_kernel_count(self):
+        rng = random.Random(41)
+        graphs = [overlap.OverlapGraph(range(2, kappa + 1), positive, edges)
+                  for kappa in range(2, 5) for edges, positive in oracles.signed_graphs(kappa)]
+        for _ in range(150):
+            vertices = rng.sample(range(2, 40), rng.randint(0, 9))
+            graphs.append(overlap.OverlapGraph(
+                vertices, {v for v in vertices if rng.random() < 0.5},
+                {pq for pq in combinations(sorted(vertices), 2) if rng.random() < 0.4}))
+        for g in graphs:
+            assert g.nullity() == oracles.gf2_nullity(g)
+
+    def test_not_computed_when_the_graph_is_built(self):
+        g = graph_of("453475623267")
+        assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
+        assert g.nullity() == 2
+        assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.legal_strings())
+    def test_is_the_reduction_graph_component_count_minus_one(self, u):
+        # every non-empty legal string, realistic or not, gaps in its domain included;
+        # the empty string's reduction graph has no vertices and no component
+        assume(u)
+        assert overlap.overlap_graph(u).nullity() + 1 == (
+            reduction.ReductionGraph(u).component_count()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    def test_is_the_direct_component_count_minus_one(self, arr):
+        from geneasm import direct
+
+        g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+        assert g.nullity() + 1 == direct.direct_reduction_graph(g).component_count()
 
 
 def _random_legal(rng, max_domain=5):

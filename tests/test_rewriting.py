@@ -304,18 +304,46 @@ class TestPublishedReductions:
             rewriting.parse_rule_sequence(bad)
 
 
+# every signed graph on {2..kappa} for kappa 2..5, realistic or not: 1,098 graphs
+SMALL_GRAPHS = [
+    overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
+    for kappa in range(2, 6)
+    for edges, positive in oracles.signed_graphs(kappa)
+]
+
+
+def _gnr_counts(g):
+    return {sum(1 for r in seq if r.kind == "gnr")
+            for seq in rewriting.successful_graph_reductions(g)}
+
+
 class TestGraphCounts:
+    """Every successful reduction of every graph, realistic or not, uses ``nullity`` gnr rules."""
+
     def test_graph_reductions_use_exactly_the_predicted_count(self):
-        rng = random.Random(95)
-        for _ in range(40):
-            u = _random_realistic(rng, rng.randint(2, 5))
-            g = overlap.overlap_graph(u)
-            want = rewriting.predicted_negative_rule_count(g)
-            counts = {
-                sum(1 for r in seq if r.kind == "gnr")
-                for seq in rewriting.successful_graph_reductions(g)
-            }
-            assert counts == {want}
+        assert len(SMALL_GRAPHS) == 1098
+        for g in SMALL_GRAPHS:
+            want = g.nullity()
+            assert rewriting.predicted_negative_rule_count(g) == want
+            assert _gnr_counts(g) == {want}
+
+    @settings(max_examples=150, deadline=None)
+    @given(strategies.graphs_on_domain(max_kappa=6))
+    def test_every_reduction_of_a_graph_uses_nullity_gnr(self, g):
+        assert rewriting.predicted_negative_rule_count(g) == g.nullity()
+        assert _gnr_counts(g) == {g.nullity()}
+        for kinds in TestSuccessfulness.SUBSETS:
+            assert rewriting.successful_in_classifier(g, kinds, g.nullity() + 1) == (
+                rewriting.successful_in(g, kinds)
+            )
+
+    def test_a_graph_that_is_not_realistic(self):
+        # the direct construction's component count - 1 is 3 here, but both
+        # successful reductions, gpr_3 and gdr_{2,4} in either order, use no gnr
+        g = overlap.OverlapGraph({2, 3, 4}, {3}, {(2, 4)})
+        assert overlap.is_realistic_overlap(g) is None
+        assert rewriting.predicted_negative_rule_count(g) == 0
+        assert _gnr_counts(g) == {0}
 
     def test_string_and_graph_predictions_agree_on_realistic_strings(self):
         rng = random.Random(96)
@@ -362,6 +390,14 @@ class TestSuccessfulness:
                         assert rewriting.successful_in(
                             g, kinds
                         ) == rewriting.successful_in_classifier(g, kinds, comps)
+
+    def test_classifier_with_the_nullity_agrees_with_search_on_every_small_graph(self):
+        for g in SMALL_GRAPHS:
+            comps = g.nullity() + 1
+            for kinds in self.SUBSETS:
+                assert rewriting.successful_in_classifier(g, kinds, comps) == (
+                    rewriting.successful_in(g, kinds)
+                )
 
     def test_classifier_agrees_with_search_random(self):
         from geneasm import direct
@@ -436,14 +472,8 @@ def _plain(rules):
 class TestAgainstOracles:
     """The bitmask rules and search against the edge-set ones in tests/oracles.py."""
 
-    SMALL = [
-        overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
-        for kappa in range(2, 6)
-        for edges, positive in oracles.signed_graphs(kappa)
-    ]
-
     def test_rule_lists_and_successors_on_every_small_graph(self):
-        for g in self.SMALL:
+        for g in SMALL_GRAPHS:
             rules = rewriting.applicable_graph_rules(g)
             assert _plain(rules) == oracles.applicable_graph_rules(g)
             for rule in rules:
@@ -453,7 +483,7 @@ class TestAgainstOracles:
                 )
 
     def test_successful_in_on_every_small_graph(self):
-        for g in self.SMALL:
+        for g in SMALL_GRAPHS:
             for kinds in TestSuccessfulness.SUBSETS:
                 assert rewriting.successful_in(g, kinds) == oracles.successful_in(g, kinds)
 
