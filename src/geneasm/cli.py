@@ -11,13 +11,18 @@ so shell pipelines can branch on the outcome.  An error prints one
 is 2 for any other ``ValueError``, an unreadable ``@file`` or a missing
 option value (``--graph=``; ``--string=--``, which argparse reads as none).
 
-``direct``, ``count-negative`` and ``classify`` need a realistic overlap
-graph: on ``--graph`` input they decide realism first and exit 4 with
-``overlap graph is not realistic`` if it is not (a vertex set other than
-{2..kappa} included).  Realism is decided by reconstruction, with no
-search and no cap on kappa.  The verbs that take a pointer string as a
-positional argument accept one that starts with a barred pointer, as in
-``geneasm components -3-223``; ``--`` before it still works.
+Exit 4 comes only from ``direct``, ``decode`` and ``check-realism``.
+``direct`` needs a realistic overlap graph: on ``--graph`` input it
+decides realism first and exits 4 with ``overlap graph is not realistic``
+if it is not (a vertex set other than {2..kappa} included).  Realism is
+decided by reconstruction, with no search and no cap on kappa.
+``classify``, and ``count-negative`` on ``--graph``, read only the
+overlap graph's GF(2) nullity and components: they decide no realism and
+answer on every signed graph and legal string, on any vertex set.
+
+The verbs that take a pointer string as a positional argument accept one
+that starts with a barred pointer, as in ``geneasm components -3-223``;
+``--`` before it still works.
 
 Only the modules a verb runs are imported: each verb imports its own at
 call time, and the package loads its submodules on first use, so
@@ -29,7 +34,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import pointers
 from .errors import CapError, LegalityError, ParseError, RealismError
@@ -81,15 +86,6 @@ def _overlap_graph_arg(args):
     if args.graph is not None:
         return overlap.parse_overlap_json(_read_source(args.graph))
     return overlap.overlap_graph(_parse_string_arg(args.string))
-
-
-def _realistic_graph_arg(args):
-    """The ``--graph`` overlap graph, which must be realistic (exit 4)."""
-    from . import overlap
-
-    g = overlap.parse_overlap_json(_read_source(args.graph))
-    overlap.require_realistic(g)
-    return g
 
 
 def _emit(text: str) -> None:
@@ -208,9 +204,11 @@ def _cmd_cps(args) -> int:
 
 
 def _cmd_direct(args) -> int:
-    from . import direct
+    from . import direct, overlap
 
-    g = _realistic_graph_arg(args) if args.graph is not None else _overlap_graph_arg(args)
+    g = _overlap_graph_arg(args)
+    if args.graph is not None:
+        overlap.require_realistic(g)
     built = direct.direct_reduction_graph(g)
     if args.explain:
         for line in direct.explain_lines(g):
@@ -262,21 +260,15 @@ def _cmd_components(args) -> int:
 def _cmd_count_negative(args) -> int:
     from . import rewriting
 
-    x = _realistic_graph_arg(args) if args.graph is not None else _parse_string_arg(args.string)
+    x = _overlap_graph_arg(args) if args.graph is not None else _parse_string_arg(args.string)
     _emit(str(rewriting.predicted_negative_rule_count(x)))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    from . import overlap, rewriting
+    from . import rewriting
 
-    if args.graph is not None:
-        g = _realistic_graph_arg(args)
-    else:
-        seq = _parse_string_arg(args.string)
-        g = overlap.overlap_graph(seq)  # its occurrence index is the legality check
-        if not pointers.is_realistic(seq):
-            raise RealismError("classification needs a realistic string")
+    g = _overlap_graph_arg(args)  # on a string, its occurrence index is the legality check
     comps = g.nullity() + 1  # the reduction graph's component count
     for kinds in SUBSET_ORDER:
         verdict = rewriting.successful_in_classifier(g, kinds, comps)
@@ -307,8 +299,29 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _toggled(g, index: int):
+    """g with one sign or one edge toggled: the index-th pair p <= q of its vertices, cyclically.
+
+    A pair p == p toggles the sign of p, a pair p < q the edge p-q.
+    """
+    from . import overlap
+
+    pairs = list(combinations_with_replacement(g.vertex_order, 2))
+    p, q = pairs[index % len(pairs)]
+    if p == q:
+        return overlap.OverlapGraph(g.vertices, g.positive ^ {p}, g.edges)
+    return overlap.OverlapGraph(g.vertices, g.positive, g.edges ^ {(p, q)})
+
+
 def _cmd_crossval(args) -> int:
-    """Each failed check also prints the failing input, replayable as ``--string=``."""
+    """Each failed check also prints the failing input: ``input=``, replayable as
+    ``--string=``, or for a check on a graph ``graph=``, replayable as ``--graph``.
+
+    The graph-side checks run on γ_u and on a graph one toggle away from it,
+    which need not be realistic.  The toggle comes from the trial's index
+    (``_toggled``), not from the random draws, so the draws, and the lines
+    of the checks on u, do not depend on the checks on the toggled graph.
+    """
     import random
 
     from . import compress, direct, iso, overlap, reduction, rewriting, sampling
@@ -317,10 +330,23 @@ def _cmd_crossval(args) -> int:
         raise ValueError("kappa must be >= 2")
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
+
+    def classifier_matches_search(h) -> bool:
+        comps = h.nullity() + 1
+        return rewriting.successful_rule_sets(h) == [
+            frozenset(s) for s in SUBSET_ORDER if rewriting.successful_in_classifier(h, s, comps)
+        ]
+
+    def every_reduction_uses_nullity_gnr(h) -> bool:
+        want = h.nullity()
+        return all(sum(r.kind == "gnr" for r in seq) == want
+                   for seq in rewriting.successful_graph_reductions(h))
+
     rng = random.Random(args.seed)
-    ran = dict.fromkeys(("root-subgraph", "cps-vs-direct", "negative-count", "classifier"), 0)
+    ran = dict.fromkeys(("root-subgraph", "cps-vs-direct", "negative-count", "classifier",
+                         "classifier-toggled", "graph-negative-count"), 0)
     bad = dict.fromkeys(ran, 0)
-    for _ in range(args.trials):
+    for trial in range(args.trials):
         kappa = rng.randint(2, args.kappa)
         u = sampling.random_realistic_string(rng, kappa)
         rg = reduction.ReductionGraph(u)
@@ -331,21 +357,28 @@ def _cmd_crossval(args) -> int:
             "cps-vs-direct":
                 iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built),
         }
+        replay = {}  # check -> the failing input, when it is not u
         if kappa <= 5:
             passed["negative-count"] = (
                 rewriting.negative_rule_counts(u) == {rg.component_count() - 1}
             )
         if kappa <= 6:
-            comps = built.component_count()
-            passed["classifier"] = rewriting.successful_rule_sets(g) == [
-                frozenset(s) for s in SUBSET_ORDER
-                if rewriting.successful_in_classifier(g, s, comps)
-            ]
+            toggled = _toggled(g, trial)
+            passed["classifier"] = classifier_matches_search(g)
+            passed["classifier-toggled"] = classifier_matches_search(toggled)
+            replay["classifier-toggled"] = toggled
+            if kappa <= 5:
+                wrong = [h for h in (g, toggled) if not every_reduction_uses_nullity_gnr(h)]
+                passed["graph-negative-count"] = not wrong
+                replay["graph-negative-count"] = wrong[0] if wrong else None
         for check, ok in passed.items():
             ran[check] += 1
             if not ok:
                 bad[check] += 1
-                _emit(f"check={check} kappa={kappa} input={_format_string(u)}")
+                h = replay.get(check)
+                source = (f"input={_format_string(u)}" if h is None
+                          else f"graph={overlap.emit_overlap_json(h)}")
+                _emit(f"check={check} kappa={kappa} {source}")
     for check in ran:
         _emit(f"check={check} trials={ran[check]} failures={bad[check]}")
     return EXIT_OK if not any(bad.values()) else EXIT_INTERNAL
@@ -413,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _graph_or_string(p, "legal string")
 
     p = add("classify", _cmd_classify, help="successfulness for every rule-set choice")
-    _graph_or_string(p, "realistic string")
+    _graph_or_string(p, "legal string")
 
     p = add("check-realism", _cmd_check_realism, help="search for a witness arrangement")
     _graph_or_string(p, "legal string whose overlap graph to test")

@@ -197,9 +197,9 @@ class OverlapGraph(Record):
         """kappa for a graph on {2..kappa}; any other vertex set raises ``RealismError``.
 
         Realistic graphs, the only ones the paper builds reduction graphs
-        from, always have such a vertex set.  The direct construction reads
-        it; the graph-side negative-rule count calls it only for this check,
-        and reads the count from ``nullity``.
+        from, always have such a vertex set.  The direct construction and
+        the realism decision read it; the negative-rule count and the
+        classifier do not, as ``nullity`` holds on any vertex set.
         """
         if not self.contiguous_domain():
             raise RealismError("overlap graph is not realistic: its vertex set is not {2..kappa}")

@@ -1,11 +1,12 @@
 import io
 import json
 import random
+from itertools import islice
 
 import pytest
 
 import oracles
-from geneasm import cli, errors, overlap, pointers, sampling
+from geneasm import cli, errors, overlap, pointers, rewriting, sampling
 
 
 def run(argv):
@@ -16,6 +17,25 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _searched_stdout(verb, g, max_kappa=7):
+    """What ``classify`` or ``count-negative`` should print for g, from the searches.
+
+    classify: one line per rule set, true when ``successful_rule_sets``
+    holds it.  count-negative: the gnr count of the first 1,000 successful
+    reductions, which must all agree.
+    """
+    if verb == "classify":
+        sets = rewriting.successful_rule_sets(g, max_kappa=max_kappa)
+        return "".join(
+            "S={" + ",".join(k.capitalize() for k in s) + "} successful="
+            + ("true" if frozenset(s) in sets else "false") + "\n"
+            for s in cli.SUBSET_ORDER
+        )
+    reductions = rewriting.successful_graph_reductions(g, max_kappa=max_kappa)
+    (count,) = {sum(r.kind == "gnr" for r in seq) for seq in islice(reductions, 1000)}
+    return f"{count}\n"
 
 
 class TestBasicVerbs:
@@ -345,10 +365,11 @@ class TestPipelines:
             "S={Gnr,Gpr,Gdr} successful=true",
         ]
 
-    def test_classify_rejects_non_realistic(self):
-        assert run(["classify", "--string", "24535423"]) == (
-            4, "", "error: classification needs a realistic string\n"
-        )
+    @pytest.mark.parametrize("text", ["24535423", "2244"])
+    def test_classify_answers_on_strings_that_are_not_realistic(self, text):
+        g = overlap.overlap_graph(pointers.parse_pointer_string(text))
+        assert overlap.is_realistic_overlap(g) is None
+        assert run(["classify", "--string", text]) == (0, _searched_stdout("classify", g), "")
 
     def test_classify_rejects_non_legal(self):
         # the overlap graph's occurrence index is the legality check, before realism
@@ -389,20 +410,40 @@ class TestEdgeInputs:
         code, out, _ = run(["count-negative", "--graph", overlap_json.strip()])
         assert (code, out) == (0, "2\n")
 
-    @pytest.mark.parametrize("verb", ["direct", "count-negative"])
+    @pytest.mark.parametrize("verb", ["direct"])
     def test_graph_input_must_be_realistic(self, verb):
         _, overlap_json, _ = run(["overlap", "24535423"])  # the star: not realistic
         assert run([verb, "--graph", overlap_json.strip()]) == (
             4, "", "error: overlap graph is not realistic\n"
         )
 
+    # not realistic: the star of 24535423, and the edge 2-4 beside a positive 3,
+    # whose direct-construction component count - 1 (3) is not its gnr count (0)
+    NOT_REALISTIC = {
+        "star": overlap.overlap_graph(pointers.parse_pointer_string("24535423")),
+        "split": overlap.OverlapGraph({2, 3, 4}, {3}, {(2, 4)}),
+    }
+
+    @pytest.mark.parametrize("verb", ["count-negative", "classify"])
+    @pytest.mark.parametrize("graph", sorted(NOT_REALISTIC))
+    def test_gprs_verbs_answer_on_graphs_that_are_not_realistic(self, verb, graph):
+        g = self.NOT_REALISTIC[graph]
+        assert overlap.is_realistic_overlap(g) is None
+        assert run([verb, "--graph", overlap.emit_overlap_json(g)]) == (
+            0, _searched_stdout(verb, g), ""
+        )
+
     @pytest.mark.parametrize("verb", ["direct", "count-negative", "classify"])
     @pytest.mark.parametrize("text", ["2244", "4-4", "3535", ""])
     def test_gapped_graph_input_is_not_realistic(self, verb, text):
+        # direct needs realism; the GPRS verbs answer on any vertex set
         _, overlap_json, _ = run(["overlap", text])
-        assert run([verb, "--graph", overlap_json.strip()]) == (
-            4, "", "error: overlap graph is not realistic\n"
-        )
+        got = run([verb, "--graph", overlap_json.strip()])
+        if verb == "direct":
+            assert got == (4, "", "error: overlap graph is not realistic\n")
+        else:
+            g = overlap.parse_overlap_json(overlap_json)
+            assert got == (0, _searched_stdout(verb, g), "")
 
     @pytest.mark.parametrize("verb", ["direct", "count-negative", "classify", "check-realism"])
     def test_graph_input_max_kappa(self, verb, capsys):
@@ -498,8 +539,8 @@ class TestSeededVerbs:
         code, out, _ = run(["crossval", "--seed", "3", "--trials", "4", "--kappa", "5"])
         assert code == 5
         lines = out.splitlines()
-        assert lines[-4] == "check=root-subgraph trials=4 failures=4"
-        assert len(lines) == 8
+        assert lines[-6] == "check=root-subgraph trials=4 failures=4"
+        assert len(lines) == 10
         for line in lines[:4]:
             check, kappa, source = line.split(" ")
             assert check == "check=root-subgraph"
@@ -508,6 +549,32 @@ class TestSeededVerbs:
             assert kappa == f"kappa={pointers.kappa_of(seq)}"
             assert run(["components", "--", text])[0] == 0
             assert run(["classify", f"--string={text}"])[0] == 0
+
+    def test_crossval_prints_replayable_graph_failures(self, monkeypatch):
+        # a search that contradicts the classifier and every gnr count fails every graph check
+        monkeypatch.setattr(rewriting, "successful_rule_sets", lambda h: [frozenset()])
+        monkeypatch.setattr(rewriting, "successful_graph_reductions",
+                            lambda h: iter([[rewriting.Rule("gnr", (2,))] * (h.nullity() + 1)]))
+        code, out, _ = run(["crossval", "--seed", "3", "--trials", "5", "--kappa", "5"])
+        assert code == 5
+        lines = out.splitlines()
+        assert lines[-3:] == ["check=classifier trials=5 failures=5",
+                              "check=classifier-toggled trials=5 failures=5",
+                              "check=graph-negative-count trials=5 failures=5"]
+        failed = [line.split(" ") for line in lines[:-6]]
+        assert len(failed) == 15
+        for trial in range(5):
+            (c1, k1, source), (c2, k2, toggled), (c3, k3, own) = failed[3 * trial : 3 * trial + 3]
+            assert (c1, c2, c3) == ("check=classifier", "check=classifier-toggled",
+                                    "check=graph-negative-count")
+            assert k1 == k2 == k3
+            g = overlap.overlap_graph(pointers.parse_pointer_string(source.removeprefix("input=")))
+            assert overlap.parse_overlap_json(own.removeprefix("graph=")) == g
+            h = overlap.parse_overlap_json(toggled.removeprefix("graph="))
+            assert h.vertices == g.vertices
+            assert len(h.positive ^ g.positive) + len(h.edges ^ g.edges) == 1
+            for verb in ("classify", "count-negative"):
+                assert run([verb, "--graph", toggled.removeprefix("graph=")])[0] == 0
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -610,10 +677,14 @@ class TestRealismCap:
         domain = range(2, 14)
         star = json.dumps({"vertices": [{"p": p, "sign": "-"} for p in domain],
                            "edges": [[2, q] for q in domain if q > 2]})
-        code, out, err = run([verb, "--graph", star])
-        assert code == 4
-        assert (out, err) == (("not-realistic\n", "") if verb == "check-realism" else
-                              ("", "error: overlap graph is not realistic\n"))
+        got = run([verb, "--graph", star])
+        if verb == "check-realism":
+            assert got == (4, "not-realistic\n", "")
+        elif verb == "direct":
+            assert got == (4, "", "error: overlap graph is not realistic\n")
+        else:  # the GPRS verbs need no realism
+            g = overlap.parse_overlap_json(star)
+            assert got == (0, _searched_stdout(verb, g, max_kappa=13), "")
 
     def test_max_kappa_variable_is_ignored(self, monkeypatch):
         # GENEASM_MAX_KAPPA is not read: no environment variable caps realism

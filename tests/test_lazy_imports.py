@@ -87,8 +87,9 @@ def test_no_verb_loads_dataclasses(argv):
     ids=lambda argv: f"{argv[0]} {argv[1].split('=')[0]}",
 )
 def test_counting_verbs_build_no_reduction_graph_from_the_overlap_graph(argv):
-    # the component count they need is the overlap graph's nullity + 1
-    assert not {"geneasm.direct", "geneasm.compress"} & _modules_loaded_by(argv)
+    # the component count they need is the overlap graph's nullity + 1, and
+    # they decide no realism, so the arrangement scan is not loaded either
+    assert not {"geneasm.direct", "geneasm.compress", "geneasm.kernels"} & _modules_loaded_by(argv)
 
 
 def test_every_export_is_its_submodules_object():

@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -105,9 +106,11 @@ class TestNegativeRuleCounts:
         with pytest.raises(LegalityError, match="^the empty string has no negative-rule prediction$"):
             rewriting.predicted_negative_rule_count(())
 
-    def test_graph_side_requires_contiguous_domain(self):
-        with pytest.raises(ValueError):
-            rewriting.predicted_negative_rule_count(gamma("2244"))
+    def test_graph_side_counts_on_any_vertex_set(self):
+        # {2, 4}, two isolated negative vertices: every reduction is two gnr
+        g = gamma("2244")
+        assert rewriting.predicted_negative_rule_count(g) == 2
+        assert _gnr_counts(g) == {2}
 
     def test_string_reductions_use_exactly_the_predicted_count(self):
         rng = random.Random(93)
@@ -312,6 +315,13 @@ SMALL_GRAPHS = [
 ]
 
 
+def _classified(g):
+    """The rule sets the classifier, given the nullity, calls successful, in search order."""
+    comps = g.nullity() + 1
+    return [s for s in TestSuccessfulness.SUBSETS
+            if rewriting.successful_in_classifier(g, s, comps)]
+
+
 def _gnr_counts(g):
     return {sum(1 for r in seq if r.kind == "gnr")
             for seq in rewriting.successful_graph_reductions(g)}
@@ -344,6 +354,21 @@ class TestGraphCounts:
         assert overlap.is_realistic_overlap(g) is None
         assert rewriting.predicted_negative_rule_count(g) == 0
         assert _gnr_counts(g) == {0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(strategies.graphs_on_domain(max_kappa=7), st.data())
+    def test_a_gapped_vertex_set_changes_no_answer(self, g, data):
+        # on such a set a vertex's slot is not its magnitude; 10**6 is always a vertex
+        n = len(g.vertex_order)
+        others = data.draw(st.lists(st.integers(2, 40), min_size=n - 1, max_size=n - 1,
+                                    unique=True))
+        name = dict(zip(g.vertex_order, data.draw(st.permutations([10**6, *others]))))
+        h = overlap.OverlapGraph({name[p] for p in g.vertices}, {name[p] for p in g.positive},
+                                 {tuple(sorted((name[p], name[q]))) for p, q in g.edges})
+        assert not h.contiguous_domain()
+        assert h.nullity() == rewriting.predicted_negative_rule_count(h) == g.nullity()
+        assert rewriting.successful_rule_sets(h) == rewriting.successful_rule_sets(g)
+        assert _classified(h) == _classified(g)
 
     def test_string_and_graph_predictions_agree_on_realistic_strings(self):
         rng = random.Random(96)
@@ -392,12 +417,29 @@ class TestSuccessfulness:
                         ) == rewriting.successful_in_classifier(g, kinds, comps)
 
     def test_classifier_with_the_nullity_agrees_with_search_on_every_small_graph(self):
-        for g in SMALL_GRAPHS:
-            comps = g.nullity() + 1
-            for kinds in self.SUBSETS:
-                assert rewriting.successful_in_classifier(g, kinds, comps) == (
-                    rewriting.successful_in(g, kinds)
-                )
+        graphs = 0
+        for kappa in range(2, 7):
+            vertices = frozenset(range(2, kappa + 1))
+            for edges, positive in oracles.signed_graphs(kappa):
+                g = overlap.OverlapGraph(vertices, positive, edges)
+                assert _classified(g) == rewriting.successful_rule_sets(g)
+                graphs += 1
+        assert graphs == 1098 + 32768
+
+    def test_classifier_agrees_with_search_on_seeded_graphs_at_kappa_7_and_8(self):
+        # sparse to dense, few to many positive vertices: single vertices,
+        # several components and all-negative ones all occur
+        rng = random.Random(108)
+        for _ in range(300):
+            kappa = rng.randint(7, 8)
+            vertices = range(2, kappa + 1)
+            density, positive_share = rng.choice((0.15, 0.3, 0.5)), rng.choice((0.0, 0.2, 0.5))
+            g = overlap.OverlapGraph(
+                vertices=frozenset(vertices),
+                positive=frozenset(v for v in vertices if rng.random() < positive_share),
+                edges=frozenset(e for e in combinations(vertices, 2) if rng.random() < density),
+            )
+            assert _classified(g) == rewriting.successful_rule_sets(g, max_kappa=8)
 
     def test_classifier_agrees_with_search_random(self):
         from geneasm import direct
