@@ -1,6 +1,7 @@
 """Time each layer of the string-side pipeline and the realism decision on its own,
 over a kappa ladder, the GPRS search over all eight rule sets, the SPRS searches,
-and the short CLI verbs and ``check-realism --graph`` in fresh processes.
+and the short CLI verbs, ``check-realism --graph`` and ``direct --string`` in
+fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048 8192] [--out FILE]
@@ -64,13 +65,17 @@ the budget.
 The CLI rows time whole fresh processes, with the same best-of rule:
 ``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
 and ``python -m geneasm.cli VERB ...`` for each short verb on inputs drawn
-from ``random.Random(SEED)`` at kappa 8.  What a verb costs over the bare
-interpreter is its imports plus its work.  ``check-realism --graph`` also
-runs on a JSON file holding the overlap graph of the realistic string that
-``random.Random(SEED)`` draws first at each kappa of ``CLI_GRAPH_KAPPAS``;
-there parsing the JSON costs more than deciding realism.  The results go to
-``BENCH_layers.json`` at the repository root (or ``--out``) with the Python
-version, core count, git SHA and seed, and a table is printed.
+from ``random.Random(SEED)`` at kappa 8; ``count-negative``, ``classify``
+and ``direct`` run once on that string and once, as ``VERB --graph``, on its
+overlap graph's JSON.  What a verb costs over the bare interpreter is its
+imports plus its work.  At each kappa of ``CLI_GRAPH_KAPPAS``, on the
+realistic string that ``random.Random(SEED)`` draws first there,
+``check-realism --graph`` runs on a JSON file holding its overlap graph
+(parsing the JSON costs more than deciding realism), and ``direct --string``
+on a file holding the string (it decides realism before it builds).  The
+results go to ``BENCH_layers.json`` at the repository root (or ``--out``)
+with the Python version, core count, git SHA and seed, and a table is
+printed.
 """
 
 from __future__ import annotations
@@ -104,6 +109,8 @@ COUNT_ROW = "negative_rule_counts"
 ENUMERATE_KAPPA_CAP = rewriting.DEFAULT_STRING_DOMAIN_CAP + 1
 CLI_KAPPA = 8
 CLI_GRAPH_KAPPAS = (512, 2048)
+# the verbs timed on the kappa-8 string and on its overlap graph's JSON
+CLI_GRAPH_VERBS = ("count-negative", "classify", "direct")
 CLI_COMMANDS = (
     "python -c pass",
     "import geneasm.cli",
@@ -112,12 +119,12 @@ CLI_COMMANDS = (
     "validate",
     "random",
     "components",
-    "count-negative",
-    "classify",
-    "direct",
+    *CLI_GRAPH_VERBS,
+    *(f"{verb} --graph" for verb in CLI_GRAPH_VERBS),
     "iso-check",
     "check-realism",
     *(f"check-realism --graph at kappa {kappa}" for kappa in CLI_GRAPH_KAPPAS),
+    *(f"direct --string at kappa {kappa}" for kappa in CLI_GRAPH_KAPPAS),
 )
 LAYERS = (
     "parse_pointer_string",
@@ -205,12 +212,16 @@ def cli_argvs(kappa, workdir):
     arr = sampling.random_arrangement(rng, kappa)
     u, v = (sampling.random_realistic_string(rng, kappa) for _ in range(2))
     text = pointers.format_pointer_string(u, "compact")
-    files = []
-    for name, seq in (("u", u), ("v", v)):
-        path = os.path.join(workdir, f"{name}.txt")
+
+    def source(name, content):
+        """A new file in workdir holding content, as a CLI source: "@" and its path."""
+        path = os.path.join(workdir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(pointers.format_pointer_string(seq, "compact") + "\n")
-        files.append("@" + path)
+            fh.write(content)
+        return "@" + path
+
+    files = [source(f"{name}.txt", pointers.format_pointer_string(seq, "compact") + "\n")
+             for name, seq in (("u", u), ("v", v))]
     verbs = {
         "encode": ["encode", "--", pointers.format_arrangement(arr)],
         "decode": ["decode", "--", text],
@@ -223,12 +234,19 @@ def cli_argvs(kappa, workdir):
         "iso-check": ["iso-check", "--strings", *files],
         "check-realism": ["check-realism", "--string=" + text],
     }
+    graph = overlap.emit_overlap_json(overlap.overlap_graph(u))
+    for verb in CLI_GRAPH_VERBS:
+        verbs[f"{verb} --graph"] = [verb, "--graph", graph]
     for size in CLI_GRAPH_KAPPAS:
-        g = overlap.overlap_graph(sampling.random_realistic_string(random.Random(SEED), size))
-        path = os.path.join(workdir, f"graph-{size}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(overlap.emit_overlap_json(g))
-        verbs[f"check-realism --graph at kappa {size}"] = ["check-realism", "--graph=@" + path]
+        w = sampling.random_realistic_string(random.Random(SEED), size)
+        verbs[f"check-realism --graph at kappa {size}"] = [
+            "check-realism",
+            "--graph=" + source(f"graph-{size}.json",
+                                overlap.emit_overlap_json(overlap.overlap_graph(w))),
+        ]
+        verbs[f"direct --string at kappa {size}"] = [
+            "direct", "--string=" + source(f"string-{size}.txt", pointers.format_pointer_string(w)),
+        ]
     python = [sys.executable]
     argvs = {"python -c pass": python + ["-c", "pass"],
              "import geneasm.cli": python + ["-c", "import geneasm.cli"]}

@@ -12,13 +12,16 @@ is 2 for any other ``ValueError``, an unreadable ``@file`` or a missing
 option value (``--graph=``; ``--string=--``, which argparse reads as none).
 
 Exit 4 comes only from ``direct``, ``decode`` and ``check-realism``.
-``direct`` needs a realistic overlap graph: on ``--graph`` input it
-decides realism first and exits 4 with ``overlap graph is not realistic``
-if it is not (a vertex set other than {2..kappa} included).  Realism is
+``direct`` needs a realistic overlap graph: on either input it decides
+realism first and exits 4 with ``overlap graph is not realistic`` if it
+is not (a vertex set other than {2..kappa} included).  Realism is
 decided by reconstruction, with no search and no cap on kappa.
-``classify``, and ``count-negative`` on ``--graph``, read only the
-overlap graph's GF(2) nullity and components: they decide no realism and
-answer on every signed graph and legal string, on any vertex set.
+``classify`` and ``count-negative`` read only the overlap graph's GF(2)
+nullity and components: they decide no realism and answer on every
+signed graph and legal string, on any vertex set.  So each of the four
+verbs that take ``--graph`` or ``--string`` answers a legal string u
+exactly as it answers ``--graph`` with u's overlap graph: the same exit
+code, stdout and stderr.
 
 The verbs that take a pointer string as a positional argument accept one
 that starts with a barred pointer, as in ``geneasm components -3-223``;
@@ -207,8 +210,7 @@ def _cmd_direct(args) -> int:
     from . import direct, overlap
 
     g = _overlap_graph_arg(args)
-    if args.graph is not None:
-        overlap.require_realistic(g)
+    overlap.require_realistic(g)
     built = direct.direct_reduction_graph(g)
     if args.explain:
         for line in direct.explain_lines(g):
@@ -448,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("classify", _cmd_classify, help="successfulness for every rule-set choice")
     _graph_or_string(p, "legal string")
 
-    p = add("check-realism", _cmd_check_realism, help="search for a witness arrangement")
+    p = add("check-realism", _cmd_check_realism, help="a witness arrangement of the overlap graph")
     _graph_or_string(p, "legal string whose overlap graph to test")
 
     p = add("random", _cmd_random, help="seeded random arrangements")

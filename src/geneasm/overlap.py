@@ -197,9 +197,10 @@ class OverlapGraph(Record):
         """kappa for a graph on {2..kappa}; any other vertex set raises ``RealismError``.
 
         Realistic graphs, the only ones the paper builds reduction graphs
-        from, always have such a vertex set.  The direct construction and
-        the realism decision read it; the negative-rule count and the
-        classifier do not, as ``nullity`` holds on any vertex set.
+        from, always have such a vertex set.  It guards the direct
+        construction; the realism decision tests ``contiguous_domain``
+        itself, and the negative-rule count and the classifier read neither,
+        as ``nullity`` holds on any vertex set.
         """
         if not self.contiguous_domain():
             raise RealismError("overlap graph is not realistic: its vertex set is not {2..kappa}")
@@ -245,7 +246,8 @@ def is_realistic_overlap(g: OverlapGraph):
 
     if not g.contiguous_domain():
         return None
-    return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, g.kappa())
+    kappa = len(g.vertex_order) + 1  # the vertex set is {2..kappa}, as just tested
+    return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, kappa)
 
 
 def require_realistic(g: OverlapGraph):

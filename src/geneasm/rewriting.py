@@ -46,7 +46,7 @@ import re
 from itertools import combinations
 
 from . import pointers
-from .errors import CapError, LegalityError, ParseError
+from .errors import CapError, ParseError
 from .overlap import OverlapGraph, _slot_masks, bits
 from .record import Record
 
@@ -521,20 +521,18 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
 def predicted_negative_rule_count(x) -> int:
     """The number of negative rules in every successful reduction.
 
-    Accepts a non-empty legal string (string side: the component count of
-    its reduction graph, minus one, in O(n); the empty string raises
-    ``LegalityError``) or any signed graph, on any vertex set (graph side:
-    ``OverlapGraph.nullity``, which on the overlap graph of a legal string
-    equals the string side's count).
+    Accepts a legal string (string side: the component count of its
+    reduction graph, minus one, in O(n); 0 for the empty string, whose one
+    reduction, the empty sequence, uses no snr) or any signed graph, on any
+    vertex set (graph side: ``OverlapGraph.nullity``, which on the overlap
+    graph of a legal string equals the string side's count).
     """
     if isinstance(x, OverlapGraph):
         return x.nullity()
     from . import reduction
 
     seq = tuple(x)
-    if not seq:
-        raise LegalityError("the empty string has no negative-rule prediction")
-    return reduction.ReductionGraph(seq).component_count() - 1
+    return reduction.ReductionGraph(seq).component_count() - 1 if seq else 0
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,29 @@ def direct_witnesses(g, a, b):
     return []
 
 
+def direct_explain_lines(g):
+    """``geneasm direct --explain``'s witness lines for g, from ``direct_witnesses``.
+
+    The candidate pairs in their listing order: {Jp, Jq} for p < q, then
+    {Jp2, Jp} and {Jp<kappa>, Jp} for each p, then {Jp2, Jp<kappa>}; each
+    pair's witnesses as "{a,b} P={...} value={...}".
+    """
+    kappa = len(g.vertices) + 1
+    pairs = [(f"J{p}", f"J{q}") for p in range(2, kappa + 1) for q in range(p + 1, kappa + 1)]
+    for p in range(2, kappa + 1):
+        pairs.append(("Jp2", f"J{p}"))
+        if kappa > 2:
+            pairs.append((f"Jp{kappa}", f"J{p}"))
+    if kappa > 3:
+        pairs.append(("Jp2", f"Jp{kappa}"))
+
+    def text(values):
+        return "{" + ",".join(map(str, sorted(values))) + "}"
+
+    return [f"{{{a},{b}}} P={text(subset)} value={text(value)}"
+            for a, b in pairs for subset, value in direct_witnesses(g, a, b)]
+
+
 def per_candidate_direct_edges(g):
     """Edge set of the direct construction, testing one candidate at a time.
 

@@ -10,6 +10,7 @@ import time
 from itertools import permutations, product
 
 import oracles
+from builders import edge
 from geneasm import (
     compress,
     direct,
@@ -31,10 +32,6 @@ def _report(tag, description, ok, detail=""):
 
 def parse(text):
     return pointers.parse_pointer_string(text)
-
-
-def edge(a, b):
-    return frozenset({a, b})
 
 
 def _all_arrangements(kappa):

@@ -40,10 +40,17 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert report["cli_kappa"] == 8
     assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["cli_rows"])
-    # check-realism on graph JSON files, as fresh processes at large kappa; exit 0: realistic
+    # the verbs that take --graph or --string, on the kappa-8 string and on its graph's JSON
+    assert bench.CLI_GRAPH_VERBS == ("count-negative", "classify", "direct")
+    assert {"count-negative --graph", "classify --graph", "direct --graph"} <= set(
+        bench.CLI_COMMANDS)
+    # check-realism on graph JSON files and direct on string files, as fresh processes at
+    # large kappa; exit 0: realistic
     assert bench.CLI_GRAPH_KAPPAS == (512, 2048)
-    assert bench.CLI_COMMANDS[-2:] == ("check-realism --graph at kappa 512",
-                                       "check-realism --graph at kappa 2048")
+    assert bench.CLI_COMMANDS[-4:] == ("check-realism --graph at kappa 512",
+                                       "check-realism --graph at kappa 2048",
+                                       "direct --string at kappa 512",
+                                       "direct --string at kappa 2048")
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])

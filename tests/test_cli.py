@@ -4,8 +4,12 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
+from builders import shuffled_string
 from geneasm import cli, errors, overlap, pointers, rewriting, sampling
 
 
@@ -90,9 +94,9 @@ class TestBasicVerbs:
         assert (code, out) == (0, "2\n")
         code, out, _ = run(["count-negative", "--string", "72673456-3-245"])
         assert (code, out) == (0, "1\n")
-        assert run(["count-negative", "--string="]) == (
-            3, "", "error: the empty string has no negative-rule prediction\n"
-        )
+        # the empty string's one reduction is the empty sequence
+        (count,) = rewriting.negative_rule_counts(())
+        assert run(["count-negative", "--string="]) == (0, f"{count}\n", "")
 
     def test_overlap_dot_golden(self):
         code, out, _ = run(["overlap", "2323", "--format", "dot"])
@@ -207,22 +211,6 @@ def test_graph_verbs_golden_stdout(verb, fmt, string):
     assert run([verb, "--format", fmt, "--", string]) == (0, _GOLDEN[verb, fmt, string], "")
 
 
-def _candidate_pairs(kappa):
-    """The direct construction's candidate edges, in the order `direct --explain` lists them."""
-    pairs = [(f"J{p}", f"J{q}") for p in range(2, kappa + 1) for q in range(p + 1, kappa + 1)]
-    for p in range(2, kappa + 1):
-        pairs.append(("Jp2", f"J{p}"))
-        if kappa > 2:
-            pairs.append((f"Jp{kappa}", f"J{p}"))
-    if kappa > 3:
-        pairs.append(("Jp2", f"Jp{kappa}"))
-    return pairs
-
-
-def _set_text(values):
-    return "{" + ",".join(map(str, sorted(values))) + "}"
-
-
 class TestPipelines:
     def test_direct_json_and_explain(self):
         code, out, _ = run(["direct", "--string", "453475623267", "--explain"])
@@ -271,26 +259,31 @@ class TestPipelines:
         assert run(["direct", "--string", string, "--explain"]) == (0, want, "")
 
     def test_direct_explain_lists_witnesses_in_candidate_order(self):
+        # the order on graphs that are not realistic is checked on the library,
+        # in test_direct.py; here such a graph exits 4
         rng = random.Random(12)
+        realistic_seen = 0
         for kappa in range(2, 13):
             for realistic in (True, False):
                 for _ in range(4):
                     if realistic:
                         u = sampling.random_realistic_string(rng, kappa)
                     else:
-                        u = [m if rng.random() < 0.5 else -m
-                             for m in range(2, kappa + 1) for _ in "ab"]
-                        rng.shuffle(u)
+                        u = shuffled_string(rng, kappa)
                     g = overlap.overlap_graph(u)
-                    want = [
-                        f"{{{a},{b}}} P={_set_text(subset)} value={_set_text(value)}\n"
-                        for a, b in _candidate_pairs(kappa)
-                        for subset, value in oracles.direct_witnesses(g, a, b)
-                    ]
                     text = pointers.format_pointer_string(u, "spaced")
-                    code, out, err = run(["direct", "--string=" + text, "--explain"])
+                    got = run(["direct", "--string=" + text, "--explain"])
+                    witness = overlap.is_realistic_overlap(g)
+                    if witness is None:
+                        assert got == (4, "", "error: overlap graph is not realistic\n"), text
+                        continue
+                    assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
+                    realistic_seen += 1
+                    code, out, err = got
                     assert (code, err) == (0, "")
+                    want = [line + "\n" for line in oracles.direct_explain_lines(g)]
                     assert out.splitlines(keepends=True)[:-1] == want, text
+        assert 44 <= realistic_seen < 88
 
     def test_direct_explain_kappa_2_lists_each_candidate_once(self):
         assert run(["direct", "--string", "2-2", "--explain"]) == (
@@ -298,9 +291,11 @@ class TestPipelines:
         )
 
     def test_direct_requires_contiguous_domain(self):
-        code, _, err = run(["direct", "--string", "2244"])
-        assert code == 4
-        assert err == "error: overlap graph is not realistic: its vertex set is not {2..kappa}\n"
+        # the same realism decision, and message, as on --graph input
+        for text in ("2244", "4-4", ""):
+            assert run(["direct", "--string=" + text]) == (
+                4, "", "error: overlap graph is not realistic\n"
+            )
 
     def test_iso_check_cps_vs_direct(self, tmp_path):
         code, direct_json, _ = run(["direct", "--string", "72673456-3-245"])
@@ -504,6 +499,21 @@ class TestEdgeInputs:
         code, out, _ = next(iter(runs))
         assert out.splitlines()[0] == "graph direct {"
         assert '  J2 [label="2"];' in out and '  Jp2 [label="2"];' in out
+
+
+class TestInputForms:
+    """A graph verb answers a legal string exactly as it answers the string's overlap graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=strategies.legal_strings(), fmt=st.sampled_from(("json", "dot", "text")),
+           explain=st.booleans())
+    def test_string_input_is_its_overlap_graph(self, u, fmt, explain):
+        text = pointers.format_pointer_string(u, "spaced")
+        graph = overlap.emit_overlap_json(overlap.overlap_graph(u))
+        for verb, options in (("direct", ["--format", fmt] + ["--explain"] * explain),
+                              ("classify", []), ("count-negative", []), ("check-realism", [])):
+            assert (run([verb, "--string=" + text, *options])
+                    == run([verb, "--graph", graph, *options])), (verb, text)
 
 
 class TestSeededVerbs:

@@ -3,22 +3,12 @@ import random
 import pytest
 
 import oracles
-from geneasm import compress, iso, pointers, reduction
+from geneasm import compress, iso, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
 
 
 def cps_of(text):
     return compress.cps(reduction.ReductionGraph(pointers.parse_pointer_string(text)))
-
-
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)
 
 
 class TestCps:
@@ -40,7 +30,7 @@ class TestCps:
     def test_vertex_count_and_degree_bound(self):
         rng = random.Random(61)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             g = cps_of(pointers.format_pointer_string(u))
             assert len(g.labels) == len(u)
             assert all(g.degree(v) <= 2 for v in g.labels)
@@ -48,7 +38,7 @@ class TestCps:
     def test_component_count_is_preserved(self):
         rng = random.Random(62)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             assert compress.cps(rg).component_count() == rg.component_count()
 
@@ -87,7 +77,7 @@ class TestCps:
     def test_matches_the_edge_set_construction(self):
         rng = random.Random(64)
         for _ in range(150):
-            graph = reduction.ReductionGraph(_random_legal(rng, max_domain=7))
+            graph = reduction.ReductionGraph(sampling.random_legal_string(rng, 7, gaps=False))
             out = compress.cps(graph)
             labels, edges = oracles.cps_edge_set(graph)
             assert out.labels == labels and list(out.labels) == list(labels)
@@ -106,7 +96,7 @@ class TestCps:
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)
-        strings = [_random_legal(rng, max_domain=2) for _ in range(40)]
+        strings = [sampling.random_legal_string(rng, 2, gaps=False) for _ in range(40)]
         for u in strings:
             for v in strings:
                 rg_u = reduction.ReductionGraph(u)

@@ -8,17 +8,10 @@ from hypothesis import given, settings
 
 import oracles
 import strategies
+from builders import edge, gamma, shuffled_string
 from geneasm import compress, direct, iso, overlap, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError, ParseError, RealismError
-
-
-def gamma(text):
-    return overlap.overlap_graph(pointers.parse_pointer_string(text))
-
-
-def edge(a, b):
-    return frozenset({a, b})
 
 
 ROOT_CHAIN_7 = {edge(f"Jp{p}", f"Jp{p + 1}") for p in range(2, 7)}
@@ -203,10 +196,7 @@ class TestDefinitionReference:
         rng = random.Random(84)
         for kappa in range(2, 11):
             for _ in range(6):
-                entries = list(range(1, kappa + 1))
-                rng.shuffle(entries)
-                arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
-                yield overlap.overlap_graph(pointers.encode_arrangement(arr))
+                yield overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
                 # a random signed graph, realistic or not
                 vertices = frozenset(range(2, kappa + 1))
                 yield overlap.OverlapGraph(
@@ -234,6 +224,19 @@ class TestDefinitionReference:
                     if want and a != b:
                         want_edges.add(edge(a, b))
             assert direct.direct_reduction_graph(g).edges == want_edges
+
+    def test_explain_lists_witnesses_in_candidate_order(self):
+        # the CLI checks the same strings; here the graphs that are not realistic count too
+        rng = random.Random(12)
+        not_realistic = 0
+        for kappa in range(2, 13):
+            strings = [sampling.random_realistic_string(rng, kappa) for _ in range(4)]
+            strings += [shuffled_string(rng, kappa) for _ in range(4)]
+            for u in strings:
+                g = overlap.overlap_graph(u)
+                assert list(direct.explain_lines(g)) == oracles.direct_explain_lines(g), u
+                not_realistic += overlap.is_realistic_overlap(g) is None
+        assert not_realistic > 0
 
 
 def _names(kappa):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from geneasm import iso, pointers, reduction
+from geneasm import iso, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
 
@@ -120,7 +120,7 @@ class TestCanonical2Edge:
     def test_conjugation_invariance(self):
         rng = random.Random(72)
         for _ in range(60):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             code = iso.canonical_2edge(reduction.ReductionGraph(u))
             for v in pointers.conjugates(u):
                 assert iso.canonical_2edge(reduction.ReductionGraph(v)) == code
@@ -129,8 +129,8 @@ class TestCanonical2Edge:
         rng = random.Random(73)
         pairs = 0
         for _ in range(200):
-            u = _random_legal(rng, max_domain=2)
-            v = _random_legal(rng, max_domain=2)
+            u = sampling.random_legal_string(rng, 2, gaps=False)
+            v = sampling.random_legal_string(rng, 2, gaps=False)
             gu = reduction.ReductionGraph(u)
             gv = reduction.ReductionGraph(v)
             want = oracles.brute_force_isomorphic_2edge(gu, gv)
@@ -144,7 +144,7 @@ class TestCanonical2Edge:
         # every even rotation compared, on conjugates too
         rng = random.Random(77)
         for _ in range(150):
-            u = _random_legal(rng, max_domain=7)
+            u = sampling.random_legal_string(rng, 7, gaps=False)
             for v in pointers.conjugates(u):
                 rg = reduction.ReductionGraph(v)
                 assert iso.canonical_2edge(rg) == oracles.canonical_2edge(rg)
@@ -209,13 +209,3 @@ class TestBruteForce:
         big = lg({i: 2 for i in range(11)}, [])
         with pytest.raises(CapError):
             oracles.brute_force_isomorphic(big, big)
-
-
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)

@@ -4,7 +4,7 @@ import random
 from math import factorial
 
 import oracles
-from geneasm import kernels, overlap, pointers
+from geneasm import kernels, overlap, pointers, sampling
 
 
 def _adjacency_inputs(g):
@@ -22,12 +22,6 @@ def _adjacency_inputs(g):
 def _scan(edges, positive, kappa):
     g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
     return kernels.scan_for_arrangement(*_adjacency_inputs(g))
-
-
-def _random_arrangement(rng, kappa):
-    entries = list(range(1, kappa + 1))
-    rng.shuffle(entries)
-    return tuple(-k if rng.random() < 0.5 else k for k in entries)
 
 
 def _toggles(edges, positive, kappa):
@@ -80,7 +74,7 @@ def test_seeded_kappa_7_to_12_graphs_and_toggles_match_the_search():
     found = 0
     for kappa in range(7, 13):
         for _ in range(4):
-            g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
+            g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
             p, q = rng.sample(range(2, kappa + 1), 2)
             for edges, positive in ((g.edges, g.positive),
                                     (g.edges ^ {(min(p, q), max(p, q))}, g.positive),
@@ -97,7 +91,7 @@ def test_seeded_kappa_7_to_12_graphs_and_toggles_match_the_search():
 def test_both_mirror_witnesses_encode_to_the_graph():
     rng = random.Random(40)
     for kappa in list(range(2, 13)) + [20, 40]:
-        g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
+        g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
         witness = _scan(g.edges, g.positive, kappa)
         twin = (-witness[0],) + tuple(-k for k in reversed(witness[1:]))
         assert abs(witness[0]) == 1 and witness != twin
@@ -116,7 +110,7 @@ def test_witnesses_reencode_up_to_kappa_12():
     rng = random.Random(12)
     for kappa in range(7, 13):
         for _ in range(3):
-            g = overlap.overlap_graph(pointers.encode_arrangement(_random_arrangement(rng, kappa)))
+            g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
             witness = _scan(g.edges, g.positive, kappa)
             assert witness is not None and abs(witness[0]) == 1  # segment 1 leads
             assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g

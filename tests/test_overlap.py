@@ -5,15 +5,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
+from builders import gamma
 from geneasm import overlap, pointers, reduction, rewriting, sampling
 from geneasm.errors import ParseError, RealismError
-
-
-def graph_of(text):
-    return overlap.overlap_graph(pointers.parse_pointer_string(text))
 
 
 STAR_JSON = (
@@ -24,13 +22,13 @@ STAR_JSON = (
 
 class TestConstruction:
     def test_star_graph(self):
-        g = graph_of("24535423")
+        g = gamma("24535423")
         assert g.vertices == {2, 3, 4, 5}
         assert g.positive == frozenset()
         assert g.edges == {(2, 3), (3, 4), (3, 5)}
 
     def test_signed_graph(self):
-        g = graph_of("72673456-3-245")
+        g = gamma("72673456-3-245")
         assert g.positive == {2, 3}
         assert g.negative == {4, 5, 6, 7}
         assert g.edges == {
@@ -46,14 +44,14 @@ class TestConstruction:
         assert g.neighbors(7) == {2, 6}
 
     def test_second_worked_example(self):
-        g = graph_of("453475623267")
+        g = gamma("453475623267")
         assert g.positive == frozenset()
         assert g.neighbors(4) == {3, 5}
         assert g.neighbors(3) == {2, 4, 5, 6, 7}
         assert g.neighbors(2) == {3}
 
     def test_single_pointer(self):
-        g = graph_of("22")
+        g = gamma("22")
         assert g.vertices == {2}
         assert g.edges == frozenset()
         assert g.sign(2) == "-"
@@ -61,7 +59,7 @@ class TestConstruction:
     def test_matches_interleaving_oracle(self):
         rng = random.Random(21)
         for _ in range(150):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             g = overlap.overlap_graph(u)
             assert set(g.edges) == oracles.overlap_pairs(u)
             assert g.positive == pointers.positive_set(u)
@@ -69,7 +67,7 @@ class TestConstruction:
     def test_string_graph_accessor_agreement(self):
         rng = random.Random(22)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             g = overlap.overlap_graph(u)
             for p in pointers.domain(u):
                 assert g.neighbors(p) == pointers.overlap_set(u, p)
@@ -77,7 +75,7 @@ class TestConstruction:
     def test_invariance_under_string_symmetries(self):
         rng = random.Random(23)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             g = overlap.overlap_graph(u)
             assert overlap.overlap_graph(pointers.reversal(u)) == g
             assert overlap.overlap_graph(pointers.complement(u)) == g
@@ -85,11 +83,11 @@ class TestConstruction:
                 assert overlap.overlap_graph(v) == g
 
     def test_neighbor_masks(self):
-        g = graph_of("72673456-3-245")
+        g = gamma("72673456-3-245")
         assert g.neighbor_masks[:2] == (0, 0)
         assert len(g.neighbor_masks) == 8
         assert g.neighbor_masks[2] == (1 << 4) | (1 << 5) | (1 << 7)
-        assert graph_of("").neighbor_masks == (0,)
+        assert gamma("").neighbor_masks == (0,)
 
     def test_neighbor_masks_match_the_interleaving_oracle(self):
         # overlap_graph fills the masks in as it scans; a graph built from
@@ -128,21 +126,21 @@ class TestConstruction:
                 assert toggled != g and toggled.edges ^ g.edges == {(a, b)}
 
     def test_graphs_are_immutable(self):
-        g = graph_of("2323")
+        g = gamma("2323")
         with pytest.raises(AttributeError):
             g.neighbor_masks = (0,)
         with pytest.raises(AttributeError):
             del g.positive_mask
 
     def test_neighbor_errors(self):
-        g = graph_of("22")
+        g = gamma("22")
         with pytest.raises(ValueError):
             g.neighbors(3)
 
     def test_components(self):
-        g = graph_of("22334455")
+        g = gamma("22334455")
         assert g.components() == [frozenset({p}) for p in (2, 3, 4, 5)]
-        assert len(graph_of("24535423").components()) == 1
+        assert len(gamma("24535423").components()) == 1
 
 
 def _oracle_components(vertices, pairs):
@@ -228,7 +226,7 @@ class TestMemory:
 
 class TestJson:
     def test_golden_emit(self):
-        assert overlap.emit_overlap_json(graph_of("24535423")) == STAR_JSON
+        assert overlap.emit_overlap_json(gamma("24535423")) == STAR_JSON
 
     def test_empty(self):
         g = overlap.OverlapGraph(frozenset(), frozenset(), frozenset())
@@ -238,7 +236,7 @@ class TestJson:
     def test_round_trip_identity(self):
         rng = random.Random(24)
         for _ in range(100):
-            g = overlap.overlap_graph(_random_legal(rng))
+            g = overlap.overlap_graph(sampling.random_legal_string(rng, gaps=False))
             text = overlap.emit_overlap_json(g)
             assert overlap.parse_overlap_json(text) == g
             assert overlap.emit_overlap_json(overlap.parse_overlap_json(text)) == text
@@ -266,15 +264,15 @@ class TestJson:
 
 class TestRealismOracle:
     def test_star_graph_is_not_realistic(self):
-        assert overlap.is_realistic_overlap(graph_of("24535423")) is None
+        assert overlap.is_realistic_overlap(gamma("24535423")) is None
 
     def test_single_negative_vertex(self):
-        g = graph_of("22")
+        g = gamma("22")
         arr = overlap.is_realistic_overlap(g)
         assert arr == (1, 2)
 
     def test_witness_reencodes_to_the_same_graph(self):
-        g = graph_of("72673456-3-245")
+        g = gamma("72673456-3-245")
         arr = overlap.is_realistic_overlap(g)
         assert arr is not None
         assert overlap.overlap_graph(pointers.encode_arrangement(arr)) == g
@@ -282,17 +280,31 @@ class TestRealismOracle:
     def test_encoded_graphs_are_recognized(self):
         rng = random.Random(25)
         for _ in range(25):
-            kappa = rng.randint(2, 6)
-            entries = list(range(1, kappa + 1))
-            rng.shuffle(entries)
-            arr = tuple(-k if rng.random() < 0.5 else k for k in entries)
-            g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+            g = overlap.overlap_graph(sampling.random_realistic_string(rng, rng.randint(2, 6)))
             witness = overlap.is_realistic_overlap(g)
             assert witness is not None
             assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
 
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12), st.data())
+    def test_witnesses_are_sound_one_toggle_from_an_encoded_graph(self, arr, data):
+        g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+        witness = overlap.is_realistic_overlap(g)
+        assert witness is not None
+        assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
+        # a toggle: p == q flips the sign of p, p < q the edge p-q
+        p, q = sorted(data.draw(st.lists(st.sampled_from(g.vertex_order), min_size=2,
+                                         max_size=2)))
+        if p == q:
+            toggled = overlap.OverlapGraph(g.vertices, g.positive ^ {p}, g.edges)
+        else:
+            toggled = overlap.OverlapGraph(g.vertices, g.positive, g.edges ^ {(p, q)})
+        witness = overlap.is_realistic_overlap(toggled)
+        if witness is not None:
+            assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == toggled
+
     def test_gapped_domain_rejected(self):
-        g = graph_of("2244")
+        g = gamma("2244")
         assert overlap.is_realistic_overlap(g) is None
         assert overlap.is_realistic_overlap(
             overlap.OverlapGraph(frozenset(), frozenset(), frozenset())
@@ -330,7 +342,7 @@ class TestKappa:
     @pytest.mark.parametrize("text, kappa", [("22", 2), ("2-2", 2), ("2332", 3),
                                              ("453475623267", 7)])
     def test_contiguous(self, text, kappa):
-        g = graph_of(text)
+        g = gamma(text)
         assert g.contiguous_domain()
         assert g.kappa() == kappa
 
@@ -359,7 +371,7 @@ class TestNullity:
                                                ("2323", 0), ("453475623267", 2),
                                                ("72673456-3-245", 1)])
     def test_worked_examples(self, text, nullity):
-        assert graph_of(text).nullity() == nullity
+        assert gamma(text).nullity() == nullity
 
     def test_matches_the_kernel_count(self):
         rng = random.Random(41)
@@ -374,7 +386,7 @@ class TestNullity:
             assert g.nullity() == oracles.gf2_nullity(g)
 
     def test_not_computed_when_the_graph_is_built(self):
-        g = graph_of("453475623267")
+        g = gamma("453475623267")
         assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
         assert g.nullity() == 2
         assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
@@ -396,13 +408,3 @@ class TestNullity:
 
         g = overlap.overlap_graph(pointers.encode_arrangement(arr))
         assert g.nullity() + 1 == direct.direct_reduction_graph(g).component_count()
-
-
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)

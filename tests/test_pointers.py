@@ -233,7 +233,7 @@ class TestOverlapCalculus:
     def test_positional_overlap_against_counting_oracle(self):
         rng = random.Random(7)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             n = len(u)
             for _ in range(10):
                 i, j = rng.randint(0, n), rng.randint(0, n)
@@ -243,7 +243,7 @@ class TestOverlapCalculus:
         # xor of two windows sharing an endpoint equals the combined window
         rng = random.Random(8)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             n = len(u)
             i, j, k = (rng.randint(0, n) for _ in range(3))
             lhs = pointers.positional_overlap(u, i, j) ^ pointers.positional_overlap(u, j, k)
@@ -252,7 +252,7 @@ class TestOverlapCalculus:
     def test_prefix_suffix_identity(self):
         rng = random.Random(9)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             n = len(u)
             for i in range(n + 1):
                 assert pointers.positional_overlap(u, i, n) == pointers.positional_overlap(u, 0, i)
@@ -260,7 +260,7 @@ class TestOverlapCalculus:
     def test_empty_window_iff_legal_substring(self):
         rng = random.Random(10)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             n = len(u)
             for _ in range(10):
                 i = rng.randint(0, n)
@@ -271,7 +271,7 @@ class TestOverlapCalculus:
     def test_overlap_symmetry(self):
         rng = random.Random(12)
         for _ in range(100):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             dom = sorted(pointers.domain(u))
             for p in dom:
                 for q in dom:
@@ -279,13 +279,3 @@ class TestOverlapCalculus:
                         assert (q in pointers.overlap_set(u, p)) == (
                             p in pointers.overlap_set(u, q)
                         )
-
-
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)

@@ -15,16 +15,6 @@ def rg_of(text):
     return reduction.ReductionGraph(pointers.parse_pointer_string(text))
 
 
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)
-
-
 def _outcome(f, *args):
     try:
         return "value", f(*args)
@@ -60,14 +50,6 @@ def assert_matches_edge_sets(u):
     labels, edges = oracles.cps_edge_set(old)
     assert list(out.labels.items()) == list(labels.items())
     assert out.edges == edges
-
-
-def _random_realistic(rng, kappa):
-    entries = list(range(1, kappa + 1))
-    rng.shuffle(entries)
-    return pointers.encode_arrangement(
-        tuple(-k if rng.random() < 0.5 else k for k in entries)
-    )
 
 
 class TestConstruction:
@@ -111,8 +93,8 @@ class TestConstruction:
 
     def test_matches_definition_oracle(self):
         rng = random.Random(41)
-        samples = [_random_legal(rng) for _ in range(150)]
-        samples += [_random_realistic(rng, rng.randint(6, 8)) for _ in range(30)]
+        samples = [sampling.random_legal_string(rng, gaps=False) for _ in range(150)]
+        samples += [sampling.random_realistic_string(rng, rng.randint(6, 8)) for _ in range(30)]
         # random_legal_string leaves gaps in the domain of about a third of these
         samples += [sampling.random_legal_string(rng, max_domain=9) for _ in range(150)]
         assert sum(pointers.domain(u) != set(range(2, len(u) // 2 + 2)) for u in samples) > 30
@@ -148,7 +130,7 @@ class TestConstruction:
         samples += [(1, 3, 1, -3), (1, 1), (0, 2, 0, 2)]
         # random_legal_string leaves gaps in the domain of about a third of these
         samples += [sampling.random_legal_string(rng, max_domain=12) for _ in range(300)]
-        samples += [_random_realistic(rng, rng.randint(2, 40)) for _ in range(100)]
+        samples += [sampling.random_realistic_string(rng, rng.randint(2, 40)) for _ in range(100)]
         # strings that start with a barred pointer
         samples += [pointers.complement(u) for u in samples if u and u[0] > 0][:100]
         # the largest magnitude 10**6 in place of one magnitude
@@ -167,7 +149,7 @@ class TestConstruction:
     def test_every_vertex_on_one_edge_of_each_colour(self):
         rng = random.Random(42)
         for _ in range(50):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             for colour in (rg.reality_edges, rg.desire_edges):
                 cover = [v for e in colour for v in e]
@@ -176,7 +158,7 @@ class TestConstruction:
     def test_desire_edges_join_equal_labels(self):
         rng = random.Random(43)
         for _ in range(50):
-            rg = reduction.ReductionGraph(_random_legal(rng))
+            rg = reduction.ReductionGraph(sampling.random_legal_string(rng, gaps=False))
             for e in rg.desire_edges:
                 a, b = tuple(e)
                 assert rg.label(a) == rg.label(b)
@@ -209,7 +191,10 @@ class TestPositions:
         rng = random.Random(58)
         for trial in range(80):
             kappa = rng.randint(2, 9)
-            u = _random_realistic(rng, kappa) if trial % 2 else _random_legal(rng)
+            if trial % 2:
+                u = sampling.random_realistic_string(rng, kappa)
+            else:
+                u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             for e in rg.reality_edges:
                 assert rg.posn_edge(e) == reduction.position(rg, e) == set_posn_edge(rg, e)
@@ -239,7 +224,7 @@ class TestOverlapWindowValues:
         # label, shifted by the label itself when the pointer is positive
         rng = random.Random(44)
         for _ in range(150):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             pos = pointers.positive_set(u)
             for e in rg.desire_edges:
@@ -254,7 +239,7 @@ class TestOverlapWindowValues:
     def test_vertex_pair_window_is_singleton(self):
         rng = random.Random(45)
         for _ in range(150):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             for i in range(1, len(u) + 1):
                 window = pointers.positional_overlap(u, rg.posn((i, 0)), rg.posn((i, 1)))
@@ -267,7 +252,7 @@ class TestOverlapWindowValues:
         rng = random.Random(46)
         checked = 0
         for _ in range(60):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             pos = pointers.positive_set(u)
             for start in rg.vertices:
@@ -306,7 +291,7 @@ class TestRootChains:
     def test_chain_count_matches_exhaustive_oracle(self):
         rng = random.Random(47)
         for _ in range(200):
-            u = _random_legal(rng, max_domain=4)
+            u = sampling.random_legal_string(rng, 4, gaps=False)
             if pointers.domain(u) != frozenset(
                 range(2, len(pointers.domain(u)) + 2)
             ):
@@ -321,8 +306,20 @@ class TestRootChains:
     def test_every_realistic_string_is_rooted(self):
         rng = random.Random(48)
         for _ in range(200):
-            u = _random_realistic(rng, rng.randint(2, 8))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 8))
             assert reduction.is_rooted(reduction.ReductionGraph(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    def test_every_encoded_arrangement_is_rooted(self, arr):
+        rg = reduction.ReductionGraph(pointers.encode_arrangement(arr))
+        assert reduction.is_rooted(rg)
+        chains = reduction.find_root_subgraphs(rg)
+        assert chains
+        for chain in chains:
+            assert [rg.label(min(e)) for e in chain.desire_chain] == list(range(2, len(arr) + 1))
+            for idx, link in enumerate(chain.reality_links):
+                assert link & chain.desire_chain[idx] and link & chain.desire_chain[idx + 1]
 
     def test_chain_structure(self):
         rg = rg_of("72673456-3-245")
@@ -336,7 +333,7 @@ class TestRootChains:
     def test_exactly_one_side_of_each_pair_on_chain(self):
         rng = random.Random(49)
         for _ in range(100):
-            u = _random_realistic(rng, rng.randint(2, 7))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 7))
             rg = reduction.ReductionGraph(u)
             for chain in reduction.find_root_subgraphs(rg):
                 for i in range(1, len(u) + 1):
@@ -346,7 +343,7 @@ class TestRootChains:
     def test_off_chain_windows_vanish_only_on_equal_positions(self):
         rng = random.Random(50)
         for _ in range(100):
-            u = _random_realistic(rng, rng.randint(2, 6))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 6))
             rg = reduction.ReductionGraph(u)
             for chain in reduction.find_root_subgraphs(rg):
                 off = [
@@ -396,7 +393,7 @@ class TestOffChainEdgeCharacterization:
     def test_random_medium_kappa(self):
         rng = random.Random(51)
         for _ in range(60):
-            self._check(_random_realistic(rng, rng.randint(5, 6)))
+            self._check(sampling.random_realistic_string(rng, rng.randint(5, 6)))
 
 
 class TestChainPositions:
@@ -456,7 +453,7 @@ class TestInvariance:
 
         rng = random.Random(52)
         for _ in range(60):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             rg = reduction.ReductionGraph(u)
             code = iso.canonical_2edge(rg)
             variants = [pointers.reversal(u), pointers.complement(u), pointers.inverse(u)]
@@ -470,7 +467,7 @@ class TestInvariance:
         rng = random.Random(53)
         by_graph = {}
         for _ in range(300):
-            u = _random_realistic(rng, rng.randint(2, 5))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 5))
             g = overlap.overlap_graph(u)
             key = overlap.emit_overlap_json(g)
             code = iso.canonical_2edge(reduction.ReductionGraph(u))

@@ -7,31 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from geneasm import overlap, pointers, reduction, rewriting
+from builders import gamma
+from geneasm import overlap, pointers, reduction, rewriting, sampling
 from geneasm.errors import CapError, LegalityError, ParseError
 from geneasm.rewriting import Rule
-
-
-def gamma(text):
-    return overlap.overlap_graph(pointers.parse_pointer_string(text))
-
-
-def _random_legal(rng, max_domain=5):
-    size = rng.randint(1, max_domain)
-    letters = []
-    for m in range(2, size + 2):
-        letters.append(-m if rng.random() < 0.5 else m)
-        letters.append(-m if rng.random() < 0.5 else m)
-    rng.shuffle(letters)
-    return tuple(letters)
-
-
-def _random_realistic(rng, kappa):
-    entries = list(range(1, kappa + 1))
-    rng.shuffle(entries)
-    return pointers.encode_arrangement(
-        tuple(-k if rng.random() < 0.5 else k for k in entries)
-    )
 
 
 class TestStringRules:
@@ -73,7 +52,7 @@ class TestStringRules:
     def test_rules_shrink_domain_and_preserve_legality(self):
         rng = random.Random(91)
         for _ in range(150):
-            u = _random_legal(rng)
+            u = sampling.random_legal_string(rng, gaps=False)
             for rule in rewriting.applicable_string_rules(u):
                 v = rewriting.apply_string_rule(u, rule)
                 assert pointers.is_legal(v)
@@ -82,7 +61,7 @@ class TestStringRules:
     def test_every_legal_string_fully_reduces(self):
         rng = random.Random(92)
         for _ in range(100):
-            u = _random_legal(rng, max_domain=4)
+            u = sampling.random_legal_string(rng, 4, gaps=False)
             assert next(rewriting.successful_string_reductions(u), None) is not None
 
     def test_search_cap(self):
@@ -102,9 +81,11 @@ class TestNegativeRuleCounts:
         assert rewriting.predicted_negative_rule_count((2, 2)) == 1
         assert rewriting.predicted_negative_rule_count((2, -2)) == 0
 
-    def test_rejects_empty_string(self):
-        with pytest.raises(LegalityError, match="^the empty string has no negative-rule prediction$"):
-            rewriting.predicted_negative_rule_count(())
+    def test_empty_string_counts_zero(self):
+        # its one reduction, the empty sequence, uses no snr
+        (count,) = rewriting.negative_rule_counts(())
+        assert rewriting.predicted_negative_rule_count(()) == count
+        assert rewriting.predicted_negative_rule_count(gamma("")) == count
 
     def test_graph_side_counts_on_any_vertex_set(self):
         # {2, 4}, two isolated negative vertices: every reduction is two gnr
@@ -115,7 +96,7 @@ class TestNegativeRuleCounts:
     def test_string_reductions_use_exactly_the_predicted_count(self):
         rng = random.Random(93)
         for _ in range(60):
-            u = _random_legal(rng, max_domain=4)
+            u = sampling.random_legal_string(rng, 4, gaps=False)
             if not u:
                 continue
             want = rewriting.predicted_negative_rule_count(u)
@@ -143,7 +124,8 @@ def _string_corpus():
         letters = [-m if rng.random() < 0.5 else m for m in mags for _ in range(2)]
         rng.shuffle(letters)
         corpus.append(tuple(letters))
-    corpus += [_random_realistic(rng, kappa) for kappa in range(2, 8) for _ in range(12)]
+    corpus += [sampling.random_realistic_string(rng, kappa)
+               for kappa in range(2, 8) for _ in range(12)]
     return corpus
 
 
@@ -192,7 +174,7 @@ class TestStringSearchAgainstTheDFS:
     def test_raised_caps_reach_kappa_12(self):
         rng = random.Random(103)
         for kappa in (8, 10, 12):
-            u = _random_realistic(rng, kappa)
+            u = sampling.random_realistic_string(rng, kappa)
             counts = rewriting.negative_rule_counts(u, max_domain=kappa - 1)
             assert counts == {reduction.ReductionGraph(u).component_count() - 1}
             if kappa == 8:
@@ -267,7 +249,7 @@ class TestGraphRules:
     def test_rules_shrink_vertex_count(self):
         rng = random.Random(94)
         for _ in range(80):
-            g = overlap.overlap_graph(_random_legal(rng))
+            g = overlap.overlap_graph(sampling.random_legal_string(rng, gaps=False))
             for rule in rewriting.applicable_graph_rules(g):
                 out = rewriting.apply_graph_rule(g, rule)
                 assert len(out.vertices) < len(g.vertices)
@@ -373,7 +355,7 @@ class TestGraphCounts:
     def test_string_and_graph_predictions_agree_on_realistic_strings(self):
         rng = random.Random(96)
         for _ in range(60):
-            u = _random_realistic(rng, rng.randint(2, 7))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 7))
             assert rewriting.predicted_negative_rule_count(
                 u
             ) == rewriting.predicted_negative_rule_count(overlap.overlap_graph(u))
@@ -446,7 +428,7 @@ class TestSuccessfulness:
 
         rng = random.Random(97)
         for _ in range(40):
-            u = _random_realistic(rng, rng.randint(2, 6))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 6))
             g = overlap.overlap_graph(u)
             comps = direct.direct_reduction_graph(g).component_count()
             for kinds in self.SUBSETS:
@@ -457,7 +439,7 @@ class TestSuccessfulness:
     def test_full_rule_set_always_succeeds(self):
         rng = random.Random(98)
         for _ in range(40):
-            u = _random_realistic(rng, rng.randint(2, 6))
+            u = sampling.random_realistic_string(rng, rng.randint(2, 6))
             assert rewriting.successful_in(overlap.overlap_graph(u), rewriting.ALL_GRAPH_RULES)
 
     def test_search_cap(self):
