@@ -62,20 +62,24 @@ case are never built.  The searches grow exponentially, so each of their
 rows is skipped from the next kappa on as soon as one call takes longer than
 the budget.
 
-The CLI rows time whole fresh processes, with the same best-of rule:
-``python -c pass`` (the interpreter alone), ``python -c "import geneasm.cli"``,
-and ``python -m geneasm.cli VERB ...`` for each short verb on inputs drawn
-from ``random.Random(SEED)`` at kappa 8; ``count-negative``, ``classify``
-and ``direct`` run once on that string and once, as ``VERB --graph``, on its
-overlap graph's JSON.  What a verb costs over the bare interpreter is its
-imports plus its work.  At each kappa of ``CLI_GRAPH_KAPPAS``, on the
-realistic string that ``random.Random(SEED)`` draws first there,
-``check-realism --graph`` runs on a JSON file holding its overlap graph
-(parsing the JSON costs more than deciding realism), and ``direct --string``
-on a file holding the string (it decides realism before it builds).  The
-results go to ``BENCH_layers.json`` at the repository root (or ``--out``)
-with the Python version, core count, git SHA and seed, and a table is
-printed.
+The CLI rows time whole fresh processes, with the same repeat and budget
+rules: ``python -c pass`` (the interpreter alone), ``python -c "import
+geneasm.cli"``, and ``python -m geneasm.cli VERB ...`` for each short verb
+on inputs drawn from ``random.Random(SEED)`` at kappa 8; ``count-negative``,
+``classify`` and ``direct`` run once on that string and once, as ``VERB
+--graph``, on its overlap graph's JSON.  Each row gives the best and the
+median of its calls, their spread, and its median above the same run's
+``python -c pass`` median: what the command costs over the bare
+interpreter, its imports plus its work.  At each kappa of
+``CLI_GRAPH_KAPPAS``, on the realistic string that ``random.Random(SEED)``
+draws first there, ``check-realism --graph`` runs on a JSON file holding
+its overlap graph (parsing the JSON costs more than deciding realism), and
+``direct --string`` on a file holding the string (it decides realism
+before it builds).  The results go to ``BENCH_layers.json`` at the repository root (or ``--out``)
+with the Python version, core count, git SHA, seed and whether the
+interpreter writes bytecode caches (``sys.flags.dont_write_bytecode``, set
+by ``PYTHONDONTWRITEBYTECODE``; with it set, each fresh process compiles
+geneasm from source), and a table is printed.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -191,8 +196,8 @@ def cases(u):
     }
 
 
-def best_of(fn, arg, repeat, budget, fresh=None):
-    """(best seconds, calls made): one call, then more until repeat calls or budget seconds.
+def timed_calls(fn, arg, repeat, budget, fresh=None):
+    """The seconds of each call: one call, then more until repeat calls or budget seconds.
 
     ``fresh``, if given, builds the argument anew before each call, outside the timer.
     """
@@ -203,6 +208,12 @@ def best_of(fn, arg, repeat, budget, fresh=None):
         start = time.perf_counter()
         fn(arg)
         times.append(time.perf_counter() - start)
+    return times
+
+
+def best_of(fn, arg, repeat, budget, fresh=None):
+    """(best seconds, calls made) of ``timed_calls``."""
+    times = timed_calls(fn, arg, repeat, budget, fresh)
     return min(times), len(times)
 
 
@@ -256,7 +267,14 @@ def cli_argvs(kappa, workdir):
 
 
 def measure_cli(repeat, budget, kappa=CLI_KAPPA):
-    """One row per CLI_COMMANDS entry: best wall time of a fresh process, and its exit code."""
+    """One row per CLI_COMMANDS entry: the wall times of fresh processes, and the exit code.
+
+    A row gives the best and the median of its calls, their spread (slowest
+    minus fastest), and ``above_bare_ms``, its median minus the median of
+    the same run's ``python -c pass`` row: what the command costs over the
+    bare interpreter.  Process start-up moves with the machine's load from
+    run to run, so rows of different runs compare only by that difference.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     codes = []
 
@@ -269,9 +287,14 @@ def measure_cli(repeat, budget, kappa=CLI_KAPPA):
     with tempfile.TemporaryDirectory() as workdir:
         argvs = cli_argvs(kappa, workdir)
         for command in CLI_COMMANDS:
-            best, calls = best_of(run, argvs[command], repeat, budget)
-            rows.append({"command": command, "best_ms": round(best * 1e3, 2),
-                         "calls": calls, "exit_code": codes[-1]})
+            times = timed_calls(run, argvs[command], repeat, budget)
+            rows.append({"command": command, "best_ms": round(min(times) * 1e3, 2),
+                         "median_ms": round(statistics.median(times) * 1e3, 2),
+                         "spread_ms": round((max(times) - min(times)) * 1e3, 2),
+                         "calls": len(times), "exit_code": codes[-1]})
+    bare = rows[0]["median_ms"]  # CLI_COMMANDS[0], "python -c pass"
+    for row in rows:
+        row["above_bare_ms"] = round(row["median_ms"] - bare, 2)
     return rows
 
 
@@ -398,8 +421,10 @@ def string_search_table(rows):
 
 
 def cli_table(rows):
-    lines = ["| fresh process | best ms |", "|---|---|"]
-    lines += [f"| `{r['command']}` | {r['best_ms']:.1f} |" for r in rows]
+    lines = ["| fresh process | best ms | median ms | spread ms | above bare ms |",
+             "|---|---|---|---|---|"]
+    lines += [f"| `{r['command']}` | {r['best_ms']:.1f} | {r['median_ms']:.1f} "
+              f"| {r['spread_ms']:.1f} | {r['above_bare_ms']:.1f} |" for r in rows]
     return "\n".join(lines)
 
 
@@ -426,6 +451,8 @@ def main(argv=None):
         "git_sha": sha,
         "git_dirty": dirty,
         "seed": SEED,
+        # with it set, every fresh process compiles geneasm from source
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "repeat": args.repeat,
         "budget_s": args.budget,
         "kappas": args.kappas,

@@ -229,13 +229,17 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
-    from . import compress, direct, iso, reduction
+    from . import iso, reduction
 
     sides = []
     if args.cps is not None:
+        from . import compress
+
         rg = reduction.ReductionGraph(_parse_string_arg(args.cps))
         sides.append(iso.canonical_labelled(compress.cps(rg)))
     if args.direct is not None:
+        from . import direct
+
         sides.append(iso.canonical_labelled(direct.parse_direct_json(_read_source(args.direct))))
     if args.strings is not None:
         for text in args.strings:

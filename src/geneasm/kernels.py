@@ -9,8 +9,9 @@ and p, and an inverted segment reverses and bars its pointers.
 Witness contract: the arrangement returned is the first one in the order
 of a full scan -- permutations of 1..kappa in lexicographic order, then
 inversion masks as ascending integers, bit t inverting the segment in
-slot t.  ``tests/oracles.py`` keeps that scan, and the pruned search this
-module used to run, as references.
+slot t.  ``tests/oracles.py`` keeps that scan, the pruned search this
+module used to run, and this reconstruction as it first ran (a sort per
+p, a key function for the twin), as references.
 
 Proof that the reconstruction finds exactly the witnesses with segment 1
 in slot 0, in O(kappa) big-int steps:
@@ -45,6 +46,16 @@ in slot 0, in O(kappa) big-int steps:
   permutation with a witness starts with 1, and the scan's first witness
   is the smaller of the two by (unsigned permutation, inversion mask).
 
+The steps, each a single pass with no sort, key function or generator:
+the inversions as a running XOR, with each slot and each T_p appended as
+it is found; the slots placed into ``order`` (a slot out of range fails
+there); one pass over ``order`` that both finds a slot left empty (two
+segments sharing a slot, so not a permutation) and builds the slot
+prefixes; one compare-swap per p to test T_p against a prefix XOR; and the
+choice of witness or twin by comparing the unsigned permutations, then the
+inversion flags read from the last slot, which orders the inversion masks
+as integers do.
+
 Counting: the (kappa - 1)! * 2^kappa signed arrangements with segment 1
 first each encode to a realistic graph, and each realistic graph has
 exactly these two of them, so realistic graphs on {2..kappa} number
@@ -67,16 +78,21 @@ def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
     ``neighbor_masks`` of an ``OverlapGraph`` on {2..kappa}, where slot and
     magnitude agree); positive_mask has bit p set for every positive p.
     """
-    inverted = [0, 0]  # inverted[m] for segment m, segment 1 not inverted
-    for m in range(2, kappa + 1):
-        inverted.append(inverted[-1] ^ ((positive_mask >> m) & 1))
     segments = (1 << (kappa + 1)) - 1
-    slot = [0] * (kappa + 1)
-    between = [0] * (kappa + 1)  # between[p]: T_p
+    inverted = [0, 0]  # inverted[m] for segment m, segment 1 not inverted
+    slot = [0, 0]  # slot[m]: the slot of segment m, segment 1 in slot 0
+    between = [0, 0]  # between[p]: T_p
+    inv = t = 0  # the inversion and the slot of the last segment placed
     for p in range(2, kappa + 1):
         low = 1 << (p - 1) if p > 2 else 0
         high = 1 << (p + 1) if p < kappa else 0
-        d = adjacency_masks[p] ^ (low if inverted[p - 1] else 0) ^ (high if inverted[p] else 0)
+        d = adjacency_masks[p]
+        if inv:
+            d ^= low
+        inv ^= positive_mask >> p & 1
+        inverted.append(inv)
+        if inv:
+            d ^= high
         forward = not (d & ((1 << p) - 1)).bit_count() & 1
         if not forward:
             d ^= low | high
@@ -84,22 +100,39 @@ def scan_for_arrangement(adjacency_masks, positive_mask, kappa):
         while s < kappa:
             d ^= d << s
             s <<= 1
-        between[p] = d = d & segments
-        width = d.bit_count() + 1
-        slot[p] = slot[p - 1] + width if forward else slot[p - 1] - width
+        d &= segments
+        between.append(d)
+        if forward:
+            t += d.bit_count() + 1
+        else:
+            t -= d.bit_count() + 1
+        slot.append(t)
     order = [0] * kappa  # order[t]: the segment in slot t
-    for m, t in enumerate(slot[1:], 1):
-        if not 0 <= t < kappa or order[t]:
+    for m in range(1, kappa + 1):
+        t = slot[m]
+        if t < 0 or t >= kappa:
             return None
         order[t] = m
     prefix = [0]  # prefix[t]: the segments in slots < t
+    acc = 0
     for m in order:
-        prefix.append(prefix[-1] | 1 << m)
-    for p in range(2, kappa + 1):
-        a, b = sorted((slot[p - 1], slot[p]))
+        if not m:  # a slot left empty: two segments share a slot
+            return None
+        acc |= 1 << m
+        prefix.append(acc)
+    for p in range(2, kappa + 1):  # T_p: the segments strictly between slots a and b
+        a = slot[p - 1]
+        b = slot[p]
+        if a > b:
+            a, b = b, a
         if prefix[b] ^ prefix[a + 1] != between[p]:
             return None
-    witness = tuple(-m if inverted[m] else m for m in order)
-    twin = (-witness[0],) + tuple(-k for k in reversed(witness[1:]))
-    return min(witness, twin, key=lambda w: ([abs(k) for k in w],
-                                             sum(1 << t for t, k in enumerate(w) if k < 0)))
+    witness = [-m if inverted[m] else m for m in order]
+    twin = [-k for k in witness[:0:-1]]  # the mirror: -a1, -a_kappa, ..., -a2
+    twin.insert(0, -witness[0])
+    rest, back = order[1:], order[:0:-1]  # both permutations start with segment 1
+    if rest != back:
+        first = rest < back
+    else:  # kappa <= 2: equal permutations, so the inversion masks decide, high bit first
+        first = [k < 0 for k in reversed(witness)] < [k < 0 for k in reversed(twin)]
+    return tuple(witness) if first else tuple(twin)

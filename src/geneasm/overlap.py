@@ -198,8 +198,8 @@ class OverlapGraph(Record):
 
         Realistic graphs, the only ones the paper builds reduction graphs
         from, always have such a vertex set.  It guards the direct
-        construction; the realism decision tests ``contiguous_domain``
-        itself, and the negative-rule count and the classifier read neither,
+        construction; the realism decision makes ``contiguous_domain``'s
+        test itself, and the negative-rule count and the classifier read neither,
         as ``nullity`` holds on any vertex set.
         """
         if not self.contiguous_domain():
@@ -240,13 +240,16 @@ def is_realistic_overlap(g: OverlapGraph):
     The witness is the first arrangement in scan order, reconstructed in
     O(kappa) big-int steps with no search (see ``kernels``), so any kappa
     is decided.  Graphs whose vertex set is not exactly {2..kappa} are
-    rejected immediately (encoded strings never have domain gaps).
+    rejected first, by one test of the sorted vertices' two ends (encoded
+    strings never have domain gaps), and the kappa it finds is the one the
+    reconstruction runs on.
     """
     from . import kernels
 
-    if not g.contiguous_domain():
+    order = g.vertex_order
+    kappa = len(order) + 1
+    if not order or order[0] != 2 or order[-1] != kappa:  # contiguous_domain's test
         return None
-    kappa = len(g.vertex_order) + 1  # the vertex set is {2..kappa}, as just tested
     return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, kappa)
 
 
@@ -274,45 +277,69 @@ def emit_overlap_json(g: OverlapGraph) -> str:
     return '{"vertices":[' + vertices + '],"edges":[' + edges + "]}"
 
 
+_GRAPH_KEYS = frozenset({"vertices", "edges"})
+_VERTEX_KEYS = frozenset({"p", "sign"})
+
+
 def parse_overlap_json(text: str) -> OverlapGraph:
+    """The graph ``emit_overlap_json`` writes; anything else is a ``ParseError`` saying what.
+
+    ``json.loads`` builds only exact dicts, lists and ints (or bools), so
+    the type tests are ``type(x) is``.  An edge whose ends are both ints
+    naming two different vertices is joined at once; any other edge goes
+    to ``_edge_error``, which tells which check it fails.
+    """
     import json
 
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or set(payload) != {"vertices", "edges"}:
+    if type(payload) is not dict or payload.keys() != _GRAPH_KEYS:
         raise ParseError("overlap graph JSON needs exactly 'vertices' and 'edges'")
     for key in ("vertices", "edges"):
-        if not isinstance(payload[key], list):
+        if type(payload[key]) is not list:
             raise ParseError(f"overlap graph JSON '{key}' must be a list, "
                              f"got {type(payload[key]).__name__}")
     signs = {}
     for entry in payload["vertices"]:
-        if not isinstance(entry, dict) or set(entry) != {"p", "sign"}:
+        if type(entry) is not dict or entry.keys() != _VERTEX_KEYS:
             raise ParseError(f"malformed vertex entry {entry!r}")
         p = entry["p"]
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:  # a bool fails either way: it is below 2
             raise ParseError(f"vertex magnitude must be an integer >= 2, got {p!r}")
         if p in signs:
             raise ParseError(f"duplicate vertex {p}")
-        if entry["sign"] not in ("+", "-"):
-            raise ParseError(f"vertex sign must be '+' or '-', got {entry['sign']!r}")
-        signs[p] = entry["sign"]
+        sign = entry["sign"]
+        if sign not in ("+", "-"):
+            raise ParseError(f"vertex sign must be '+' or '-', got {sign!r}")
+        signs[p] = sign
     order = tuple(sorted(signs))
-    slot = {p: s for s, p in enumerate(order, 2)}
+    slot = {}
+    positive = 0
+    for s, p in enumerate(order, 2):
+        slot[p] = s
+        if signs[p] == "+":
+            positive |= 1 << s
     masks = _slot_masks(len(order))
     for pair in payload["edges"]:
-        if not isinstance(pair, list) or len(pair) != 2:
+        if type(pair) is not list or len(pair) != 2:
             raise ParseError(f"malformed edge {pair!r}")
         p, q = pair
-        if not isinstance(p, int) or not isinstance(q, int):
-            raise ParseError(f"malformed edge {pair!r}")
-        if p == q:
-            raise ParseError(f"self-loop on {p}")
-        if p not in slot or q not in slot:
-            raise ParseError(f"edge ({p}, {q}) references a missing vertex")
-        masks[slot[p]] |= 1 << slot[q]
-        masks[slot[q]] |= 1 << slot[p]
-    positive = sum(1 << slot[p] for p in order if signs[p] == "+")
+        s = slot.get(p) if type(p) is int else None
+        t = slot.get(q) if type(q) is int else None
+        if s is None or t is None or s == t:
+            _edge_error(pair)
+        masks[s] |= 1 << t
+        masks[t] |= 1 << s
     return OverlapGraph._from_masks(order, positive, masks)
+
+
+def _edge_error(pair):
+    """Raise the ``ParseError`` for an edge that does not join two vertices, checks in order."""
+    p, q = pair
+    if not isinstance(p, int) or not isinstance(q, int):
+        raise ParseError(f"malformed edge {pair!r}")
+    if p == q:
+        raise ParseError(f"self-loop on {p}")
+    raise ParseError(f"edge ({p}, {q}) references a missing vertex")

@@ -520,6 +520,52 @@ def search_witness(adjacency_masks, positive_mask, kappa):
     return tuple(-k if (inv >> t) & 1 else k for t, k in enumerate(perm))
 
 
+def reconstruction_witness(adjacency_masks, positive_mask, kappa):
+    """The first witness in scan order by the O(kappa) reconstruction, or None.
+
+    The reconstruction as ``kernels.scan_for_arrangement`` first ran it, in
+    separate passes, with a sort per p and a key function choosing between
+    the witness and its twin; kept as its reference (the proof is in the
+    ``kernels`` docstring).  Same inputs as ``search_witness``.
+    """
+    inverted = [0, 0]  # inverted[m] for segment m, segment 1 not inverted
+    for m in range(2, kappa + 1):
+        inverted.append(inverted[-1] ^ ((positive_mask >> m) & 1))
+    segments = (1 << (kappa + 1)) - 1
+    slot = [0] * (kappa + 1)
+    between = [0] * (kappa + 1)  # between[p]: T_p
+    for p in range(2, kappa + 1):
+        low = 1 << (p - 1) if p > 2 else 0
+        high = 1 << (p + 1) if p < kappa else 0
+        d = adjacency_masks[p] ^ (low if inverted[p - 1] else 0) ^ (high if inverted[p] else 0)
+        forward = not (d & ((1 << p) - 1)).bit_count() & 1
+        if not forward:
+            d ^= low | high
+        s = 1
+        while s < kappa:
+            d ^= d << s
+            s <<= 1
+        between[p] = d = d & segments
+        width = d.bit_count() + 1
+        slot[p] = slot[p - 1] + width if forward else slot[p - 1] - width
+    order = [0] * kappa  # order[t]: the segment in slot t
+    for m, t in enumerate(slot[1:], 1):
+        if not 0 <= t < kappa or order[t]:
+            return None
+        order[t] = m
+    prefix = [0]  # prefix[t]: the segments in slots < t
+    for m in order:
+        prefix.append(prefix[-1] | 1 << m)
+    for p in range(2, kappa + 1):
+        a, b = sorted((slot[p - 1], slot[p]))
+        if prefix[b] ^ prefix[a + 1] != between[p]:
+            return None
+    witness = tuple(-m if inverted[m] else m for m in order)
+    twin = (-witness[0],) + tuple(-k for k in reversed(witness[1:]))
+    return min(witness, twin, key=lambda w: ([abs(k) for k in w],
+                                             sum(1 << t for t, k in enumerate(w) if k < 0)))
+
+
 # ---------------------------------------------------------------------------
 # graph pointer reduction rules on explicit edge sets, and the exhaustive
 # search memoized on canonical keys: the reference for the bitmask rules

@@ -42,6 +42,13 @@ def graphs_on_domain(draw, max_kappa=14):
     if draw(st.booleans()):
         arr = draw(arrangements(kappa, kappa))
         return overlap.overlap_graph(pointers.encode_arrangement(arr))
+    return draw(signed_graphs(kappa, kappa))
+
+
+@st.composite
+def signed_graphs(draw, min_kappa=2, max_kappa=14):
+    """Random signed graphs on {2..kappa}: each edge and each sign drawn on its own."""
+    kappa = draw(st.integers(min_kappa, max_kappa))
     vertices = range(2, kappa + 1)
     pairs = list(combinations(vertices, 2))
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,14 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert report["cli_kappa"] == 8
     assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["cli_rows"])
+    # each row's median, spread, and cost above the same run's bare interpreter
+    assert all(r["median_ms"] >= r["best_ms"] and r["spread_ms"] >= 0
+               for r in report["cli_rows"])
+    bare = report["cli_rows"][0]
+    assert bare["command"] == "python -c pass" and bare["above_bare_ms"] == 0
+    assert all(r["above_bare_ms"] == round(r["median_ms"] - bare["median_ms"], 2)
+               for r in report["cli_rows"])
+    assert report["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     # the verbs that take --graph or --string, on the kappa-8 string and on its graph's JSON
     assert bench.CLI_GRAPH_VERBS == ("count-negative", "classify", "direct")
     assert {"count-negative --graph", "classify --graph", "direct --graph"} <= set(

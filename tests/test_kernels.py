@@ -1,9 +1,14 @@
-"""The realism reconstruction against the full scan and the pruned search (tests/oracles.py)."""
+"""The realism reconstruction against the full scan, the pruned search and its first
+version (tests/oracles.py)."""
 
 import random
 from math import factorial
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
+import strategies
 from geneasm import kernels, overlap, pointers, sampling
 
 
@@ -114,6 +119,32 @@ def test_witnesses_reencode_up_to_kappa_12():
             witness = _scan(g.edges, g.positive, kappa)
             assert witness is not None and abs(witness[0]) == 1  # segment 1 leads
             assert overlap.overlap_graph(pointers.encode_arrangement(witness)) == g
+
+
+def _assert_matches_first_reconstruction(g):
+    inputs = (g.neighbor_masks, g.positive_mask, len(g.vertex_order) + 1)
+    assert kernels.scan_for_arrangement(*inputs) == oracles.reconstruction_witness(*inputs), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.arrangements(max_kappa=12), st.data())
+def test_one_toggle_from_an_encoded_graph_matches_the_first_reconstruction(arr, data):
+    g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+    _assert_matches_first_reconstruction(g)
+    # a toggle: p == q flips the sign of p, p < q the edge p-q
+    p, q = sorted(data.draw(st.lists(st.sampled_from(range(2, len(arr) + 1)), min_size=2,
+                                     max_size=2)))
+    if p == q:
+        toggled = overlap.OverlapGraph(g.vertices, g.positive ^ {p}, g.edges)
+    else:
+        toggled = overlap.OverlapGraph(g.vertices, g.positive, g.edges ^ {(p, q)})
+    _assert_matches_first_reconstruction(toggled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.signed_graphs(max_kappa=9))
+def test_random_signed_graphs_match_the_first_reconstruction(g):
+    _assert_matches_first_reconstruction(g)
 
 
 def test_backend_name_is_constant():

@@ -92,6 +92,15 @@ def test_counting_verbs_build_no_reduction_graph_from_the_overlap_graph(argv):
     assert not {"geneasm.direct", "geneasm.compress", "geneasm.kernels"} & _modules_loaded_by(argv)
 
 
+def test_iso_check_strings_loads_neither_graph_side():
+    # it compares two reduction graphs, so neither the compression, the direct
+    # construction, the overlap graph nor the arrangement scan is on its path
+    loaded = _modules_loaded_by(["iso-check", "--strings", "2323", "3232"])
+    assert "geneasm.reduction" in loaded
+    assert not {"geneasm.direct", "geneasm.overlap", "geneasm.compress",
+                "geneasm.kernels"} & loaded
+
+
 def test_every_export_is_its_submodules_object():
     for name in geneasm.__all__:
         module = importlib.import_module(f"geneasm.{geneasm._EXPORTS[name]}")

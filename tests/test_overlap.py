@@ -261,6 +261,52 @@ class TestJson:
         with pytest.raises(ParseError):
             overlap.parse_overlap_json(bad)
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ('[{"p":2}]', "[]", "malformed vertex entry {'p': 2}"),
+            ('[[2,"+"]]', "[]", "malformed vertex entry [2, '+']"),
+            ('[{"p":true,"sign":"+"}]', "[]",
+             "vertex magnitude must be an integer >= 2, got True"),
+            ('[{"p":2.0,"sign":"+"}]', "[]",
+             "vertex magnitude must be an integer >= 2, got 2.0"),
+            ('[{"p":2,"sign":"+"},{"p":2,"sign":"-"}]', "[]", "duplicate vertex 2"),
+            ('[{"p":2,"sign":["+"]}]', "[]", "vertex sign must be '+' or '-', got ['+']"),
+            ("[]", "[[2]]", "malformed edge [2]"),
+            ("[]", "[[2,3,4]]", "malformed edge [2, 3, 4]"),
+            ('[{"p":2,"sign":"+"},{"p":3,"sign":"+"}]', "[[2.0,3]]", "malformed edge [2.0, 3]"),
+            ('[{"p":2,"sign":"+"}]', "[[[2],2]]", "malformed edge [[2], 2]"),
+            ('[{"p":2,"sign":"+"}]', "[[2,2]]", "self-loop on 2"),
+            ("[]", "[[9,9]]", "self-loop on 9"),
+            ("[]", "[[true,1]]", "self-loop on True"),
+            ('[{"p":2,"sign":"+"}]', "[[true,2]]", "edge (True, 2) references a missing vertex"),
+            ('[{"p":2,"sign":"+"}]', "[[3,2]]", "edge (3, 2) references a missing vertex"),
+        ],
+    )
+    def test_parse_error_messages(self, vertices, edges, message):
+        text = f'{{"vertices":{vertices},"edges":{edges}}}'
+        with pytest.raises(ParseError) as info:
+            overlap.parse_overlap_json(text)
+        assert str(info.value) == message
+
+    def test_parse_error_messages_on_the_payload(self):
+        for text, message in (
+            ("[]", "overlap graph JSON needs exactly 'vertices' and 'edges'"),
+            ('{"vertices":[],"edges":[],"x":1}',
+             "overlap graph JSON needs exactly 'vertices' and 'edges'"),
+            ('{"vertices":{},"edges":7}', "overlap graph JSON 'vertices' must be a list, got dict"),
+            ('{"vertices":[],"edges":7}', "overlap graph JSON 'edges' must be a list, got int"),
+        ):
+            with pytest.raises(ParseError) as info:
+                overlap.parse_overlap_json(text)
+            assert str(info.value) == message
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            overlap.parse_overlap_json("not json")
+        # an edge may name its ends in either order
+        g = overlap.parse_overlap_json(
+            '{"vertices":[{"p":2,"sign":"+"},{"p":3,"sign":"-"}],"edges":[[3,2]]}')
+        assert g.edges == {(2, 3)} and g.positive == {2}
+
 
 class TestRealismOracle:
     def test_star_graph_is_not_realistic(self):
