@@ -46,8 +46,7 @@ def _vertex_ids(kappa: int) -> tuple[str, ...]:
 
 def _graph(kappa: int, pairs) -> LabelledGraph:
     """The graph on J2, Jp2, ..., Jkappa, Jpkappa (each labelled p) joining each index pair."""
-    labels = range(2, kappa + 1)
-    index_labels = tuple(sorted([*labels, *labels]))  # each label twice: J_p, then J'_p
+    index_labels = tuple(p for p in range(2, kappa + 1) for _ in (0, 1))
     return LabelledGraph.from_index_pairs(index_labels, pairs, (_vertex_ids, kappa))
 
 

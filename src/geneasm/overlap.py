@@ -240,16 +240,15 @@ def is_realistic_overlap(g: OverlapGraph):
     The witness is the first arrangement in scan order, reconstructed in
     O(kappa) big-int steps with no search (see ``kernels``), so any kappa
     is decided.  Graphs whose vertex set is not exactly {2..kappa} are
-    rejected first, by one test of the sorted vertices' two ends (encoded
-    strings never have domain gaps), and the kappa it finds is the one the
-    reconstruction runs on.
+    rejected first, by ``contiguous_domain``'s one test of the sorted
+    vertices' two ends (encoded strings never have domain gaps), and the
+    reconstruction runs on the kappa that test implies.
     """
     from . import kernels
 
-    order = g.vertex_order
-    kappa = len(order) + 1
-    if not order or order[0] != 2 or order[-1] != kappa:  # contiguous_domain's test
+    if not g.contiguous_domain():
         return None
+    kappa = len(g.vertex_order) + 1  # the vertex set is {2..kappa}, as just tested
     return kernels.scan_for_arrangement(g.neighbor_masks, g.positive_mask, kappa)
 
 

@@ -494,10 +494,7 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
     signed graph on {2..6} and on seeded graphs at kappa 7 and 8; a one-off
     run found no mismatch on all 2,097,152 signed graphs on {2..7}.
     """
-    # gnr 1, gpr 2, gdr 4; a frozenset is looked up as it is, other input checked
-    code = _CODE.get(kinds) if type(kinds) is frozenset else None
-    if code is None:
-        code = _check_kinds(kinds, _CODE)
+    code = _check_kinds(kinds, _CODE)  # gnr 1, gpr 2, gdr 4
     connected = reduction_components == 1
     positive = g.positive_mask
     if code == 0:
