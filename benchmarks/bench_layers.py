@@ -25,6 +25,10 @@ each on inputs built beforehand:
                                     count, which ``classify`` also reads)
     emit_direct_json                the directly constructed reduction graph *
     canonical_labelled              the compressed reduction graph *
+    canonical_labelled, one label   one cycle with a vertex per letter of the
+                                    string, every label the same *
+    canonical_labelled, 2,3 repeated
+                                    that cycle labelled 2, 3, 2, 3, ... *
     canonical_2edge                 the reduction graph
     ReductionGraph.components       the reduction graph
     ReductionGraph.component_count  the reduction graph
@@ -37,7 +41,11 @@ each on inputs built beforehand:
 A labelled graph names its vertices and walks its components once, on
 first use, and keeps both; so the layers marked * get a graph built anew,
 outside the timer, before every timed repeat.  On one graph the repeats
-after the first would time a cache hit.
+after the first would time a cache hit.  The two cycles are the worst
+case of the least-rotation scan: the least label sits at every vertex or
+every other one, so every candidate rotation shares a long prefix with
+the next.  A scan that is not linear shows there as a row growing
+faster than kappa.
 
 The search row times ``rewriting.successful_in`` for each of the eight rule
 sets S of {gnr, gpr, gdr} on the graph of the realistic string that
@@ -145,6 +153,8 @@ LAYERS = (
     "OverlapGraph.nullity",
     "emit_direct_json",
     "canonical_labelled",
+    "canonical_labelled, one label",
+    "canonical_labelled, 2,3 repeated",
     "canonical_2edge",
     "ReductionGraph.components",
     "ReductionGraph.component_count",
@@ -153,7 +163,8 @@ LAYERS = (
     "cps-vs-direct",
 )
 # the layers whose argument is a LabelledGraph, built anew for every repeat
-FRESH = frozenset({"emit_direct_json", "canonical_labelled"})
+FRESH = frozenset({"emit_direct_json", "canonical_labelled", "canonical_labelled, one label",
+                   "canonical_labelled, 2,3 repeated"})
 
 
 def cps_vs_direct(u):
@@ -164,6 +175,13 @@ def cps_vs_direct(u):
     built = direct.direct_reduction_graph(g)
     return (iso.canonical_labelled(compressed) == iso.canonical_labelled(built),
             reduction.is_rooted(rg), rg.component_count() == built.component_count())
+
+
+def labelled_cycle(labels):
+    """One cycle through the vertex indices in order, index v labelled labels[v]."""
+    size = len(labels)
+    return compress.LabelledGraph.from_index_pairs(
+        labels, [(v, (v + 1) % size) for v in range(size)], (range, size))
 
 
 def cases(u):
@@ -187,6 +205,10 @@ def cases(u):
         "emit_direct_json": (direct.emit_direct_json,
                              lambda: direct.direct_reduction_graph(graph())),
         "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),
+        "canonical_labelled, one label": (iso.canonical_labelled,
+                                          lambda: labelled_cycle((2,) * len(u))),
+        "canonical_labelled, 2,3 repeated": (iso.canonical_labelled,
+                                             lambda: labelled_cycle((2, 3) * (len(u) // 2))),
         "canonical_2edge": (iso.canonical_2edge, rg),
         "ReductionGraph.components": (reduction.ReductionGraph.components, rg),
         "ReductionGraph.component_count": (reduction.ReductionGraph.component_count, rg),

@@ -55,6 +55,15 @@ class LabelledGraph(Record):
         g._fill(index_labels, pairs, id_source)
         return g
 
+    @classmethod
+    def _from_partners(cls, index_labels: tuple, first: list, second: list,
+                       id_source: tuple) -> LabelledGraph:
+        """The graph with these partner arrays, taken as given: each edge in both ends' entries."""
+        g = cls.__new__(cls)
+        g.__dict__.update(index_labels=index_labels, first=first, second=second,
+                          id_source=id_source)
+        return g
+
     def _fill(self, index_labels, pairs, id_source):
         first = [-1] * len(index_labels)
         second = first.copy()
@@ -170,7 +179,13 @@ def cps(rg) -> LabelledGraph:
     (i, side) endpoint pairs, labelled by magnitude, in ``rg.desire_edges``
     order; the graph keeps the desire index pairs and names them on
     request.  The compression reads the graph's index arrays: reality edge
-    k (odd) joins index k to k+1, mod 2n.  Compressing other
+    k (odd) joins index k to k+1, mod 2n, so the last one joins index 2n-1
+    to index 0.  A desire edge (x, y), x < y, has as partners the vertices
+    across x's reality edge and across y's, read straight into the partner
+    arrays: the one across the lower reality edge goes first, as
+    ``LabelledGraph.from_index_pairs`` would order them, so y's first when
+    x is 0.  A 1-cycle of the reduction graph gives a self-loop, dropped,
+    and a 2-cycle the same partner twice, kept once.  Compressing other
     2-edge-coloured graphs is left to the tests' edge-set oracle.
     """
     from .reduction import ReductionGraph
@@ -181,7 +196,20 @@ def cps(rg) -> LabelledGraph:
     at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
     for i, (a, b) in enumerate(desire):
         at[a] = at[b] = i
+    # across[k]: the compressed vertex at the far end of k's reality edge; odd k is joined
+    # to k + 1, even k to k - 1, index 0 to the last index
+    across = [0] * len(at)
+    across[1::2], across[::2] = at[2::2] + at[:1], at[-1:] + at[1:-1:2]
+    first = [-1] * len(desire)
+    second = first.copy()
+    for d, (x, y) in enumerate(desire):
+        # x < y; the lower reality edge first, as _fill meets them: x's, except index 0's
+        # edge, the last one
+        a, b = (across[x], across[y]) if x else (across[y], across[x])
+        if a != d:  # a 1-cycle has a self-loop only
+            first[d] = a
+            if b != a:  # a 2-cycle meets its partner twice
+                second[d] = b
     magnitudes = rg.magnitudes
-    index_labels = tuple([magnitudes[a >> 1] for a, _ in desire])
-    pairs = [(d1, d2) for d1, d2 in zip(at[1::2], at[2::2] + at[:1]) if d1 != d2]
-    return LabelledGraph.from_index_pairs(index_labels, pairs, (_desire_ids, desire))
+    index_labels = tuple([magnitudes[x >> 1] for x, _ in desire])
+    return LabelledGraph._from_partners(index_labels, first, second, (_desire_ids, desire))

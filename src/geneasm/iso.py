@@ -16,8 +16,12 @@ vertex.  ``canonical_2edge`` takes
 Other 2-edge-coloured graphs are left to the tests' generic oracle.  A
 path's code is the smaller of its two readings, a cycle's the least
 rotation of either reading, so no code depends on where its walk
-started.  The least rotation comes from a linear two-candidate scan, so
-a code costs O(L) for a component of L vertices.
+started.  The least rotation comes from a linear two-candidate scan
+anchored at the least label: only its occurrences can start the least
+rotation, so the candidates are found with ``tuple.index`` and compared
+block by block.  A code costs O(L) for a component of L vertices, also
+when every label is the same; with few repeats of the least label the
+scan is a handful of steps.
 """
 
 from __future__ import annotations
@@ -26,32 +30,42 @@ from __future__ import annotations
 def _least_rotation(seq: tuple, step: int) -> tuple:
     """Least of the rotations of seq by a multiple of step, 1 or 2 (len(seq) a multiple of it).
 
-    Works on the sequence of n step-long blocks with two candidate starts
-    i != j and the length k of their common prefix.  At the first mismatch
-    the larger side's start s loses, and so do s+1..s+k: each rotation
-    there is beaten by the one the same distance past the other start.  So
-    the loser jumps past them, and a mismatch after k equal blocks moves a
-    start by k + 1: the scan is linear in n.  It ends when a start passes
-    n, leaving the other as the least, or when k reaches n, where both
-    starts give the same (least) rotation.
+    Works on the sequence of n step-long blocks.  A least rotation starts
+    with the least block, so only its occurrences are candidates: the scan
+    keeps two, i < j, found with ``index`` on the doubled blocks, and the
+    length k of their common prefix.  Every start below j other than i is
+    already ruled out.  At the first mismatch the larger side's start s
+    loses, and so do s+1..s+k: each rotation there is beaten by the one the
+    same distance past the other start.  So the loser jumps to the next
+    occurrence at or past max(s + k + 1, other + 1), and the survivor and
+    the new start are the next pair.  A mismatch after k equal blocks
+    raises i + j by at least k + 1, and each ``index`` call scans only past
+    the larger start, so the scan is linear in n, also when every block is
+    the same.  It ends when j reaches n, leaving i as the least, or when k
+    reaches n, where both starts give the same (least) rotation.
     """
     blocks = seq if step == 1 else tuple(zip(seq[::2], seq[1::2]))
     n = len(blocks)
     doubled = blocks + blocks
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
+    least = min(blocks)
+    find = doubled.index
+    i = find(least)
+    j = find(least, i + 1)  # at most i + n, the copy of i
+    k = 1  # both starts hold the least block
+    while j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
         if a == b:
             k += 1
             continue
+        # the loser's next start lies past the other start and its own k followers;
+        # from below n the search stops at the copy of i at i + n, if not before
         if a > b:
-            i += k + 1
+            i, start = j, max(i + k + 1, j + 1)
         else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    r = min(i, j) * step
+            start = j + k + 1
+        j = find(least, start) if start < n else n
+        k = 1
+    r = i * step
     return seq[r:] + seq[:r]
 
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
+from geneasm import compress
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
 from geneasm.reduction import RootSubgraph
@@ -304,6 +305,24 @@ def cps_edge_set(graph):
                 if d1 != d2:
                     edges.add(frozenset((d1, d2)))
     return labels, frozenset(edges)
+
+
+def pairs_cps(rg):
+    """``compress.cps`` as it first read the index arrays, kept as its reference.
+
+    It lists each reality edge k (odd, joining index k to k+1 mod 2n) as the
+    pair of compressed vertices at its ends, drops self-loops, and lets
+    ``LabelledGraph.from_index_pairs`` fill the partner arrays, skipping the
+    repeat of a 2-cycle.
+    """
+    desire = rg.desire_pairs()
+    at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
+    for i, (a, b) in enumerate(desire):
+        at[a] = at[b] = i
+    magnitudes = rg.magnitudes
+    index_labels = tuple([magnitudes[a >> 1] for a, _ in desire])
+    pairs = [(d1, d2) for d1, d2 in zip(at[1::2], at[2::2] + at[:1]) if d1 != d2]
+    return LabelledGraph.from_index_pairs(index_labels, pairs, (compress._desire_ids, desire))
 
 
 class EdgeSetReductionGraph:
@@ -843,6 +862,33 @@ def successful_string_reductions(u, kinds=STRING_KINDS, max_domain=6):
 def least_rotation(seq, step):
     """Least of the rotations of seq by a multiple of step, by comparing them all."""
     return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
+
+
+def two_candidate_least_rotation(seq, step):
+    """``iso._least_rotation`` as it first ran, kept as its reference.
+
+    The same two-candidate scan over step-long blocks, started at blocks 0
+    and 1 rather than at the least block: at the first mismatch after k
+    equal blocks the larger side's start jumps by k + 1.
+    """
+    blocks = seq if step == 1 else tuple(zip(seq[::2], seq[1::2]))
+    n = len(blocks)
+    doubled = blocks + blocks
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    r = min(i, j) * step
+    return seq[r:] + seq[:r]
 
 
 def _partners(edges, colour: str) -> dict:

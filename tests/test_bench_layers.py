@@ -35,7 +35,8 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert "is_realistic_overlap" in bench.LAYERS
     # the perfbench scale op's calls, and the layers that get a fresh labelled graph
     assert bench.LAYERS[-1] == "cps-vs-direct"
-    assert bench.FRESH == {"emit_direct_json", "canonical_labelled"}
+    assert bench.FRESH == {"emit_direct_json", "canonical_labelled", "canonical_labelled, one label",
+                           "canonical_labelled, 2,3 repeated"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     assert report["cli_kappa"] == 8
@@ -166,7 +167,7 @@ def test_labelled_graph_rows_time_a_fresh_graph_per_repeat(bench, monkeypatch):
     rows = bench.measure([6], repeat=3, budget=10)
     assert all(r["calls"] == 3 for r in rows)
     # three repeats of each row; each cps-vs-direct repeat takes two canonical forms
-    assert sorted(met) == [("canonical_labelled", False)] * 9 + [("emit_direct_json", False)] * 3
+    assert sorted(met) == [("canonical_labelled", False)] * 15 + [("emit_direct_json", False)] * 3
 
 
 def test_the_cps_vs_direct_row_runs_the_scale_check(bench):
@@ -174,6 +175,18 @@ def test_the_cps_vs_direct_row_runs_the_scale_check(bench):
     for kappa in (2, 8, 32):
         u = bench.sampling.random_realistic_string(rng, kappa)
         assert bench.cps_vs_direct(u) == (True, True, True)
+
+
+def test_the_adversarial_rows_time_one_cycle_as_long_as_the_string(bench):
+    rng = bench.random.Random(bench.SEED)
+    u = bench.sampling.random_realistic_string(rng, 8)
+    built = bench.cases(u)
+    for layer, labels in (("canonical_labelled, one label", (2,) * 14),
+                          ("canonical_labelled, 2,3 repeated", (2, 3) * 7)):
+        fn, make_arg = built[layer]
+        g = make_arg()
+        assert g.index_labels == labels and len(g.walks()) == 1
+        assert fn(g) == "c[" + ",".join(map(str, labels)) + "]"
 
 
 def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatch):

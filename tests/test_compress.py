@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 import oracles
+import strategies
 from geneasm import compress, iso, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
 
@@ -93,6 +95,18 @@ class TestCps:
         assert list(labels.items()) == [(("a", "b"), 2), (("b", "c"), 2), (("d", "e"), 3)]
         assert edges == {frozenset({("a", "b"), ("d", "e")}), frozenset({("b", "c"), ("d", "e")})}
         assert LabelledGraph(labels, edges).neighbors(("d", "e")) == {("a", "b"), ("b", "c")}
+
+    @settings(max_examples=500, deadline=None)
+    @given(strategies.legal_strings())
+    @example(pointers.parse_pointer_string("22"))  # a 1-cycle: a self-loop, dropped
+    @example(pointers.parse_pointer_string("2-2"))  # a 2-cycle: one edge, met twice
+    @example(pointers.parse_pointer_string("2323"))
+    def test_matches_the_first_array_compression(self, u):
+        rg = reduction.ReductionGraph(u)
+        got, want = compress.cps(rg), oracles.pairs_cps(rg)
+        assert (got.first, got.second, got.index_labels) == (want.first, want.second,
+                                                             want.index_labels)
+        assert got.walks() == want.walks()
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)

@@ -1,9 +1,13 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from geneasm import iso, pointers, reduction, sampling
+import strategies
+from geneasm import compress, iso, pointers, reduction, sampling
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
 
@@ -195,6 +199,44 @@ class TestLeastRotation:
         seq = tuple(rng.randint(2, 5) for _ in range(2000))
         for step in (1, 2):
             assert iso._least_rotation(seq, step) == oracles.least_rotation(seq, step)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from((1, 2)), st.integers(1, 4).flatmap(
+        lambda letters: st.lists(st.integers(1, letters), min_size=2, max_size=24)))
+    def test_anchored_scan_matches_every_rotation_compared(self, step, seq):
+        # few letters give many occurrences of the least block: the hard case
+        seq = tuple(seq[:len(seq) - len(seq) % step])
+        least = oracles.least_rotation(seq, step)
+        assert iso._least_rotation(seq, step) == least
+        assert oracles.two_candidate_least_rotation(seq, step) == least
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.legal_strings())
+    def test_codes_match_the_first_scan(self, u):
+        rg = reduction.ReductionGraph(u)
+        codes = iso.canonical_labelled(compress.cps(rg)), iso.canonical_2edge(rg)
+        with mock.patch.object(iso, "_least_rotation", oracles.two_candidate_least_rotation):
+            assert (iso.canonical_labelled(compress.cps(rg)), iso.canonical_2edge(rg)) == codes
+
+
+class TestLinearBound:
+    """One cycle of 2^17 vertices: linear scans take milliseconds, quadratic ones never end."""
+
+    SIZE = 1 << 17
+
+    @staticmethod
+    def _cycle(labels):
+        size = len(labels)
+        return LabelledGraph.from_index_pairs(
+            labels, [(v, (v + 1) % size) for v in range(size)], (range, size))
+
+    def test_one_label(self):
+        code = iso.canonical_labelled(self._cycle((2,) * self.SIZE))
+        assert code == "c[" + ",".join(["2"] * self.SIZE) + "]"
+
+    def test_two_labels_alternating(self):
+        code = iso.canonical_labelled(self._cycle((2, 3) * (self.SIZE // 2)))
+        assert code == "c[" + ",".join(["2,3"] * (self.SIZE // 2)) + "]"
 
 
 class TestBruteForce:
