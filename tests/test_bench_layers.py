@@ -35,8 +35,8 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert "is_realistic_overlap" in bench.LAYERS
     # the perfbench scale op's calls, and the layers that get a fresh labelled graph
     assert bench.LAYERS[-1] == "cps-vs-direct"
-    assert bench.FRESH == {"emit_direct_json", "canonical_labelled", "canonical_labelled, one label",
-                           "canonical_labelled, 2,3 repeated"}
+    assert bench.FRESH == {"emit_direct_json", "canonical_labelled",
+                           "canonical_labelled, one label", "canonical_labelled, 2,3 repeated"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     assert report["cli_kappa"] == 8
