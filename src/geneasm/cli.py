@@ -3,8 +3,10 @@
 One verb per invocation; output is deterministic for a fixed seed.  Exit
 codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
-violation, 6 input over a cap (``direct.MAX_DIRECT_KAPPA`` on
-direct-construction JSON, or a rewriting search cap).
+violation, 6 direct-construction JSON with kappa over
+``direct.MAX_DIRECT_KAPPA``.  No verb reaches a rewriting search cap:
+``crossval`` searches only within the default caps; library callers still
+get ``CapError`` from them.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.  An error prints one
 ``error:`` line; its exit code comes from one table, ``_EXIT_CODES``, and
@@ -188,7 +190,7 @@ def _cmd_cps(args) -> int:
     if args.format == "dot":
         from . import dot
 
-        _emit(dot.labelled_dot(g, "cps"))
+        _emit(dot.cps_dot(g))
     elif args.format == "text":
         from . import iso
 

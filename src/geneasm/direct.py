@@ -60,12 +60,12 @@ class Witness(Record):
         object.__setattr__(self, "value", value)
 
 
-def _matches(g: OverlapGraph, kappa: int, vertices) -> list[tuple[int, int, int, int]]:
+def _matches(g: OverlapGraph, kappa: int) -> list[tuple[int, int, int, int]]:
     """Each pair of ends of different vertices with equal keys, as (v, w, a, b) with a <= b.
 
-    ``vertices`` and v, w are vertex indices as in ``_vertex_ids``; a and b
-    are the prefix indices of the ends of v and w.  Each end is matched
-    against the ends made before it as it is made.
+    v and w are vertex indices as in ``_vertex_ids``; a and b are the
+    prefix indices of the ends of v and w.  Each end is matched against the
+    ends made before it as it is made.
     """
     masks, positive = g.neighbor_masks, g.positive_mask
     s = [0, 0]  # S(k) for k = 0..kappa
@@ -73,7 +73,7 @@ def _matches(g: OverlapGraph, kappa: int, vertices) -> list[tuple[int, int, int,
         s.append(s[-1] ^ masks[t] ^ (positive & (1 << t)))
     found = []
     made: dict[int, list[tuple[int, int]]] = {}  # key -> (prefix index, vertex) of its ends
-    for v in vertices:
+    for v in range(2 * kappa - 2):
         t = v // 2 + 2
         if not v & 1:
             bit = 1 << t
@@ -106,18 +106,18 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     """
     kappa = g.kappa()
     pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
-    pairs += [(v, w) for v, w, _, _ in _matches(g, kappa, range(2 * kappa - 2))]
+    pairs += [(v, w) for v, w, _, _ in _matches(g, kappa)]
     return _graph(kappa, pairs)
 
 
-def _witnesses(g: OverlapGraph, kappa: int, vertices) -> list[tuple[tuple, list[int], Witness]]:
-    """(sort key, vertex indices root first, witness) for each window among ``vertices``.
+def _witnesses(g: OverlapGraph, kappa: int) -> list[tuple[tuple, list[int], Witness]]:
+    """(sort key, vertex indices root first, witness) for each window.
 
     They come in candidate order: J_p - J_q by (p, q); then for each p,
     J'_2 - J_p and J'_kappa - J_p; then J'_2 - J'_kappa; each edge's by (lo, hi).
     """
     found = []
-    for v, w, a, b in _matches(g, kappa, vertices):
+    for v, w, a, b in _matches(g, kappa):
         roots = sorted(x for x in (v, w) if x & 1)
         if len(roots) == 2 and kappa <= 3:
             continue
@@ -143,7 +143,7 @@ def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
     v, w = sorted(index[name] for name in edge)
     if v & 1 and w == v + 2:
         return [Witness(subset=frozenset(), value=frozenset())]
-    return [x for _, _, x in _witnesses(g, kappa, {v, w})]
+    return [x for _, pair, x in _witnesses(g, kappa) if sorted(pair) == [v, w]]
 
 
 def _set_text(values) -> str:
@@ -154,7 +154,7 @@ def explain_lines(g: OverlapGraph):
     """``geneasm direct --explain``: "{Jp7,J5} P={6,7} value={5}" per window, in candidate order."""
     kappa = g.kappa()
     names = _vertex_ids(kappa)
-    for _, vertices, w in _witnesses(g, kappa, range(2 * kappa - 2)):
+    for _, vertices, w in _witnesses(g, kappa):
         pair = ",".join(names[v] for v in vertices)
         yield f"{{{pair}}} P={_set_text(w.subset)} value={_set_text(w.value)}"
 

@@ -1,66 +1,56 @@
-"""Deterministic DOT emitters for the package's graph types.
+"""DOT text for the package's four graphs, byte-stable.
 
-Reduction graphs use vertex ids I<i> / Ip<i> with the pointer magnitude
-as node label; reality edges are drawn bold (penwidth=2) and desire
-edges dashed.  Labelled graphs (compressed and directly constructed
-reduction graphs, overlap graphs) use plain edges.  Emission order is
-fully sorted so output is byte-stable.
+One writer, ``_dot``, emits every graph; each drawing only lists its nodes
+and edges, in a fixed order.  Reduction graphs use vertex ids I<i> / Ip<i>
+with the pointer magnitude as label, reality edges bold (penwidth=2) and
+desire edges dashed; overlap, compressed and direct graphs use plain edges.
+No graph module is loaded here: a drawing that needs an id helper takes it
+from its graph's own module, loaded by then.
 """
 
 from __future__ import annotations
 
-from .compress import LabelledGraph
-from .overlap import OverlapGraph
-from .reduction import ReductionGraph, vertex_name
+
+def _dot(name: str, nodes, edges) -> str:
+    """``graph name``: a line per (id, label) node, then per (a, b, attributes) edge."""
+    lines = [f"graph {name} {{"]
+    lines += [f'  {v} [label="{label}"];' for v, label in nodes]
+    lines += [f"  {a} -- {b} [{attributes}];" if attributes else f"  {a} -- {b};"
+              for a, b, attributes in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def overlap_dot(g: OverlapGraph) -> str:
-    lines = ["graph overlap {"]
-    for p in g.vertex_order:
-        lines.append(f'  v{p} [label="{p}{g.sign(p)}"];')
-    for p, above in g.neighbors_above():
-        lines += [f"  v{p} -- v{q};" for q in above]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = ((f"v{p}", f"{p}{g.sign(p)}") for p in g.vertex_order)
+    edges = ((f"v{p}", f"v{q}", "") for p, above in g.neighbors_above() for q in above)
+    return _dot("overlap", nodes, edges)
 
 
 def reduction_dot(rg: ReductionGraph) -> str:
-    lines = ["graph reduction {"]
-    for v in sorted(rg.vertices):
-        lines.append(f'  {vertex_name(v)} [label="{rg.label(v)}"];')
-    for e in rg.reality_edges:
-        a, b = sorted(e)
-        lines.append(f"  {vertex_name(a)} -- {vertex_name(b)} [penwidth=2];")
-    for e in sorted(rg.desire_edges, key=sorted):
-        a, b = sorted(e)
-        lines.append(f"  {vertex_name(a)} -- {vertex_name(b)} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Vertices in (i, side) order, the reality edges, then the desire edges in sorted order."""
+    from .reduction import vertex_name
+
+    def drawn(edges, attributes):
+        return [(vertex_name(a), vertex_name(b), attributes) for a, b in map(sorted, edges)]
+
+    nodes = ((vertex_name(v), rg.label(v)) for v in rg.vertices)
+    return _dot("reduction", nodes, drawn(rg.reality_edges, "penwidth=2")
+                + drawn(sorted(rg.desire_edges, key=sorted), "style=dashed"))
 
 
-def labelled_dot(g: LabelledGraph, graph_name: str = "labelled") -> str:
-    """Plain-edge DOT; vertex ids are assigned in sorted vertex order."""
+def cps_dot(g: LabelledGraph) -> str:
+    """Nodes n0, n1, ... in ``str`` order of the vertex ids; edges sorted by their id pairs."""
     order = sorted(g.labels, key=str)
-    node = {v: f"n{idx}" for idx, v in enumerate(order)}
-    lines = [f"graph {graph_name} {{"]
-    for v in order:
-        lines.append(f'  {node[v]} [label="{g.labels[v]}"];')
+    node = {v: f"n{k}" for k, v in enumerate(order)}
     pairs = sorted(tuple(sorted(e, key=str)) for e in g.edges)
-    for a, b in pairs:
-        lines.append(f"  {node[a]} -- {node[b]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("cps", ((node[v], g.labels[v]) for v in order),
+                ((node[a], node[b], "") for a, b in pairs))
 
 
 def direct_dot(g: LabelledGraph) -> str:
-    """DOT for directly constructed reduction graphs, keeping J/Jp vertex ids."""
+    """The J/Jp vertex ids in index order, and the edges sorted by index."""
     from .direct import sorted_ids
 
     order, pairs = sorted_ids(g)
-    lines = ["graph direct {"]
-    for v in order:
-        lines.append(f'  {v} [label="{g.labels[v]}"];')
-    for a, b in pairs:
-        lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("direct", zip(order, g.index_labels), ((a, b, "") for a, b in pairs))

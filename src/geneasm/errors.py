@@ -18,4 +18,4 @@ class RealismError(GeneAsmError):
 
 
 class CapError(GeneAsmError):
-    """An input is larger than a search cap allows, or a cap setting is malformed."""
+    """An input is larger than a cap allows: a rewriting search cap, or ``MAX_DIRECT_KAPPA``."""

@@ -158,7 +158,10 @@ class TestBasicVerbs:
 
 
 # Full stdout of the reduction-graph and cps verbs, taken from the
-# frozenset-edge construction they replaced.
+# frozenset-edge construction they replaced.  The 12-letter DOT rows were
+# taken before the DOT writers became one: past position 9 the cps drawing's
+# node numbers (str order of the vertex ids) and its edge order (id
+# tuples) disagree, as in ``n1 -- n4`` before ``n1 -- n3``.
 _GOLDEN = {
     ("reduction-graph", "json", "32-43-24"):
         '{"desire":[["I1","Ip4"],["I2","I5"],["I3","I6"],["I4","Ip1"],["Ip2","Ip5"],["Ip3","Ip6"]],'
@@ -203,6 +206,33 @@ _GOLDEN = {
         '  n3 [label="2"];\n  n0 -- n1;\n  n0 -- n3;\n  n1 -- n2;\n  n2 -- n3;\n}\n',
     ("cps", "text", "-3-223"):
         "c[2,2,3,3]\n",
+    ("overlap", "dot", "3456-5-467723-2"):
+        'graph overlap {\n  v2 [label="2+"];\n  v3 [label="3-"];\n  v4 [label="4+"];\n'
+        '  v5 [label="5+"];\n  v6 [label="6-"];\n  v7 [label="7-"];\n  v2 -- v3;\n  v4 -- v6;\n'
+        '  v5 -- v6;\n}\n',
+    ("reduction-graph", "dot", "3456-5-467723-2"):
+        'graph reduction {\n  I1 [label="3"];\n  Ip1 [label="3"];\n  I2 [label="4"];\n'
+        '  Ip2 [label="4"];\n  I3 [label="5"];\n  Ip3 [label="5"];\n  I4 [label="6"];\n'
+        '  Ip4 [label="6"];\n  I5 [label="5"];\n  Ip5 [label="5"];\n  I6 [label="4"];\n'
+        '  Ip6 [label="4"];\n  I7 [label="6"];\n  Ip7 [label="6"];\n  I8 [label="7"];\n'
+        '  Ip8 [label="7"];\n  I9 [label="7"];\n  Ip9 [label="7"];\n  I10 [label="2"];\n'
+        '  Ip10 [label="2"];\n  I11 [label="3"];\n  Ip11 [label="3"];\n  I12 [label="2"];\n'
+        '  Ip12 [label="2"];\n  Ip1 -- I2 [penwidth=2];\n  Ip2 -- I3 [penwidth=2];\n'
+        '  Ip3 -- I4 [penwidth=2];\n  Ip4 -- I5 [penwidth=2];\n  Ip5 -- I6 [penwidth=2];\n'
+        '  Ip6 -- I7 [penwidth=2];\n  Ip7 -- I8 [penwidth=2];\n  Ip8 -- I9 [penwidth=2];\n'
+        '  Ip9 -- I10 [penwidth=2];\n  Ip10 -- I11 [penwidth=2];\n  Ip11 -- I12 [penwidth=2];\n'
+        '  I1 -- Ip12 [penwidth=2];\n  I1 -- Ip11 [style=dashed];\n'
+        '  Ip1 -- I11 [style=dashed];\n  I2 -- I6 [style=dashed];\n'
+        '  Ip2 -- Ip6 [style=dashed];\n  I3 -- I5 [style=dashed];\n'
+        '  Ip3 -- Ip5 [style=dashed];\n  I4 -- Ip7 [style=dashed];\n'
+        '  Ip4 -- I7 [style=dashed];\n  I8 -- Ip9 [style=dashed];\n  Ip8 -- I9 [style=dashed];\n'
+        '  I10 -- I12 [style=dashed];\n  Ip10 -- Ip12 [style=dashed];\n}\n',
+    ("cps", "dot", "3456-5-467723-2"):
+        'graph cps {\n  n0 [label="3"];\n  n1 [label="3"];\n  n2 [label="2"];\n'
+        '  n3 [label="2"];\n  n4 [label="4"];\n  n5 [label="4"];\n  n6 [label="5"];\n'
+        '  n7 [label="5"];\n  n8 [label="6"];\n  n9 [label="6"];\n  n10 [label="7"];\n'
+        '  n11 [label="7"];\n  n0 -- n2;\n  n0 -- n3;\n  n1 -- n4;\n  n1 -- n3;\n  n4 -- n7;\n'
+        '  n5 -- n6;\n  n5 -- n9;\n  n6 -- n9;\n  n7 -- n8;\n  n8 -- n10;\n  n2 -- n10;\n}\n',
 }
 
 
@@ -257,6 +287,17 @@ class TestPipelines:
     )
     def test_direct_explain_golden(self, string, want):
         assert run(["direct", "--string", string, "--explain"]) == (0, want, "")
+
+    def test_direct_dot_golden(self):
+        want = (
+            'graph direct {\n  J2 [label="2"];\n  Jp2 [label="2"];\n  J3 [label="3"];\n'
+            '  Jp3 [label="3"];\n  J4 [label="4"];\n  Jp4 [label="4"];\n  J5 [label="5"];\n'
+            '  Jp5 [label="5"];\n  J6 [label="6"];\n  Jp6 [label="6"];\n  J7 [label="7"];\n'
+            '  Jp7 [label="7"];\n  J2 -- J3;\n  J2 -- Jp7;\n  Jp2 -- J3;\n  Jp2 -- Jp3;\n'
+            '  Jp3 -- Jp4;\n  J4 -- J5;\n  J4 -- J6;\n  Jp4 -- Jp5;\n  J5 -- J6;\n'
+            '  Jp5 -- Jp6;\n  Jp6 -- Jp7;\n}\n'
+        )
+        assert run(["direct", "--string", "3456-5-467723-2", "--format", "dot"]) == (0, want, "")
 
     def test_direct_explain_lists_witnesses_in_candidate_order(self):
         # the order on graphs that are not realistic is checked on the library,

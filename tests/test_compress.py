@@ -135,6 +135,14 @@ class TestLabelledGraph:
             with pytest.raises(ValueError):
                 LabelledGraph(labels, bad)
 
+    def test_a_third_edge_is_named_at_either_end_of_a_pair(self):
+        labels = {"a": 2, "b": 3, "c": 3, "d": 2}
+        for edges in ([("a", "b"), ("a", "c"), ("a", "d")],   # a is the pair's first end
+                      [("a", "b"), ("a", "c"), ("d", "a")]):  # a is its second
+            with pytest.raises(ValueError,
+                               match=r"^vertex 'a' would get a third edge \(maximum degree 2\)$"):
+                LabelledGraph(labels, edges)
+
     def test_walks_read_each_component_once(self):
         rng = random.Random(65)
         for _ in range(300):

@@ -92,6 +92,25 @@ def test_counting_verbs_build_no_reduction_graph_from_the_overlap_graph(argv):
     assert not {"geneasm.direct", "geneasm.compress", "geneasm.kernels"} & _modules_loaded_by(argv)
 
 
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["overlap", "--format", "dot", "--", "72673456-3-245"],
+         {"geneasm.reduction", "geneasm.compress"}),
+        (["cps", "--format", "dot", "--", "72673456-3-245"], {"geneasm.overlap"}),
+        (["reduction-graph", "--format", "dot", "--", "72673456-3-245"],
+         {"geneasm.compress", "geneasm.overlap"}),
+        (["direct", "--string=72673456-3-245", "--format", "dot"], {"geneasm.reduction"}),
+    ],
+    ids=["overlap", "cps", "reduction-graph", "direct"],
+)
+def test_a_drawing_loads_only_its_own_graph(argv, absent):
+    # the DOT writer imports no graph module; each verb loads the graph it draws
+    loaded = _modules_loaded_by(argv)
+    assert "geneasm.dot" in loaded
+    assert not absent & loaded
+
+
 def test_iso_check_strings_loads_neither_graph_side():
     # it compares two reduction graphs, so neither the compression, the direct
     # construction, the overlap graph nor the arrangement scan is on its path

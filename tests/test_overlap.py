@@ -137,6 +137,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.neighbors(3)
 
+    @pytest.mark.parametrize(
+        "positive, edges, message",
+        [
+            ({2, 9}, [], "positive vertices must be vertices"),
+            (set(), [(3, 3)], "self-loops are not allowed"),
+            (set(), [(4, 2)], r"edge pairs must be stored \(min, max\)"),
+            (set(), [(2, 9)], r"edge \(2, 9\) leaves the vertex set"),
+        ],
+        ids=["positive", "self-loop", "order", "endpoint"],
+    )
+    def test_constructor_names_each_malformed_input(self, positive, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            overlap.OverlapGraph({2, 3, 4}, positive, edges)
+
     def test_components(self):
         g = gamma("22334455")
         assert g.components() == [frozenset({p}) for p in (2, 3, 4, 5)]

@@ -17,7 +17,7 @@ SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "bench_spec.py"
 # EDGE_TEST names direct._matching_subsets, which the direct construction
 # stopped calling and which was then deleted; the two perfbench tests that
 # read it have failed since, and mending them is a change to the benchmark
-# (ROADMAP item 4).  So it is the one module-level name left unchecked here.
+# (ROADMAP item 1).  So it is the one module-level name left unchecked here.
 STALE = {"EDGE_TEST"}
 
 

@@ -303,6 +303,14 @@ class TestRootChains:
         assert reduction.find_root_subgraphs(rg_of("2244")) == []
         assert reduction.find_root_subgraphs(reduction.ReductionGraph(())) == []
 
+    def test_chain_vertices(self):
+        chains = reduction.find_root_subgraphs(rg_of("234234"))
+        assert [sorted(chain.vertices) for chain in chains] == [
+            [(1, 0), (2, 1), (3, 0), (4, 1), (5, 0), (6, 1)],
+            [(1, 1), (2, 0), (3, 1), (4, 0), (5, 1), (6, 0)],
+        ]
+        assert all(set(chain.free_ends) <= chain.vertices for chain in chains)
+
     def test_every_realistic_string_is_rooted(self):
         rng = random.Random(48)
         for _ in range(200):
