@@ -7,51 +7,45 @@ classes isomorphism reduces to normalizing each component's label
 sequence under rotation and reflection, so a canonical form is a sorted
 multiset of per-component codes rendered as a stable ASCII string.
 
-Both codes come from one index walk per component and one least
-rotation, read from the graphs' arrays.  ``canonical_labelled`` takes
-``LabelledGraph.walks()``, the walk kept on the graph, and its label
-tuple: paths and isolated vertices from an end, then cycles from any
-vertex.  ``canonical_2edge`` takes
-``ReductionGraph.cycles()``: each alternating cycle desire edge first.
-Other 2-edge-coloured graphs are left to the tests' generic oracle.  A
-path's code is the smaller of its two readings, a cycle's the least
-rotation of either reading, so no code depends on where its walk
-started.  The least rotation comes from a linear two-candidate scan
-anchored at the least label: only its occurrences can start the least
-rotation, so the candidates are found with ``tuple.index`` and compared
-block by block.  A code costs O(L) for a component of L vertices, also
-when every label is the same; with few repeats of the least label the
-scan is a handful of steps.
+One coder writes every code, from each component's labels in walk order
+and whether it is closed: a path's code is the smaller of its two
+readings, a cycle's the least rotation of either reading, so no code
+depends on where its walk started.  ``canonical_labelled`` feeds it
+``LabelledGraph.walks()``; ``canonical_2edge`` codes a reduction graph
+as its compression, from ``ReductionGraph.cycles()``.  Other
+2-edge-coloured graphs are left to the tests' generic oracle.  The least
+rotation is a linear two-candidate scan over the occurrences of the
+least label, so a code costs O(L) for a component of L vertices, also
+when every label is the same.
 """
 
 from __future__ import annotations
 
 
-def _least_rotation(seq: tuple, step: int) -> tuple:
-    """Least of the rotations of seq by a multiple of step, 1 or 2 (len(seq) a multiple of it).
+def _least_rotation(seq: tuple) -> tuple:
+    """Least of the rotations of seq.
 
-    Works on the sequence of n step-long blocks.  A least rotation starts
-    with the least block, so only its occurrences are candidates: the scan
-    keeps two, i < j, found with ``index`` on the doubled blocks, and the
-    length k of their common prefix.  Every start below j other than i is
-    already ruled out.  At the first mismatch the larger side's start s
-    loses, and so do s+1..s+k: each rotation there is beaten by the one the
-    same distance past the other start.  So the loser jumps to the next
-    occurrence at or past max(s + k + 1, other + 1), and the survivor and
-    the new start are the next pair.  A mismatch after k equal blocks
-    raises i + j by at least k + 1, and each ``index`` call scans only past
-    the larger start, so the scan is linear in n, also when every block is
-    the same.  It ends when j reaches n, leaving i as the least, or when k
-    reaches n, where both starts give the same (least) rotation.
+    A least rotation starts with the least label, so only its occurrences
+    are candidates: the scan keeps two, i < j, found with ``index`` on the
+    doubled sequence, and the length k of their common prefix.  Every
+    start below j other than i is already ruled out.  At the first
+    mismatch the larger side's start s loses, and so do s+1..s+k: each
+    rotation there is beaten by the one the same distance past the other
+    start.  So the loser jumps to the next occurrence at or past
+    max(s + k + 1, other + 1), and the survivor and the new start are the
+    next pair.  A mismatch after k equal labels raises i + j by at least
+    k + 1, and each ``index`` call scans only past the larger start, so the
+    scan is linear in n, also when every label is the same.  It ends when
+    j reaches n, leaving i as the least, or when k reaches n, where both
+    starts give the same (least) rotation.
     """
-    blocks = seq if step == 1 else tuple(zip(seq[::2], seq[1::2]))
-    n = len(blocks)
-    doubled = blocks + blocks
-    least = min(blocks)
+    n = len(seq)
+    doubled = seq + seq
+    least = min(seq)
     find = doubled.index
     i = find(least)
     j = find(least, i + 1)  # at most i + n, the copy of i
-    k = 1  # both starts hold the least block
+    k = 1  # both starts hold the least label
     while j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
         if a == b:
@@ -65,12 +59,19 @@ def _least_rotation(seq: tuple, step: int) -> tuple:
             start = j + k + 1
         j = find(least, start) if start < n else n
         k = 1
-    r = i * step
-    return seq[r:] + seq[:r]
+    return seq[i:] + seq[:i]
 
 
-def _code(kind: str, labels: tuple) -> str:
-    return kind + "[" + ",".join(map(str, labels)) + "]"
+def _code(components) -> str:
+    """The sorted, ``|``-joined codes of (labels in walk order, closed) pairs."""
+    codes = []
+    for seq, closed in components:
+        if closed:
+            codes.append(("c", min(_least_rotation(seq), _least_rotation(seq[::-1]))))
+        else:
+            codes.append(("p" if len(seq) > 1 else "v", min(seq, seq[::-1])))
+    codes.sort()
+    return "|".join([kind + "[" + ",".join(map(str, seq)) + "]" for kind, seq in codes])
 
 
 def canonical_labelled(g) -> str:
@@ -82,28 +83,24 @@ def canonical_labelled(g) -> str:
     """
     label = g.index_labels.__getitem__
     second = g.second
-    codes = []
-    for walk in g.walks():
-        seq = tuple(map(label, walk))
-        if second[walk[0]] >= 0:
-            codes.append(("c", min(_least_rotation(seq, 1), _least_rotation(seq[::-1], 1))))
-        else:
-            codes.append(("p" if len(walk) > 1 else "v", min(seq, seq[::-1])))
-    return "|".join(_code(kind, seq) for kind, seq in sorted(codes))
+    return _code([(tuple(map(label, walk)), second[walk[0]] >= 0) for walk in g.walks()])
 
 
 def canonical_2edge(rg) -> str:
-    """Canonical code of a ``ReductionGraph``, read from ``rg.cycles()``.
+    """Canonical code of a ``ReductionGraph``: that of ``cps(rg)``, read from ``rg.cycles()``.
 
-    Each cycle is walked desire edge first; its code is the minimum over
-    all desire-first readings, so codes match exactly for
-    colour-preserving isomorphisms.
+    Compression loses nothing up to isomorphism.  A cycle walked desire
+    edge first holds its desire edges at even offsets, each joined to the
+    next by a reality edge, and both ends of a desire edge carry its
+    magnitude.  So up to colour-preserving isomorphism the cycle is fixed
+    by its desire labels ``magnitudes[k >> 1]``, k in ``cycle[::2]``, in
+    cyclic order and up to reflection, and so is its compression: a cycle
+    of those labels with three or more desire edges (``len(cycle) > 4``),
+    an edge with two (the repeated partner kept once), a vertex with one
+    (the self-loop dropped).  So R_u and R_v are isomorphic exactly when
+    cps(R_u) and cps(R_v) are, and this reads the compression's code
+    without building it.
     """
     magnitudes = rg.magnitudes
-    codes = []
-    for cycle in rg.cycles():
-        labels = tuple(magnitudes[k >> 1] for k in cycle)
-        # desire edges sit at index pairs (0,1), (2,3), ...; rotations by even
-        # offsets and plain reversal preserve that phase, odd offsets do not
-        codes.append(min(_least_rotation(labels, 2), _least_rotation(labels[::-1], 2)))
-    return "|".join(_code("C", labels) for labels in sorted(codes))
+    return _code([(tuple([magnitudes[k >> 1] for k in cycle[::2]]), len(cycle) > 4)
+                  for cycle in rg.cycles()])

@@ -859,6 +859,14 @@ def successful_string_reductions(u, kinds=STRING_KINDS, max_domain=6):
 # by exhaustive label-respecting bijection search, and their test inputs
 
 
+def legal_strings_on(domain):
+    """Every legal string with this domain: each magnitude twice, in every order and barring."""
+    letters = [m for m in sorted(domain) for _ in range(2)]
+    for order in sorted(set(permutations(letters))):
+        for signs in product((1, -1), repeat=len(order)):
+            yield tuple(s * m for s, m in zip(signs, order))
+
+
 def least_rotation(seq, step):
     """Least of the rotations of seq by a multiple of step, by comparing them all."""
     return min(seq[r:] + seq[:r] for r in range(0, len(seq), step))
@@ -930,10 +938,13 @@ def alternating_cycles(graph) -> list[list]:
 
 
 def canonical_2edge(graph) -> str:
-    """``iso.canonical_2edge`` for any carrier: least even rotation by comparing them all.
+    """A canonical code for any carrier: least even rotation by comparing them all.
 
     Each alternating cycle is read desire edge first, forwards and
-    backwards; its code is the least of every even rotation of both.
+    backwards; its code is the least of every even rotation of both.  It
+    is written in its own ``C[...]`` format, so on reduction graphs it is
+    compared with ``iso.canonical_2edge`` by the partition the two codes
+    induce, not code by code.
     """
     codes = []
     for cycle in alternating_cycles(graph):

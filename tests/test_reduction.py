@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from geneasm import compress, pointers, reduction, sampling
+from geneasm import compress, iso, overlap, pointers, reduction, sampling
 from geneasm.errors import LegalityError
 
 
@@ -457,8 +457,6 @@ class TestChainPositions:
 
 class TestInvariance:
     def test_reduction_graph_invariant_under_symmetries(self):
-        from geneasm import iso
-
         rng = random.Random(52)
         for _ in range(60):
             u = sampling.random_legal_string(rng, gaps=False)
@@ -470,8 +468,6 @@ class TestInvariance:
                 assert iso.canonical_2edge(reduction.ReductionGraph(v)) == code
 
     def test_equal_overlap_graphs_of_realistic_strings_give_isomorphic_graphs(self):
-        from geneasm import iso, overlap
-
         rng = random.Random(53)
         by_graph = {}
         for _ in range(300):
@@ -483,3 +479,40 @@ class TestInvariance:
                 assert by_graph[key] == code
             else:
                 by_graph[key] = code
+
+    @pytest.mark.parametrize("kappa, graphs", [(2, 2), (3, 8), (4, 48), (5, 384)])
+    def test_each_realistic_graph_is_met_by_2kappa_arrangements_related_by_symmetry(
+            self, kappa, graphs):
+        # the gamma-class half of the main theorem, exhaustively: the strings of one
+        # realistic graph are conjugates of u or of its inverse, so their R are isomorphic
+        by_graph = {}
+        for entries in permutations(range(1, kappa + 1)):
+            for signs in product((1, -1), repeat=kappa):
+                u = pointers.encode_arrangement(tuple(s * k for s, k in zip(signs, entries)))
+                by_graph.setdefault(overlap.overlap_graph(u), []).append(u)
+        assert len(by_graph) == graphs
+        for g, strings in by_graph.items():
+            assert len(strings) == 2 * kappa
+            u = pointers.encode_arrangement(overlap.is_realistic_overlap(g))
+            related = set(pointers.conjugates(u)) | set(pointers.conjugates(pointers.inverse(u)))
+            assert set(strings) <= related
+
+    def test_equal_overlap_graphs_of_legal_strings_need_not_give_isomorphic_graphs(self):
+        # without realism the converse fails on 8 of the 64 graphs the 5,760 legal
+        # strings on {2,3,4} have, while the component count still agrees
+        codes, counts = {}, {}
+        for u in oracles.legal_strings_on((2, 3, 4)):
+            rg = reduction.ReductionGraph(u)
+            g = overlap.overlap_graph(u)
+            codes.setdefault(g, set()).add(iso.canonical_2edge(rg))
+            counts.setdefault(g, set()).add(rg.component_count())
+        assert sum(map(len, codes.values())) > len(codes) == 64
+        assert sum(len(found) > 1 for found in codes.values()) == 8
+        assert all(len(found) == 1 for found in counts.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.legal_strings())
+def test_inverse_gives_an_isomorphic_reduction_graph(u):
+    rg = reduction.ReductionGraph(u)
+    assert iso.canonical_2edge(reduction.ReductionGraph(pointers.inverse(u))) == iso.canonical_2edge(rg)

@@ -216,6 +216,29 @@ def test_every_successful_string_reduction_uses_components_minus_one_snr(u):
     assert rewriting.negative_rule_counts(u, max_domain=8) == {components - 1}
 
 
+def _components(u):
+    """R_u's component count, the empty string counted as one component (R_() has none)."""
+    return reduction.ReductionGraph(u).component_count() if u else 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.legal_strings())
+def test_each_string_rule_moves_the_component_count_by_its_kind(u):
+    """Per rule: snr removes one component of R_u, spr and sdr keep the count."""
+    before = _components(u)
+    for rule in rewriting.applicable_string_rules(u):
+        assert _components(rewriting.apply_string_rule(u, rule)) == before - (rule.kind == "snr")
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.graphs_on_domain())
+def test_each_graph_rule_moves_the_nullity_by_its_kind(g):
+    """Per rule: gnr lowers the GF(2) nullity by one, gpr and gdr keep it."""
+    before = g.nullity()
+    for rule in rewriting.applicable_graph_rules(g):
+        assert rewriting.apply_graph_rule(g, rule).nullity() == before - (rule.kind == "gnr")
+
+
 class TestGraphRules:
     def test_negative_rule_removes_isolated_vertex(self):
         g = gamma("22")
