@@ -1,7 +1,6 @@
-"""Time each layer of the string-side pipeline and the realism decision on its own,
-over a kappa ladder, the GPRS search over all eight rule sets, the SPRS searches,
-and the short CLI verbs, ``check-realism --graph`` and ``direct --string`` in
-fresh processes.
+"""Time each layer of the string-side pipeline, the realism decision and the GPRS
+decision on its own, over a kappa ladder, the SPRS searches, and the short CLI
+verbs, ``check-realism --graph`` and ``direct --string`` in fresh processes.
 
     python3 benchmarks/bench_layers.py [--repeat 5] [--budget 10]
                                        [--kappas 8 32 128 512 2048 8192] [--out FILE]
@@ -23,6 +22,8 @@ each on inputs built beforehand:
     direct_reduction_graph          the overlap graph (as ``overlap_graph`` returns it)
     OverlapGraph.nullity            the overlap graph (the graph-side negative-rule
                                     count, which ``classify`` also reads)
+    successful_rule_sets            the overlap graph (all eight GPRS rule sets, as
+                                    ``classify`` decides them) *
     emit_direct_json                the directly constructed reduction graph *
     canonical_labelled              the compressed reduction graph *
     canonical_labelled, one label   one cycle with a vertex per letter of the
@@ -39,20 +40,14 @@ each on inputs built beforehand:
                                     forms, ``is_rooted``, both component counts)
 
 A labelled graph names its vertices and walks its components once, on
-first use, and keeps both; so the layers marked * get a graph built anew,
-outside the timer, before every timed repeat.  On one graph the repeats
-after the first would time a cache hit.  The two cycles are the worst
+first use, and keeps both, and an overlap graph keeps its component
+masks; so the layers marked * get a graph built anew, outside the timer,
+before every timed repeat.  On one graph the repeats after the first
+would time a cache hit.  The two cycles are the worst
 case of the least-rotation scan: the least label sits at every vertex or
 every other one, so every candidate rotation shares a long prefix with
 the next.  A scan that is not linear shows there as a row growing
 faster than kappa.
-
-The search row times ``rewriting.successful_in`` for each of the eight rule
-sets S of {gnr, gpr, gdr} on the graph of the realistic string that
-``random.Random(SEED)`` draws first at each kappa of ``SEARCH_KAPPAS``, with
-the search cap raised to that kappa.  The first call on a graph stores the
-answer for all eight sets on it, so every timed repeat gets a graph object
-built anew outside the timer; on one object the repeats would time a lookup.
 
 The string search rows time, on the realistic string that
 ``random.Random(SEED)`` draws first at each kappa of
@@ -108,13 +103,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from geneasm import (  # noqa: E402
-    cli, compress, direct, iso, overlap, pointers, reduction, rewriting, sampling,
+    compress, direct, iso, overlap, pointers, reduction, rewriting, sampling,
 )
 
 SEED = 1
 LADDER = (8, 32, 128, 512, 2048, 8192)
-SEARCH_KAPPAS = (6, 8, 10, 12)
-SEARCH_ROW = "successful_in, 8 sets"
 STRING_SEARCH_KAPPAS = tuple(range(4, 13))
 ENUMERATE_ROW = "successful_string_reductions"
 COUNT_ROW = "negative_rule_counts"
@@ -151,6 +144,7 @@ LAYERS = (
     "cps",
     "direct_reduction_graph",
     "OverlapGraph.nullity",
+    "successful_rule_sets",
     "emit_direct_json",
     "canonical_labelled",
     "canonical_labelled, one label",
@@ -162,9 +156,9 @@ LAYERS = (
     "is_rooted",
     "cps-vs-direct",
 )
-# the layers whose argument is a LabelledGraph, built anew for every repeat
-FRESH = frozenset({"emit_direct_json", "canonical_labelled", "canonical_labelled, one label",
-                   "canonical_labelled, 2,3 repeated"})
+# the layers whose argument keeps what they compute, built anew for every repeat
+FRESH = frozenset({"successful_rule_sets", "emit_direct_json", "canonical_labelled",
+                   "canonical_labelled, one label", "canonical_labelled, 2,3 repeated"})
 
 
 def cps_vs_direct(u):
@@ -202,6 +196,7 @@ def cases(u):
         "cps": (compress.cps, rg),
         "direct_reduction_graph": (direct.direct_reduction_graph, graph),
         "OverlapGraph.nullity": (overlap.OverlapGraph.nullity, graph),
+        "successful_rule_sets": (rewriting.successful_rule_sets, lambda: overlap.overlap_graph(u)),
         "emit_direct_json": (direct.emit_direct_json,
                              lambda: direct.direct_reduction_graph(graph())),
         "canonical_labelled": (iso.canonical_labelled, lambda: compress.cps(rg())),
@@ -359,29 +354,6 @@ def measure(kappas, repeat, budget):
     return rows
 
 
-def measure_search(repeat, budget, kappas=SEARCH_KAPPAS):
-    """The search row: all eight rule sets on the seed's realistic graph at each kappa."""
-    rows = []
-    skipped = None
-    for kappa in kappas:
-        if skipped:
-            rows.append({"layer": SEARCH_ROW, "kappa": kappa, "skipped": skipped})
-            continue
-        u = sampling.random_realistic_string(random.Random(SEED), kappa)
-
-        def all_sets(g, kappa=kappa):
-            for kinds in cli.SUBSET_ORDER:
-                rewriting.successful_in(g, kinds, max_kappa=kappa)
-
-        best, calls = best_of(all_sets, None, repeat, budget,
-                              fresh=lambda u=u: overlap.overlap_graph(u))
-        rows.append({"layer": SEARCH_ROW, "kappa": kappa, "best_ms": round(best * 1e3, 4),
-                     "calls": calls})
-        if best > budget:
-            skipped = f"one call took over {budget} s at kappa {kappa}"
-    return rows
-
-
 def enumerate_all(u):
     """The number of successful string reductions of u, every sequence consumed."""
     return sum(1 for _ in rewriting.successful_string_reductions(u))
@@ -422,13 +394,6 @@ def table(rows, kappas):
     return "\n".join(lines)
 
 
-def search_table(rows):
-    lines = [f"| kappa | `{SEARCH_ROW}` |", "|---|---|"]
-    lines += [f"| {r['kappa']} | " + ("skipped" if "skipped" in r else f"{r['best_ms']:.3g}") + " |"
-              for r in rows]
-    return "\n".join(lines)
-
-
 def string_search_table(rows):
     cell = {(r["layer"], r["kappa"]): r for r in rows}
     lines = [f"| kappa | `{ENUMERATE_ROW}` | `{COUNT_ROW}` |", "|---|---|---|"]
@@ -461,7 +426,6 @@ def main(argv=None):
         parser.error("--repeat must be >= 1 and every kappa >= 2")
 
     rows = measure(args.kappas, args.repeat, args.budget)
-    search_rows = measure_search(args.repeat, args.budget)
     string_search_rows = measure_string_search(args.repeat, args.budget)
     cli_rows = measure_cli(args.repeat, args.budget)
     sha, dirty = git_sha()
@@ -480,7 +444,6 @@ def main(argv=None):
         "kappas": args.kappas,
         "unit": "ms, best of the calls made",
         "rows": rows,
-        "search_rows": search_rows,
         "string_search_rows": string_search_rows,
         "cli_kappa": CLI_KAPPA,
         "cli_rows": cli_rows,
@@ -489,7 +452,6 @@ def main(argv=None):
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(table(rows, args.kappas))
-    print(search_table(search_rows))
     print(string_search_table(string_search_rows))
     print(cli_table(cli_rows))
     return 0

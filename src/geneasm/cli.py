@@ -5,8 +5,9 @@ codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
 violation, 6 direct-construction JSON with kappa over
 ``direct.MAX_DIRECT_KAPPA``.  No verb reaches a rewriting search cap:
-``crossval`` searches only within the default caps; library callers still
-get ``CapError`` from them.
+``classify`` decides by the classifier, with no search and no cap, and
+``crossval`` searches only within the default caps; library callers of
+the two enumerators and ``negative_rule_counts`` still get ``CapError``.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.  An error prints one
 ``error:`` line; its exit code comes from one table, ``_EXIT_CODES``, and
@@ -268,19 +269,18 @@ def _cmd_components(args) -> int:
 def _cmd_count_negative(args) -> int:
     from . import rewriting
 
-    x = _overlap_graph_arg(args) if args.graph is not None else _parse_string_arg(args.string)
-    _emit(str(rewriting.predicted_negative_rule_count(x)))
+    _emit(str(rewriting.predicted_negative_rule_count(_overlap_graph_arg(args))))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     from . import rewriting
 
-    g = _overlap_graph_arg(args)  # on a string, its occurrence index is the legality check
-    comps = g.nullity() + 1  # the reduction graph's component count
+    # on a string, its occurrence index is the legality check
+    sets = rewriting.successful_rule_sets(_overlap_graph_arg(args))
     for kinds in SUBSET_ORDER:
-        verdict = rewriting.successful_in_classifier(g, kinds, comps)
-        _emit(f"S={_subset_name(kinds)} successful={'true' if verdict else 'false'}")
+        verdict = "true" if frozenset(kinds) in sets else "false"
+        _emit(f"S={_subset_name(kinds)} successful={verdict}")
     return EXIT_OK
 
 
@@ -340,9 +340,9 @@ def _cmd_crossval(args) -> int:
         raise ValueError("trials must be >= 0")
 
     def classifier_matches_search(h) -> bool:
-        comps = h.nullity() + 1
         return rewriting.successful_rule_sets(h) == [
-            frozenset(s) for s in SUBSET_ORDER if rewriting.successful_in_classifier(h, s, comps)
+            frozenset(s) for s in SUBSET_ORDER
+            if next(rewriting.successful_graph_reductions(h, s), None) is not None
         ]
 
     def every_reduction_uses_nullity_gnr(h) -> bool:

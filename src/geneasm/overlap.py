@@ -37,8 +37,6 @@ class OverlapGraph(Record):
     and hashing use the masks.
     """
 
-    _rule_set_mask = None  # the 8-bit mask rewriting.successful_in stores here; not a field
-
     def __init__(self, vertices, positive, edges):
         vertices, positive = frozenset(vertices), frozenset(positive)
         if not positive <= vertices:

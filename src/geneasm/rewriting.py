@@ -29,12 +29,13 @@ the number of sequences.
 
 Graph side: the rules act on bitmask states (V, P, adj) over the slots of
 ``OverlapGraph``, each rule one XOR per neighbour, and the ``Rule``
-records handed out name vertices by magnitude.  One memoized search
-decides all eight rule sets S of {gnr, gpr, gdr} at once: a state's answer
-is an 8-bit mask with bit code(S) set when S reduces it, and the walk
-follows a rule of kind k only for the sets it still wants that hold k.
-The first ``successful_in`` or ``successful_rule_sets`` call on a graph
-object stores that mask on it.
+records handed out name vertices by magnitude.  Whether a rule set S of
+{gnr, gpr, gdr} reduces a graph is decided in closed form, with all eight
+cases proved in ``successful_in_classifier``'s docstring, from the GF(2)
+nullity and the components; ``successful_in`` and
+``successful_rule_sets`` feed it ``nullity() + 1`` and answer at every
+kappa.  Only the enumerator ``successful_graph_reductions`` searches, and
+only it has a kappa cap.
 
 Reduction sequences are serialized in composition order (rightmost rule
 applied first), e.g. ``gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}``.
@@ -249,12 +250,8 @@ def negative_rule_counts(u, max_domain=DEFAULT_STRING_DOMAIN_CAP) -> set[int]:
 # tuple (kind index into GRAPH_KINDS, p, q), q None for gnr and gpr; a rule set
 # is a 3-bit code, bit k set when it holds GRAPH_KINDS[k]
 
-# the rule sets in the order of ``cli.SUBSET_ORDER``; an 8-bit mask of rule sets
-# has bit _CODE[S] set for each S in it
+# the rule sets in the order of ``cli.SUBSET_ORDER``
 _SET_ORDER = tuple(_CODE)
-_ALL_SETS = 0xFF
-# _WITH[k]: the sets that hold GRAPH_KINDS[k]; gnr is in the sets with odd codes
-_WITH = (0xAA, 0xCC, 0xF0)
 
 
 def _graph_state(g: OverlapGraph):
@@ -367,15 +364,11 @@ def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:
     return _overlap_of(_graph_step(state, *in_slots[rule]), g.vertex_order)
 
 
-def _check_graph_cap(g: OverlapGraph, max_kappa) -> None:
-    if len(g.vertex_order) + 1 > max_kappa:
-        raise CapError(f"kappa exceeds the search cap {max_kappa}")
-
-
 def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kappa=DEFAULT_GRAPH_KAPPA_CAP):
     """Yield every rule sequence (application order) reducing g to the empty graph."""
     kinds = _check_kinds(kinds, _CODE)
-    _check_graph_cap(g, max_kappa)
+    if len(g.vertex_order) + 1 > max_kappa:
+        raise CapError(f"kappa exceeds the search cap {max_kappa}")
     prefix: list[tuple] = []
 
     def walk(state):
@@ -390,78 +383,18 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
     yield from walk(_graph_state(g))
 
 
-def _success_mask(g: OverlapGraph) -> int:
-    """The 8-bit mask of the rule sets that reduce g, bit ``_CODE[S]`` for S: one search.
-
-    ``walk(state, want)`` decides the sets in ``want`` for a state.  A rule
-    of kind k helps exactly the sets that hold k, so it is followed only for
-    the wanted sets with k not yet found successful, and the walk stops once
-    every wanted set is found.  The memo holds (decided, succeeded) masks per
-    state; every rule removes a vertex, so no state is met again while it is
-    being decided, and an entry is final for the sets it has decided.  A
-    state met again for more sets is searched for those only.
-
-    An isolated negative vertex needs no choice: no rule but its own gnr
-    removes it, and no other rule touches it (gpr and gdr act on neighbours
-    only), so a state with one is reduced by exactly the sets with gnr that
-    reduce it without that vertex.  So the walk always lists the gnr rules,
-    which come first, and the first of them, if any, is its only branch.
-    """
-    memo: dict[tuple, tuple[int, int]] = {}
-
-    def walk(state, want):
-        if not state[0]:
-            return _ALL_SETS
-        decided, found = memo.get(state, (0, 0))
-        left = want & ~decided & ~found
-        if not left:
-            return found
-        rules = _graph_rules(state, 1 | (left & _WITH[1] and 2) | (left & _WITH[2] and 4))
-        if rules and rules[0][0] == 0:
-            if left & _WITH[0]:
-                found |= walk(_graph_step(state, *rules[0]), left & _WITH[0]) & _WITH[0]
-        else:
-            for k, p, q in rules:
-                sub = left & _WITH[k] & ~found
-                if sub:
-                    found |= walk(_graph_step(state, k, p, q), sub) & _WITH[k]
-                    if not left & ~found:
-                        break
-        memo[state] = decided | want, found
-        return found
-
-    mask = g._rule_set_mask
-    if mask is None:
-        mask = walk(_graph_state(g), _ALL_SETS)
-        # in the instance dict, as cached_property stores; not a field, so == and hash ignore it
-        object.__setattr__(g, "_rule_set_mask", mask)
-    return mask
-
-
-def successful_rule_sets(g: OverlapGraph, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> list[frozenset]:
-    """The rule sets S of {gnr, gpr, gdr} that reduce g to the empty graph.
+def successful_rule_sets(g: OverlapGraph) -> list[frozenset]:
+    """The rule sets S of {gnr, gpr, gdr} that reduce g to the empty graph, by the classifier.
 
     In the order of ``cli.SUBSET_ORDER``: by size, then gnr < gpr < gdr.
     """
-    _check_graph_cap(g, max_kappa)
-    mask = _success_mask(g)
-    return [kinds for kinds in _SET_ORDER if mask >> _CODE[kinds] & 1]
+    comps = g.nullity() + 1
+    return [kinds for kinds in _SET_ORDER if successful_in_classifier(g, kinds, comps)]
 
 
-def successful_in(g: OverlapGraph, kinds, max_kappa=DEFAULT_GRAPH_KAPPA_CAP) -> bool:
-    """Exhaustive search decision: does some sequence of rules in ``kinds`` reduce g?
-
-    One search decides all eight rule sets at once (see ``_success_mask``):
-    a set is a 3-bit code (gnr 1, gpr 2, gdr 4) and a state's answer an
-    8-bit mask with bit ``code`` set when the set reduces it, so the empty
-    graph answers 0xFF and S = {} fails on every other graph.  The first
-    call on a graph object stores the mask on it, so the eight calls of a
-    classifier check cost one search; the kinds and the cap are checked on
-    every call.
-    """
-    code = _check_kinds(kinds, _CODE)
-    _check_graph_cap(g, max_kappa)
-    return bool(_success_mask(g) >> code & 1)
+def successful_in(g: OverlapGraph, kinds) -> bool:
+    """Does some sequence of rules in ``kinds`` reduce g?  The classifier, given the nullity."""
+    return successful_in_classifier(g, kinds, g.nullity() + 1)
 
 
 def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) -> bool:
@@ -482,17 +415,39 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
       invertible matrix has an edge for gdr; both keep nullity 0;
     * {gnr, gpr}: necessary, every component of two or more vertices has
       a positive vertex: an all-negative one has no applicable rule, and
-      no rule elsewhere touches it;
+      no rule elsewhere touches it.  Sufficient: proved below;
     * {gpr}: necessary, nullity 0 (gpr keeps it, and the empty graph has
       0) and a positive vertex in every component (gpr at p touches only
       p's component, so one with no positive vertex never shrinks).
       Sufficient: such a graph passes the {gnr, gpr} test, and a {gnr, gpr}
       reduction of it uses nullity = 0 gnr rules, so it is a {gpr} one.
 
-    One case is checked, not proved: sufficiency for {gnr, gpr} on graphs
-    that are not realistic.  The tests compare it with the search on every
-    signed graph on {2..6} and on seeded graphs at kappa 7 and 8; a one-off
-    run found no mismatch on all 2,097,152 signed graphs on {2..7}.
+    Sufficiency for {gnr, gpr}, by induction on the vertex count.  Write
+    Φ(G) for "every component of two or more vertices has a positive
+    vertex", P for the positive vertices and N[x] for N(x) ∪ {x}.  If G is
+    not empty and Φ(G) holds, G has an isolated negative vertex, whose gnr
+    keeps Φ, or a positive vertex.  Choose the positive p with the fewest
+    positive neighbours, and among those one with the most neighbours.
+    Then G' = gpr_p(G) satisfies Φ.  Suppose not: G' has a component C of
+    two or more vertices, all negative.
+
+    - C meets N(p).  Otherwise C would be a component of G other than p's,
+      with its signs unchanged, and Φ(G) would give it a positive vertex.
+    - Let A = C ∩ N(p).  A ⊆ P, since those vertices flipped to negative,
+      and C ∖ N(p) holds no vertex of P.
+    - Take a ∈ A.  A positive neighbour of a outside N[p] would keep its
+      edge to a and lie in C ∖ N(p), so N(a) ∩ P ⊆ {p} ∪ N(p).  So the
+      minimality of p forces N(p) ∩ P ⊆ N[a], and a is a minimizer too.
+    - A vertex y ∈ N(p) ∖ N[a] would be joined to a in G', so it would lie
+      in A ⊆ P ∩ N(p) ⊆ N[a], a contradiction.  So N[p] ⊆ N[a].
+    - N[a] = N[p] would leave a isolated in G', against |C| ≥ 2.  So a is
+      a minimizer with more neighbours than p, against the choice of p.
+
+    So Φ(G') holds, G' has one vertex fewer, and induction reduces it.
+
+    The most neighbours matter: on the path a - c - b with a and c
+    positive, both have one positive neighbour, gpr_a leaves the edge
+    c - b all negative, and the rule picks c.
     """
     code = _check_kinds(kinds, _CODE)  # gnr 1, gpr 2, gdr 4
     connected = reduction_components == 1

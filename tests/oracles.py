@@ -752,12 +752,12 @@ def successful_in(g, kinds):
 
 
 def successful_in_per_set(g, kinds):
-    """The search ``rewriting.successful_in`` ran before one search decided all eight sets.
+    """Exhaustive search decision for one rule set, over the package's bitmask states.
 
-    One walk per rule set over the package's bitmask states, memoized on
-    the exact state, with the package's own rule listing and steps (which
-    the edge-set rules above check); it is the reference for how the one
-    search propagates the sets it still wants, not for the rules.
+    One walk per rule set, memoized on the exact state, with the package's
+    own rule listing and steps (which the edge-set rules above check).  It
+    is fast enough to hold the classifier to a search on graphs of up to
+    seven vertices, where the edge-set search above is not.
     """
     from geneasm import rewriting
 

@@ -214,7 +214,7 @@ def test_a09_classifier_agrees_with_exhaustive_search():
         g = overlap.overlap_graph(pointers.encode_arrangement(arr))
         comps = direct.direct_reduction_graph(g).component_count()
         for kinds in subsets:
-            brute = rewriting.successful_in(g, kinds)
+            brute = oracles.successful_in_per_set(g, kinds)
             closed = rewriting.successful_in_classifier(g, kinds, comps)
             if brute != closed:
                 disagreements += 1

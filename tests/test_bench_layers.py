@@ -33,9 +33,11 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert {"ReductionGraph.component_count", "is_rooted"} <= set(bench.LAYERS)
     # the realism decision, on the realistic graph of each kappa's string
     assert "is_realistic_overlap" in bench.LAYERS
-    # the perfbench scale op's calls, and the layers that get a fresh labelled graph
+    # the GPRS decision of all eight rule sets, as classify makes it
+    assert "successful_rule_sets" in bench.LAYERS
+    # the perfbench scale op's calls, and the layers that get a fresh graph
     assert bench.LAYERS[-1] == "cps-vs-direct"
-    assert bench.FRESH == {"emit_direct_json", "canonical_labelled",
+    assert bench.FRESH == {"successful_rule_sets", "emit_direct_json", "canonical_labelled",
                            "canonical_labelled, one label", "canonical_labelled, 2,3 repeated"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
@@ -64,12 +66,8 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])
-    # the search row: all eight rule sets, on a fresh graph per repeat
-    assert bench.SEARCH_KAPPAS == (6, 8, 10, 12)
-    assert [(r["layer"], r["kappa"]) for r in report["search_rows"]] == [
-        (bench.SEARCH_ROW, kappa) for kappa in bench.SEARCH_KAPPAS
-    ]
-    assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["search_rows"])
+    # no graph search row: the GPRS decision is a ladder row
+    assert "search_rows" not in report
     # the string search rows: the enumerator to its default cap, the count sets to kappa 12
     assert bench.STRING_SEARCH_KAPPAS == tuple(range(4, 13))
     assert bench.ENUMERATE_KAPPA_CAP == 7
@@ -79,10 +77,9 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
         if row == bench.COUNT_ROW or kappa <= 7
     ]
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["string_search_rows"])
-    # layer, search, string search and CLI tables: header, rule, one row per kappa or command
+    # layer, string search and CLI tables: header, rule, one row per kappa or command
     assert capsys.readouterr().out.count("\n") == (
-        4 + 2 + len(bench.SEARCH_KAPPAS) + 2 + len(bench.STRING_SEARCH_KAPPAS)
-        + 2 + len(bench.CLI_COMMANDS)
+        4 + 2 + len(bench.STRING_SEARCH_KAPPAS) + 2 + len(bench.CLI_COMMANDS)
     )
 
 
@@ -94,9 +91,6 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     assert all("over 0.0 s at kappa 4" in r["skipped"] for r in rows if r["kappa"] == 8)
     report = json.loads(out.read_text())
     assert all(r["calls"] == 1 for r in report["cli_rows"])
-    first, *rest = report["search_rows"]
-    assert first["calls"] == 1
-    assert all(r["skipped"] == "one call took over 0.0 s at kappa 6" for r in rest)
     first_two, rest = report["string_search_rows"][:2], report["string_search_rows"][2:]
     assert [(r["layer"], r["calls"]) for r in first_two] == [
         (bench.ENUMERATE_ROW, 1), (bench.COUNT_ROW, 1)
@@ -104,19 +98,18 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     assert all(r["skipped"] == "one call took over 0.0 s at kappa 4" for r in rest)
 
 
-def test_the_search_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
-    stored = []
-    search = bench.rewriting.successful_in
+def test_the_rule_sets_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
+    met = []  # whether the graph's components had been found before the call
+    decide = bench.rewriting.successful_rule_sets
 
-    def successful_in(g, kinds, max_kappa):
-        stored.append(g._rule_set_mask is not None)
-        return search(g, kinds, max_kappa=max_kappa)
+    def successful_rule_sets(g):
+        met.append("component_masks" in vars(g))
+        return decide(g)
 
-    monkeypatch.setattr(bench.rewriting, "successful_in", successful_in)
-    rows = bench.measure_search(repeat=3, budget=10, kappas=(6,))
-    assert rows[0]["calls"] == 3
-    # each repeat's first call meets a graph with no stored answer, its other seven one
-    assert stored == ([False] + [True] * 7) * 3
+    monkeypatch.setattr(bench.rewriting, "successful_rule_sets", successful_rule_sets)
+    rows = bench.measure([6], repeat=3, budget=10)
+    assert [r["calls"] for r in rows if r["layer"] == "successful_rule_sets"] == [3]
+    assert met == [False] * 3
 
 
 def test_the_string_search_rows_run_each_kappas_first_string(bench, monkeypatch):

@@ -26,15 +26,14 @@ def run(argv):
 def _searched_stdout(verb, g, max_kappa=7):
     """What ``classify`` or ``count-negative`` should print for g, from the searches.
 
-    classify: one line per rule set, true when ``successful_rule_sets``
-    holds it.  count-negative: the gnr count of the first 1,000 successful
-    reductions, which must all agree.
+    classify: one line per rule set, true when the per-set search in
+    tests/oracles.py reduces g with it.  count-negative: the gnr count of
+    the first 1,000 successful reductions, which must all agree.
     """
     if verb == "classify":
-        sets = rewriting.successful_rule_sets(g, max_kappa=max_kappa)
         return "".join(
             "S={" + ",".join(k.capitalize() for k in s) + "} successful="
-            + ("true" if frozenset(s) in sets else "false") + "\n"
+            + ("true" if oracles.successful_in_per_set(g, s) else "false") + "\n"
             for s in cli.SUBSET_ORDER
         )
     reductions = rewriting.successful_graph_reductions(g, max_kappa=max_kappa)
@@ -602,10 +601,12 @@ class TestSeededVerbs:
             assert run(["classify", f"--string={text}"])[0] == 0
 
     def test_crossval_prints_replayable_graph_failures(self, monkeypatch):
-        # a search that contradicts the classifier and every gnr count fails every graph check
+        # a classifier that contradicts the enumerator, and an enumerator that contradicts
+        # every gnr count, fail every graph check
         monkeypatch.setattr(rewriting, "successful_rule_sets", lambda h: [frozenset()])
         monkeypatch.setattr(rewriting, "successful_graph_reductions",
-                            lambda h: iter([[rewriting.Rule("gnr", (2,))] * (h.nullity() + 1)]))
+                            lambda h, kinds=None: iter([[rewriting.Rule("gnr", (2,))]
+                                                        * (h.nullity() + 1)]))
         code, out, _ = run(["crossval", "--seed", "3", "--trials", "5", "--kappa", "5"])
         assert code == 5
         lines = out.splitlines()
@@ -626,6 +627,16 @@ class TestSeededVerbs:
             assert len(h.positive ^ g.positive) + len(h.edges ^ g.edges) == 1
             for verb in ("classify", "count-negative"):
                 assert run([verb, "--graph", toggled.removeprefix("graph=")])[0] == 0
+
+    def test_crossval_classifier_checks_read_the_enumerator(self, monkeypatch):
+        # with no sequence found for any rule set, only the two classifier checks fail
+        monkeypatch.setattr(rewriting, "successful_graph_reductions",
+                            lambda h, kinds=None: iter(()))
+        code, out, _ = run(["crossval", "--seed", "3", "--trials", "5", "--kappa", "5"])
+        assert code == 5
+        assert out.splitlines()[-3:] == ["check=classifier trials=5 failures=5",
+                                         "check=classifier-toggled trials=5 failures=5",
+                                         "check=graph-negative-count trials=5 failures=0"]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -327,6 +327,11 @@ def _classified(g):
             if rewriting.successful_in_classifier(g, s, comps)]
 
 
+def _searched(g):
+    """The rule sets the per-set search in tests/oracles.py finds successful, in search order."""
+    return [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in_per_set(g, s)]
+
+
 def _gnr_counts(g):
     return {sum(1 for r in seq if r.kind == "gnr")
             for seq in rewriting.successful_graph_reductions(g)}
@@ -347,10 +352,7 @@ class TestGraphCounts:
     def test_every_reduction_of_a_graph_uses_nullity_gnr(self, g):
         assert rewriting.predicted_negative_rule_count(g) == g.nullity()
         assert _gnr_counts(g) == {g.nullity()}
-        for kinds in TestSuccessfulness.SUBSETS:
-            assert rewriting.successful_in_classifier(g, kinds, g.nullity() + 1) == (
-                rewriting.successful_in(g, kinds)
-            )
+        assert _classified(g) == _searched(g)
 
     def test_a_graph_that_is_not_realistic(self):
         # the direct construction's component count - 1 is 3 here, but both
@@ -372,7 +374,7 @@ class TestGraphCounts:
                                  {tuple(sorted((name[p], name[q]))) for p, q in g.edges})
         assert not h.contiguous_domain()
         assert h.nullity() == rewriting.predicted_negative_rule_count(h) == g.nullity()
-        assert rewriting.successful_rule_sets(h) == rewriting.successful_rule_sets(g)
+        assert _searched(h) == _searched(g)
         assert _classified(h) == _classified(g)
 
     def test_string_and_graph_predictions_agree_on_realistic_strings(self):
@@ -404,8 +406,8 @@ class TestSuccessfulness:
         assert comps == 3
         assert rewriting.successful_in_classifier(g, {"gnr", "gdr"}, comps)
         assert not rewriting.successful_in_classifier(g, {"gpr", "gdr"}, comps)
-        assert rewriting.successful_in(g, {"gnr", "gdr"})
-        assert not rewriting.successful_in(g, {"gpr", "gdr"})
+        assert oracles.successful_in_per_set(g, {"gnr", "gdr"})
+        assert not oracles.successful_in_per_set(g, {"gpr", "gdr"})
 
     def test_classifier_agrees_with_search_exhaustively_small(self):
         from geneasm import direct
@@ -417,7 +419,7 @@ class TestSuccessfulness:
                     g = overlap.overlap_graph(pointers.encode_arrangement(arr))
                     comps = direct.direct_reduction_graph(g).component_count()
                     for kinds in self.SUBSETS:
-                        assert rewriting.successful_in(
+                        assert oracles.successful_in_per_set(
                             g, kinds
                         ) == rewriting.successful_in_classifier(g, kinds, comps)
 
@@ -427,7 +429,7 @@ class TestSuccessfulness:
             vertices = frozenset(range(2, kappa + 1))
             for edges, positive in oracles.signed_graphs(kappa):
                 g = overlap.OverlapGraph(vertices, positive, edges)
-                assert _classified(g) == rewriting.successful_rule_sets(g)
+                assert _classified(g) == _searched(g)
                 graphs += 1
         assert graphs == 1098 + 32768
 
@@ -444,7 +446,7 @@ class TestSuccessfulness:
                 positive=frozenset(v for v in vertices if rng.random() < positive_share),
                 edges=frozenset(e for e in combinations(vertices, 2) if rng.random() < density),
             )
-            assert _classified(g) == rewriting.successful_rule_sets(g, max_kappa=8)
+            assert _classified(g) == _searched(g)
 
     def test_classifier_agrees_with_search_random(self):
         from geneasm import direct
@@ -455,7 +457,7 @@ class TestSuccessfulness:
             g = overlap.overlap_graph(u)
             comps = direct.direct_reduction_graph(g).component_count()
             for kinds in self.SUBSETS:
-                assert rewriting.successful_in(
+                assert oracles.successful_in_per_set(
                     g, kinds
                 ) == rewriting.successful_in_classifier(g, kinds, comps)
 
@@ -463,12 +465,16 @@ class TestSuccessfulness:
         rng = random.Random(98)
         for _ in range(40):
             u = sampling.random_realistic_string(rng, rng.randint(2, 6))
-            assert rewriting.successful_in(overlap.overlap_graph(u), rewriting.ALL_GRAPH_RULES)
+            g = overlap.overlap_graph(u)
+            assert oracles.successful_in_per_set(g, rewriting.ALL_GRAPH_RULES)
+            assert rewriting.successful_in(g, rewriting.ALL_GRAPH_RULES)
 
     def test_search_cap(self):
-        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 9))))
-        with pytest.raises(CapError):
-            rewriting.successful_in(g, {"gnr"})
+        # the deciders answer at any kappa; only the enumerator has a cap
+        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 10))))
+        assert len(g.vertices) + 1 == 9
+        assert rewriting.successful_in(g, {"gnr"})  # nine segments in order: all isolated
+        assert rewriting.successful_rule_sets(g) == [s for s in self.SUBSETS if "gnr" in s]
         with pytest.raises(CapError):
             list(rewriting.successful_graph_reductions(g))
 
@@ -517,7 +523,8 @@ def _plain(rules):
 
 
 class TestAgainstOracles:
-    """The bitmask rules and search against the edge-set ones in tests/oracles.py."""
+    """The bitmask rules, the enumerator and the classifier against the edge-set search in
+    tests/oracles.py."""
 
     def test_rule_lists_and_successors_on_every_small_graph(self):
         for g in SMALL_GRAPHS:
@@ -551,25 +558,15 @@ class TestAgainstOracles:
 
 
 class TestOneSearchForEverySet:
-    """``successful_rule_sets`` and the mask it stores, against the per-set search it replaced."""
+    """``successful_rule_sets``, one classifier call per set, against the per-set search."""
 
     @settings(max_examples=200, deadline=None)
     @given(strategies.graphs_on_domain(max_kappa=8))
     def test_matches_the_per_set_search_and_the_oracle(self, g):
-        sets = rewriting.successful_rule_sets(g, max_kappa=8)
-        assert sets == [s for s in TestSuccessfulness.SUBSETS
-                        if oracles.successful_in_per_set(g, s)]
+        sets = rewriting.successful_rule_sets(g)
+        assert sets == _searched(g)
         if len(g.vertices) + 1 <= 5:
             assert sets == [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in(g, s)]
-
-    def test_a_state_met_again_for_more_sets_is_searched_for_them(self):
-        # the walk meets some state first for a few sets and later for more; a memo
-        # that took the first visit as final for every set misses a successful one here
-        g = overlap.OverlapGraph(range(2, 7), {3, 4, 5, 6},
-                                 {(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)})
-        assert rewriting.successful_rule_sets(g) == [
-            s for s in TestSuccessfulness.SUBSETS if oracles.successful_in_per_set(g, s)
-        ]
 
     def test_order_is_the_cli_subset_order(self):
         from geneasm import cli
@@ -580,35 +577,6 @@ class TestOneSearchForEverySet:
         ]
         assert rewriting.successful_rule_sets(gamma("")) == TestSuccessfulness.SUBSETS
 
-    def test_equal_graphs_built_separately_each_get_their_answer(self):
-        g1, g2 = gamma("453475623267"), gamma("453475623267")
-        other = gamma("72673456-3-245")
-        assert g1 == g2 and g1 is not g2
-        want = [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in_per_set(g1, s)]
-        want_other = [s for s in TestSuccessfulness.SUBSETS
-                      if oracles.successful_in_per_set(other, s)]
-        assert want != want_other
-        assert rewriting.successful_rule_sets(g1) == want
-        # the answer is stored on the graph asked, not in a table an equal graph reads
-        assert g1._rule_set_mask is not None and g2._rule_set_mask is None
-        # and it is not a field: equality and hashing ignore it
-        assert g1 == g2 and hash(g1) == hash(g2)
-        assert rewriting.successful_rule_sets(other) == want_other
-        assert rewriting.successful_rule_sets(g2) == want
-        for s in TestSuccessfulness.SUBSETS:
-            assert rewriting.successful_in(g1, s) == (s in want)
-            assert rewriting.successful_in(other, s) == (s in want_other)
-
-    def test_stored_answer_keeps_the_cap_and_kinds_checks(self):
-        g = overlap.overlap_graph(pointers.encode_arrangement(tuple(range(1, 9))))
-        assert rewriting.successful_in(g, {"gnr", "gdr"}, max_kappa=8)
-        with pytest.raises(CapError):
-            rewriting.successful_in(g, {"gnr", "gdr"})
-        with pytest.raises(CapError):
-            rewriting.successful_rule_sets(g, max_kappa=7)
-        with pytest.raises(ValueError):
-            rewriting.successful_in(g, {"gnr", "nope"}, max_kappa=8)
-
 
 @settings(max_examples=200, deadline=None)
 @given(strategies.arrangements(max_kappa=7))
@@ -618,4 +586,99 @@ def test_classifier_equals_search_on_encoded_arrangements(arr):
     g = overlap.overlap_graph(pointers.encode_arrangement(arr))
     comps = direct.direct_reduction_graph(g).component_count()
     for kinds in TestSuccessfulness.SUBSETS:
-        assert rewriting.successful_in_classifier(g, kinds, comps) == rewriting.successful_in(g, kinds)
+        assert rewriting.successful_in_classifier(g, kinds, comps) == (
+            oracles.successful_in_per_set(g, kinds)
+        )
+
+
+# ---------------------------------------------------------------------------
+# the proof of {gnr, gpr} sufficiency in ``successful_in_classifier``'s docstring
+
+def _phi(g):
+    """Every component of two or more vertices has a positive vertex."""
+    return all(not comp & (comp - 1) or comp & g.positive_mask for comp in g.component_masks)
+
+
+def _proof_choice(g):
+    """The proof's p: a positive vertex with the fewest positive neighbours, then the most."""
+    adj, positive = g.neighbor_masks, g.positive_mask
+    slot = min(overlap.bits(positive),
+               key=lambda s: ((adj[s] & positive).bit_count(), -adj[s].bit_count()))
+    return g.vertex_order[slot - 2]
+
+
+def _proof_reduction(g):
+    """The proof's greedy sequence, each rule replayed through ``apply_graph_rule``.
+
+    gnr on the smallest isolated negative vertex, else gpr at ``_proof_choice``;
+    on a graph with neither left, ``min`` raises ``ValueError``.
+    """
+    rules = []
+    while g.vertices:
+        adj = g.neighbor_masks
+        isolated = [s for s in overlap.bits(g.vertex_mask & ~g.positive_mask) if not adj[s]]
+        if isolated:
+            rule = Rule("gnr", (g.vertex_order[isolated[0] - 2],))
+        else:
+            rule = Rule("gpr", (_proof_choice(g),))
+        g = rewriting.apply_graph_rule(g, rule)
+        rules.append(rule)
+    return rules
+
+
+def _choice_keeps_phi(g) -> bool:
+    """Φ holds after gpr at the proof's p, or the proof's hypothesis fails."""
+    if not (_phi(g) and g.positive_mask):
+        return True
+    return _phi(rewriting.apply_graph_rule(g, Rule("gpr", (_proof_choice(g),))))
+
+
+class TestGnrGprProof:
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.graphs_on_domain())
+    def test_the_choice_keeps_phi(self, g):
+        assert _choice_keeps_phi(g)
+
+    def test_the_choice_keeps_phi_on_every_small_graph(self):
+        checked = 0
+        for kappa in range(2, 7):
+            vertices = frozenset(range(2, kappa + 1))
+            for edges, positive in oracles.signed_graphs(kappa):
+                g = overlap.OverlapGraph(vertices, positive, edges)
+                assert _choice_keeps_phi(g)
+                checked += bool(_phi(g) and positive)
+        # of the 1,098 + 32,768 graphs, those that satisfy Φ and have a positive vertex
+        assert checked == 31737
+
+    def test_the_choice_on_a_path(self):
+        # a - c - b, with a = 2 and c = 3 positive: each has one positive neighbour, and
+        # gpr_2 leaves the edge 3-4 all negative; c has more neighbours, and gpr_3 works
+        g = overlap.OverlapGraph({2, 3, 4}, {2, 3}, {(2, 3), (3, 4)})
+        assert _proof_choice(g) == 3
+        assert not _phi(rewriting.apply_graph_rule(g, Rule("gpr", (2,))))
+        assert _phi(rewriting.apply_graph_rule(g, Rule("gpr", (3,))))
+        assert _proof_reduction(g) == [Rule("gpr", (3,)), Rule("gpr", (4,)), Rule("gpr", (2,))]
+
+    def test_the_greedy_sequence_replays_at_large_kappa(self):
+        sets = (frozenset({"gnr", "gpr"}), frozenset({"gpr"}))
+        replayed = dict.fromkeys(sets, 0)
+        rng = random.Random(112)
+        for kappa in (64, 128, 256):
+            for _ in range(3):
+                # about eight neighbours a vertex, most vertices positive
+                vertices = range(2, kappa + 1)
+                g = overlap.OverlapGraph(
+                    vertices=frozenset(vertices),
+                    positive=frozenset(v for v in vertices if rng.random() < 0.8),
+                    edges=frozenset(e for e in combinations(vertices, 2)
+                                    if rng.random() < 8 / kappa),
+                )
+                accepted = [s for s in sets if rewriting.successful_in(g, s)]
+                if not accepted:
+                    continue
+                kinds = [r.kind for r in _proof_reduction(g)]  # replays to the empty graph
+                assert kinds.count("gnr") == g.nullity()
+                for s in accepted:
+                    assert set(kinds) <= s
+                    replayed[s] += 1
+        assert replayed[sets[0]] == 9 and replayed[sets[1]] > 0
