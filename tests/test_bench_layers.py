@@ -66,8 +66,6 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])
-    # no graph search row: the GPRS decision is a ladder row
-    assert "search_rows" not in report
     # the string search rows: the enumerator to its default cap, the count sets to kappa 12
     assert bench.STRING_SEARCH_KAPPAS == tuple(range(4, 13))
     assert bench.ENUMERATE_KAPPA_CAP == 7
