@@ -49,11 +49,12 @@ every other one, so every candidate rotation shares a long prefix with
 the next.  A scan that is not linear shows there as a row growing
 faster than kappa.
 
-The string search rows time, on the realistic string that
+The string search rows time ``rewriting.successful_string_reductions``
+(every sequence consumed) on the realistic string that
 ``random.Random(SEED)`` draws first at each kappa of
-``STRING_SEARCH_KAPPAS``, ``rewriting.successful_string_reductions`` (every
-sequence consumed) up to its default cap, and
-``rewriting.negative_rule_counts`` with the cap raised to that kappa.
+``STRING_SEARCH_KAPPAS``, up to its default cap.  The snr count of every
+successful reduction is proved, not searched: the
+``ReductionGraph.component_count`` row times it.
 
 A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
 it stops early once its calls have taken ``--budget`` seconds together.
@@ -61,9 +62,9 @@ A layer is skipped from the next kappa on when its single call takes longer
 than the budget, or would at the next kappa if its time grew with kappa
 squared (the overlap graph has about kappa^2 / 6 edges, so no layer grows
 faster); the skip and its reason are recorded, and the inputs of a skipped
-case are never built.  The searches grow exponentially, so each of their
-rows is skipped from the next kappa on as soon as one call takes longer than
-the budget.
+case are never built.  The search grows exponentially, so its row is
+skipped from the next kappa on as soon as one call takes longer than the
+budget.
 
 The CLI rows time whole fresh processes, with the same repeat and budget
 rules: ``python -c pass`` (the interpreter alone), ``python -c "import
@@ -108,11 +109,9 @@ from geneasm import (  # noqa: E402
 
 SEED = 1
 LADDER = (8, 32, 128, 512, 2048, 8192)
-STRING_SEARCH_KAPPAS = tuple(range(4, 13))
+# up to the string enumerator's default cap, a domain of kappa - 1
+STRING_SEARCH_KAPPAS = tuple(range(4, rewriting.DEFAULT_STRING_DOMAIN_CAP + 2))
 ENUMERATE_ROW = "successful_string_reductions"
-COUNT_ROW = "negative_rule_counts"
-# the string enumerator runs at its default cap, a domain of kappa - 1
-ENUMERATE_KAPPA_CAP = rewriting.DEFAULT_STRING_DOMAIN_CAP + 1
 CLI_KAPPA = 8
 CLI_GRAPH_KAPPAS = (512, 2048)
 # the verbs timed on the kappa-8 string and on its overlap graph's JSON
@@ -360,24 +359,19 @@ def enumerate_all(u):
 
 
 def measure_string_search(repeat, budget, kappas=STRING_SEARCH_KAPPAS):
-    """The string search rows: the enumerator up to its cap, and the count sets at every kappa."""
+    """The string search rows: the enumerator at each kappa, every sequence consumed."""
     rows = []
-    skipped: dict[str, str] = {}
+    skipped = None  # why the row is skipped from here on
     for kappa in kappas:
+        if skipped:
+            rows.append({"layer": ENUMERATE_ROW, "kappa": kappa, "skipped": skipped})
+            continue
         u = sampling.random_realistic_string(random.Random(SEED), kappa)
-        searches = [(COUNT_ROW, functools.partial(rewriting.negative_rule_counts,
-                                                  max_domain=kappa - 1))]
-        if kappa <= ENUMERATE_KAPPA_CAP:
-            searches.insert(0, (ENUMERATE_ROW, enumerate_all))
-        for row, fn in searches:
-            if row in skipped:
-                rows.append({"layer": row, "kappa": kappa, "skipped": skipped[row]})
-                continue
-            best, calls = best_of(fn, u, repeat, budget)
-            rows.append({"layer": row, "kappa": kappa, "best_ms": round(best * 1e3, 4),
-                         "calls": calls})
-            if best > budget:
-                skipped[row] = f"one call took over {budget} s at kappa {kappa}"
+        best, calls = best_of(enumerate_all, u, repeat, budget)
+        rows.append({"layer": ENUMERATE_ROW, "kappa": kappa, "best_ms": round(best * 1e3, 4),
+                     "calls": calls})
+        if best > budget:
+            skipped = f"one call took over {budget} s at kappa {kappa}"
     return rows
 
 
@@ -395,15 +389,9 @@ def table(rows, kappas):
 
 
 def string_search_table(rows):
-    cell = {(r["layer"], r["kappa"]): r for r in rows}
-    lines = [f"| kappa | `{ENUMERATE_ROW}` | `{COUNT_ROW}` |", "|---|---|---|"]
-    for kappa in sorted({r["kappa"] for r in rows}):
-        values = []
-        for row in (ENUMERATE_ROW, COUNT_ROW):
-            r = cell.get((row, kappa))
-            values.append("—" if r is None else "skipped" if "skipped" in r
-                          else f"{r['best_ms']:.3g}")
-        lines.append(f"| {kappa} | " + " | ".join(values) + " |")
+    lines = [f"| kappa | `{ENUMERATE_ROW}` |", "|---|---|"]
+    lines += [f"| {r['kappa']} | " + ("skipped" if "skipped" in r else f"{r['best_ms']:.3g}")
+              + " |" for r in rows]
     return "\n".join(lines)
 
 

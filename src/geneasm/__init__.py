@@ -74,7 +74,6 @@ _EXPORTS = {
             "apply_graph_rule",
             "apply_string_rule",
             "format_rule_sequence",
-            "negative_rule_counts",
             "parse_rule_sequence",
             "predicted_negative_rule_count",
             "successful_graph_reductions",

@@ -7,7 +7,7 @@ violation, 6 direct-construction JSON with kappa over
 ``direct.MAX_DIRECT_KAPPA``.  No verb reaches a rewriting search cap:
 ``classify`` decides by the classifier, with no search and no cap, and
 ``crossval`` searches only within the default caps; library callers of
-the two enumerators and ``negative_rule_counts`` still get ``CapError``.
+the two enumerators still get ``CapError``.
 ``iso-check`` additionally exits 1 when the graphs are not isomorphic,
 so shell pipelines can branch on the outcome.  An error prints one
 ``error:`` line; its exit code comes from one table, ``_EXIT_CODES``, and
@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from . import pointers
 from .errors import CapError, LegalityError, ParseError, RealismError
@@ -54,15 +54,6 @@ EXIT_INTERNAL = 5
 EXIT_CAP = 6
 
 _EXIT_CODES = {LegalityError: EXIT_NOT_LEGAL, RealismError: EXIT_NOT_REALISTIC, CapError: EXIT_CAP}
-
-# the rule sets S of {Gnr, Gpr, Gdr} by size, each in that order; the kinds are
-# spelled here because importing ``rewriting`` at load would undo the lazy imports
-SUBSET_ORDER = tuple(s for r in range(4) for s in combinations(("gnr", "gpr", "gdr"), r))
-
-
-def _subset_name(kinds) -> str:
-    return "{" + ",".join(k.capitalize() for k in kinds) + "}"
-
 
 def _read_source(value) -> str:
     if not isinstance(value, str):
@@ -278,9 +269,9 @@ def _cmd_classify(args) -> int:
 
     # on a string, its occurrence index is the legality check
     sets = rewriting.successful_rule_sets(_overlap_graph_arg(args))
-    for kinds in SUBSET_ORDER:
-        verdict = "true" if frozenset(kinds) in sets else "false"
-        _emit(f"S={_subset_name(kinds)} successful={verdict}")
+    for kinds in rewriting.SET_ORDER:
+        name = ",".join(k.capitalize() for k in rewriting.GRAPH_KINDS if k in kinds)
+        _emit(f"S={{{name}}} successful={'true' if kinds in sets else 'false'}")
     return EXIT_OK
 
 
@@ -341,7 +332,7 @@ def _cmd_crossval(args) -> int:
 
     def classifier_matches_search(h) -> bool:
         return rewriting.successful_rule_sets(h) == [
-            frozenset(s) for s in SUBSET_ORDER
+            s for s in rewriting.SET_ORDER
             if next(rewriting.successful_graph_reductions(h, s), None) is not None
         ]
 
@@ -367,9 +358,10 @@ def _cmd_crossval(args) -> int:
         }
         replay = {}  # check -> the failing input, when it is not u
         if kappa <= 5:
-            passed["negative-count"] = (
-                rewriting.negative_rule_counts(u) == {rg.component_count() - 1}
-            )
+            passed["negative-count"] = {
+                sum(r.kind == "snr" for r in seq)
+                for seq in rewriting.successful_string_reductions(u)
+            } == {rg.component_count() - 1}
         if kappa <= 6:
             toggled = _toggled(g, trial)
             passed["classifier"] = classifier_matches_search(g)

@@ -110,6 +110,13 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     return _graph(kappa, pairs)
 
 
+def _witness(g: OverlapGraph, v: int, w: int, a: int, b: int) -> Witness:
+    """The witness of the match of v and w at prefix indices a <= b: P = {a+1..b}."""
+    window = frozenset(range(a + 1, b + 1))
+    js = frozenset(x // 2 + 2 for x in (v, w) if not x & 1)
+    return Witness(window, (g.positive & window) ^ js)
+
+
 def _witnesses(g: OverlapGraph, kappa: int) -> list[tuple[tuple, list[int], Witness]]:
     """(sort key, vertex indices root first, witness) for each window.
 
@@ -122,9 +129,7 @@ def _witnesses(g: OverlapGraph, kappa: int) -> list[tuple[tuple, list[int], Witn
         if len(roots) == 2 and kappa <= 3:
             continue
         js = sorted(x for x in (v, w) if not x & 1)
-        window = frozenset(range(a + 1, b + 1))
-        value = (g.positive & window) ^ frozenset(x // 2 + 2 for x in js)
-        found.append(((len(roots), *js, *roots, a, b), roots + js, Witness(window, value)))
+        found.append(((len(roots), *js, *roots, a, b), roots + js, _witness(g, v, w, a, b)))
     found.sort(key=lambda item: item[0])
     return found
 
@@ -143,7 +148,8 @@ def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
     v, w = sorted(index[name] for name in edge)
     if v & 1 and w == v + 2:
         return [Witness(subset=frozenset(), value=frozenset())]
-    return [x for _, pair, x in _witnesses(g, kappa) if sorted(pair) == [v, w]]
+    windows = sorted((a, b) for x, y, a, b in _matches(g, kappa) if {x, y} == {v, w})
+    return [_witness(g, v, w, a, b) for a, b in windows]
 
 
 def _set_text(values) -> str:

@@ -21,11 +21,12 @@ implementation that the public rule functions and the searches share.
 String side: ``_string_successors`` pairs each applicable rule's slot
 tuple with its successor string, from one occurrence pass per state.
 Every rule keeps legality, so only a search's input is checked.
-``successful_string_reductions`` memoizes each exact string state's
-completions (the rule tuples that take it to the empty string) and names
-each slot tuple once per call; ``negative_rule_counts`` memoizes each
-state's set of snr counts instead, so it costs the number of states, not
-the number of sequences.
+``successful_string_reductions``, the only string search and the only
+one with a domain cap, memoizes each exact string state's completions
+(the rule tuples that take it to the empty string) and names each slot
+tuple once per call.  How many snr rules a successful reduction uses is
+not searched: it is comps(R_u) - 1, proved in
+``predicted_negative_rule_count``'s docstring.
 
 Graph side: the rules act on bitmask states (V, P, adj) over the slots of
 ``OverlapGraph``, each rule one XOR per neighbour, and the ``Rule``
@@ -82,7 +83,7 @@ class Rule(Record):
 def _codes(names: tuple[str, ...]) -> dict[frozenset, int]:
     """Each rule set over names to its 3-bit code, bit k set when it holds names[k].
 
-    In the order of ``cli.SUBSET_ORDER``: by size, then in names order.
+    In the order of ``SET_ORDER``: by size, then in names order.
     """
     return {frozenset(s): sum(1 << names.index(x) for x in s)
             for r in range(4) for s in combinations(names, r)}
@@ -90,6 +91,9 @@ def _codes(names: tuple[str, ...]) -> dict[frozenset, int]:
 
 _STRING_CODE = _codes(STRING_KINDS)
 _CODE = _codes(GRAPH_KINDS)
+# the eight rule sets over GRAPH_KINDS, by size, then gnr < gpr < gdr: the order
+# of ``successful_rule_sets`` and of the lines ``classify`` prints
+SET_ORDER = tuple(_CODE)
 
 
 def _check_kinds(kinds, codes: dict[frozenset, int]) -> int:
@@ -167,15 +171,6 @@ def apply_string_rule(u, rule: Rule):
     raise ValueError(f"rule {rule} is not applicable to {u}")
 
 
-def _check_string_search(u, max_domain):
-    """u as a tuple; raises unless its domain is within the cap and it is legal."""
-    u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
-        raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
-    return u
-
-
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
     """Yield every rule sequence (application order) reducing u to the empty string.
 
@@ -187,7 +182,10 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     first is yielded.
     """
     code = _check_kinds(kinds, _STRING_CODE)
-    u = _check_string_search(u, max_domain)
+    u = tuple(u)
+    if len(pointers.domain(u)) > max_domain:
+        raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
     named: dict[tuple, Rule] = {}
     memo: dict[tuple, list[tuple]] = {(): [()]}
 
@@ -215,44 +213,12 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
         yield list(seq)
 
 
-def negative_rule_counts(u, max_domain=DEFAULT_STRING_DOMAIN_CAP) -> set[int]:
-    """The numbers of snr rules in the successful reductions of u, over all three string rules.
-
-    The set ``{sum(r.kind == "snr" for r in seq) for seq in
-    successful_string_reductions(u)}``, from a memo over the same states
-    that holds each state's count set instead of its sequences:
-    counts(v) is the union over the rules r of counts(r(v)), plus one for
-    snr.  This costs the number of states, not the number of sequences.
-    """
-    u = _check_string_search(u, max_domain)
-    memo: dict[tuple, frozenset[int]] = {(): frozenset({0})}
-
-    def counts(v):
-        done = memo.get(v)
-        if done is None:
-            if len(v) == 2:  # one pair: p p takes snr, p -p spr
-                done = frozenset({int(v[0] == v[1])})
-            else:
-                found: set[int] = set()
-                for (k, _, _), w in _string_successors(v, 7):  # all three kinds
-                    found |= counts(w) if k else {c + 1 for c in counts(w)}
-                done = frozenset(found)
-            memo[v] = done
-        return done
-
-    return set(counts(u))
-
-
 # ---------------------------------------------------------------------------
 # graph rules on bitmask states (V, P, adj): vertex mask, positive mask, and
 # adj[s] the neighbour mask of slot s (0 once s is removed), over the slots of
 # the OverlapGraph the search starts from.  Inside the module a rule is a slot
 # tuple (kind index into GRAPH_KINDS, p, q), q None for gnr and gpr; a rule set
 # is a 3-bit code, bit k set when it holds GRAPH_KINDS[k]
-
-# the rule sets in the order of ``cli.SUBSET_ORDER``
-_SET_ORDER = tuple(_CODE)
-
 
 def _graph_state(g: OverlapGraph):
     return g.vertex_mask, g.positive_mask, g.neighbor_masks
@@ -386,10 +352,10 @@ def successful_graph_reductions(g: OverlapGraph, kinds=ALL_GRAPH_RULES, max_kapp
 def successful_rule_sets(g: OverlapGraph) -> list[frozenset]:
     """The rule sets S of {gnr, gpr, gdr} that reduce g to the empty graph, by the classifier.
 
-    In the order of ``cli.SUBSET_ORDER``: by size, then gnr < gpr < gdr.
+    In the order of ``SET_ORDER``: by size, then gnr < gpr < gdr.
     """
     comps = g.nullity() + 1
-    return [kinds for kinds in _SET_ORDER if successful_in_classifier(g, kinds, comps)]
+    return [kinds for kinds in SET_ORDER if successful_in_classifier(g, kinds, comps)]
 
 
 def successful_in(g: OverlapGraph, kinds) -> bool:
@@ -476,11 +442,44 @@ def successful_in_classifier(g: OverlapGraph, kinds, reduction_components: int) 
 def predicted_negative_rule_count(x) -> int:
     """The number of negative rules in every successful reduction.
 
-    Accepts a legal string (string side: the component count of its
-    reduction graph, minus one, in O(n); 0 for the empty string, whose one
-    reduction, the empty sequence, uses no snr) or any signed graph, on any
-    vertex set (graph side: ``OverlapGraph.nullity``, which on the overlap
-    graph of a legal string equals the string side's count).
+    Accepts any signed graph, on any vertex set, or a legal string.  Graph
+    side: ``OverlapGraph.nullity``, with its proof in that docstring; on
+    the overlap graph of a legal string it equals the string side's count.
+    String side: comps(R_u) - 1, from one O(n) cycle walk, and 0 for the
+    empty string, whose one reduction, the empty sequence, uses no snr.
+    Count the empty string as one component.  Then every successful
+    reduction of u uses exactly comps(R_u) - 1 snr rules:
+
+    1. A rule always applies to a non-empty legal string.  Take a pointer
+       p whose two occurrences enclose the shortest window.  A pointer
+       between them occurs there once, or its own window would be shorter.
+       So either p is adjacent to its twin, and snr or spr applies at p, or
+       p overlaps a pointer q.  With any positive pointer, spr applies;
+       otherwise p and q are overlapping negative pointers and take sdr.
+       Every rule keeps legality and shrinks the domain, so every maximal
+       rule sequence is a successful reduction.
+    2. Each rule's effect on R_u.  Name a vertex by the letter end it is:
+       I_i the left end of the i-th letter, I'_i its right end.  Every rule
+       keeps the other pointers' desire edges on the same vertex objects.
+       Moving a segment (sdr) keeps each letter's two ends.  Inverting one
+       (spr) swaps them, and it flips the equal/complementary type of every
+       pointer with one occurrence inside, so its straight or crossed edges
+       land on the same vertices.  Each reality-desire-reality path through
+       a removed occurrence becomes one reality edge of the result, and
+       paths that meet across an empty segment chain into one.  So each
+       cycle through a kept vertex becomes one cycle, and only the cycles
+       made wholly of removed vertices go.  For spr and sdr the removed
+       vertices, joined by their desire edges and by the reality edges
+       across empty segments, form one ring that breaks at each non-empty
+       segment between the removed occurrences, read cyclically.  It
+       closes only when the result is empty, which counts as one
+       component, so spr and sdr keep the cycle count.  For snr at
+       positions i and i+1, I_i and I'_(i+1) form that ring, and snr also
+       drops the 2-cycle that its adjacent equal pair forms with the
+       reality edge between them: I'_i and I_(i+1) are joined by both.
+    3. Induction on the length: each snr removes one component and the
+       other rules none, so a reduction ending at the empty string, one
+       component, uses comps(R_u) - 1 snr rules, and by step 1 one exists.
     """
     if isinstance(x, OverlapGraph):
         return x.nullity()

@@ -783,7 +783,8 @@ def successful_in_per_set(g, kinds):
 # string pointer reduction rules as Rule records, and the depth-first
 # enumeration of successful reductions that builds a Rule for each rule in
 # every state: the implementation ``rewriting.successful_string_reductions``
-# replaced, kept as the reference for its sequences, their order and its errors
+# replaced, kept as the reference for its sequences, their order and its errors;
+# then the snr count sets by a memo search over the same states
 
 STRING_KINDS = frozenset({"snr", "spr", "sdr"})
 
@@ -852,6 +853,44 @@ def successful_string_reductions(u, kinds=STRING_KINDS, max_domain=6):
             prefix.pop()
 
     yield from walk(u)
+
+
+def negative_rule_counts(u, max_domain=6) -> set[int]:
+    """The numbers of snr rules in the successful reductions of u, over all three string rules.
+
+    The set ``{sum(r.kind == "snr" for r in seq) for seq in
+    successful_string_reductions(u)}``, from a memo over the same states
+    that holds each state's count set instead of its sequences:
+    counts(v) is the union over the rules r of counts(r(v)), plus one for
+    snr.  This costs the number of states, not the number of sequences, so
+    it reaches domains the enumerators cannot; it is the reference for the
+    proved count, ``rewriting.predicted_negative_rule_count``.  The rules
+    are ``rewriting._string_successors``, which the tests hold to
+    ``_string_rules`` and ``_string_step`` above.
+    """
+    from geneasm import pointers
+    from geneasm.rewriting import _string_successors
+
+    u = tuple(u)
+    if len(pointers.domain(u)) > max_domain:
+        raise CapError(f"domain exceeds the search cap {max_domain}")
+    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
+    memo: dict[tuple, frozenset[int]] = {(): frozenset({0})}
+
+    def counts(v):
+        done = memo.get(v)
+        if done is None:
+            if len(v) == 2:  # one pair: p p takes snr, p -p spr
+                done = frozenset({int(v[0] == v[1])})
+            else:
+                found: set[int] = set()
+                for (k, _, _), w in _string_successors(v, 7):  # all three kinds
+                    found |= counts(w) if k else {c + 1 for c in counts(w)}
+                done = frozenset(found)
+            memo[v] = done
+        return done
+
+    return set(counts(u))
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,10 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     # every process succeeds; iso-check exits 1 when its two strings differ
     assert all(r["exit_code"] == 0 or (r["command"], r["exit_code"]) == ("iso-check", 1)
                for r in report["cli_rows"])
-    # the string search rows: the enumerator to its default cap, the count sets to kappa 12
-    assert bench.STRING_SEARCH_KAPPAS == tuple(range(4, 13))
-    assert bench.ENUMERATE_KAPPA_CAP == 7
+    # the string search rows: the enumerator to its default cap, a domain of 6
+    assert bench.STRING_SEARCH_KAPPAS == tuple(range(4, 8))
     assert [(r["layer"], r["kappa"]) for r in report["string_search_rows"]] == [
-        (row, kappa) for kappa in bench.STRING_SEARCH_KAPPAS
-        for row in (bench.ENUMERATE_ROW, bench.COUNT_ROW)
-        if row == bench.COUNT_ROW or kappa <= 7
+        (bench.ENUMERATE_ROW, kappa) for kappa in bench.STRING_SEARCH_KAPPAS
     ]
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["string_search_rows"])
     # layer, string search and CLI tables: header, rule, one row per kappa or command
@@ -89,11 +86,9 @@ def test_a_call_over_budget_skips_the_larger_kappas(bench, tmp_path):
     assert all("over 0.0 s at kappa 4" in r["skipped"] for r in rows if r["kappa"] == 8)
     report = json.loads(out.read_text())
     assert all(r["calls"] == 1 for r in report["cli_rows"])
-    first_two, rest = report["string_search_rows"][:2], report["string_search_rows"][2:]
-    assert [(r["layer"], r["calls"]) for r in first_two] == [
-        (bench.ENUMERATE_ROW, 1), (bench.COUNT_ROW, 1)
-    ]
-    assert all(r["skipped"] == "one call took over 0.0 s at kappa 4" for r in rest)
+    first, *rest = report["string_search_rows"]
+    assert (first["layer"], first["kappa"], first["calls"]) == (bench.ENUMERATE_ROW, 4, 1)
+    assert rest and all(r["skipped"] == "one call took over 0.0 s at kappa 4" for r in rest)
 
 
 def test_the_rule_sets_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
@@ -111,30 +106,21 @@ def test_the_rule_sets_row_times_a_fresh_graph_per_repeat(bench, monkeypatch):
 
 
 def test_the_string_search_rows_run_each_kappas_first_string(bench, monkeypatch):
-    calls = []  # (search, string, max_domain)
+    calls = []  # the strings the enumerator was called on
     enumerate_ = bench.rewriting.successful_string_reductions
-    count = bench.rewriting.negative_rule_counts
 
     def successful_string_reductions(u):
-        calls.append(("enumerate", u, None))
+        calls.append(u)
         return enumerate_(u)
-
-    def negative_rule_counts(u, max_domain):
-        calls.append(("count", u, max_domain))
-        return count(u, max_domain=max_domain)
 
     monkeypatch.setattr(bench.rewriting, "successful_string_reductions",
                         successful_string_reductions)
-    monkeypatch.setattr(bench.rewriting, "negative_rule_counts", negative_rule_counts)
-    rows = bench.measure_string_search(repeat=2, budget=10, kappas=(5, 7, 9))
+    rows = bench.measure_string_search(repeat=2, budget=10, kappas=(5, 7))
     first = {kappa: bench.sampling.random_realistic_string(bench.random.Random(bench.SEED), kappa)
-             for kappa in (5, 7, 9)}
-    assert calls == [call for kappa in (5, 7, 9) for call in
-                     [("enumerate", first[kappa], None)] * 2 * (kappa <= 7)
-                     + [("count", first[kappa], kappa - 1)] * 2]
+             for kappa in (5, 7)}
+    assert calls == [first[5]] * 2 + [first[7]] * 2
     assert [(r["layer"], r["kappa"]) for r in rows] == [
-        (bench.ENUMERATE_ROW, 5), (bench.COUNT_ROW, 5), (bench.ENUMERATE_ROW, 7),
-        (bench.COUNT_ROW, 7), (bench.COUNT_ROW, 9),
+        (bench.ENUMERATE_ROW, 5), (bench.ENUMERATE_ROW, 7),
     ]
     # the enumerator row consumes every sequence
     u = first[5]

@@ -32,9 +32,10 @@ def _searched_stdout(verb, g, max_kappa=7):
     """
     if verb == "classify":
         return "".join(
-            "S={" + ",".join(k.capitalize() for k in s) + "} successful="
-            + ("true" if oracles.successful_in_per_set(g, s) else "false") + "\n"
-            for s in cli.SUBSET_ORDER
+            "S={" + ",".join(k.capitalize() for k in rewriting.GRAPH_KINDS if k in s)
+            + "} successful=" + ("true" if oracles.successful_in_per_set(g, s) else "false")
+            + "\n"
+            for s in rewriting.SET_ORDER
         )
     reductions = rewriting.successful_graph_reductions(g, max_kappa=max_kappa)
     (count,) = {sum(r.kind == "gnr" for r in seq) for seq in islice(reductions, 1000)}
@@ -94,7 +95,7 @@ class TestBasicVerbs:
         code, out, _ = run(["count-negative", "--string", "72673456-3-245"])
         assert (code, out) == (0, "1\n")
         # the empty string's one reduction is the empty sequence
-        (count,) = rewriting.negative_rule_counts(())
+        (count,) = oracles.negative_rule_counts(())
         assert run(["count-negative", "--string="]) == (0, f"{count}\n", "")
 
     def test_overlap_dot_golden(self):
@@ -637,6 +638,18 @@ class TestSeededVerbs:
         assert out.splitlines()[-3:] == ["check=classifier trials=5 failures=5",
                                          "check=classifier-toggled trials=5 failures=5",
                                          "check=graph-negative-count trials=5 failures=0"]
+
+    def test_crossval_negative_count_reads_the_string_enumerator(self, monkeypatch):
+        # a reduction with one snr too many fails the check on every string it runs on
+        enumerate_, extra = rewriting.successful_string_reductions, rewriting.Rule("snr", (2,))
+        monkeypatch.setattr(rewriting, "successful_string_reductions",
+                            lambda u: [[*seq, extra] for seq in enumerate_(u)])
+        code, out, _ = run(["crossval", "--seed", "3", "--trials", "5", "--kappa", "5"])
+        assert code == 5
+        lines = out.splitlines()
+        assert lines[-4] == "check=negative-count trials=5 failures=5"
+        failed = [line for line in lines[:-6] if line.startswith("check=negative-count ")]
+        assert len(failed) == 5 and all(" input=" in line for line in failed)
 
     @pytest.mark.parametrize(
         "argv, message",

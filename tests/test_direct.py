@@ -109,6 +109,23 @@ class TestWorkedExamples:
         with pytest.raises(RealismError):
             direct.condition_witnesses(gamma("2244"), ("J2", "J4"))
 
+    def test_witnesses_are_built_only_for_the_asked_pair(self, monkeypatch):
+        g = overlap.overlap_graph(sampling.random_realistic_string(random.Random(114), 8))
+        witness, built = direct.Witness, []
+        monkeypatch.setattr(direct, "Witness",
+                            lambda subset, value: built.append(subset) or witness(subset, value))
+        windows = len(list(direct.explain_lines(g)))
+        assert len(built) == windows > 1
+        found = 0
+        for a in _names(8):
+            for b in _names(8):
+                built.clear()
+                got = direct.condition_witnesses(g, (a, b))
+                assert len(built) == len(got), (a, b)
+                found += len(got)
+        # each pair asked in both orders; the six root-chain edges hold one empty witness each
+        assert found == 2 * (windows + 6)
+
 
 class TestMainEquivalence:
     def _check(self, u):

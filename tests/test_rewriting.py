@@ -83,7 +83,7 @@ class TestNegativeRuleCounts:
 
     def test_empty_string_counts_zero(self):
         # its one reduction, the empty sequence, uses no snr
-        (count,) = rewriting.negative_rule_counts(())
+        (count,) = oracles.negative_rule_counts(())
         assert rewriting.predicted_negative_rule_count(()) == count
         assert rewriting.predicted_negative_rule_count(gamma("")) == count
 
@@ -110,6 +110,24 @@ class TestNegativeRuleCounts:
         seqs = list(rewriting.successful_string_reductions((2, 2)))
         assert seqs == [[Rule("snr", (2,))]]
 
+    def test_the_proved_count_is_the_searched_count_on_every_string_over_2_to_4(self):
+        checked = 0
+        for size in range(1, 4):
+            for domain in combinations((2, 3, 4), size):
+                for u in oracles.legal_strings_on(domain):
+                    assert oracles.negative_rule_counts(u) == {
+                        rewriting.predicted_negative_rule_count(u)}, u
+                    checked += 1
+        assert checked == 6060
+
+    def test_the_proved_count_has_no_cap(self):
+        u = sampling.random_realistic_string(random.Random(113), 41)
+        assert len(pointers.domain(u)) == 40
+        want = reduction.ReductionGraph(u).component_count() - 1
+        assert rewriting.predicted_negative_rule_count(u) == want
+        with pytest.raises(CapError):
+            list(rewriting.successful_string_reductions(u))
+
 
 STRING_SUBSETS = [frozenset(s) for r in range(4) for s in combinations(rewriting.STRING_KINDS, r)]
 
@@ -134,8 +152,9 @@ def _snr_counts(seqs):
 
 
 class TestStringSearchAgainstTheDFS:
-    """The slot-tuple rules, the completion memo and the count sets, against the
-    depth-first enumeration they replaced (``oracles.successful_string_reductions``)."""
+    """The slot-tuple rules, the completion memo and the count-set search in
+    tests/oracles.py, against the depth-first enumeration the first two replaced
+    (``oracles.successful_string_reductions``)."""
 
     CORPUS = _string_corpus()
 
@@ -148,7 +167,7 @@ class TestStringSearchAgainstTheDFS:
 
     def test_negative_rule_counts_are_the_enumerated_snr_counts(self):
         for u in self.CORPUS:
-            assert rewriting.negative_rule_counts(u) == _snr_counts(
+            assert oracles.negative_rule_counts(u) == _snr_counts(
                 oracles.successful_string_reductions(u)
             ), u
 
@@ -175,7 +194,8 @@ class TestStringSearchAgainstTheDFS:
         rng = random.Random(103)
         for kappa in (8, 10, 12):
             u = sampling.random_realistic_string(rng, kappa)
-            counts = rewriting.negative_rule_counts(u, max_domain=kappa - 1)
+            counts = oracles.negative_rule_counts(u, max_domain=kappa - 1)
+            assert counts == {rewriting.predicted_negative_rule_count(u)}
             assert counts == {reduction.ReductionGraph(u).component_count() - 1}
             if kappa == 8:
                 seqs = rewriting.successful_string_reductions(u, max_domain=7)
@@ -202,7 +222,7 @@ class TestStringSearchAgainstTheDFS:
         assert want[0] == (error or "done")
         assert outcome(rewriting.successful_string_reductions, kinds) == want
         if kinds == rewriting.ALL_STRING_RULES:
-            counts = outcome(rewriting.negative_rule_counts)
+            counts = outcome(oracles.negative_rule_counts)
             assert counts[0] == want[0] and (error is None or counts == want)
 
 
@@ -213,7 +233,15 @@ def test_every_successful_string_reduction_uses_components_minus_one_snr(u):
     assume(u)
     reality, desire = oracles.reduction_edges(u)
     components = oracles.component_count(len(u), [reality, desire])
-    assert rewriting.negative_rule_counts(u, max_domain=8) == {components - 1}
+    assert oracles.negative_rule_counts(u, max_domain=8) == {components - 1}
+    assert rewriting.predicted_negative_rule_count(u) == components - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.legal_strings())
+def test_a_rule_applies_to_every_non_empty_legal_string(u):
+    """Step 1 of the proof in ``predicted_negative_rule_count``: no legal string is stuck."""
+    assert bool(rewriting.applicable_string_rules(u)) == bool(u)
 
 
 def _components(u):
@@ -569,12 +597,9 @@ class TestOneSearchForEverySet:
             assert sets == [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in(g, s)]
 
     def test_order_is_the_cli_subset_order(self):
-        from geneasm import cli
-
+        # SET_ORDER is also the order of the lines classify prints
         g = gamma("2233")  # two isolated negative vertices: every set with gnr succeeds
-        assert rewriting.successful_rule_sets(g) == [
-            frozenset(s) for s in cli.SUBSET_ORDER if "gnr" in s
-        ]
+        assert rewriting.successful_rule_sets(g) == [s for s in rewriting.SET_ORDER if "gnr" in s]
         assert rewriting.successful_rule_sets(gamma("")) == TestSuccessfulness.SUBSETS
 
 
