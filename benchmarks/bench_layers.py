@@ -83,7 +83,10 @@ before it builds).  The results go to ``BENCH_layers.json`` at the repository ro
 with the Python version, core count, git SHA, seed and whether the
 interpreter writes bytecode caches (``sys.flags.dont_write_bytecode``, set
 by ``PYTHONDONTWRITEBYTECODE``; with it set, each fresh process compiles
-geneasm from source), and a table is printed.
+geneasm from source), and a table is printed.  ``git_dirty`` says whether
+tracked files under ``src/`` or ``benchmarks/``, the code the numbers
+depend on, differ from that SHA; an edit to a document elsewhere leaves it
+false.
 """
 
 from __future__ import annotations
@@ -318,7 +321,8 @@ def git_sha():
     try:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                              text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+        dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--",
+                                "src", "benchmarks"],
                                cwd=ROOT, capture_output=True, text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None, None

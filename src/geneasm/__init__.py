@@ -64,7 +64,6 @@ _EXPORTS = {
             "RootSubgraph",
             "find_root_subgraphs",
             "is_rooted",
-            "position",
             "rspos",
         ),
         "rewriting": (

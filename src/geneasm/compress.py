@@ -177,8 +177,9 @@ def cps(rg) -> LabelledGraph:
     Two compressed vertices are adjacent when a reality edge runs between
     their desire edges.  Vertex ids are the desire edges as sorted
     (i, side) endpoint pairs, labelled by magnitude, in ``rg.desire_edges``
-    order; the graph keeps the desire index pairs and names them on
-    request.  The compression reads the graph's index arrays: reality edge
+    order, the index order of each desire edge's lower end; the graph
+    keeps the desire index pairs and names them on request.  The
+    compression reads the graph's index arrays: reality edge
     k (odd) joins index k to k+1, mod 2n, so the last one joins index 2n-1
     to index 0.  A desire edge (x, y), x < y, has as partners the vertices
     across x's reality edge and across y's, read straight into the partner

@@ -19,7 +19,45 @@ I'_i = 2i-1 to I_(i+1) = 2i, so an odd k is joined to k+1 and an even k
 to k-1, both mod 2n.  Cycles, root chains and positions are walks over
 these arrays.  The edge views ``vertices``, ``reality_edges`` and
 ``desire_edges`` hold (i, side) pairs and frozenset edges for output and
-tests; each is derived on first use.
+tests; each is derived on first use.  Desire edges come in index order of
+their lower end, the order of ``desire_pairs``.
+
+Symmetries.  Let u = a_1 ... a_n and v a variant of u.  Each map phi below
+is a bijection from the vertices of R_u onto those of R_v that sends the
+reality edges of R_u exactly onto those of R_v, the desire edges onto the
+desire edges, and keeps labels, so R_u and R_v are isomorphic.  Reality
+edges depend only on n, and the desire edges of a magnitude only on its two
+positions and on whether its letters there are equal: the straight pair
+joins the I' of each occurrence to the I of the other, and the crossed pair
+I to I and I' to I', so neither depends on which occurrence is first.
+
+* Reversal, v_i = a_(n+1-i), and inversion, v_i = -a_(n+1-i):
+  phi(I_i) = I'_(n+1-i) and phi(I'_i) = I_(n+1-i).  Then phi(e_i) =
+  {I_(n+1-i), I'_(n-i)} = e_(n-i), reading e_0 as e_n, which is {I'_n, I_1}.
+  A magnitude at positions i and j of u sits at n+1-i and n+1-j of v with
+  letters that are equal exactly when a_i = a_j, since negating both keeps
+  that.  phi sends {I'_i, I_j} to {I_(n+1-i), I'_(n+1-j)}, a straight edge
+  of v, and swaps the sides of both ends of a crossed edge, which keeps it
+  crossed.  The label of position n+1-i of v is |a_i|.
+* Complement, v_i = -a_i: the identity.  Equality of the two letters of
+  each magnitude, and every label, are kept, so R_v = R_u.
+* Conjugation, v = a_(r+1) ... a_n a_1 ... a_r, so v_i = a_(i+r) with
+  positions mod n: the index shift phi(I_i) = I_(i-r), phi(I'_i) = I'_(i-r).
+  It sends e_i to e_(i-r), because the reality edges close up cyclically,
+  and a magnitude at i and j of u to i-r and j-r of v, with the same
+  letters and sides.
+
+The γ-class half of the main theorem follows: realistic u and v with
+γ_u = γ_v have isomorphic reduction graphs.  A realistic string is
+the encoding of an arrangement, a witness of its overlap graph.  Rotating
+an arrangement rotates its encoding (a conjugate), and inverting it, that
+is reversing the order and inverting every segment, gives the inverse of
+the encoding.  By the proof in ``kernels``, each realistic graph has
+exactly one witness w with segment 1 first and not inverted, and every
+witness rotates to w or to w's mirror, the rotation of w inverted that puts
+segment 1 first.  So u and v are each a conjugate of encode(w) or of
+inverse(encode(w)), and the maps above compose to an isomorphism from R_u
+to R_v.
 """
 
 from __future__ import annotations
@@ -51,10 +89,7 @@ class ReductionGraph:
         self.n = len(seq)
         self.magnitudes = list(map(abs, seq))
         desire = [0] * (2 * self.n)
-        firsts = []
-        for p in sorted(at):
-            i, j = at[p]
-            firsts.append(i - 1)
+        for i, j in at.values():
             a, b = 2 * i - 2, 2 * j - 2
             # equal occurrences join I_i to I'_j and I'_i to I_j; complementary
             # ones join I_i to I_j and I'_i to I'_j
@@ -62,7 +97,6 @@ class ReductionGraph:
             desire[a], desire[b + s] = b + s, a
             desire[a + 1], desire[b + 1 - s] = b + 1 - s, a + 1
         self.desire = desire
-        self._firsts = firsts  # the first position of each magnitude, 0-based, by magnitude
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -77,18 +111,8 @@ class ReductionGraph:
         return tuple(frozenset((vertex(a), vertex(b))) for a, b in self.desire_pairs())
 
     def desire_pairs(self) -> list[tuple[int, int]]:
-        """Desire edges as index pairs (k, desire[k]) with k < desire[k], in ``desire_edges`` order.
-
-        The order is by magnitude.  Of a magnitude's two edges, the one
-        through I'_i comes first when they are straight and the one through
-        I_i when crossed, where i is the first occurrence.
-        """
-        desire = self.desire
-        pairs = []
-        for i in self._firsts:
-            k = 2 * i + (desire[2 * i] & 1)  # straight: I_i joins the odd I'_j
-            pairs += ((k, desire[k]), (k ^ 1, desire[k ^ 1]))
-        return pairs
+        """Desire edges as index pairs (k, desire[k]) with k < desire[k], in order of k."""
+        return [(k, d) for k, d in enumerate(self.desire) if k < d]
 
     def _index(self, v) -> int:
         """Index k of vertex v, or -1 if v is not a vertex of this graph."""
@@ -169,13 +193,6 @@ class ReductionGraph:
                 seen[k] = seen[other] = 1
                 k = (other + 1 if other & 1 else other - 1) % m
         return count
-
-
-def position(rg: ReductionGraph, item) -> int:
-    """Position of a reality edge, or of the reality edge through a vertex."""
-    if isinstance(item, tuple):
-        return rg.posn(item)
-    return rg.posn_edge(item)
 
 
 class RootSubgraph(Record):

@@ -329,8 +329,8 @@ class EdgeSetReductionGraph:
     """``ReductionGraph`` as it was built before it held index arrays.
 
     Every reality and desire edge is a frozenset of (i, side) vertices,
-    built in the same order; lookups go through a vertex-to-desire-edge
-    dict and the tuple of reality edges.
+    in the same order (desire edges by their lower end); lookups go
+    through a vertex-to-desire-edge dict and the tuple of reality edges.
     """
 
     def __init__(self, seq):
@@ -353,7 +353,7 @@ class EdgeSetReductionGraph:
             else:
                 desire.append(frozenset({(i, 0), (j, 0)}))
                 desire.append(frozenset({(i, 1), (j, 1)}))
-        self.desire_edges = tuple(desire)
+        self.desire_edges = tuple(sorted(desire, key=sorted))
         self._desire_of = {v: e for e in desire for v in e}
 
     def label(self, v):

@@ -167,6 +167,22 @@ class TestMainEquivalence:
                     arr = tuple(k * s for k, s in zip(entries, signs))
                     self._check(pointers.encode_arrangement(arr))
 
+    def test_once_per_realistic_graph_to_kappa_6(self):
+        # segment 1 first and not inverted: (kappa - 1)! * 2^(kappa - 1) arrangements,
+        # each giving a different realistic graph (the count in the kernels docstring)
+        graphs = set()
+        for kappa in range(2, 7):
+            for rest in permutations(range(2, kappa + 1)):
+                for signs in product((1, -1), repeat=kappa - 1):
+                    arr = (1,) + tuple(k * s for k, s in zip(rest, signs))
+                    u = pointers.encode_arrangement(arr)
+                    g = overlap.overlap_graph(u)
+                    graphs.add(g)
+                    compressed = compress.cps(reduction.ReductionGraph(u))
+                    assert iso.canonical_labelled(compressed) == iso.canonical_labelled(
+                        direct.direct_reduction_graph(g)), u
+        assert len(graphs) == 2 + 8 + 48 + 384 + 3840
+
     def test_random_up_to_cap(self):
         rng = random.Random(82)
         for _ in range(150):

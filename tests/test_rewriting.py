@@ -585,7 +585,7 @@ class TestAgainstOracles:
                 assert got == oracles.successful_graph_reductions(g, kinds)
 
 
-class TestOneSearchForEverySet:
+class TestOneClassifierCallPerSet:
     """``successful_rule_sets``, one classifier call per set, against the per-set search."""
 
     @settings(max_examples=200, deadline=None)
@@ -596,7 +596,7 @@ class TestOneSearchForEverySet:
         if len(g.vertices) + 1 <= 5:
             assert sets == [s for s in TestSuccessfulness.SUBSETS if oracles.successful_in(g, s)]
 
-    def test_order_is_the_cli_subset_order(self):
+    def test_order_is_set_order(self):
         # SET_ORDER is also the order of the lines classify prints
         g = gamma("2233")  # two isolated negative vertices: every set with gnr succeeds
         assert rewriting.successful_rule_sets(g) == [s for s in rewriting.SET_ORDER if "gnr" in s]
