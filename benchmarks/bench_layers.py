@@ -56,8 +56,10 @@ The string search rows time ``rewriting.successful_string_reductions``
 successful reduction is proved, not searched: the
 ``ReductionGraph.component_count`` row times it.
 
-A case is the best of ``--repeat`` calls timed with ``time.perf_counter``;
-it stops early once its calls have taken ``--budget`` seconds together.
+A case makes up to ``--repeat`` calls timed with ``time.perf_counter``,
+and stops early once its calls have taken ``--budget`` seconds together.
+Every row, layer, string search or CLI, gives the best and the median of
+its calls and their spread (slowest minus fastest); tables print the best.
 A layer is skipped from the next kappa on when its single call takes longer
 than the budget, or would at the next kappa if its time grew with kappa
 squared (the overlap graph has about kappa^2 / 6 edges, so no layer grows
@@ -230,10 +232,13 @@ def timed_calls(fn, arg, repeat, budget, fresh=None):
     return times
 
 
-def best_of(fn, arg, repeat, budget, fresh=None):
-    """(best seconds, calls made) of ``timed_calls``."""
-    times = timed_calls(fn, arg, repeat, budget, fresh)
-    return min(times), len(times)
+def summary(times, digits):
+    """A row's timing: the best and the median call in ms, their spread
+    (slowest minus fastest) and the number of calls, rounded to ``digits``."""
+    return {"best_ms": round(min(times) * 1e3, digits),
+            "median_ms": round(statistics.median(times) * 1e3, digits),
+            "spread_ms": round((max(times) - min(times)) * 1e3, digits),
+            "calls": len(times)}
 
 
 def cli_argvs(kappa, workdir):
@@ -307,10 +312,7 @@ def measure_cli(repeat, budget, kappa=CLI_KAPPA):
         argvs = cli_argvs(kappa, workdir)
         for command in CLI_COMMANDS:
             times = timed_calls(run, argvs[command], repeat, budget)
-            rows.append({"command": command, "best_ms": round(min(times) * 1e3, 2),
-                         "median_ms": round(statistics.median(times) * 1e3, 2),
-                         "spread_ms": round((max(times) - min(times)) * 1e3, 2),
-                         "calls": len(times), "exit_code": codes[-1]})
+            rows.append({"command": command, **summary(times, 2), "exit_code": codes[-1]})
     bare = rows[0]["median_ms"]  # CLI_COMMANDS[0], "python -c pass"
     for row in rows:
         row["above_bare_ms"] = round(row["median_ms"] - bare, 2)
@@ -343,11 +345,11 @@ def measure(kappas, repeat, budget):
                 continue
             fn, make_arg = built[layer]
             if layer in FRESH:
-                best, calls = best_of(fn, None, repeat, budget, fresh=make_arg)
+                times = timed_calls(fn, None, repeat, budget, fresh=make_arg)
             else:
-                best, calls = best_of(fn, make_arg(), repeat, budget)
-            rows.append({"layer": layer, "kappa": kappa, "best_ms": round(best * 1e3, 4),
-                         "calls": calls})
+                times = timed_calls(fn, make_arg(), repeat, budget)
+            rows.append({"layer": layer, "kappa": kappa, **summary(times, 4)})
+            best = min(times)
             if best > budget:
                 skipped[layer] = f"one call took over {budget} s at kappa {kappa}"
             elif following and best * (following / kappa) ** 2 > budget:
@@ -371,10 +373,9 @@ def measure_string_search(repeat, budget, kappas=STRING_SEARCH_KAPPAS):
             rows.append({"layer": ENUMERATE_ROW, "kappa": kappa, "skipped": skipped})
             continue
         u = sampling.random_realistic_string(random.Random(SEED), kappa)
-        best, calls = best_of(enumerate_all, u, repeat, budget)
-        rows.append({"layer": ENUMERATE_ROW, "kappa": kappa, "best_ms": round(best * 1e3, 4),
-                     "calls": calls})
-        if best > budget:
+        times = timed_calls(enumerate_all, u, repeat, budget)
+        rows.append({"layer": ENUMERATE_ROW, "kappa": kappa, **summary(times, 4)})
+        if min(times) > budget:
             skipped = f"one call took over {budget} s at kappa {kappa}"
     return rows
 
@@ -409,7 +410,7 @@ def cli_table(rows):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeat", type=int, default=5, help="calls per case; the best counts")
+    parser.add_argument("--repeat", type=int, default=5, help="calls per case, at most")
     parser.add_argument("--budget", type=float, default=10.0, help="seconds per case")
     parser.add_argument("--kappas", type=int, nargs="+", default=list(LADDER))
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
@@ -434,7 +435,7 @@ def main(argv=None):
         "repeat": args.repeat,
         "budget_s": args.budget,
         "kappas": args.kappas,
-        "unit": "ms, best of the calls made",
+        "unit": "ms: best_ms and median_ms of the calls made, spread_ms slowest minus fastest",
         "rows": rows,
         "string_search_rows": string_search_rows,
         "cli_kappa": CLI_KAPPA,

@@ -51,10 +51,8 @@ _EXPORTS = {
             "kappa_of",
             "magnitude",
             "negative_set",
-            "overlap_set",
             "parse_arrangement",
             "parse_pointer_string",
-            "positional_overlap",
             "positive_set",
             "realistic_decode",
             "reversal",
@@ -64,7 +62,6 @@ _EXPORTS = {
             "RootSubgraph",
             "find_root_subgraphs",
             "is_rooted",
-            "rspos",
         ),
         "rewriting": (
             "Rule",

@@ -27,6 +27,72 @@ size of the output.  Sets are int bitmasks from
 J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps only kappa to name them:
 its vertex ids, the strings "J<p>" and "Jp<p>" (serialized verbatim),
 are made on first use.
+
+The main theorem: for realistic u, direct(γ_u) is cps(R_u) with its
+vertices renamed.  Let u = a_1 ... a_n be a legal string on {2..kappa}
+with a root chain, and w a walk of ``reduction._root_walks``: the desire
+edge labelled p on the chain is (w[2(p-2)], w[2(p-2)+1]), and the links
+(w[1], w[2]), (w[3], w[4]), ... are reality edges.  Let φ send J'_p to
+that edge and J_p to the other desire edge labelled p.  φ is a bijection
+onto the vertices of cps(R_u) that keeps labels; the claim is that it
+sends the edges of direct(γ_u) exactly onto those of cps(R_u).
+
+* Gaps.  Gap g, for g = 0..n, lies after a_g, and gap n is gap 0 (the
+  reality edges close up).  The reality edge e_g = {I'_g, I_(g+1)} lies at
+  gap g, so vertex index k lies at gap (k + 1) >> 1, mod n.  Let P(g) be
+  the set of magnitudes occurring once in a_1 ... a_g, empty for g = 0
+  and, as u is legal, for g = n, and O(g, h) = P(g) XOR P(h): the
+  magnitudes occurring once between gaps g and h, either way round (the
+  paper's positional overlap O_u(g, h)).  Then O(g, h) XOR O(h, l) =
+  O(g, l).
+* Desire edges.  Let p occur at positions i < j.  The vertices I_i and
+  I'_i lie at gaps i - 1 and i, with O = {p}.  The straight pair, for
+  equal letters, is {I'_i, I_j} at gaps i and j - 1 and {I_i, I'_j} at
+  i - 1 and j: the letters strictly between the occurrences, with or
+  without both, give N(p).  The crossed pair, for positive p, is {I_i, I_j}
+  at i - 1 and j - 1 and {I'_i, I'_j} at i and j: one occurrence of p is
+  inside, giving N(p) XOR {p}.  Either way each desire edge labelled p
+  joins gaps g, h with O(g, h) = D(p).
+* The chain.  Let r_1 be the gap of w[0], and r_p that of w[2(p-2)+1] for
+  p = 2..kappa; for p < kappa the link makes r_p the gap of w[2(p-1)]
+  too (the paper's rspos).  The chain edge labelled p joins r_(p-1) to
+  r_p, so with X(g) = O(r_1, g), X(r_p) = S(p) for p = 1..kappa.
+* The ends.  The two desire edges labelled t each hold one vertex at each
+  occurrence of t, so each end y of the off-chain one shares its letter
+  with an end x of the chain one, and X(gap of y) = X(gap of x) XOR {t}.
+  So the ends of φ(J_t) have X = S(t-1) XOR {t} and S(t) XOR {t}, J_t's
+  keys; the end of J'_2 is w[0], with X = 0, and that of J'_kappa
+  (kappa > 2) is w[-1], with X = S(kappa).  The ends are thus the vertices
+  on no link, each keyed by X of its gap.
+* X is one-to-one on the gaps that are not links.  If X(g) = X(h) with
+  g != h, each of the two arcs between g and h is nonempty and holds both
+  or neither occurrence of each magnitude.  The labels 2..kappa cannot all
+  lie on one arc, so some p lies on one and p + 1 on the other, and the
+  link from p to p + 1, a gap between a letter p and a letter p + 1, is
+  g or h: one of them is a link.
+* The edges.  A reality edge that is not a link joins the two vertices at
+  its gap, and by the last step no other end has their key.  So the
+  matches are exactly these reality edges: one joining ends on φ(v) and
+  φ(w), v != w, is the edge φ(v) - φ(w) of cps(R_u), and one with both
+  ends on φ(v) is a self-loop of cps, dropped, and a match of v with
+  itself, skipped.  The links are the chain edges J'_p - J'_(p+1), and a
+  repeated pair is kept once on both sides (a 2-cycle of R_u).  At
+  kappa = 2, w[-1] = w[1] gives no end, and adds nothing: the two reality
+  edges either both join the chain edge to the other one, an edge that
+  w[0] gives, or each joins an edge to itself.
+
+The proof reads the chain, not realism, so it holds for every legal u on
+{2..kappa} with a root chain, and every realistic u has one.  In the
+arrangement u encodes, p is the last letter of segment p - 1 and the first
+of segment p, each read in its segment's orientation, for 3 <= p < kappa.
+The vertices of these two letters at the gaps inside the two segments have
+the same side exactly when one of the segments is inverted, that is when
+the letters differ, so they are joined by a crossed pair, and otherwise by
+a straight pair.  Joined by the gaps inside segments 2..kappa - 1, these
+edges and the desire edges from there to segments 1 and kappa make a root
+chain (at kappa = 2 a desire edge is one).  Since each desire edge meets
+two reality edges, the direct graph of a realistic graph, which is
+cps(R_u) renamed, has maximum degree 2.
 """
 
 from __future__ import annotations
@@ -99,10 +165,13 @@ def _matches(g: OverlapGraph, kappa: int) -> list[tuple[int, int, int, int]]:
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     """The root chain plus an edge for each matched pair of ends.
 
-    The caller is responsible for realism; other input gets edges by the
-    same rule, whose maximum degree 2 held on every signed graph up to
-    kappa 6 and on 40,000 random ones up to kappa 24 (a third edge would
-    raise ``ValueError``).  The kappa-3 match J'_2 - J'_3 repeats a chain edge.
+    The caller is responsible for realism.  On γ_u, for u realistic or
+    any legal string on {2..kappa} with a root chain, the result is
+    cps(R_u) renamed by φ, so its maximum degree is 2 (see the module
+    docstring).  Other input gets edges by the same rule, whose maximum
+    degree 2 held on every signed graph up to kappa 6 and on 40,000 random
+    ones up to kappa 24 (a third edge would raise ``ValueError``).  The
+    kappa-3 match J'_2 - J'_3 repeats a chain edge.
     """
     kappa = g.kappa()
     pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]

@@ -1,4 +1,4 @@
-"""Pointer strings, micronuclear arrangements, and the overlap calculus.
+"""Pointer strings and micronuclear arrangements.
 
 A pointer is a signed integer with |p| >= 2: the magnitude names the
 pointer, a negative sign marks the barred variant.  Pointer strings are
@@ -38,7 +38,7 @@ def bar(p: int) -> int:
 def _parse_token(tok: str) -> int:
     neg = tok.startswith("-")
     body = tok[1:] if neg else tok
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):  # isdigit alone takes '٣' and '²'
         raise ParseError(f"malformed pointer token {tok!r}")
     value = int(body)
     if value < 2:
@@ -54,7 +54,7 @@ def _parse_compact(text: str) -> PointerString:
             if neg:
                 raise ParseError("dangling '-' in compact pointer string")
             neg = True
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             value = int(ch)
             if value < 2:
                 raise ParseError(f"pointer magnitude must be >= 2, got {ch!r}")
@@ -114,7 +114,7 @@ def parse_arrangement(text: str) -> Arrangement:
         neg = body.startswith("-")
         if neg:
             body = body[1:]
-        if not body.startswith("M") or not body[1:].isdigit():
+        if not body.startswith("M") or not (body.isascii() and body[1:].isdigit()):
             raise ParseError(f"malformed arrangement token {tok!r}")
         k = int(body[1:])
         if k < 1:
@@ -298,32 +298,3 @@ def realistic_decode(seq) -> Arrangement | None:
 def is_realistic(seq) -> bool:
     return realistic_decode(seq) is not None
 
-
-# ---------------------------------------------------------------------------
-# overlap calculus
-
-def overlap_set(seq, p: int) -> frozenset[int]:
-    """Magnitudes whose occurrence interval interleaves the p-interval."""
-    at = occurrence_index(seq)
-    if magnitude(p) not in at:
-        raise ValueError(f"pointer {p} does not occur in the string")
-    i, j = at[magnitude(p)]
-    return positional_overlap(seq, i, j - 1)
-
-
-def positional_overlap(seq, i: int, j: int) -> frozenset[int]:
-    """Magnitudes with exactly one occurrence strictly between positions i and j.
-
-    Positions are the n+1 gaps of a length-n string, numbered 0..n; the
-    value is symmetric in i and j.
-    """
-    occurrence_index(seq)  # raises unless seq is legal
-    n = len(seq)
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"positions must lie in 0..{n}, got ({i}, {j})")
-    if i > j:
-        i, j = j, i
-    seen: set[int] = set()
-    for x in seq[i:j]:
-        seen ^= {magnitude(x)}
-    return frozenset(seen)

@@ -16,8 +16,8 @@ graph, vertex (i, side) is the index k = 2*(i-1) + side, so the indices
 the index at the other end of k's desire edge, and ``magnitudes[i-1]``,
 the magnitude at position i.  Reality partners need no table: e_i joins
 I'_i = 2i-1 to I_(i+1) = 2i, so an odd k is joined to k+1 and an even k
-to k-1, both mod 2n.  Cycles, root chains and positions are walks over
-these arrays.  The edge views ``vertices``, ``reality_edges`` and
+to k-1, both mod 2n.  Cycles and root chains are walks over these
+arrays.  The edge views ``vertices``, ``reality_edges`` and
 ``desire_edges`` hold (i, side) pairs and frozenset edges for output and
 tests; each is derived on first use.  Desire edges come in index order of
 their lower end, the order of ``desire_pairs``.
@@ -114,45 +114,13 @@ class ReductionGraph:
         """Desire edges as index pairs (k, desire[k]) with k < desire[k], in order of k."""
         return [(k, d) for k, d in enumerate(self.desire) if k < d]
 
-    def _index(self, v) -> int:
-        """Index k of vertex v, or -1 if v is not a vertex of this graph."""
-        if isinstance(v, tuple) and len(v) == 2:
-            i, side = v
-            if isinstance(i, int) and 1 <= i <= self.n and side in (0, 1):
-                return 2 * i - 2 + side
-        return -1
-
     def label(self, v: Vertex) -> int:
         return self.magnitudes[v[0] - 1]
-
-    def posn(self, v: Vertex) -> int:
-        """Position of the unique reality edge through v."""
-        i, side = v
-        if side == 1:
-            return i
-        return i - 1 if i > 1 else self.n
-
-    def posn_edge(self, e: Edge) -> int:
-        """Position of reality edge e, which joins an odd index k to k+1 (mod 2n)."""
-        if isinstance(e, (set, frozenset)) and len(e) == 2:
-            k, other = sorted(map(self._index, e))
-            if k >= 0 and other == (k + 1 if k & 1 else k - 1) % (2 * self.n):
-                return (k + 1) >> 1 or self.n
-        raise ValueError("positions are defined for reality edges only")
 
     def reality_edge_at(self, position: int) -> Edge:
         if not 1 <= position <= self.n:
             raise ValueError(f"positions run 1..{self.n}, got {position}")
         return frozenset(((position, 1), (position % self.n + 1, 0)))
-
-    def reality_edge_of(self, v: Vertex) -> Edge:
-        return self.reality_edge_at(self.posn(v))
-
-    def desire_edge_of(self, v: Vertex) -> Edge:
-        k = self._index(v)
-        if k < 0:
-            raise KeyError(v)
-        return frozenset((vertex(k), vertex(self.desire[k])))
 
     def cycles(self):
         """Alternating cycles as index walks k, desire[k], ..., from their least k, in that order."""
@@ -216,9 +184,6 @@ class RootSubgraph(Record):
             out |= e
         return frozenset(out)
 
-    def contains_vertex(self, v: Vertex) -> bool:
-        return any(v in e for e in self.desire_chain)
-
 
 def _root_walks(rg: ReductionGraph):
     """Each root chain as the index walk [k0, k1, ..., k_last], in chain order.
@@ -270,23 +235,3 @@ def find_root_subgraphs(rg: ReductionGraph) -> list[RootSubgraph]:
 def is_rooted(rg: ReductionGraph) -> bool:
     return next(_root_walks(rg), None) is not None
 
-
-def rspos(rg: ReductionGraph, chain: RootSubgraph, k: int) -> int:
-    """Positions of the reality edges meeting a root chain.
-
-    For 2 <= k < kappa this is the position of the chain's internal link
-    between the desire edges labelled k and k+1; k = 1 and k = kappa give
-    the positions of the external reality edges at the label-2 and
-    label-kappa ends.  For kappa = 2 the two external positions are
-    reported in ascending order.
-    """
-    kappa = len(chain.desire_chain) + 1
-    if not 1 <= k <= kappa:
-        raise ValueError(f"k must lie in 1..{kappa}, got {k}")
-    if 2 <= k < kappa:
-        return rg.posn_edge(chain.reality_links[k - 2])
-    low, high = chain.free_ends
-    if kappa == 2:
-        a, b = sorted((rg.posn(low), rg.posn(high)))
-        return a if k == 1 else b
-    return rg.posn(low) if k == 1 else rg.posn(high)

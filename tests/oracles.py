@@ -98,6 +98,12 @@ def positional_overlap(u, i, j):
     )
 
 
+def overlap_set(u, p):
+    """Magnitudes with one occurrence strictly between the two occurrences of p."""
+    i, j = occurrence_positions(u, p)
+    return positional_overlap(u, i, j - 1)
+
+
 def overlap_pairs(u):
     """Interleaving-interval formulation of the overlap relation."""
     positions = {}
@@ -418,6 +424,52 @@ def edge_set_root_subgraphs(rg):
                     found.append(RootSubgraph(desire_chain=tuple(chain), reality_links=tuple(links),
                                               free_ends=(other(d2, start), cursor)))
     return found
+
+
+def rspos(rg, chain, k):
+    """Positions of the reality edges meeting a root chain, on an ``EdgeSetReductionGraph``.
+
+    For 2 <= k < kappa this is the position of the chain's link between
+    the desire edges labelled k and k+1; k = 1 and k = kappa give the
+    positions of the reality edges at the free ends of the label-2 and
+    label-kappa edges.  For kappa = 2 the two are reported in ascending order.
+    """
+    kappa = len(chain.desire_chain) + 1
+    if not 1 <= k <= kappa:
+        raise ValueError(f"k must lie in 1..{kappa}, got {k}")
+    if 2 <= k < kappa:
+        return rg.posn_edge(chain.reality_links[k - 2])
+    ends = [rg.posn(v) for v in chain.free_ends]
+    if kappa == 2:
+        ends.sort()
+    return ends[0] if k == 1 else ends[1]
+
+
+def root_chain_map(rg, walk):
+    """φ of the ``direct`` docstring: the cps(R_u) vertex index of each direct vertex index.
+
+    ``walk`` is a walk of ``reduction._root_walks(rg)``.  J'_p, at direct
+    index 2(p-2)+1, goes to the chain's desire edge (walk[2(p-2)],
+    walk[2(p-2)+1]), and J_p, at 2(p-2), to the other desire edge labelled
+    p; the cps index of a desire edge is its rank in ``rg.desire_pairs()``.
+    """
+    rank = {}
+    by_label = {}
+    for r, (a, b) in enumerate(rg.desire_pairs()):
+        rank[a] = rank[b] = r
+        by_label.setdefault(rg.magnitudes[a >> 1], []).append(r)
+    phi = []
+    for p in range(2, len(walk) // 2 + 2):
+        on = rank[walk[2 * (p - 2)]]
+        (off,) = (r for r in by_label[p] if r != on)
+        phi += (off, on)
+    return phi
+
+
+def index_edges(graph):
+    """The edges of a ``LabelledGraph`` as frozensets of vertex indices, read from its partner arrays."""
+    return {frozenset((v, w)) for partners in (graph.first, graph.second)
+            for v, w in enumerate(partners) if w >= 0}
 
 
 def encode_arrangement(arrangement):

@@ -265,29 +265,29 @@ def _check_window_identities(u, rng):
     n = len(u)
     for _ in range(12):
         i, j, k = (rng.randint(0, n) for _ in range(3))
-        lhs = pointers.positional_overlap(u, i, j) ^ pointers.positional_overlap(u, j, k)
-        if lhs != pointers.positional_overlap(u, i, k):
+        lhs = oracles.positional_overlap(u, i, j) ^ oracles.positional_overlap(u, j, k)
+        if lhs != oracles.positional_overlap(u, i, k):
             bad += 1
     for i in range(n + 1):
-        if pointers.positional_overlap(u, i, n) != pointers.positional_overlap(u, 0, i):
+        if oracles.positional_overlap(u, i, n) != oracles.positional_overlap(u, 0, i):
             bad += 1
     return bad
 
 
 def _check_reduction_windows(u):
     bad = 0
-    rg = reduction.ReductionGraph(u)
+    rg = oracles.EdgeSetReductionGraph(u)
     pos = pointers.positive_set(u)
     for e in rg.desire_edges:
         v1, v2 = tuple(e)
         p = rg.label(v1)
-        want = pointers.overlap_set(u, p)
+        want = oracles.overlap_set(u, p)
         if p in pos:
             want = want ^ {p}
-        if pointers.positional_overlap(u, rg.posn(v1), rg.posn(v2)) != want:
+        if oracles.positional_overlap(u, rg.posn(v1), rg.posn(v2)) != want:
             bad += 1
     for i in range(1, len(u) + 1):
-        window = pointers.positional_overlap(u, rg.posn((i, 0)), rg.posn((i, 1)))
+        window = oracles.positional_overlap(u, rg.posn((i, 0)), rg.posn((i, 1)))
         if window != {pointers.magnitude(u[i - 1])}:
             bad += 1
     bad += _check_alternating_paths(u, rg, pos)
@@ -310,8 +310,8 @@ def _check_alternating_paths(u, rg, pos):
             e2 = rg.reality_edge_of(far)
             expected = frozenset(pos & set(labels))
             for t in labels:
-                expected = expected ^ pointers.overlap_set(u, t)
-            if pointers.positional_overlap(u, rg.posn_edge(e1), rg.posn_edge(e2)) != expected:
+                expected = expected ^ oracles.overlap_set(u, t)
+            if oracles.positional_overlap(u, rg.posn_edge(e1), rg.posn_edge(e2)) != expected:
                 bad += 1
             cursor = next(v for v in e2 if v != far)
             if rg.posn_edge(e2) == rg.posn_edge(e1):
@@ -321,23 +321,24 @@ def _check_alternating_paths(u, rg, pos):
 
 def _check_rooted_chain_identities(u):
     bad = 0
-    rg = reduction.ReductionGraph(u)
+    rg = oracles.EdgeSetReductionGraph(u)
     dom = sorted(pointers.domain(u))
     pos = pointers.positive_set(u)
-    for chain in reduction.find_root_subgraphs(rg):
+    for chain in reduction.find_root_subgraphs(reduction.ReductionGraph(u)):
+        on = chain.vertices
         for i in range(1, len(u) + 1):
-            if chain.contains_vertex((i, 0)) + chain.contains_vertex((i, 1)) != 1:
+            if ((i, 0) in on) + ((i, 1) in on) != 1:
                 bad += 1
         off = [rg.posn_edge(e) for e in rg.reality_edges if e not in chain.reality_links]
         for i in off:
             for j in off:
-                if (pointers.positional_overlap(u, i, j) == frozenset()) != (i == j):
+                if (oracles.positional_overlap(u, i, j) == frozenset()) != (i == j):
                     bad += 1
         for a in range(len(dom)):
             for b in range(a + 1, len(dom)):
                 p, q = dom[a], dom[b]
                 exists = any(
-                    not (chain.contains_vertex(v1) or chain.contains_vertex(v2))
+                    not (v1 in on or v2 in on)
                     and {rg.label(v1), rg.label(v2)} == {p, q}
                     for v1, v2 in map(tuple, rg.reality_edges)
                 )
@@ -346,7 +347,7 @@ def _check_rooted_chain_identities(u):
                     window = set(range(p + 1, q)) | extra
                     value = frozenset()
                     for t in window:
-                        value = value ^ pointers.overlap_set(u, t)
+                        value = value ^ oracles.overlap_set(u, t)
                     if value == (pos & window) ^ {p, q}:
                         holds = True
                         break

@@ -41,6 +41,10 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
                            "canonical_labelled, one label", "canonical_labelled, 2,3 repeated"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
+    # every layer and string search row has a median and a spread, as the CLI rows do
+    for r in report["rows"] + report["string_search_rows"]:
+        assert r["median_ms"] >= r["best_ms"] and r["spread_ms"] >= 0
+        assert r["calls"] > 1 or r["spread_ms"] == 0
     assert report["cli_kappa"] == 8
     assert [r["command"] for r in report["cli_rows"]] == list(bench.CLI_COMMANDS)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] > 0 for r in report["cli_rows"])
@@ -171,13 +175,14 @@ def test_quadratic_growth_past_the_budget_skips_the_next_kappa(bench, monkeypatc
 
     def every_call_takes_30_ms(fn, arg, repeat, budget, fresh=None):
         timed.append(fn)
-        return 0.03, 1
+        return [0.03]
 
-    monkeypatch.setattr(bench, "best_of", every_call_takes_30_ms)
+    monkeypatch.setattr(bench, "timed_calls", every_call_takes_30_ms)
     rows = bench.measure([4, 5, 20], repeat=1, budget=0.1)
     # 0.03 s * (5/4)^2 stays under 0.1 s; 0.03 s * (20/5)^2 does not
     assert len(timed) == 2 * len(bench.LAYERS)
-    assert all(r["best_ms"] == 30 for r in rows if r["kappa"] in (4, 5))
+    assert all((r["best_ms"], r["median_ms"], r["spread_ms"]) == (30, 30, 0)
+               for r in rows if r["kappa"] in (4, 5))
     assert all(r["skipped"] == "one call took 0.03 s at kappa 5, so growing with kappa "
                "squared it would take over 0.1 s at kappa 20" for r in rows if r["kappa"] == 20)
 

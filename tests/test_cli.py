@@ -435,6 +435,19 @@ class TestEdgeInputs:
         code, out, _ = run(["decode", ""])
         assert (code, out) == (4, "not-realistic\n")
 
+    # str.isdigit is true for '\u0663', '\u00b2' and '\u0662'; pointer and arrangement text takes only 0-9
+    @pytest.mark.parametrize("argv, message", [
+        (["components", "--", "\u06632\u06632"], "malformed pointer token '\u06632\u06632'"),
+        (["components", "--", "2\u00b2"], "malformed pointer token '2\u00b2'"),
+        (["validate", "--", "2 \u0663 2 \u0663"], "malformed pointer token '\u0663'"),
+        (["overlap", "--", "2 -\u00b2"], "malformed pointer token '-\u00b2'"),
+        (["encode", "--", "M1 M\u0662"], "malformed arrangement token 'M\u0662'"),
+        (["encode", "--", "-M\u0662 M1"], "malformed arrangement token '-M\u0662'"),
+    ], ids=["compact", "compact-superscript", "spaced", "spaced-barred", "arrangement",
+            "arrangement-inverted"])
+    def test_only_ascii_digits(self, argv, message):
+        assert run(argv) == (2, "", f"error: {message}\n")
+
     def test_direct_from_graph_json_matches_string_route(self):
         _, via_string, _ = run(["direct", "--string", "453475623267"])
         _, overlap_json, _ = run(["overlap", "453475623267"])

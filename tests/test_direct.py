@@ -127,6 +127,47 @@ class TestWorkedExamples:
         assert found == 2 * (windows + 6)
 
 
+def assert_root_chain_maps_exactly(u):
+    """φ of every root walk sends the edges of direct(γ_u) exactly onto those of cps(R_u)."""
+    rg = reduction.ReductionGraph(u)
+    walks = list(reduction._root_walks(rg))
+    assert walks, u
+    want = oracles.index_edges(compress.cps(rg))
+    built = oracles.index_edges(direct.direct_reduction_graph(overlap.overlap_graph(u)))
+    for walk in walks:
+        phi = oracles.root_chain_map(rg, walk)
+        assert {frozenset(phi[v] for v in e) for e in built} == want, (u, walk)
+
+
+class TestRootChainMap:
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    def test_maps_every_encoded_arrangement_exactly(self, arr):
+        assert_root_chain_maps_exactly(pointers.encode_arrangement(arr))
+
+    def test_maps_rooted_strings_that_are_not_realistic(self):
+        # the proof in the direct docstring reads only the root chain
+        rng = random.Random(84)
+        checked = 0
+        while checked < 300:
+            kappa = rng.randint(2, 7)
+            u = tuple(shuffled_string(rng, kappa))
+            if pointers.is_realistic(u) or not reduction.is_rooted(reduction.ReductionGraph(u)):
+                continue
+            assert_root_chain_maps_exactly(u)
+            checked += 1
+
+    def test_examples(self):
+        # 234234 encodes M1 M3 M2 M4 and has two root chains, one through the gaps
+        # inside M2 and M3 and one through gaps between segments
+        rg = reduction.ReductionGraph((2, 3, 4, 2, 3, 4))
+        walks = list(reduction._root_walks(rg))
+        assert [oracles.root_chain_map(rg, walk) for walk in walks] == [
+            [1, 0, 2, 3, 5, 4], [0, 1, 3, 2, 4, 5]]
+        for u in ((2, 3, 4, 2, 3, 4), (2, 2), (2, -2), (7, 2, 6, 7, 3, 4, 5, 6, -3, -2, 4, 5)):
+            assert_root_chain_maps_exactly(u)
+
+
 class TestMainEquivalence:
     def _check(self, u):
         rg = reduction.ReductionGraph(u)
@@ -181,6 +222,7 @@ class TestMainEquivalence:
                     compressed = compress.cps(reduction.ReductionGraph(u))
                     assert iso.canonical_labelled(compressed) == iso.canonical_labelled(
                         direct.direct_reduction_graph(g)), u
+                    assert_root_chain_maps_exactly(u)
         assert len(graphs) == 2 + 8 + 48 + 384 + 3840
 
     def test_random_up_to_cap(self):

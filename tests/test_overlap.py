@@ -70,7 +70,7 @@ class TestConstruction:
             u = sampling.random_legal_string(rng, gaps=False)
             g = overlap.overlap_graph(u)
             for p in pointers.domain(u):
-                assert g.neighbors(p) == pointers.overlap_set(u, p)
+                assert g.neighbors(p) == oracles.overlap_set(u, p)
 
     def test_invariance_under_string_symmetries(self):
         rng = random.Random(23)
