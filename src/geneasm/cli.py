@@ -31,7 +31,7 @@ that starts with a barred pointer, as in ``geneasm components -3-223``;
 ``--`` before it still works.
 
 Only the modules a verb runs are imported: each verb imports its own at
-call time, and the package loads its submodules on first use, so
+call time, and the package's ``__init__`` imports nothing, so
 ``encode`` loads ``pointers`` and ``errors`` and none of the graph code.
 """
 

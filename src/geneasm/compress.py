@@ -130,6 +130,7 @@ class LabelledGraph(Record):
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
+    @cached_property
     def walks(self) -> tuple:
         """Each component as a list of vertex indices in walk order, walked once and kept.
 
@@ -138,10 +139,6 @@ class LabelledGraph(Record):
         lowest index towards its ``first`` partner.  A walk is a cycle
         exactly when its start has a ``second`` partner.
         """
-        return self._walks
-
-    @cached_property
-    def _walks(self) -> tuple:
         first, second = self.first, self.second
         seen = bytearray(len(first))
         walks = []
@@ -161,7 +158,7 @@ class LabelledGraph(Record):
         return tuple(walks)
 
     def component_count(self) -> int:
-        return len(self._walks)
+        return len(self.walks)
 
 
 def _desire_ids(pairs) -> tuple:

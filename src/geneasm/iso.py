@@ -11,7 +11,7 @@ One coder writes every code, from each component's labels in walk order
 and whether it is closed: a path's code is the smaller of its two
 readings, a cycle's the least rotation of either reading, so no code
 depends on where its walk started.  ``canonical_labelled`` feeds it
-``LabelledGraph.walks()``; ``canonical_2edge`` codes a reduction graph
+``LabelledGraph.walks``; ``canonical_2edge`` codes a reduction graph
 as its compression, from ``ReductionGraph.cycles()``.  Other
 2-edge-coloured graphs are left to the tests' generic oracle.  The least
 rotation is a linear two-candidate scan over the occurrences of the
@@ -77,13 +77,13 @@ def _code(components) -> str:
 def canonical_labelled(g) -> str:
     """Canonical code of a ``LabelledGraph``; equal codes iff isomorphic.
 
-    Reads only vertex indices: the components from ``g.walks()`` (paths
+    Reads only vertex indices: the components from ``g.walks`` (paths
     and isolated vertices from an end, then cycles), their labels from
     ``g.index_labels``.  The vertex ids are never named.
     """
     label = g.index_labels.__getitem__
     second = g.second
-    return _code([(tuple(map(label, walk)), second[walk[0]] >= 0) for walk in g.walks()])
+    return _code([(tuple(map(label, walk)), second[walk[0]] >= 0) for walk in g.walks])
 
 
 def canonical_2edge(rg) -> str:

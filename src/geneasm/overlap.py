@@ -107,10 +107,6 @@ class OverlapGraph(Record):
                 yield order[s - 2], [q for q, bit in zip(names[s - 1 :], bin(above)[:1:-1])
                                      if bit == "1"]
 
-    @property
-    def negative(self) -> frozenset[int]:
-        return self.vertices - self.positive
-
     def sign(self, p: int) -> str:
         if p not in self.vertices:
             raise ValueError(f"{p} is not a vertex")

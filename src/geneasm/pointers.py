@@ -27,11 +27,6 @@ def magnitude(p: int) -> int:
     return -p if p < 0 else p
 
 
-def bar(p: int) -> int:
-    """Barring is an involution: bar(bar(p)) == p."""
-    return -p
-
-
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -46,53 +41,42 @@ def _parse_token(tok: str) -> int:
     return -value if neg else value
 
 
-def _parse_compact(text: str) -> PointerString:
+def _parse_compact(text: str) -> PointerString | None:
+    """One pointer per ASCII digit 2-9, each may be barred by a '-' before it; else None."""
     out = []
     neg = False
     for ch in text:
         if ch == "-":
             if neg:
-                raise ParseError("dangling '-' in compact pointer string")
+                return None
             neg = True
-        elif "0" <= ch <= "9":
-            value = int(ch)
-            if value < 2:
-                raise ParseError(f"pointer magnitude must be >= 2, got {ch!r}")
-            out.append(-value if neg else value)
+        elif "2" <= ch <= "9":
+            out.append(-int(ch) if neg else int(ch))
             neg = False
         else:
-            raise ParseError(f"unexpected character {ch!r} in compact pointer string")
-    if neg:
-        raise ParseError("dangling '-' in compact pointer string")
-    return tuple(out)
+            return None
+    return None if neg else tuple(out)
 
 
-def parse_pointer_string(text: str, fmt: str = "auto") -> PointerString:
+def parse_pointer_string(text: str) -> PointerString:
     """Parse a pointer string in spaced or compact format.
 
     Spaced format is whitespace-separated tokens such as ``"3 2 -4 3 -2 4"``;
-    compact format packs one digit per pointer, ``"32-43-24"``.  With
-    ``fmt="auto"`` input containing whitespace is parsed as spaced and a
-    single run of characters as compact (falling back to a lone spaced token
-    for a multi-digit magnitude such as ``"11"``).  Legality is not checked
-    here so that arbitrary pointer sequences can be inspected.
+    compact format packs one digit per pointer, ``"32-43-24"``.  Input
+    containing whitespace is parsed as spaced and a single run of
+    characters as compact, falling back to a lone spaced token (for a
+    multi-digit magnitude such as ``"11"``), whose error is the one
+    raised.  Legality is not checked here so that arbitrary pointer
+    sequences can be inspected.
     """
-    if fmt not in ("auto", "spaced", "compact"):
-        raise ValueError(f"unknown format {fmt!r}")
     tokens = text.split()
     if not tokens:
         return ()
-    if fmt == "spaced" or (fmt == "auto" and len(tokens) > 1):
-        return tuple(_parse_token(tok) for tok in tokens)
-    if fmt == "compact":
-        if len(tokens) > 1:
-            raise ParseError("compact pointer string must not contain whitespace")
-        return _parse_compact(tokens[0])
-    # auto, single token: compact first, spaced as fallback for values >= 10
-    try:
-        return _parse_compact(tokens[0])
-    except ParseError:
-        return (_parse_token(tokens[0]),)
+    if len(tokens) == 1:
+        compact = _parse_compact(tokens[0])
+        if compact is not None:
+            return compact
+    return tuple(_parse_token(tok) for tok in tokens)
 
 
 def format_pointer_string(seq, fmt: str = "spaced") -> str:
@@ -180,15 +164,6 @@ def domain(seq) -> frozenset[int]:
 def positive_set(seq) -> frozenset[int]:
     """Magnitudes occurring once barred and once unbarred."""
     return frozenset(p for p, (i, j) in occurrence_index(seq).items() if seq[i - 1] != seq[j - 1])
-
-
-def negative_set(seq) -> frozenset[int]:
-    return domain(seq) - positive_set(seq)
-
-
-def kappa_of(seq) -> int:
-    """|dom(u)| + 1, the number of micronuclear segments for contiguous domains."""
-    return len(domain(seq)) + 1
 
 
 def occurrence_index(seq) -> dict[int, tuple[int, int]]:

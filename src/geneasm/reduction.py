@@ -104,7 +104,8 @@ class ReductionGraph:
 
     @cached_property
     def reality_edges(self) -> tuple[Edge, ...]:
-        return tuple(map(self.reality_edge_at, range(1, self.n + 1)))
+        n = self.n
+        return tuple(frozenset(((i, 1), (i % n + 1, 0))) for i in range(1, n + 1))
 
     @cached_property
     def desire_edges(self) -> tuple[Edge, ...]:
@@ -116,11 +117,6 @@ class ReductionGraph:
 
     def label(self, v: Vertex) -> int:
         return self.magnitudes[v[0] - 1]
-
-    def reality_edge_at(self, position: int) -> Edge:
-        if not 1 <= position <= self.n:
-            raise ValueError(f"positions run 1..{self.n}, got {position}")
-        return frozenset(((position, 1), (position % self.n + 1, 0)))
 
     def cycles(self):
         """Alternating cycles as index walks k, desire[k], ..., from their least k, in that order."""

@@ -183,9 +183,9 @@ def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_S
     """
     code = _check_kinds(kinds, _STRING_CODE)
     u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
+    # every rule keeps legality, so only the start is checked, and before the cap
+    if len(pointers.occurrence_index(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
     named: dict[tuple, Rule] = {}
     memo: dict[tuple, list[tuple]] = {(): [()]}
 
@@ -322,8 +322,11 @@ def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[Rule]
 
 
 def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:
+    """The graph one rule leaves; a gdr rule acts on an edge, named either way round."""
     state = _graph_state(g)
     kinds = _check_kinds((rule.kind,), _CODE)
+    if rule.kind == "gdr":
+        rule = Rule("gdr", tuple(sorted(rule.params)))
     in_slots = {_named(r, g.vertex_order): r for r in _graph_rules(state, kinds)}
     if rule not in in_slots:
         raise ValueError(f"rule {rule} is not applicable")
@@ -500,7 +503,11 @@ _RULE_RE = re.compile(r"^(snr|spr|sdr|gnr|gpr|gdr)_(?:([0-9]+)|\{([0-9]+),([0-9]
 
 
 def parse_rule_sequence(text: str):
-    """Parse a serialized sequence back into application order."""
+    """Parse a serialized sequence back into application order.
+
+    Each pointer has magnitude at least 2, and a double rule names two
+    different pointers.
+    """
     rules = []
     for tok in text.split():
         m = _RULE_RE.match(tok)
@@ -515,5 +522,9 @@ def parse_rule_sequence(text: str):
             params = (int(m.group(3)), int(m.group(4)))
             if kind not in ("sdr", "gdr"):
                 raise ParseError(f"rule {tok!r} takes a single parameter")
+            if params[0] == params[1]:
+                raise ParseError(f"rule {tok!r} needs two different pointers")
+        if min(params) < 2:
+            raise ParseError(f"pointer magnitude must be >= 2, got {tok!r}")
         rules.append(Rule(kind, params))
     return list(reversed(rules))

@@ -882,9 +882,9 @@ def successful_string_reductions(u, kinds=STRING_KINDS, max_domain=6):
     if not kinds <= STRING_KINDS:
         raise ValueError(f"unknown rule kinds {sorted(kinds - STRING_KINDS)}")
     u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
+    # raises unless u is legal, before the cap; every rule keeps legality
+    if len(pointers.occurrence_index(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.occurrence_index(u)  # raises unless u is legal; every rule keeps legality
     edges = {}
 
     def successors(v):
@@ -924,9 +924,9 @@ def negative_rule_counts(u, max_domain=6) -> set[int]:
     from geneasm.rewriting import _string_successors
 
     u = tuple(u)
-    if len(pointers.domain(u)) > max_domain:
+    # every rule keeps legality, so only the start is checked, and before the cap
+    if len(pointers.occurrence_index(u)) > max_domain:
         raise CapError(f"domain exceeds the search cap {max_domain}")
-    pointers.occurrence_index(u)  # every rule keeps legality, so only the start is checked
     memo: dict[tuple, frozenset[int]] = {(): frozenset({0})}
 
     def counts(v):

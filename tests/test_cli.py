@@ -610,7 +610,7 @@ class TestSeededVerbs:
             assert check == "check=root-subgraph"
             text = source.removeprefix("input=")
             seq = pointers.parse_pointer_string(text)
-            assert kappa == f"kappa={pointers.kappa_of(seq)}"
+            assert kappa == f"kappa={len(pointers.domain(seq)) + 1}"
             assert run(["components", "--", text])[0] == 0
             assert run(["classify", f"--string={text}"])[0] == 0
 

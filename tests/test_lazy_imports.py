@@ -1,11 +1,10 @@
-"""The package and the CLI load submodules on first use.
+"""The package and the CLI load only the submodules a run uses.
 
-``import geneasm`` binds no submodule, each public name resolves to the
-object its submodule defines, and a short CLI verb loads only the modules
-on its own code path.
+``import geneasm`` loads no submodule, as every name is read from the
+submodule that defines it, and each CLI verb loads only the modules on
+its own code path.
 """
 
-import importlib
 import os
 import subprocess
 import sys
@@ -30,11 +29,14 @@ _RUN_AS_MAIN = (
 )
 
 
-def _modules_loaded_by(argv):
+def _python_stdout(code, *argv):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *argv], env=env,
-                          capture_output=True, text=True, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _modules_loaded_by(argv):
+    return set(_python_stdout(_RUN_AS_MAIN, *argv).splitlines()[-1].split())
 
 
 @pytest.mark.parametrize(
@@ -120,31 +122,13 @@ def test_iso_check_strings_loads_neither_graph_side():
                 "geneasm.kernels"} & loaded
 
 
-def test_every_export_is_its_submodules_object():
-    for name in geneasm.__all__:
-        module = importlib.import_module(f"geneasm.{geneasm._EXPORTS[name]}")
-        assert getattr(geneasm, name) is getattr(module, name)
-    assert set(geneasm.__all__) <= set(dir(geneasm))
-
-
-def test_star_import_binds_every_export():
-    namespace = {}
-    exec("from geneasm import *", namespace)
-    assert set(geneasm.__all__) <= set(namespace)
-    for name in geneasm.__all__:
-        assert namespace[name] is getattr(geneasm, name)
-
-
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         geneasm.nope
     assert not hasattr(geneasm, "brute_force_isomorphic")
 
 
-def test_submodules_resolve_as_attributes():
-    # in a fresh process, where import geneasm has bound no submodule yet
-    code = "import geneasm, sys; print(geneasm.kernels is sys.modules['geneasm.kernels'])"
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.split() == ["True"]
+def test_import_geneasm_loads_no_submodule():
+    code = ("import sys; before = set(sys.modules); import geneasm; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert _python_stdout(code).split() == ["geneasm"]

@@ -30,7 +30,7 @@ class TestConstruction:
     def test_signed_graph(self):
         g = gamma("72673456-3-245")
         assert g.positive == {2, 3}
-        assert g.negative == {4, 5, 6, 7}
+        assert g.vertices - g.positive == {4, 5, 6, 7}
         assert g.edges == {
             (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6),
             (4, 5), (4, 6), (5, 6), (6, 7),
@@ -106,7 +106,7 @@ class TestConstruction:
             assert g.neighbor_masks == rebuilt.neighbor_masks == tuple(want)
             assert g == rebuilt and hash(g) == hash(rebuilt)
         # views computed on one graph only do not enter the comparison
-        g.components(), g.edges, g.negative
+        g.components(), g.edges
         fresh = overlap.OverlapGraph(g.vertices, g.positive, g.edges)
         assert "edges" in vars(g) and "edges" not in vars(fresh)
         assert g == fresh and hash(g) == hash(fresh)

@@ -46,20 +46,12 @@ class TestParsing:
     @pytest.mark.parametrize("digit", ["\u0663", "\u00b2", "\u2082", "\uff13"],
                              ids=["arabic-indic-3", "superscript-2", "subscript-2", "fullwidth-3"])
     def test_only_ascii_digits(self, digit):
-        with pytest.raises(ParseError, match=r"^unexpected character .* in compact pointer string$"):
-            pointers.parse_pointer_string(f"2{digit}2{digit}", fmt="compact")
         for text in (f"2{digit}2{digit}", f"2 {digit} 2 {digit}", f"2 -{digit} 2 {digit}"):
             with pytest.raises(ParseError, match=r"^malformed pointer token "):
                 pointers.parse_pointer_string(text)
         for text in (f"M1 M{digit}", f"M1 -M{digit}", f"M{digit} M1"):
             with pytest.raises(ParseError, match=r"^malformed arrangement token "):
                 pointers.parse_arrangement(text)
-
-    def test_explicit_formats(self):
-        assert pointers.parse_pointer_string("23", fmt="spaced") == (23,)
-        assert pointers.parse_pointer_string("23", fmt="compact") == (2, 3)
-        with pytest.raises(ParseError):
-            pointers.parse_pointer_string("2 3", fmt="compact")
 
     def test_round_trip_both_formats(self):
         rng = random.Random(11)
@@ -69,7 +61,7 @@ class TestParsing:
             )
             for fmt in ("spaced", "compact"):
                 text = pointers.format_pointer_string(u, fmt)
-                assert pointers.parse_pointer_string(text, fmt=fmt) == u
+                assert pointers.parse_pointer_string(text) == u
 
     def test_compact_rejects_large_magnitudes(self):
         with pytest.raises(ValueError):
@@ -77,11 +69,6 @@ class TestParsing:
 
 
 class TestBasics:
-    def test_bar_involution(self):
-        for p in (2, -2, 9, -13):
-            assert pointers.bar(pointers.bar(p)) == p
-            assert pointers.magnitude(p) >= 2
-
     def test_is_legal(self):
         assert pointers.is_legal((2, 4, 5, 3, 5, 4, 2, 3))
         assert pointers.is_legal((2, 2, 4, 4))
@@ -124,7 +111,7 @@ class TestBasics:
     def test_polarity_partition(self):
         u = seq("32-43-24")
         assert pointers.positive_set(u) == {2, 4}
-        assert pointers.negative_set(u) == {3}
+        assert pointers.domain(u) - pointers.positive_set(u) == {3}
         v = seq("24535423")
         assert pointers.positive_set(v) == frozenset()
         assert pointers.domain(()) == frozenset()

@@ -205,11 +205,12 @@ class TestStringSearchAgainstTheDFS:
         (tuple(range(2, 9)) * 2, rewriting.ALL_STRING_RULES, 6, CapError),
         (tuple(range(2, 9)) * 2, rewriting.ALL_STRING_RULES, 7, None),
         ((2, 3, 4, 2, 3, 4), rewriting.ALL_STRING_RULES, 2, CapError),
-        (tuple(range(2, 9)), rewriting.ALL_STRING_RULES, 6, CapError),  # the cap is checked first
+        (tuple(range(2, 16, 2)) * 2, rewriting.ALL_STRING_RULES, 6, CapError),  # 7 pointers, gaps
         ((2, 3, 2), rewriting.ALL_STRING_RULES, 6, LegalityError),
         ((2, 2, 2, 2), rewriting.ALL_STRING_RULES, 6, LegalityError),
         ((2, 2), ("snr", "gnr"), 6, ValueError),
         (tuple(range(2, 9)), ("snr", "bogus"), 6, ValueError),  # the kinds come before the cap
+        (tuple(range(2, 9)), rewriting.ALL_STRING_RULES, 6, LegalityError),  # legality too
     ])
     def test_the_same_errors_as_the_dfs(self, u, kinds, max_domain, error):
         def outcome(search, *args):
@@ -297,6 +298,14 @@ class TestGraphRules:
         with pytest.raises(ValueError):
             rewriting.apply_graph_rule(gamma("2233"), Rule("gdr", (2, 3)))
 
+    def test_double_rule_takes_its_edge_in_either_order(self):
+        g = overlap.OverlapGraph({2, 3}, set(), {(2, 3)})
+        for params in ((2, 3), (3, 2)):
+            assert not rewriting.apply_graph_rule(g, Rule("gdr", params)).vertices
+        g = gamma("453475623267")
+        assert (rewriting.apply_graph_rule(g, Rule("gdr", (6, 3)))
+                == rewriting.apply_graph_rule(g, Rule("gdr", (3, 6))))
+
     def test_rules_shrink_vertex_count(self):
         rng = random.Random(94)
         for _ in range(80):
@@ -334,7 +343,9 @@ class TestPublishedReductions:
         assert rules[0] == Rule("gdr", (3, 6))  # rightmost applies first
         assert rewriting.format_rule_sequence(rules) == text
 
-    @pytest.mark.parametrize("bad", ["xyz_2", "snr", "snr_{2,3}", "sdr_2", "gdr_4"])
+    @pytest.mark.parametrize("bad", ["xyz_2", "snr", "snr_{2,3}", "sdr_2", "gdr_4", "snr_0",
+                                     "spr_1", "gnr_01", "sdr_{1,3}", "gdr_{3,0}", "gdr_{3,3}",
+                                     "sdr_{2,2}", "snr_0 spr_1 gdr_{3,3}"])
     def test_malformed_sequences(self, bad):
         with pytest.raises(ParseError):
             rewriting.parse_rule_sequence(bad)
