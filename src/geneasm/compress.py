@@ -5,17 +5,17 @@ construction, parsed direct-graph JSON) has maximum degree two, so a
 ``LabelledGraph`` is a tuple of labels by vertex index and two partner
 arrays over vertex indices, not a neighbour set per vertex.  Vertex ids
 are named only on request: a graph keeps the plain data they come from
-(``cps`` its desire pairs, the direct construction its kappa), and the
+(``cps`` its desire array, the direct construction its kappa), and the
 id -> label dict and the edge set are derived from it on first use.
 The canonical form and the component count read only the indices, from
-one walk per graph, kept on it.
+one walk per graph, kept on it.  ``cps`` hands that walk over with the
+graph, read off the reduction graph's own cycle walk, so a compressed
+graph is never walked again.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .record import Record
+from .record import Record, kept
 
 
 class LabelledGraph(Record):
@@ -57,11 +57,17 @@ class LabelledGraph(Record):
 
     @classmethod
     def _from_partners(cls, index_labels: tuple, first: list, second: list,
-                       id_source: tuple) -> LabelledGraph:
-        """The graph with these partner arrays, taken as given: each edge in both ends' entries."""
+                       id_source: tuple, walks: tuple | None = None) -> LabelledGraph:
+        """The graph with these partner arrays, taken as given: each edge in both ends' entries.
+
+        ``walks``, if given, is kept as the graph's walks, which must equal what
+        ``walks`` would find.
+        """
         g = cls.__new__(cls)
         g.__dict__.update(index_labels=index_labels, first=first, second=second,
                           id_source=id_source)
+        if walks is not None:
+            g.__dict__["walks"] = walks
         return g
 
     def _fill(self, index_labels, pairs, id_source):
@@ -97,16 +103,16 @@ class LabelledGraph(Record):
     def __repr__(self) -> str:
         return f"LabelledGraph(labels={self.labels!r}, edges={self.edges!r})"
 
-    @cached_property
+    @kept
     def ids(self) -> tuple:
         function, argument = self.id_source
         return function(argument)
 
-    @cached_property
+    @kept
     def labels(self) -> dict:
         return dict(zip(self.ids, self.index_labels))
 
-    @cached_property
+    @kept
     def edges(self) -> frozenset:
         ids = self.ids
         return frozenset(frozenset((ids[v], ids[w]))
@@ -117,7 +123,7 @@ class LabelledGraph(Record):
     def vertices(self):
         return self.labels.keys()
 
-    @cached_property
+    @kept
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.ids)}
 
@@ -130,14 +136,16 @@ class LabelledGraph(Record):
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
-    @cached_property
+    @kept
     def walks(self) -> tuple:
         """Each component as a list of vertex indices in walk order, walked once and kept.
 
         Paths and isolated vertices come first, each walked from its end of
         lowest index; what is left is cycles, each walked from its vertex of
         lowest index towards its ``first`` partner.  A walk is a cycle
-        exactly when its start has a ``second`` partner.
+        exactly when its start has a ``second`` partner.  ``cps`` hands over
+        the same walks, read off the reduction graph's cycle walk, as it
+        builds the graph, so a compressed graph never runs this.
         """
         first, second = self.first, self.second
         seen = bytearray(len(first))
@@ -161,11 +169,15 @@ class LabelledGraph(Record):
         return len(self.walks)
 
 
-def _desire_ids(pairs) -> tuple:
-    """The ids of compressed vertices: their desire edges as sorted (i, side) endpoint pairs."""
+def _desire_ids(desire) -> tuple:
+    """The ids of compressed vertices: each desire edge as its sorted (i, side) endpoint pair.
+
+    ``desire`` is a reduction graph's desire array; the edges come in index
+    order of their lower end.
+    """
     from .reduction import vertex
 
-    return tuple((vertex(a), vertex(b)) for a, b in pairs)
+    return tuple([(vertex(a), vertex(b)) for a, b in enumerate(desire) if a < b])
 
 
 def cps(rg) -> LabelledGraph:
@@ -175,39 +187,64 @@ def cps(rg) -> LabelledGraph:
     their desire edges.  Vertex ids are the desire edges as sorted
     (i, side) endpoint pairs, labelled by magnitude, in ``rg.desire_edges``
     order, the index order of each desire edge's lower end; the graph
-    keeps the desire index pairs and names them on request.  The
-    compression reads the graph's index arrays: reality edge
-    k (odd) joins index k to k+1, mod 2n, so the last one joins index 2n-1
-    to index 0.  A desire edge (x, y), x < y, has as partners the vertices
-    across x's reality edge and across y's, read straight into the partner
-    arrays: the one across the lower reality edge goes first, as
-    ``LabelledGraph.from_index_pairs`` would order them, so y's first when
-    x is 0.  A 1-cycle of the reduction graph gives a self-loop, dropped,
-    and a 2-cycle the same partner twice, kept once.  Compressing other
-    2-edge-coloured graphs is left to the tests' edge-set oracle.
-    """
-    from .reduction import ReductionGraph
+    keeps the desire array and names them on request.
 
-    if not isinstance(rg, ReductionGraph):
-        raise TypeError(f"cps compresses reduction graphs, got {type(rg).__name__}")
-    desire = rg.desire_pairs()
-    at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
-    for i, (a, b) in enumerate(desire):
-        at[a] = at[b] = i
-    # across[k]: the compressed vertex at the far end of k's reality edge; odd k is joined
-    # to k + 1, even k to k - 1, index 0 to the last index
-    across = [0] * len(at)
-    across[1::2], across[::2] = at[2::2] + at[:1], at[-1:] + at[1:-1:2]
-    first = [-1] * len(desire)
+    The compression is read from the reduction graph's one cycle walk,
+    ``rg.cycle_entries``: an alternating cycle that enters the desire edges
+    of compressed vertices c_0, ..., c_(L-1) in turn is the compressed
+    cycle c_0 - c_1 - ... - c_(L-1) - c_0, so each vertex's partners are
+    the ones before and after it in walk order.  The one across the reality
+    edge at the lower end x of its desire edge goes first, as
+    ``LabelledGraph.from_index_pairs`` would order them, reading reality
+    edges in index order, except when x is 0, whose reality edge is the
+    last one.  A 1-cycle of the reduction graph gives a self-loop, dropped,
+    and a 2-cycle the same partner twice, kept once.
+
+    The same pass gives ``walks``, handed over with the graph, so neither
+    ``component_count`` nor the canonical form walks it again.  Vertices
+    of 1- and 2-cycles, which have no ``second`` partner, come first; each
+    longer cycle is read from its lowest vertex c_0 towards its ``first``
+    partner, which is c_(L-1), against the walk, unless the cycle holds
+    index 0.  Anything without that walk is refused with ``TypeError``;
+    compressing other 2-edge-coloured graphs is left to the tests'
+    edge-set oracle.
+    """
+    try:
+        cycle_entries = rg.cycle_entries
+    except AttributeError:
+        raise TypeError(f"cps compresses reduction graphs, got {type(rg).__name__}") from None
+    desire = rg.desire
+    at = [0] * len(desire)  # the compressed vertex of each desire edge, at both ends
+    lows = []  # the lower end of each desire edge, in index order
+    for k, other in enumerate(desire):
+        if k < other:
+            at[k] = at[other] = len(lows)
+            lows.append(k)
+    first = [-1] * len(lows)
     second = first.copy()
-    for d, (x, y) in enumerate(desire):
-        # x < y; the lower reality edge first, as _fill meets them: x's, except index 0's
-        # edge, the last one
-        a, b = (across[x], across[y]) if x else (across[y], across[x])
-        if a != d:  # a 1-cycle has a self-loop only
-            first[d] = a
-            if b != a:  # a 2-cycle meets its partner twice
-                second[d] = b
+    ends, cycles = [], []  # the walks of 1- and 2-cycles, and of longer ones
+    for entries in cycle_entries:
+        walk = [at[k] for k in entries]
+        if len(walk) < 3:
+            if len(walk) == 2:
+                a, b = walk
+                first[a], first[b] = b, a
+            ends.append(walk)
+            continue
+        # the walk enters vertex d's desire edge at k, from the vertex before
+        before, d = walk[-1], walk[0]
+        for k, after in zip(entries, walk[1:] + walk[:1]):
+            if k < desire[k]:
+                first[d], second[d] = before, after
+            else:
+                first[d], second[d] = after, before
+            before, d = d, after
+        if entries[0]:
+            walk[1:] = walk[:0:-1]
+        else:  # index 0's reality edge is the last one
+            first[walk[0]], second[walk[0]] = walk[1], walk[-1]
+        cycles.append(walk)
     magnitudes = rg.magnitudes
-    index_labels = tuple([magnitudes[x >> 1] for x, _ in desire])
-    return LabelledGraph._from_partners(index_labels, first, second, (_desire_ids, desire))
+    index_labels = tuple([magnitudes[k >> 1] for k in lows])
+    return LabelledGraph._from_partners(index_labels, first, second, (_desire_ids, desire),
+                                        walks=tuple(ends + cycles))

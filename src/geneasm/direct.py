@@ -22,7 +22,8 @@ and that XOR is the witness's value.  J'_2 - J'_kappa counts only for
 kappa > 3 (at kappa 3 it is the chain edge).  Each end is matched as it
 is made, with one dictionary probe against the ends made before it, so
 one pass finds every edge in O(kappa) dictionary operations plus the
-size of the output.  Sets are int bitmasks from
+size of the output, and the same pass writes each edge into the graph's
+partner arrays, after the root chain.  Sets are int bitmasks from
 ``OverlapGraph.neighbor_masks``.  The graph is built on vertex indices,
 J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps only kappa to name them:
 its vertex ids, the strings "J<p>" and "Jp<p>" (serialized verbatim),
@@ -165,18 +166,45 @@ def _matches(g: OverlapGraph, kappa: int) -> list[tuple[int, int, int, int]]:
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     """The root chain plus an edge for each matched pair of ends.
 
-    The caller is responsible for realism.  On γ_u, for u realistic or
-    any legal string on {2..kappa} with a root chain, the result is
-    cps(R_u) renamed by φ, so its maximum degree is 2 (see the module
-    docstring).  Other input gets edges by the same rule, whose maximum
-    degree 2 held on every signed graph up to kappa 6 and on 40,000 random
-    ones up to kappa 24 (a third edge would raise ``ValueError``).  The
-    kappa-3 match J'_2 - J'_3 repeats a chain edge.
+    One pass writes the partner arrays: the chain J'_2 - J'_3 - ... -
+    J'_kappa is set first, then each match of ``_matches`` is joined in as
+    it comes, a repeated pair skipped, as ``LabelledGraph.from_index_pairs``
+    would join the chain's pairs and then the matches.  The caller is
+    responsible for realism.  On γ_u, for u realistic or any legal string
+    on {2..kappa} with a root chain, the result is cps(R_u) renamed by φ,
+    so its maximum degree is 2 (see the module docstring).  Other input
+    gets edges by the same rule, whose maximum degree 2 held on every
+    signed graph up to kappa 6 and on 40,000 random ones up to kappa 24 (a
+    third edge would raise ``ValueError``).  The kappa-3 match J'_2 - J'_3
+    repeats a chain edge.
     """
     kappa = g.kappa()
-    pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
-    pairs += [(v, w) for v, w, _, _ in _matches(g, kappa)]
-    return _graph(kappa, pairs)
+    size = 2 * kappa - 2
+    id_source = (_vertex_ids, kappa)
+    # the chain J'_p at 2(p-2)+1: J'_2 first meets J'_3, J'_p (p > 2) first meets J'_(p-1)
+    first = [-1] * size
+    second = first.copy()
+    first[3::2] = range(1, size - 2, 2)
+    second[3:size - 2:2] = range(5, size, 2)
+    if kappa > 2:
+        first[1] = 3
+    for a, b, _, _ in _matches(g, kappa):
+        if first[a] == b or second[a] == b:
+            continue
+        if first[a] < 0:
+            first[a] = b
+        elif second[a] < 0:
+            second[a] = b
+        else:
+            LabelledGraph._third_edge(id_source, a)
+        if first[b] < 0:
+            first[b] = a
+        elif second[b] < 0:
+            second[b] = a
+        else:
+            LabelledGraph._third_edge(id_source, b)
+    index_labels = tuple(sorted([*range(2, kappa + 1)] * 2))
+    return LabelledGraph._from_partners(index_labels, first, second, id_source)
 
 
 def _witness(g: OverlapGraph, v: int, w: int, a: int, b: int) -> Witness:

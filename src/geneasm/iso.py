@@ -12,7 +12,7 @@ and whether it is closed: a path's code is the smaller of its two
 readings, a cycle's the least rotation of either reading, so no code
 depends on where its walk started.  ``canonical_labelled`` feeds it
 ``LabelledGraph.walks``; ``canonical_2edge`` codes a reduction graph
-as its compression, from ``ReductionGraph.cycles()``.  Other
+as its compression, from ``ReductionGraph.cycle_entries``.  Other
 2-edge-coloured graphs are left to the tests' generic oracle.  The least
 rotation is a linear two-candidate scan over the occurrences of the
 least label, so a code costs O(L) for a component of L vertices, also
@@ -87,20 +87,20 @@ def canonical_labelled(g) -> str:
 
 
 def canonical_2edge(rg) -> str:
-    """Canonical code of a ``ReductionGraph``: that of ``cps(rg)``, read from ``rg.cycles()``.
+    """Canonical code of a ``ReductionGraph``: that of ``cps(rg)``, read from ``rg.cycle_entries``.
 
     Compression loses nothing up to isomorphism.  A cycle walked desire
-    edge first holds its desire edges at even offsets, each joined to the
-    next by a reality edge, and both ends of a desire edge carry its
-    magnitude.  So up to colour-preserving isomorphism the cycle is fixed
-    by its desire labels ``magnitudes[k >> 1]``, k in ``cycle[::2]``, in
-    cyclic order and up to reflection, and so is its compression: a cycle
-    of those labels with three or more desire edges (``len(cycle) > 4``),
-    an edge with two (the repeated partner kept once), a vertex with one
-    (the self-loop dropped).  So R_u and R_v are isomorphic exactly when
-    cps(R_u) and cps(R_v) are, and this reads the compression's code
-    without building it.
+    edge first holds its desire edges in turn, each joined to the next by
+    a reality edge, and both ends of a desire edge carry its magnitude.
+    So up to colour-preserving isomorphism the cycle is fixed by its desire
+    labels ``magnitudes[k >> 1]``, k in its entry indices, in cyclic order
+    and up to reflection, and so is its compression: a cycle of those
+    labels with three or more desire edges, an edge with two (the repeated
+    partner kept once), a vertex with one (the self-loop dropped).  So R_u
+    and R_v are isomorphic exactly when cps(R_u) and cps(R_v) are, and
+    this reads the compression's code from the graph's one kept cycle
+    walk, without building the compression.
     """
     magnitudes = rg.magnitudes
-    return _code([(tuple([magnitudes[k >> 1] for k in cycle[::2]]), len(cycle) > 4)
-                  for cycle in rg.cycles()])
+    return _code([(tuple([magnitudes[k >> 1] for k in entries]), len(entries) > 2)
+                  for entries in rg.cycle_entries])

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 
 from . import pointers
 from .errors import ParseError, RealismError
-from .record import Record
+from .record import Record, kept
 
 
 def bits(mask: int):
@@ -77,15 +76,15 @@ class OverlapGraph(Record):
         return (f"OverlapGraph(vertices={self.vertices!r}, positive={self.positive!r}, "
                 f"edges={self.edges!r})")
 
-    @cached_property
+    @kept
     def vertices(self) -> frozenset[int]:
         return frozenset(self.vertex_order)
 
-    @cached_property
+    @kept
     def positive(self) -> frozenset[int]:
         return frozenset(self.vertex_order[s - 2] for s in bits(self.positive_mask))
 
-    @cached_property
+    @kept
     def edges(self) -> frozenset[tuple[int, int]]:
         """Each edge as a (min, max) pair."""
         return frozenset((p, q) for p, above in self.neighbors_above() for q in above)
@@ -119,7 +118,7 @@ class OverlapGraph(Record):
         mask = self.neighbor_masks[bisect_left(order, q) + 2]
         return frozenset(order[t - 2] for t in bits(mask))
 
-    @cached_property
+    @kept
     def component_masks(self) -> tuple[int, ...]:
         """Slot masks of the connected components, by smallest vertex: one BFS over the masks."""
         masks = self.neighbor_masks
@@ -156,8 +155,15 @@ class OverlapGraph(Record):
         number on the graph side.  One pass builds an xor basis of the rows
         (``neighbor_masks[s]`` with bit s set when s is positive), keyed by
         each row's highest bit; the rows it does not add are the nullity.
-        It is computed on each call, never when the graph is built.
+        It is never computed when the graph is built: the first call
+        eliminates, and the result is kept after first use, so the eight
+        rule sets of ``successful_rule_sets`` share one elimination.
         """
+        return self._nullity
+
+    @kept
+    def _nullity(self) -> int:
+        """``nullity``, eliminated once and kept."""
         masks, positive = self.neighbor_masks, self.positive_mask
         basis: dict[int, int] = {}  # highest bit -> basis row
         for s in range(2, len(self.vertex_order) + 2):

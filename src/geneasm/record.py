@@ -1,4 +1,4 @@
-"""The immutable value base shared by the package's small classes."""
+"""The immutable value base shared by the package's small classes, and their kept properties."""
 
 from __future__ import annotations
 
@@ -47,3 +47,28 @@ def _restore(cls, state: dict):
     for name, value in state.items():
         object.__setattr__(record, name, value)
     return record
+
+
+class kept:
+    """A property derived on first use and kept: ``functools.cached_property`` without its lock.
+
+    The value is stored in the instance's ``__dict__`` under the property's
+    own name, where every later read finds it without calling this
+    descriptor.  Python 3.11's ``cached_property`` takes a lock on every
+    first use, about a microsecond; the graphs here are built afresh for
+    each question and keep several values each, so that cost recurs on
+    every graph.  Nothing in this package shares a graph between threads.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value

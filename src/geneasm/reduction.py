@@ -17,7 +17,10 @@ the index at the other end of k's desire edge, and ``magnitudes[i-1]``,
 the magnitude at position i.  Reality partners need no table: e_i joins
 I'_i = 2i-1 to I_(i+1) = 2i, so an odd k is joined to k+1 and an even k
 to k-1, both mod 2n.  Cycles and root chains are walks over these
-arrays.  The edge views ``vertices``, ``reality_edges`` and
+arrays.  The cycles are walked once, on first use, and kept as
+``cycle_entries``, the index at which the walk enters each desire edge;
+the cycle views, the cycle count, the compression and its canonical code
+all read that one walk.  The edge views ``vertices``, ``reality_edges`` and
 ``desire_edges`` hold (i, side) pairs and frozenset edges for output and
 tests; each is derived on first use.  Desire edges come in index order of
 their lower end, the order of ``desire_pairs``.
@@ -62,10 +65,8 @@ to R_v.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import pointers
-from .record import Record
+from .record import Record, kept
 
 Vertex = tuple[int, int]
 Edge = frozenset
@@ -98,16 +99,16 @@ class ReductionGraph:
             desire[a + 1], desire[b + 1 - s] = b + 1 - s, a + 1
         self.desire = desire
 
-    @cached_property
+    @kept
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple(map(vertex, range(2 * self.n)))
 
-    @cached_property
+    @kept
     def reality_edges(self) -> tuple[Edge, ...]:
         n = self.n
         return tuple(frozenset(((i, 1), (i % n + 1, 0))) for i in range(1, n + 1))
 
-    @cached_property
+    @kept
     def desire_edges(self) -> tuple[Edge, ...]:
         return tuple(frozenset((vertex(a), vertex(b))) for a, b in self.desire_pairs())
 
@@ -118,45 +119,54 @@ class ReductionGraph:
     def label(self, v: Vertex) -> int:
         return self.magnitudes[v[0] - 1]
 
-    def cycles(self):
-        """Alternating cycles as index walks k, desire[k], ..., from their least k, in that order."""
+    @kept
+    def cycle_entries(self) -> list[list[int]]:
+        """Each alternating cycle as the indices where its walk enters a desire edge.
+
+        One walk, on first use, kept: each cycle is walked from its least
+        index k along the desire edge from k to desire[k], then along the
+        reality edge from there, and so on, and only the index at which each
+        desire edge is entered is recorded: ``cycles()`` without the far
+        ends.  Cycles come in order of their least index.
+        ``cycles``, ``components``, ``component_count``, ``compress.cps``
+        and ``iso.canonical_2edge`` all read this one walk.
+        """
         desire, m = self.desire, 2 * self.n
-        seen = bytearray(m)
-        for start in range(m):
-            if seen[start]:
-                continue
+        # no mod 2n in the reality step: 0 starts the first cycle, so it is never a far end
+        # (which would step to -1), and the far end 2n - 1 closes the first cycle by a step
+        # to 2n, the stop mark
+        seen = bytearray(m + 1)
+        seen[m] = 1
+        cycles = []
+        start = seen.find(0)
+        while start >= 0:
             cycle = []
             k = start
             while not seen[k]:
                 other = desire[k]
                 seen[k] = seen[other] = 1
-                cycle += (k, other)
-                k = (other + 1 if other & 1 else other - 1) % m
-            yield cycle
+                cycle.append(k)
+                k = other + 1 if other & 1 else other - 1
+            cycles.append(cycle)
+            start = seen.find(0, start)
+        return cycles
+
+    def cycles(self):
+        """Alternating cycles as index walks k, desire[k], ..., from their least k, in that order.
+
+        Each is ``cycle_entries`` with the far end of every desire edge put back.
+        """
+        desire = self.desire
+        for entries in self.cycle_entries:
+            yield [x for k in entries for x in (k, desire[k])]
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Alternating cycles, each sorted, ordered by smallest (i, side)."""
         return [tuple(map(vertex, sorted(cycle))) for cycle in self.cycles()]
 
     def component_count(self) -> int:
-        """The number of cycles, from one walk that starts only at even indices.
-
-        Every reality edge joins an odd index to an even one, so every cycle
-        holds an even index; the walk marks indices and builds no cycle.
-        """
-        desire, m = self.desire, 2 * self.n
-        seen = bytearray(m)
-        count = 0
-        for start in range(0, m, 2):
-            if seen[start]:
-                continue
-            count += 1
-            k = start
-            while not seen[k]:
-                other = desire[k]
-                seen[k] = seen[other] = 1
-                k = (other + 1 if other & 1 else other - 1) % m
-        return count
+        """The number of alternating cycles: the length of the kept walk, ``cycle_entries``."""
+        return len(self.cycle_entries)
 
 
 class RootSubgraph(Record):

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from geneasm import compress
+from geneasm import compress, direct
 from geneasm.compress import LabelledGraph
 from geneasm.errors import CapError
 from geneasm.reduction import RootSubgraph
@@ -328,7 +328,45 @@ def pairs_cps(rg):
     magnitudes = rg.magnitudes
     index_labels = tuple([magnitudes[a >> 1] for a, _ in desire])
     pairs = [(d1, d2) for d1, d2 in zip(at[1::2], at[2::2] + at[:1]) if d1 != d2]
-    return LabelledGraph.from_index_pairs(index_labels, pairs, (compress._desire_ids, desire))
+    return LabelledGraph.from_index_pairs(index_labels, pairs, (compress._desire_ids, rg.desire))
+
+
+def pairs_direct(g):
+    """``direct.direct_reduction_graph`` as it was built from a pair list, kept as its reference.
+
+    It lists the root chain's pairs J'_p - J'_(p+1), then the vertex pair
+    of each match of ``direct._matches``, and lets ``direct._graph`` fill
+    the partner arrays through ``LabelledGraph.from_index_pairs``, which
+    skips a repeated pair and raises ``ValueError`` on a third edge.
+    """
+    kappa = g.kappa()
+    pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
+    pairs += [(v, w) for v, w, _, _ in direct._matches(g, kappa)]
+    return direct._graph(kappa, pairs)
+
+
+def index_cycles(rg):
+    """``ReductionGraph.cycles`` as it walked before the graph kept one walk, as its reference.
+
+    Each alternating cycle is walked from its least index k as k, desire[k],
+    then across the reality edge (odd k to k + 1, even k to k - 1, mod 2n),
+    recording both ends of every desire edge.
+    """
+    desire, m = rg.desire, 2 * rg.n
+    seen = bytearray(m)
+    cycles = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        cycle = []
+        k = start
+        while not seen[k]:
+            other = desire[k]
+            seen[k] = seen[other] = 1
+            cycle += (k, other)
+            k = (other + 1 if other & 1 else other - 1) % m
+        cycles.append(cycle)
+    return cycles
 
 
 class EdgeSetReductionGraph:

@@ -37,8 +37,11 @@ def test_report_has_every_layer_and_the_run_stamp(bench, tmp_path, capsys):
     assert "successful_rule_sets" in bench.LAYERS
     # the perfbench scale op's calls, and the layers that get a fresh graph
     assert bench.LAYERS[-1] == "cps-vs-direct"
-    assert bench.FRESH == {"successful_rule_sets", "emit_direct_json", "canonical_labelled",
-                           "canonical_labelled, one label", "canonical_labelled, 2,3 repeated"}
+    assert bench.FRESH == {"cps", "OverlapGraph.nullity", "successful_rule_sets",
+                           "emit_direct_json", "canonical_labelled",
+                           "canonical_labelled, one label", "canonical_labelled, 2,3 repeated",
+                           "canonical_2edge", "ReductionGraph.components",
+                           "ReductionGraph.component_count"}
     assert bench.LADDER == (8, 32, 128, 512, 2048, 8192)
     assert all(1 <= r["calls"] <= 2 and r["best_ms"] >= 0 for r in report["rows"])
     # every layer and string search row has a median and a spread, as the CLI rows do
@@ -147,8 +150,21 @@ def test_labelled_graph_rows_time_a_fresh_graph_per_repeat(bench, monkeypatch):
     monkeypatch.setattr(bench.direct, "emit_direct_json", emit_direct_json)
     rows = bench.measure([6], repeat=3, budget=10)
     assert all(r["calls"] == 3 for r in rows)
-    # three repeats of each row; each cps-vs-direct repeat takes two canonical forms
-    assert sorted(met) == [("canonical_labelled", False)] * 15 + [("emit_direct_json", False)] * 3
+    # three repeats of each row; each cps-vs-direct repeat takes two canonical forms; a cps
+    # graph, in the canonical_labelled row and in cps-vs-direct, comes with its walks
+    assert sorted(met) == ([("canonical_labelled", False)] * 9 + [("canonical_labelled", True)] * 6
+                           + [("emit_direct_json", False)] * 3)
+
+
+def test_a_fresh_row_never_gets_what_its_call_keeps(bench):
+    u = bench.sampling.random_realistic_string(bench.random.Random(bench.SEED), 8)
+    built = bench.cases(u)
+    for layer in bench.FRESH:
+        fn, make_arg = built[layer]
+        used, fresh = make_arg(), make_arg()
+        before = set(vars(used))
+        fn(used)
+        assert fresh is not used and not (set(vars(used)) - before) & set(vars(fresh)), layer
 
 
 def test_the_cps_vs_direct_row_runs_the_scale_check(bench):

@@ -107,6 +107,7 @@ class TestCps:
         assert (got.first, got.second, got.index_labels) == (want.first, want.second,
                                                              want.index_labels)
         assert got.walks == want.walks
+        assert rg.component_count() == len(got.walks)
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)
@@ -160,12 +161,18 @@ class TestLabelledGraph:
             assert walked == len(g.edges)  # so no edge joins two walks
             assert g.component_count() == len(walks)
 
-    def test_one_walk_serves_the_canonical_form_and_the_count(self):
-        g = cps_of("72673456-3-245")
-        assert "walks" not in vars(g)
-        iso.canonical_labelled(g)
-        walks = vars(g)["walks"]
-        assert g.component_count() == 2 and g.walks is walks
+    def test_one_walk_serves_the_canonical_form_and_the_count(self, monkeypatch):
+        """cps hands over its walks at build; the canonical form and both counts reuse them."""
+        rg = reduction.ReductionGraph(pointers.parse_pointer_string("72673456-3-245"))
+        g = compress.cps(rg)
+        walks, entries = vars(g)["walks"], vars(rg)["cycle_entries"]
+        # with the walks gone from both classes, only the kept values can answer
+        monkeypatch.delattr(LabelledGraph, "walks")
+        monkeypatch.delattr(reduction.ReductionGraph, "cycle_entries")
+        code = iso.canonical_labelled(g)
+        assert iso.canonical_2edge(rg) == code
+        assert g.component_count() == rg.component_count() == 2
+        assert g.walks is walks and rg.cycle_entries is entries
 
     def test_repeated_edges_are_skipped(self):
         g = LabelledGraph.from_index_pairs((2, 3), [(0, 1), (1, 0), (0, 1)], (tuple, ("a", "b")))

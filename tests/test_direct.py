@@ -264,6 +264,57 @@ class TestDegreeBound:
         assert count == 1098
 
 
+def _build(build, g):
+    """The partner arrays and labels ``build`` gives on g, or the text of its ``ValueError``."""
+    try:
+        out = build(g)
+    except ValueError as exc:
+        return str(exc)
+    return out.first, out.second, out.index_labels
+
+
+class TestOnePassBuild:
+    """The one-pass build against the pair list it replaced, ``oracles.pairs_direct``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.signed_graphs(max_kappa=9))
+    def test_signed_graphs(self, g):
+        assert _build(direct.direct_reduction_graph, g) == _build(oracles.pairs_direct, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    def test_encoded_arrangements(self, arr):
+        g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+        assert _build(direct.direct_reduction_graph, g) == _build(oracles.pairs_direct, g)
+
+    def test_every_signed_graph_up_to_kappa_6(self):
+        count = 0
+        for kappa in range(2, 7):
+            for edges, positive in oracles.signed_graphs(kappa):
+                g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
+                assert _build(direct.direct_reduction_graph, g) == _build(oracles.pairs_direct, g)
+                count += 1
+        assert count == 1098 + 2**10 * 2**5
+
+    @pytest.mark.parametrize("matches, want", [
+        # J2 - J3 twice, either way round, then J2 - J4 twice: each repeat skipped, the
+        # second where J2 holds J4 as its second partner
+        ([(0, 2), (2, 0), (0, 4), (0, 4)], ([2, 3, 0, 1, 0, 3], [4, -1, -1, 5, -1, -1])),
+        # J2 - J3, J2 - J4, J2 - Jp4: a third edge at J2
+        ([(0, 2), (0, 4), (0, 5)], "vertex 'J2' would get a third edge (maximum degree 2)"),
+        # J2 - Jp2, then J3 - Jp2: a third edge at the second end, Jp2 (Jp3, J2, J3)
+        ([(0, 1), (2, 1)], "vertex 'Jp2' would get a third edge (maximum degree 2)"),
+    ])
+    def test_repeated_pairs_and_third_edges(self, monkeypatch, matches, want):
+        # no signed graph gives a third edge, so the matches are stubbed
+        monkeypatch.setattr(direct, "_matches",
+                            lambda g, kappa: [(v, w, 0, 0) for v, w in matches])
+        g = overlap.OverlapGraph(frozenset({2, 3, 4}), frozenset(), frozenset())
+        got = _build(direct.direct_reduction_graph, g)
+        assert got == _build(oracles.pairs_direct, g)
+        assert got[:2] == want if isinstance(want, tuple) else got == want
+
+
 class TestDefinitionReference:
     """The prefix-XOR evaluation against the definition in tests/oracles.py."""
 

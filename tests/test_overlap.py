@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
@@ -447,9 +448,39 @@ class TestNullity:
 
     def test_not_computed_when_the_graph_is_built(self):
         g = gamma("453475623267")
-        assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
+        built = {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
+        assert set(vars(g)) == built
         assert g.nullity() == 2
-        assert set(vars(g)) == {"vertex_order", "vertex_mask", "positive_mask", "neighbor_masks"}
+        assert set(vars(g)) == built | {"_nullity"}  # kept after first use
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.signed_graphs())
+    def test_the_kept_value_is_a_fresh_elimination(self, g):
+        kept = g.nullity()
+        assert g.nullity() == vars(g)["_nullity"] == kept
+        assert kept == overlap.OverlapGraph._nullity.func(g) == oracles.gf2_nullity(g)
+
+    def test_the_rule_sets_share_one_elimination(self, monkeypatch):
+        g = gamma("453475623267")
+        calls = []
+        eliminate = overlap.OverlapGraph._nullity.func
+        monkeypatch.setattr(overlap.OverlapGraph._nullity, "func",
+                            lambda h: calls.append(h) or eliminate(h))
+        assert rewriting.successful_rule_sets(g)
+        assert calls == [g]
+        for kinds in rewriting.SET_ORDER:
+            rewriting.successful_in(g, kinds)
+        assert rewriting.predicted_negative_rule_count(g) == 2
+        assert calls == [g]
+
+    def test_the_kept_value_leaves_equality_hash_and_pickle_as_they_were(self):
+        g, fresh = gamma("453475623267"), gamma("453475623267")
+        g.nullity()
+        assert g == fresh and hash(g) == hash(fresh)
+        for h in (g, fresh):
+            copy = pickle.loads(pickle.dumps(h))
+            assert copy == h and hash(copy) == hash(h)
+            assert vars(copy) == vars(h) and copy.nullity() == 2
 
     @settings(max_examples=300, deadline=None)
     @given(strategies.legal_strings())

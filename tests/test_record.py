@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from geneasm import compress, direct, overlap, pointers, reduction, rewriting
+from geneasm.record import Record, kept
 
 
 def _values():
@@ -40,3 +41,23 @@ def test_fields_compare_hash_and_show_by_name():
         rule.kind = "gnr"
     with pytest.raises(AttributeError):
         del rule.params
+
+
+def test_a_kept_property_is_derived_once_and_stored_under_its_name():
+    calls = []
+
+    class Holder(Record):
+        @kept
+        def value(self):
+            """The value."""
+            calls.append(self)
+            return [len(calls)]
+
+    holder = Holder()
+    assert Holder.value.__doc__ == "The value." and vars(holder) == {}
+    value = holder.value
+    # later reads find it in the instance dict, past the descriptor and the immutability check
+    assert holder.value is value == [1] and vars(holder) == {"value": value}
+    assert calls == [holder]
+    with pytest.raises(AttributeError):
+        holder.value = [2]

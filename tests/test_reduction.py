@@ -2,7 +2,7 @@ import random
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -143,6 +143,34 @@ class TestConstruction:
             for e in rg.desire_edges:
                 a, b = tuple(e)
                 assert rg.label(a) == rg.label(b)
+
+
+class TestOneCycleWalk:
+    """The kept walk ``cycle_entries`` against the full index walk ``cycles()`` took before it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(strategies.legal_strings())
+    @example(())
+    @example(pointers.parse_pointer_string("22"))  # two 1-cycles
+    @example(pointers.parse_pointer_string("2-2"))  # one 2-cycle
+    def test_every_view_reads_the_full_walk(self, u):
+        rg = reduction.ReductionGraph(u)
+        want = oracles.index_cycles(rg)
+        assert rg.cycle_entries == [cycle[::2] for cycle in want]
+        assert list(rg.cycles()) == want
+        assert rg.components() == [tuple(map(reduction.vertex, sorted(c))) for c in want]
+        assert rg.component_count() == len(want)
+        mags = rg.magnitudes
+        assert iso.canonical_2edge(rg) == iso._code(
+            [(tuple(mags[k >> 1] for k in cycle[::2]), len(cycle) > 4) for cycle in want])
+
+    def test_walked_once_on_first_use(self):
+        rg = rg_of("453475623267")
+        assert "cycle_entries" not in vars(rg)
+        assert rg.component_count() == 3
+        entries = vars(rg)["cycle_entries"]
+        list(rg.cycles()), rg.components(), iso.canonical_2edge(rg), compress.cps(rg)
+        assert rg.cycle_entries is entries
 
 
 def positions_of(text):
