@@ -3,8 +3,12 @@
 Every labelled graph this package builds (``cps``, the direct
 construction, parsed direct-graph JSON) has maximum degree two, so a
 ``LabelledGraph`` is a tuple of labels by vertex index and two partner
-arrays over vertex indices, not a neighbour set per vertex.  Vertex ids
-are named only on request: a graph keeps the plain data they come from
+arrays over vertex indices, not a neighbour set per vertex: the degree
+bound is the representation itself.  One function, ``join_pairs``, joins
+vertex-index pairs into those arrays, once per graph, for both of
+``LabelledGraph``'s constructors and for the direct construction; its
+third-edge ``ValueError`` is the degree check.  Vertex ids are named only
+on request: a graph keeps the plain data they come from
 (``cps`` its desire array, the direct construction its kappa), and the
 id -> label dict and the edge set are derived from it on first use.
 The canonical form and the component count read only the indices, from
@@ -16,6 +20,35 @@ graph is never walked again.
 from __future__ import annotations
 
 from .record import Record, kept
+
+
+def join_pairs(first: list, second: list, pairs, id_source: tuple) -> None:
+    """Join each pair (a, b) of distinct vertex indices into the partner arrays, in place.
+
+    b goes into a's first free entry and a into b's; a pair already joined,
+    either way round, is skipped.  A third partner raises ``ValueError``
+    naming the vertex by its id, the ``id_source`` call's entry at its index.
+    """
+    for a, b in pairs:
+        if first[a] == b or second[a] == b:
+            continue
+        if first[a] < 0:
+            first[a] = b
+        elif second[a] < 0:
+            second[a] = b
+        else:
+            _third_edge(id_source, a)
+        if first[b] < 0:
+            first[b] = a
+        elif second[b] < 0:
+            second[b] = a
+        else:
+            _third_edge(id_source, b)
+
+
+def _third_edge(id_source: tuple, v: int):
+    function, argument = id_source
+    raise ValueError(f"vertex {function(argument)[v]!r} would get a third edge (maximum degree 2)")
 
 
 class LabelledGraph(Record):
@@ -46,14 +79,16 @@ class LabelledGraph(Record):
             a, b = e
             pairs.append((index[a], index[b]))
         # tuple() of a tuple is that tuple: the ids are given
-        self._fill(tuple(labels.values()), pairs, (tuple, tuple(labels)))
+        self.__dict__.update(vars(self.from_index_pairs(tuple(labels.values()), pairs,
+                                                        (tuple, tuple(labels)))))
 
     @classmethod
     def from_index_pairs(cls, index_labels: tuple, pairs, id_source: tuple) -> LabelledGraph:
-        """The graph joining each pair of distinct vertex indices; repeated pairs are skipped."""
-        g = cls.__new__(cls)
-        g._fill(index_labels, pairs, id_source)
-        return g
+        """The graph joining each pair of distinct vertex indices by ``join_pairs``."""
+        first = [-1] * len(index_labels)
+        second = first.copy()
+        join_pairs(first, second, pairs, id_source)
+        return cls._from_partners(index_labels, first, second, id_source)
 
     @classmethod
     def _from_partners(cls, index_labels: tuple, first: list, second: list,
@@ -69,33 +104,6 @@ class LabelledGraph(Record):
         if walks is not None:
             g.__dict__["walks"] = walks
         return g
-
-    def _fill(self, index_labels, pairs, id_source):
-        first = [-1] * len(index_labels)
-        second = first.copy()
-        for a, b in pairs:
-            if first[a] == b or second[a] == b:
-                continue
-            if first[a] < 0:
-                first[a] = b
-            elif second[a] < 0:
-                second[a] = b
-            else:
-                self._third_edge(id_source, a)
-            if first[b] < 0:
-                first[b] = a
-            elif second[b] < 0:
-                second[b] = a
-            else:
-                self._third_edge(id_source, b)
-        self.__dict__.update(index_labels=index_labels, first=first, second=second,
-                             id_source=id_source)
-
-    @staticmethod
-    def _third_edge(id_source, v):
-        function, argument = id_source
-        raise ValueError(f"vertex {function(argument)[v]!r} would get a third edge "
-                         f"(maximum degree 2)")
 
     def _fields(self) -> tuple:
         return self.labels, self.edges
@@ -122,19 +130,6 @@ class LabelledGraph(Record):
     @property
     def vertices(self):
         return self.labels.keys()
-
-    @kept
-    def _index(self) -> dict:
-        return {v: i for i, v in enumerate(self.ids)}
-
-    def neighbors(self, v) -> frozenset:
-        i = self._index.get(v)
-        if i is None:
-            return frozenset()
-        return frozenset(self.ids[w] for w in (self.first[i], self.second[i]) if w >= 0)
-
-    def degree(self, v) -> int:
-        return len(self.neighbors(v))
 
     @kept
     def walks(self) -> tuple:

@@ -22,12 +22,13 @@ and that XOR is the witness's value.  J'_2 - J'_kappa counts only for
 kappa > 3 (at kappa 3 it is the chain edge).  Each end is matched as it
 is made, with one dictionary probe against the ends made before it, so
 one pass finds every edge in O(kappa) dictionary operations plus the
-size of the output, and the same pass writes each edge into the graph's
-partner arrays, after the root chain.  Sets are int bitmasks from
-``OverlapGraph.neighbor_masks``.  The graph is built on vertex indices,
-J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps only kappa to name them:
-its vertex ids, the strings "J<p>" and "Jp<p>" (serialized verbatim),
-are made on first use.
+size of the output, as a list of vertex-index pairs that one call of
+``compress.join_pairs`` writes into the graph's partner arrays, after the
+root chain; parsed direct-graph JSON is joined by the same function.
+Sets are int bitmasks from ``OverlapGraph.neighbor_masks``.  The graph is
+built on vertex indices, J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps
+only kappa to name them: its vertex ids, the strings "J<p>" and "Jp<p>"
+(serialized verbatim), are made on first use.
 
 The main theorem: for realistic u, direct(γ_u) is cps(R_u) with its
 vertices renamed.  Let u = a_1 ... a_n be a legal string on {2..kappa}
@@ -98,9 +99,8 @@ cps(R_u) renamed, has maximum degree 2.
 
 from __future__ import annotations
 
-from .compress import LabelledGraph
+from .compress import LabelledGraph, join_pairs
 from .errors import CapError, ParseError
-from .overlap import OverlapGraph
 from .record import Record
 
 MAX_DIRECT_KAPPA = 1 << 16  # parse_direct_json builds all 2(kappa - 1) vertices
@@ -111,10 +111,9 @@ def _vertex_ids(kappa: int) -> tuple[str, ...]:
     return tuple(name for p in range(2, kappa + 1) for name in (f"J{p}", f"Jp{p}"))
 
 
-def _graph(kappa: int, pairs) -> LabelledGraph:
-    """The graph on J2, Jp2, ..., Jkappa, Jpkappa (each labelled p) joining each index pair."""
-    index_labels = tuple(p for p in range(2, kappa + 1) for _ in (0, 1))
-    return LabelledGraph.from_index_pairs(index_labels, pairs, (_vertex_ids, kappa))
+def _index_labels(kappa: int) -> tuple[int, ...]:
+    """The labels by vertex index: p for both J_p and J'_p."""
+    return tuple(sorted([*range(2, kappa + 1)] * 2))
 
 
 class Witness(Record):
@@ -127,18 +126,19 @@ class Witness(Record):
         object.__setattr__(self, "value", value)
 
 
-def _matches(g: OverlapGraph, kappa: int) -> list[tuple[int, int, int, int]]:
-    """Each pair of ends of different vertices with equal keys, as (v, w, a, b) with a <= b.
+def _matches(g: OverlapGraph, kappa: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Each pair of ends of different vertices with equal keys: the vertex pairs and their windows.
 
-    v and w are vertex indices as in ``_vertex_ids``; a and b are the
-    prefix indices of the ends of v and w.  Each end is matched against the
-    ends made before it as it is made.
+    Two parallel lists, of vertex pairs (v, w) and of windows (a, b) with
+    a <= b: v and w are vertex indices as in ``_vertex_ids``, and a and b
+    the prefix indices of the ends of v and w.  Each end is matched against
+    the ends made before it as it is made.
     """
     masks, positive = g.neighbor_masks, g.positive_mask
     s = [0, 0]  # S(k) for k = 0..kappa
     for t in range(2, kappa + 1):
         s.append(s[-1] ^ masks[t] ^ (positive & (1 << t)))
-    found = []
+    pairs, windows = [], []
     made: dict[int, list[tuple[int, int]]] = {}  # key -> (prefix index, vertex) of its ends
     for v in range(2 * kappa - 2):
         t = v // 2 + 2
@@ -158,18 +158,22 @@ def _matches(g: OverlapGraph, kappa: int) -> list[tuple[int, int, int, int]]:
                 continue
             for b, w in bucket:
                 if w != v:
-                    found.append((w, v, b, a) if b <= a else (v, w, a, b))
+                    if b <= a:
+                        pairs.append((w, v))
+                        windows.append((b, a))
+                    else:
+                        pairs.append((v, w))
+                        windows.append((a, b))
             bucket.append((a, v))
-    return found
+    return pairs, windows
 
 
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     """The root chain plus an edge for each matched pair of ends.
 
-    One pass writes the partner arrays: the chain J'_2 - J'_3 - ... -
-    J'_kappa is set first, then each match of ``_matches`` is joined in as
-    it comes, a repeated pair skipped, as ``LabelledGraph.from_index_pairs``
-    would join the chain's pairs and then the matches.  The caller is
+    The chain J'_2 - J'_3 - ... - J'_kappa is set in the partner arrays
+    first, then the vertex pairs of ``_matches`` are joined in by
+    ``compress.join_pairs``, a repeated pair skipped.  The caller is
     responsible for realism.  On γ_u, for u realistic or any legal string
     on {2..kappa} with a root chain, the result is cps(R_u) renamed by φ,
     so its maximum degree is 2 (see the module docstring).  Other input
@@ -188,23 +192,8 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     second[3:size - 2:2] = range(5, size, 2)
     if kappa > 2:
         first[1] = 3
-    for a, b, _, _ in _matches(g, kappa):
-        if first[a] == b or second[a] == b:
-            continue
-        if first[a] < 0:
-            first[a] = b
-        elif second[a] < 0:
-            second[a] = b
-        else:
-            LabelledGraph._third_edge(id_source, a)
-        if first[b] < 0:
-            first[b] = a
-        elif second[b] < 0:
-            second[b] = a
-        else:
-            LabelledGraph._third_edge(id_source, b)
-    index_labels = tuple(sorted([*range(2, kappa + 1)] * 2))
-    return LabelledGraph._from_partners(index_labels, first, second, id_source)
+    join_pairs(first, second, _matches(g, kappa)[0], id_source)
+    return LabelledGraph._from_partners(_index_labels(kappa), first, second, id_source)
 
 
 def _witness(g: OverlapGraph, v: int, w: int, a: int, b: int) -> Witness:
@@ -221,7 +210,7 @@ def _witnesses(g: OverlapGraph, kappa: int) -> list[tuple[tuple, list[int], Witn
     J'_2 - J_p and J'_kappa - J_p; then J'_2 - J'_kappa; each edge's by (lo, hi).
     """
     found = []
-    for v, w, a, b in _matches(g, kappa):
+    for (v, w), (a, b) in zip(*_matches(g, kappa)):
         roots = sorted(x for x in (v, w) if x & 1)
         if len(roots) == 2 and kappa <= 3:
             continue
@@ -234,18 +223,23 @@ def _witnesses(g: OverlapGraph, kappa: int) -> list[tuple[tuple, list[int], Witn
 def condition_witnesses(g: OverlapGraph, edge) -> list[Witness]:
     """All index sets satisfying the condition for one vertex pair, ordered by sorted(P).
 
-    The pair is of vertex ids such as ("J2", "J6") or ("Jp2", "Jp7");
-    root-chain edges {J'_p, J'_(p+1)} hold unconditionally and report a
-    single empty witness, and pairs without a matched pair of ends have none.
+    The pair is of two different vertex ids such as ("J2", "J6") or
+    ("Jp2", "Jp7"), and anything else is a ``ValueError``; root-chain edges
+    {J'_p, J'_(p+1)} hold unconditionally and report a single empty
+    witness, and pairs without a matched pair of ends have none.
     """
+    names = tuple(edge)
+    if len(names) != 2 or names[0] == names[1]:
+        raise ValueError(f"a vertex pair needs two different vertices, got {names!r}")
     kappa = g.kappa()
     index = {name: v for v, name in enumerate(_vertex_ids(kappa))}
-    if not all(name in index for name in edge):
-        raise ValueError(f"a vertex of {tuple(edge)!r} is not one of J2..J{kappa}, Jp2..Jp{kappa}")
-    v, w = sorted(index[name] for name in edge)
+    if not all(name in index for name in names):
+        raise ValueError(f"a vertex of {names!r} is not one of J2..J{kappa}, Jp2..Jp{kappa}")
+    v, w = sorted(index[name] for name in names)
     if v & 1 and w == v + 2:
         return [Witness(subset=frozenset(), value=frozenset())]
-    windows = sorted((a, b) for x, y, a, b in _matches(g, kappa) if {x, y} == {v, w})
+    windows = sorted(window for pair, window in zip(*_matches(g, kappa))
+                     if pair in ((v, w), (w, v)))
     return [_witness(g, v, w, a, b) for a, b in windows]
 
 
@@ -315,6 +309,6 @@ def parse_direct_json(text: str) -> LabelledGraph:
             raise ParseError(f"self-loop on {pair[0]!r}")
         pairs.append((index[pair[0]], index[pair[1]]))
     try:
-        return _graph(kappa, pairs)
+        return LabelledGraph.from_index_pairs(_index_labels(kappa), pairs, (_vertex_ids, kappa))
     except ValueError as exc:  # a third edge at a vertex
         raise ParseError(str(exc)) from exc

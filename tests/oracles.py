@@ -334,15 +334,16 @@ def pairs_cps(rg):
 def pairs_direct(g):
     """``direct.direct_reduction_graph`` as it was built from a pair list, kept as its reference.
 
-    It lists the root chain's pairs J'_p - J'_(p+1), then the vertex pair
-    of each match of ``direct._matches``, and lets ``direct._graph`` fill
-    the partner arrays through ``LabelledGraph.from_index_pairs``, which
-    skips a repeated pair and raises ``ValueError`` on a third edge.
+    It lists the root chain's pairs J'_p - J'_(p+1), then the vertex pairs
+    of ``direct._matches``, and lets ``LabelledGraph.from_index_pairs``
+    join them in one list, which skips a repeated pair and raises
+    ``ValueError`` on a third edge.
     """
     kappa = g.kappa()
     pairs = [(v, v + 2) for v in range(1, 2 * kappa - 3, 2)]
-    pairs += [(v, w) for v, w, _, _ in direct._matches(g, kappa)]
-    return direct._graph(kappa, pairs)
+    pairs += direct._matches(g, kappa)[0]
+    return LabelledGraph.from_index_pairs(direct._index_labels(kappa), pairs,
+                                          (direct._vertex_ids, kappa))
 
 
 def index_cycles(rg):
@@ -508,6 +509,19 @@ def index_edges(graph):
     """The edges of a ``LabelledGraph`` as frozensets of vertex indices, read from its partner arrays."""
     return {frozenset((v, w)) for partners in (graph.first, graph.second)
             for v, w in enumerate(partners) if w >= 0}
+
+
+def max_degree(graph):
+    """The most ``index_edges`` at one vertex index, 0 with none.
+
+    Each partner array entry is read as an edge, so an entry its partner
+    does not return shows up as an edge too many at that partner.
+    """
+    degree = [0] * len(graph.first)
+    for e in index_edges(graph):
+        for v in e:
+            degree[v] += 1
+    return max(degree, default=0)
 
 
 def encode_arrangement(arrangement):

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 import strategies
@@ -106,6 +106,9 @@ class TestWorkedExamples:
         for pair in (("J2", "J9"), ("Q2", "J2"), ("J1", "Jp2"), ("Jp02", "J2")):
             with pytest.raises(ValueError, match="is not one of J2..J2, Jp2..Jp2$"):
                 direct.condition_witnesses(g, pair)
+        for pair in (("J2", "J2"), ("J2",), ("J2", "Jp2", "J2"), ()):
+            with pytest.raises(ValueError, match="needs two different vertices, got "):
+                direct.condition_witnesses(g, pair)
         with pytest.raises(RealismError):
             direct.condition_witnesses(gamma("2244"), ("J2", "J4"))
 
@@ -119,6 +122,8 @@ class TestWorkedExamples:
         found = 0
         for a in _names(8):
             for b in _names(8):
+                if a == b:
+                    continue
                 built.clear()
                 got = direct.condition_witnesses(g, (a, b))
                 assert len(built) == len(got), (a, b)
@@ -173,7 +178,7 @@ class TestMainEquivalence:
         rg = reduction.ReductionGraph(u)
         g = overlap.overlap_graph(u)
         built = direct.direct_reduction_graph(g)
-        assert all(built.degree(v) <= 2 for v in built.labels)
+        assert oracles.max_degree(built) <= 2
         assert iso.canonical_labelled(compress.cps(rg)) == iso.canonical_labelled(built)
 
     @settings(max_examples=200, deadline=None)
@@ -259,7 +264,7 @@ class TestDegreeBound:
             for edges, positive in oracles.signed_graphs(kappa):
                 g = overlap.OverlapGraph(frozenset(range(2, kappa + 1)), positive, edges)
                 built = direct.direct_reduction_graph(g)
-                assert all(built.degree(v) <= 2 for v in built.labels)
+                assert oracles.max_degree(built) <= 2
                 count += 1
         assert count == 1098
 
@@ -274,7 +279,11 @@ def _build(build, g):
 
 
 class TestOnePassBuild:
-    """The one-pass build against the pair list it replaced, ``oracles.pairs_direct``."""
+    """The chain set by slice, then the matches joined, against one join of both.
+
+    The reference, ``oracles.pairs_direct``, lists the chain's pairs before
+    the matches and joins the list through ``LabelledGraph.from_index_pairs``.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(strategies.signed_graphs(max_kappa=9))
@@ -308,7 +317,7 @@ class TestOnePassBuild:
     def test_repeated_pairs_and_third_edges(self, monkeypatch, matches, want):
         # no signed graph gives a third edge, so the matches are stubbed
         monkeypatch.setattr(direct, "_matches",
-                            lambda g, kappa: [(v, w, 0, 0) for v, w in matches])
+                            lambda g, kappa: (matches, [(0, 0)] * len(matches)))
         g = overlap.OverlapGraph(frozenset({2, 3, 4}), frozenset(), frozenset())
         got = _build(direct.direct_reduction_graph, g)
         assert got == _build(oracles.pairs_direct, g)
@@ -345,6 +354,11 @@ class TestDefinitionReference:
             for a in names:
                 for b in names:
                     want = oracles.direct_witnesses(g, a, b)
+                    if a == b:
+                        assert want == [], (g, a)
+                        with pytest.raises(ValueError, match="two different vertices"):
+                            direct.condition_witnesses(g, (a, b))
+                        continue
                     got = direct.condition_witnesses(g, (a, b))
                     assert [(w.subset, w.value) for w in got] == want, (g, a, b)
                     if want and a != b:
@@ -392,7 +406,7 @@ class TestHashJoin:
         g = overlap.overlap_graph(sampling.random_realistic_string(rng, kappa))
         built = direct.direct_reduction_graph(g)
         assert built.edges == oracles.per_candidate_direct_edges(g)
-        assert all(built.degree(v) <= 2 for v in built.labels)
+        assert oracles.max_degree(built) <= 2
         # the definition is too slow for every pair here: sample edges and pairs
         for e in rng.sample(sorted(map(sorted, built.edges)), 20):
             assert oracles.direct_witnesses(g, *e)
@@ -420,6 +434,10 @@ def _inflate(g):
     """
     labels = {}
     slots = {}
+    neighbors = {v: [] for v in g.labels}
+    for v, w in g.edges:
+        neighbors[v].append(w)
+        neighbors[w].append(v)
     for v in sorted(g.labels, key=str):
         a, b = (v, 0), (v, 1)
         labels[a] = g.labels[v]
@@ -435,7 +453,7 @@ def _inflate(g):
             reality.append(frozenset((slots[v].pop(), slots[v].pop())))
     for v in sorted(g.labels, key=str):
         if slots[v]:
-            (w,) = g.neighbors(v)
+            (w,) = neighbors[v]
             if slots[w]:
                 reality.append(frozenset((slots[v].pop(), slots[w].pop())))
     assert all(not rest for rest in slots.values())
@@ -470,14 +488,21 @@ class TestJson:
             '["Jp5","Jp6"],["Jp6","Jp7"]]}'
         )
 
-    def test_round_trip(self):
-        built = direct.direct_reduction_graph(gamma("72673456-3-245"))
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.arrangements(max_kappa=12))
+    @example((7, 1, 6, 3, 5, -2, 4))  # 72673456-3-245
+    def test_round_trip(self, arr):
+        # the parse route and the build route meet in the one join
+        g = overlap.overlap_graph(pointers.encode_arrangement(arr))
+        built = direct.direct_reduction_graph(g)
         text = direct.emit_direct_json(built)
         back = direct.parse_direct_json(text)
         assert back.labels == built.labels
         assert back.edges == built.edges
         assert back == built
+        assert iso.canonical_labelled(back) == iso.canonical_labelled(built)
         assert direct.emit_direct_json(back) == text
+        assert back.component_count() == built.component_count()
 
     @pytest.mark.parametrize(
         "bad",
@@ -506,7 +531,7 @@ class TestJson:
         # an edge listed twice, in either order, is one edge
         graph = direct.parse_direct_json('{"kappa":3,"edges":[["J2","J3"],["J3","J2"]]}')
         assert graph.edges == {edge("J2", "J3")}
-        assert graph.degree("J2") == 1
+        assert (graph.first, graph.second) == ([2, -1, 0, -1], [-1, -1, -1, -1])
 
     def test_kappa_bound(self):
         assert direct.MAX_DIRECT_KAPPA >= 8 * 8192
