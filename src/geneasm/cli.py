@@ -26,9 +26,15 @@ verbs that take ``--graph`` or ``--string`` answers a legal string u
 exactly as it answers ``--graph`` with u's overlap graph: the same exit
 code, stdout and stderr.
 
-The verbs that take a pointer string as a positional argument accept one
-that starts with a barred pointer, as in ``geneasm components -3-223``;
-``--`` before it still works.
+A pointer string that starts with a barred pointer is read wherever a
+value goes, as a positional argument or as an option's value:
+``geneasm components -3-223``, ``count-negative --string -32-23`` and
+``iso-check --strings -32-23 2323`` all work.  argparse would read such a
+word as an unknown option, so before it parses, each word ahead of ``--``
+that is "-", digits and then anything else gets a leading space, which
+argparse reads as a value and the string parser strips.  A negative
+integer such as ``--seed -5`` is left to argparse, which reads it as a
+value already.
 
 Only the modules a verb runs are imported: each verb imports its own at
 call time, and the package's ``__init__`` imports nothing, so
@@ -465,31 +471,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# verbs that take their pointer string as a positional argument
-_STRING_VERBS = frozenset({"validate", "decode", "overlap", "reduction-graph", "cps", "components"})
-_BARRED_START = re.compile(r"-[0-9]")
+_BARRED_WORD = re.compile(r"-[0-9]+[^0-9]")
 
 
-def _barred_string_last(argv: list[str]) -> list[str]:
-    """Move a positional string that starts with a barred pointer behind "--".
+def _barred_words_as_values(argv: list[str]) -> list[str]:
+    """argv with a space before each word ahead of "--" that starts with a barred pointer.
 
-    argparse reads a word such as "-3-223" as an unknown option.  No option
-    starts with "-" and a digit, so for a string verb such a word can only
-    be the string; behind "--" it parses as one.  A word argparse already
-    took as the string (a lone "-3", or one with spaces) parses the same.
+    No option starts with "-" and a digit, so such a word ("-3-223") can
+    only be a value; the space makes argparse read it as one.
     """
-    if not argv or argv[0] not in _STRING_VERBS or "--" in argv:
-        return argv
-    barred = [i for i, word in enumerate(argv) if _BARRED_START.match(word)]
-    if len(barred) != 1:
-        return argv
-    (i,) = barred
-    return argv[:i] + argv[i + 1 :] + ["--", argv[i]]
+    end = argv.index("--") if "--" in argv else len(argv)
+    return [" " + word if _BARRED_WORD.match(word) else word for word in argv[:end]] + argv[end:]
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_barred_string_last(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(_barred_words_as_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

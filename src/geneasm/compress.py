@@ -84,7 +84,15 @@ class LabelledGraph(Record):
 
     @classmethod
     def from_index_pairs(cls, index_labels: tuple, pairs, id_source: tuple) -> LabelledGraph:
-        """The graph joining each pair of distinct vertex indices by ``join_pairs``."""
+        """The graph joining each pair of vertex indices by ``join_pairs``.
+
+        ``pairs`` is a collection, read twice: a pair (a, a) raises
+        ``ValueError`` first, as ``join_pairs`` would partner a with itself.
+        """
+        for a, b in pairs:
+            if a == b:
+                function, argument = id_source
+                raise ValueError(f"vertex {function(argument)[a]!r} would get a self-loop")
         first = [-1] * len(index_labels)
         second = first.copy()
         join_pairs(first, second, pairs, id_source)

@@ -178,9 +178,9 @@ def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     on {2..kappa} with a root chain, the result is cps(R_u) renamed by φ,
     so its maximum degree is 2 (see the module docstring).  Other input
     gets edges by the same rule, whose maximum degree 2 held on every
-    signed graph up to kappa 6 and on 40,000 random ones up to kappa 24 (a
-    third edge would raise ``ValueError``).  The kappa-3 match J'_2 - J'_3
-    repeats a chain edge.
+    signed graph up to kappa 7 (2,097,152 at kappa 7 alone) and on 40,000
+    random ones up to kappa 24 (a third edge would raise ``ValueError``).
+    The kappa-3 match J'_2 - J'_3 repeats a chain edge.
     """
     kappa = g.kappa()
     size = 2 * kappa - 2

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from . import pointers
 from .errors import ParseError, RealismError
 from .record import Record, kept
@@ -111,13 +109,6 @@ class OverlapGraph(Record):
             raise ValueError(f"{p} is not a vertex")
         return "+" if p in self.positive else "-"
 
-    def neighbors(self, q: int) -> frozenset[int]:
-        if q not in self.vertices:
-            raise ValueError(f"{q} is not a vertex")
-        order = self.vertex_order
-        mask = self.neighbor_masks[bisect_left(order, q) + 2]
-        return frozenset(order[t - 2] for t in bits(mask))
-
     @kept
     def component_masks(self) -> tuple[int, ...]:
         """Slot masks of the connected components, by smallest vertex: one BFS over the masks."""
@@ -176,11 +167,6 @@ class OverlapGraph(Record):
                     break
                 row ^= pivot
         return len(self.vertex_order) - len(basis)
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components, ordered by smallest vertex."""
-        order = self.vertex_order
-        return [frozenset(order[s - 2] for s in bits(comp)) for comp in self.component_masks]
 
     def is_discrete(self) -> bool:
         return not any(self.neighbor_masks)

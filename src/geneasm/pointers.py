@@ -129,32 +129,9 @@ def is_legal(seq) -> bool:
     return _occurrences(seq) is not None
 
 
-def complement(seq) -> PointerString:
-    return tuple(-p for p in seq)
-
-
-def reversal(seq) -> PointerString:
-    return tuple(reversed(seq))
-
-
 def inverse(seq) -> PointerString:
     """Complement of the reversal."""
     return tuple(-p for p in reversed(seq))
-
-
-def conjugates(seq) -> list[PointerString]:
-    """All distinct rotations w2 w1 of seq = w1 w2, the string itself first."""
-    seq = tuple(seq)
-    if not seq:
-        return [()]
-    seen = set()
-    out = []
-    for r in range(len(seq)):
-        rot = seq[r:] + seq[:r]
-        if rot not in seen:
-            seen.add(rot)
-            out.append(rot)
-    return out
 
 
 def domain(seq) -> frozenset[int]:

@@ -183,13 +183,6 @@ class RootSubgraph(Record):
         object.__setattr__(self, "reality_links", reality_links)
         object.__setattr__(self, "free_ends", free_ends)
 
-    @property
-    def vertices(self) -> frozenset[Vertex]:
-        out: set[Vertex] = set()
-        for e in self.desire_chain:
-            out |= e
-        return frozenset(out)
-
 
 def _root_walks(rg: ReductionGraph):
     """Each root chain as the index walk [k0, k1, ..., k_last], in chain order.

@@ -16,7 +16,8 @@ Inside the module a rule is a slot tuple (kind index, p, q), q None for
 the one-pointer rules, and a rule set is a 3-bit code (bit k for the k-th
 kind: snr or gnr 1, spr or gpr 2, sdr or gdr 4).  ``Rule`` records are
 built only for what leaves the module.  Each side has one rule
-implementation that the public rule functions and the searches share.
+implementation; on the graph side the search and ``apply_graph_rule``
+share it.
 
 String side: ``_string_successors`` pairs each applicable rule's slot
 tuple with its successor string, from one occurrence pass per state.
@@ -152,34 +153,17 @@ def _string_rule(slot) -> Rule:
     return Rule(STRING_KINDS[k], (p,) if q is None else (p, q))
 
 
-def applicable_string_rules(u, kinds=ALL_STRING_RULES) -> list[Rule]:
-    """Rules applicable to a legal string, deterministically ordered."""
-    code = _check_kinds(kinds, _STRING_CODE)
-    u = tuple(u)
-    pointers.occurrence_index(u)  # raises unless u is legal
-    return [_string_rule(slot) for slot, _ in _string_successors(u, code)]
-
-
-def apply_string_rule(u, rule: Rule):
-    """Apply one rule; the result is legal with a strictly smaller domain."""
-    code = _check_kinds((rule.kind,), _STRING_CODE)
-    u = tuple(u)
-    pointers.occurrence_index(u)  # raises unless u is legal
-    for slot, v in _string_successors(u, code):
-        if _string_rule(slot) == rule:
-            return v
-    raise ValueError(f"rule {rule} is not applicable to {u}")
-
-
 def successful_string_reductions(u, kinds=ALL_STRING_RULES, max_domain=DEFAULT_STRING_DOMAIN_CAP):
     """Yield every rule sequence (application order) reducing u to the empty string.
 
-    Depth-first order: a state's rules in ``applicable_string_rules`` order,
-    each followed by every completion of its successor.  A memo on the exact
-    string holds each state's completions, the rule tuples that take it to
-    the empty string, so shared substructure is computed once and each rule
-    becomes a ``Rule`` once per call.  All sequences are built before the
-    first is yielded.
+    Depth-first order: a state's rules as ``_string_successors`` lists
+    them (snr, spr, sdr, each by p and then q), each followed by every
+    completion of its successor.  A memo on the exact string holds each
+    state's completions, the rule tuples that take it to the empty string,
+    so shared substructure is computed once and each rule becomes a
+    ``Rule`` once per call.  All sequences are built before the first is
+    yielded.  Being a generator, it checks the kinds, legality and the cap
+    at the first ``next``, not at the call.
     """
     code = _check_kinds(kinds, _STRING_CODE)
     u = tuple(u)
@@ -314,11 +298,6 @@ def _graph_step(state, kind: int, p: int, q):
         adj[x] = a & keep
     adj[p] = adj[q] = 0
     return vertices & keep, positive, tuple(adj)
-
-
-def applicable_graph_rules(g: OverlapGraph, kinds=ALL_GRAPH_RULES) -> list[Rule]:
-    rules = _graph_rules(_graph_state(g), _check_kinds(kinds, _CODE))
-    return [_named(rule, g.vertex_order) for rule in rules]
 
 
 def apply_graph_rule(g: OverlapGraph, rule: Rule) -> OverlapGraph:

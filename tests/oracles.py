@@ -181,7 +181,7 @@ def direct_witnesses(g, a, b):
     The root chain {Jp<p>, Jp<p+1>} holds unconditionally with the single
     witness (empty, empty).  Every other candidate edge has a window core
     and optional endpoints; each index set P = core + P' with P' drawn from
-    the endpoints is a witness when the XOR of g.neighbors(t) over P equals
+    the endpoints is a witness when the XOR of N(t) over P equals
     (positives in P) XOR target.  Witnesses are (P, that XOR), ordered by
     sorted(P).  Pairs that are not candidates have none.
     """
@@ -238,15 +238,18 @@ def per_candidate_direct_edges(g):
 
     The loop that the hash join in ``direct.direct_reduction_graph``
     replaced: prefix XORs S(k) of D(t) = N(t) ^ [t positive] (built from
-    ``g.neighbors``, not from the mask view), then for every candidate
+    ``g.edges``, not from the mask view), then for every candidate
     pair the XOR over its core window and each choice of its optional
     endpoints, compared with its target.  Edges are frozensets of vertex ids.
     """
     kappa = len(g.vertices) + 1
+    d = [0] * (kappa + 1)
+    for p, q in g.edges:
+        d[p] ^= 1 << q
+        d[q] ^= 1 << p
     prefix = [0, 0]
     for t in range(2, kappa + 1):
-        d = sum(1 << x for x in g.neighbors(t)) ^ ((1 << t) if t in g.positive else 0)
-        prefix.append(prefix[-1] ^ d)
+        prefix.append(prefix[-1] ^ d[t] ^ ((1 << t) if t in g.positive else 0))
 
     def holds(core, optional, target):
         values = [prefix[core.stop - 1] ^ prefix[core.start - 1]]
@@ -279,7 +282,7 @@ def _xor_witnesses(g, core, optional, target):
         subset = frozenset(core) | {t for t, pick in zip(optional, picks) if pick}
         value = frozenset()
         for t in sorted(subset):
-            value = value ^ g.neighbors(t)
+            value = value ^ graph_neighbors(g, t)
         if value == (g.positive & subset) ^ frozenset(target):
             found.append((subset, value))
     return sorted(found, key=lambda w: sorted(w[0]))
@@ -463,6 +466,11 @@ def edge_set_root_subgraphs(rg):
                     found.append(RootSubgraph(desire_chain=tuple(chain), reality_links=tuple(links),
                                               free_ends=(other(d2, start), cursor)))
     return found
+
+
+def chain_vertices(chain):
+    """The vertices a root chain covers: the ends of its desire edges."""
+    return frozenset().union(*chain.desire_chain)
 
 
 def rspos(rg, chain, k):

@@ -189,7 +189,7 @@ def test_a08_published_reduction_sequences():
     ):
         h = overlap.overlap_graph(start)
         for rule in rewriting.parse_rule_sequence(text):
-            if rule not in rewriting.applicable_graph_rules(h):
+            if (rule.kind, rule.params) not in oracles.applicable_graph_rules(h):
                 ok = False
                 break
             h = rewriting.apply_graph_rule(h, rule)
@@ -325,7 +325,7 @@ def _check_rooted_chain_identities(u):
     dom = sorted(pointers.domain(u))
     pos = pointers.positive_set(u)
     for chain in reduction.find_root_subgraphs(reduction.ReductionGraph(u)):
-        on = chain.vertices
+        on = oracles.chain_vertices(chain)
         for i in range(1, len(u) + 1):
             if ((i, 0) in on) + ((i, 1) in on) != 1:
                 bad += 1

@@ -527,6 +527,25 @@ class TestEdgeInputs:
         assert result[0] != 2
         assert result == run(rest + ["--"] + words)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-negative", "--string", "-32-23"],
+            ["iso-check", "--cps", "-32-23", "--direct",
+             '{"kappa":3,"edges":[["J2","Jp2"],["J2","J3"],["Jp2","Jp3"],["J3","Jp3"]]}'],
+            ["iso-check", "--strings", "-32-23", "2323"],
+            ["iso-check", "--strings", "2323", "-3-223"],
+            ["direct", "--string", "-3-223", "--format", "text"],
+        ],
+    )
+    def test_option_value_may_start_barred(self, argv):
+        # answered as its spaced spelling, which argparse always read as a value
+        spaced = [pointers.format_pointer_string(pointers.parse_pointer_string(w))
+                  if w.startswith("-") and w[1:2].isdigit() else w for w in argv]
+        result = run(argv)
+        assert result[0] != 2
+        assert result == run(spaced)
+
     def test_components_of_a_barred_start(self, monkeypatch):
         assert run(["components", "-3-223"]) == (0, "1\n", "")
         monkeypatch.setattr("sys.argv", ["geneasm", "components", "-3-223"])
@@ -726,17 +745,6 @@ class TestParserBehaviour:
     def test_missing_option_value_exits_2(self, argv, want):
         # argparse reads "--string=--" as no value, and "--graph=" is empty JSON
         assert run(argv) == (2, "", f"error: {want}\n")
-
-    def test_string_verbs_are_the_parsers_positional_string_verbs(self):
-        import argparse
-
-        parser = cli._build_parser()
-        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        positional = {
-            name for name, sub in verbs.choices.items()
-            if any(a.dest == "string" and not a.option_strings for a in sub._actions)
-        }
-        assert cli._STRING_VERBS == positional
 
 
 def _discrete_graph_json(kappa):

@@ -179,6 +179,12 @@ class TestLabelledGraph:
         assert (g.first, g.second) == ([1, 0], [-1, -1])
         assert g.edges == {frozenset("ab")}
 
+    def test_a_self_loop_is_refused(self):
+        with pytest.raises(ValueError, match="^vertex 'a' would get a self-loop$"):
+            LabelledGraph.from_index_pairs((2, 3), [(0, 0)], (tuple, ("a", "b")))
+        with pytest.raises(ValueError, match="^vertex 'b' would get a self-loop$"):
+            LabelledGraph.from_index_pairs((2, 3), [(0, 1), (1, 1)], (tuple, ("a", "b")))
+
     def test_equality_uses_labels_and_adjacency(self):
         g = LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b"), ["b", "c"], ("b", "a")])
         assert g.edges == {frozenset("ab"), frozenset("bc")}

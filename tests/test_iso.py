@@ -135,8 +135,8 @@ class TestCanonical2Edge:
         for _ in range(60):
             u = sampling.random_legal_string(rng, gaps=False)
             code = iso.canonical_2edge(reduction.ReductionGraph(u))
-            for v in pointers.conjugates(u):
-                assert iso.canonical_2edge(reduction.ReductionGraph(v)) == code
+            for r in range(len(u)):
+                assert iso.canonical_2edge(reduction.ReductionGraph(u[r:] + u[:r])) == code
 
     def test_agreement_with_brute_force(self):
         rng = random.Random(73)
@@ -157,8 +157,8 @@ class TestCanonical2Edge:
         # every even rotation compared: one partition of many strings and
         # all their conjugates, so it spans many classes
         rng = random.Random(77)
-        strings = [v for _ in range(150)
-                   for v in pointers.conjugates(sampling.random_legal_string(rng, 7, gaps=False))]
+        samples = [sampling.random_legal_string(rng, 7, gaps=False) for _ in range(150)]
+        strings = {u[r:] + u[:r] for u in samples for r in range(len(u))}
         assert_same_partition(map(reduction.ReductionGraph, strings))
         assert iso.canonical_2edge(reduction.ReductionGraph(())) == ""
         assert oracles.canonical_2edge(reduction.ReductionGraph(())) == ""

@@ -81,23 +81,7 @@ class TestBasics:
         assert pointers.is_legal((2, -2))
 
     def test_string_operations(self):
-        assert pointers.complement((2, -3)) == (-2, 3)
-        assert pointers.reversal((2, 3)) == (3, 2)
-        assert pointers.reversal(()) == ()
         assert pointers.inverse((2, 3)) == (-3, -2)
-        assert pointers.conjugates((2, 2)) == [(2, 2)]
-        assert pointers.conjugates(()) == [()]
-        assert pointers.conjugates((2, 3, 2, 3)) == [(2, 3, 2, 3), (3, 2, 3, 2)]
-
-    def test_conjugates_keep_first_rotation_order(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            u = tuple(rng.choice((2, -2, 3)) for _ in range(rng.randint(1, 8))) * rng.randint(1, 3)
-            want = []
-            for r in range(len(u)):
-                if u[r:] + u[:r] not in want:
-                    want.append(u[r:] + u[:r])
-            assert pointers.conjugates(u) == want
 
     def test_occurrence_index(self):
         rng = random.Random(13)

@@ -13,48 +13,55 @@ from geneasm.errors import CapError, LegalityError, ParseError
 from geneasm.rewriting import Rule
 
 
+def _string_steps(u, kinds=rewriting.ALL_STRING_RULES):
+    """(Rule, successor) for each rule of the kinds that applies to legal u, in the search's order."""
+    code = rewriting._STRING_CODE[frozenset(kinds)]
+    return [(rewriting._string_rule(slot), v)
+            for slot, v in rewriting._string_successors(tuple(u), code)]
+
+
+def _string_step(u, rule):
+    """The successor of u under a rule that applies to it."""
+    (v,) = [v for r, v in _string_steps(u, (rule.kind,)) if r == rule]
+    return v
+
+
+def _graph_rules(g, kinds=rewriting.ALL_GRAPH_RULES):
+    """The rules of the kinds that apply to g, in the search's order."""
+    state = rewriting._graph_state(g)
+    return [rewriting._named(r, g.vertex_order)
+            for r in rewriting._graph_rules(state, rewriting._CODE[frozenset(kinds)])]
+
+
 class TestStringRules:
     def test_negative_rule(self):
-        assert rewriting.apply_string_rule((2, 2), Rule("snr", (2,))) == ()
-        assert rewriting.apply_string_rule(
-            (3, 2, 2, 3), Rule("snr", (2,))
-        ) == (3, 3)
+        assert _string_step((2, 2), Rule("snr", (2,))) == ()
+        assert _string_step((3, 2, 2, 3), Rule("snr", (2,))) == (3, 3)
         # barred adjacent pairs count as the same rule
-        assert rewriting.apply_string_rule((-2, -2), Rule("snr", (2,))) == ()
+        assert _string_step((-2, -2), Rule("snr", (2,))) == ()
 
     def test_positive_rule(self):
-        assert rewriting.apply_string_rule(
-            (2, 3, -2, 3), Rule("spr", (2,))
-        ) == (-3, 3)
-        assert rewriting.apply_string_rule((2, -2), Rule("spr", (2,))) == ()
+        assert _string_step((2, 3, -2, 3), Rule("spr", (2,))) == (-3, 3)
+        assert _string_step((2, -2), Rule("spr", (2,))) == ()
 
     def test_double_rule(self):
-        assert rewriting.apply_string_rule(
-            (2, 3, 2, 3), Rule("sdr", (2, 3))
-        ) == ()
-        assert rewriting.apply_string_rule(
-            (4, 2, 3, 2, 3, 4), Rule("sdr", (2, 3))
-        ) == (4, 4)
+        assert _string_step((2, 3, 2, 3), Rule("sdr", (2, 3))) == ()
+        assert _string_step((4, 2, 3, 2, 3, 4), Rule("sdr", (2, 3))) == (4, 4)
         # segments swap around the removed occurrences
-        assert rewriting.apply_string_rule(
-            (2, 4, 4, 3, 2, 5, 5, 3), Rule("sdr", (2, 3))
-        ) == (5, 5, 4, 4)
+        assert _string_step((2, 4, 4, 3, 2, 5, 5, 3), Rule("sdr", (2, 3))) == (5, 5, 4, 4)
 
     def test_applicability(self):
         u = (2, 3, 2, 3)
-        assert rewriting.applicable_string_rules(u) == [Rule("sdr", (2, 3))]
+        assert [r for r, _ in _string_steps(u)] == [Rule("sdr", (2, 3))]
         v = (2, 3, -2, 3)
-        assert rewriting.applicable_string_rules(v) == [Rule("spr", (2,))]
-        assert rewriting.applicable_string_rules(v, kinds=("snr",)) == []
-        with pytest.raises(ValueError):
-            rewriting.apply_string_rule((2, 3, 2, 3), Rule("snr", (2,)))
+        assert [r for r, _ in _string_steps(v)] == [Rule("spr", (2,))]
+        assert _string_steps(v, kinds=("snr",)) == []
 
     def test_rules_shrink_domain_and_preserve_legality(self):
         rng = random.Random(91)
         for _ in range(150):
             u = sampling.random_legal_string(rng, gaps=False)
-            for rule in rewriting.applicable_string_rules(u):
-                v = rewriting.apply_string_rule(u, rule)
+            for _, v in _string_steps(u):
                 assert pointers.is_legal(v)
                 assert pointers.domain(v) < pointers.domain(u)
 
@@ -175,10 +182,10 @@ class TestStringSearchAgainstTheDFS:
         for u in self.CORPUS:
             at = pointers.occurrence_index(u)
             for kinds in STRING_SUBSETS:
-                rules = rewriting.applicable_string_rules(u, kinds)
+                rules = [r for r, _ in _string_steps(u, kinds)]
                 assert rules == oracles._string_rules(u, kinds, at)
-            for rule in rewriting.applicable_string_rules(u):
-                assert rewriting.apply_string_rule(u, rule) == oracles._string_step(u, rule, at)
+            for rule, v in _string_steps(u):
+                assert v == oracles._string_step(u, rule, at)
 
     def test_each_rule_is_built_once_per_call(self):
         u = (2, 3, 4, 2, 3, 4, 5, 5)
@@ -242,7 +249,7 @@ def test_every_successful_string_reduction_uses_components_minus_one_snr(u):
 @given(strategies.legal_strings())
 def test_a_rule_applies_to_every_non_empty_legal_string(u):
     """Step 1 of the proof in ``predicted_negative_rule_count``: no legal string is stuck."""
-    assert bool(rewriting.applicable_string_rules(u)) == bool(u)
+    assert bool(_string_steps(u)) == bool(u)
 
 
 def _components(u):
@@ -255,8 +262,8 @@ def _components(u):
 def test_each_string_rule_moves_the_component_count_by_its_kind(u):
     """Per rule: snr removes one component of R_u, spr and sdr keep the count."""
     before = _components(u)
-    for rule in rewriting.applicable_string_rules(u):
-        assert _components(rewriting.apply_string_rule(u, rule)) == before - (rule.kind == "snr")
+    for rule, v in _string_steps(u):
+        assert _components(v) == before - (rule.kind == "snr")
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +271,7 @@ def test_each_string_rule_moves_the_component_count_by_its_kind(u):
 def test_each_graph_rule_moves_the_nullity_by_its_kind(g):
     """Per rule: gnr lowers the GF(2) nullity by one, gpr and gdr keep it."""
     before = g.nullity()
-    for rule in rewriting.applicable_graph_rules(g):
+    for rule in _graph_rules(g):
         assert rewriting.apply_graph_rule(g, rule).nullity() == before - (rule.kind == "gnr")
 
 
@@ -310,7 +317,7 @@ class TestGraphRules:
         rng = random.Random(94)
         for _ in range(80):
             g = overlap.overlap_graph(sampling.random_legal_string(rng, gaps=False))
-            for rule in rewriting.applicable_graph_rules(g):
+            for rule in _graph_rules(g):
                 out = rewriting.apply_graph_rule(g, rule)
                 assert len(out.vertices) < len(g.vertices)
                 assert out.positive <= out.vertices
@@ -322,7 +329,7 @@ class TestPublishedReductions:
         rules = rewriting.parse_rule_sequence("gnr_4 gdr_{5,7} gnr_2 gdr_{3,6}")
         h = g
         for rule in rules:
-            assert rule in rewriting.applicable_graph_rules(h)
+            assert rule in _graph_rules(h)
             h = rewriting.apply_graph_rule(h, rule)
         assert not h.vertices
         assert sum(1 for r in rules if r.kind == "gnr") == 2
@@ -332,7 +339,7 @@ class TestPublishedReductions:
         rules = rewriting.parse_rule_sequence("gnr_2 gpr_4 gpr_5 gpr_7 gpr_6 gpr_3")
         h = g
         for rule in rules:
-            assert rule in rewriting.applicable_graph_rules(h)
+            assert rule in _graph_rules(h)
             h = rewriting.apply_graph_rule(h, rule)
         assert not h.vertices
         assert sum(1 for r in rules if r.kind == "gnr") == 1
@@ -519,7 +526,7 @@ class TestSuccessfulness:
 
     def test_unknown_rule_kinds_rejected(self):
         with pytest.raises(ValueError):
-            rewriting.applicable_string_rules((2, 2), kinds=("snr", "bogus"))
+            next(rewriting.successful_string_reductions((2, 2), kinds=("snr", "bogus")))
         with pytest.raises(ValueError):
             rewriting.successful_in(gamma("22"), {"gnr", "nope"})
 
@@ -541,11 +548,9 @@ class TestSuccessfulness:
 def test_string_and_graph_rules_commute(u):
     """gamma(r(u)) == r^(gamma(u)) with snr->gnr, spr->gpr, sdr->gdr (params sorted)."""
     g = overlap.overlap_graph(u)
-    for rule in rewriting.applicable_string_rules(u):
+    for rule, v in _string_steps(u):
         hat = Rule("g" + rule.kind[1:], tuple(sorted(rule.params)))
-        assert overlap.overlap_graph(
-            rewriting.apply_string_rule(u, rule)
-        ) == rewriting.apply_graph_rule(g, hat)
+        assert overlap.overlap_graph(v) == rewriting.apply_graph_rule(g, hat)
 
 
 def _random_signed_graph(rng, kappa):
@@ -567,7 +572,7 @@ class TestAgainstOracles:
 
     def test_rule_lists_and_successors_on_every_small_graph(self):
         for g in SMALL_GRAPHS:
-            rules = rewriting.applicable_graph_rules(g)
+            rules = _graph_rules(g)
             assert _plain(rules) == oracles.applicable_graph_rules(g)
             for rule in rules:
                 out = rewriting.apply_graph_rule(g, rule)
