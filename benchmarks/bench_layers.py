@@ -39,19 +39,22 @@ each on inputs built beforehand:
                                     ``scale`` op (both graphs, both canonical
                                     forms, ``is_rooted``, both component counts)
 
-A labelled graph names its vertices and walks its components once, on
-first use, and keeps both; a reduction graph walks its cycles once and
-keeps the walk, and an overlap graph keeps its component masks and its
-nullity.  So the layers marked * get a graph built anew, outside the
-timer, before every timed repeat.  On one graph the repeats after the
-first would time a cache hit.  ``cps`` hands its walks over with the
-graph, so the ``canonical_labelled`` row, on a fresh ``cps`` graph of a
-reduction graph already walked, times only the coder; the ``cps`` row
-includes the walk of the reduction graph.  The two cycles are the worst
-case of the least-rotation scan: the least label sits at every vertex or
-every other one, so every candidate rotation shares a long prefix with
-the next.  A scan that is not linear shows there as a row growing
-faster than kappa.
+A labelled graph names its vertices on first use and keeps them; a
+reduction graph walks its cycles once and keeps the walk, and an overlap
+graph keeps its component masks and its nullity.  So the layers marked *
+get a graph built anew, outside the timer, before every timed repeat.  On
+one graph the repeats after the first would time a cache hit.  A labelled
+graph is built with its paths and cycles: ``cps`` reads them off the
+reduction graph's walk, and the direct construction and
+``LabelledGraph.from_index_pairs`` walk their partner arrays as they
+build.  So the ``cps`` row includes the walk of the reduction graph, the
+``direct_reduction_graph`` row the walk of its arrays, and the three
+``canonical_labelled`` rows time only the coder; they keep nothing, and
+get a fresh graph per repeat all the same, as their builders leave it.
+The two cycles are the worst case of the least-rotation scan: the least
+label sits at every vertex or every other one, so every candidate
+rotation shares a long prefix with the next.  A scan that is not linear
+shows there as a row growing faster than kappa.
 
 The string search rows time ``rewriting.successful_string_reductions``
 (every sequence consumed) on the realistic string that
@@ -164,7 +167,8 @@ LAYERS = (
     "is_rooted",
     "cps-vs-direct",
 )
-# the layers whose argument keeps what they compute, built anew for every repeat
+# built anew for every repeat: the layers whose argument keeps what they compute,
+# and the canonical_labelled rows, which code a graph as its builder leaves it
 FRESH = frozenset({"cps", "OverlapGraph.nullity", "successful_rule_sets", "emit_direct_json",
                    "canonical_labelled", "canonical_labelled, one label",
                    "canonical_labelled, 2,3 repeated", "canonical_2edge",

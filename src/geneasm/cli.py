@@ -4,7 +4,9 @@ One verb per invocation; output is deterministic for a fixed seed.  Exit
 codes: 0 success, 2 parse error (argparse uses the same code), 3 input
 not legal, 4 realism required but absent, 5 internal invariant
 violation, 6 direct-construction JSON with kappa over
-``direct.MAX_DIRECT_KAPPA``.  No verb reaches a rewriting search cap:
+``direct.MAX_DIRECT_KAPPA``, 141 when the reader of stdout closes it
+early (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended),
+with nothing printed.  No verb reaches a rewriting search cap:
 ``classify`` decides by the classifier, with no search and no cap, and
 ``crossval`` searches only within the default caps; library callers of
 the two enumerators still get ``CapError``.
@@ -44,6 +46,7 @@ call time, and the package's ``__init__`` imports nothing, so
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from itertools import combinations_with_replacement
@@ -58,6 +61,7 @@ EXIT_NOT_LEGAL = 3
 EXIT_NOT_REALISTIC = 4
 EXIT_INTERNAL = 5
 EXIT_CAP = 6
+EXIT_PIPE = 141
 
 _EXIT_CODES = {LegalityError: EXIT_NOT_LEGAL, RealismError: EXIT_NOT_REALISTIC, CapError: EXIT_CAP}
 
@@ -232,11 +236,8 @@ def _cmd_iso_check(args) -> int:
     from . import iso, reduction
 
     sides = []
-    if args.cps is not None:
-        from . import compress
-
-        rg = reduction.ReductionGraph(_parse_string_arg(args.cps))
-        sides.append(iso.canonical_labelled(compress.cps(rg)))
+    if args.cps is not None:  # the code of cps(R_u), read without building it
+        sides.append(iso.canonical_2edge(reduction.ReductionGraph(_parse_string_arg(args.cps))))
     if args.direct is not None:
         from . import direct
 
@@ -488,7 +489,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_barred_words_as_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a short output meets a closed pipe only here
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: send stdout to devnull, so the flush at exit is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_PARSE)

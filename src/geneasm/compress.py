@@ -1,20 +1,19 @@
 """Labelled graphs of maximum degree 2, and the compression that turns desire edges into vertices.
 
 Every labelled graph this package builds (``cps``, the direct
-construction, parsed direct-graph JSON) has maximum degree two, so a
-``LabelledGraph`` is a tuple of labels by vertex index and two partner
-arrays over vertex indices, not a neighbour set per vertex: the degree
-bound is the representation itself.  One function, ``join_pairs``, joins
-vertex-index pairs into those arrays, once per graph, for both of
-``LabelledGraph``'s constructors and for the direct construction; its
-third-edge ``ValueError`` is the degree check.  Vertex ids are named only
-on request: a graph keeps the plain data they come from
-(``cps`` its desire array, the direct construction its kappa), and the
-id -> label dict and the edge set are derived from it on first use.
-The canonical form and the component count read only the indices, from
-one walk per graph, kept on it.  ``cps`` hands that walk over with the
-graph, read off the reduction graph's own cycle walk, so a compressed
-graph is never walked again.
+construction, parsed direct-graph JSON) has maximum degree two, so each
+of its components is a path or a cycle, and a ``LabelledGraph`` is just
+that: a tuple of labels by vertex index, and its paths and cycles as
+walks of vertex indices.  The degree bound is the representation itself.
+The two builders that join edges, ``LabelledGraph.from_index_pairs`` and
+the direct construction, join them with ``join_pairs`` into partner
+arrays of their own, whose third-edge ``ValueError`` is the degree check,
+and walk those once into paths and cycles; ``cps`` reads its walks off
+the reduction graph's own cycle walk.  The canonical form, the component
+count and the edge set read only the walks.  Vertex ids are named only
+on request: a graph keeps the plain data they come from (``cps`` its
+desire array, the direct construction its kappa), and the id -> label
+dict and the edge set are derived from it on first use.
 """
 
 from __future__ import annotations
@@ -54,14 +53,15 @@ def _third_edge(id_source: tuple, v: int):
 class LabelledGraph(Record):
     """Simple labelled graph of maximum degree 2; vertex ids are arbitrary hashable values.
 
-    It holds ``index_labels``, the label of each vertex index, and the
-    partner arrays ``first`` and ``second`` of neighbour indices, -1 for
-    none, a lone neighbour in ``first``.  Its ids come from ``id_source``,
-    a pair (function, argument) whose call gives them in index order.
-    ``ids``, ``labels`` (vertex id -> label, in index order), ``edges``
-    (the frozenset of frozenset({u, v}) id pairs) and the walks are
-    derived on first use.  Graphs compare by labels and edges and, holding
-    dicts, are unhashable.
+    It holds ``index_labels``, the label of each vertex index, and its
+    components as lists of vertex indices in walk order: ``paths``, an
+    isolated vertex a path of one, and ``cycles``, each of 3 or more
+    vertices and closed from its last vertex back to its first.  Its ids
+    come from ``id_source``, a pair (function, argument) whose call gives
+    them in index order.  ``ids``, ``labels`` (vertex id -> label, in
+    index order) and ``edges`` (the frozenset of frozenset({u, v}) id
+    pairs) are derived on first use.  Graphs compare by labels and edges
+    and, holding dicts, are unhashable.
     """
 
     __hash__ = None
@@ -100,17 +100,38 @@ class LabelledGraph(Record):
 
     @classmethod
     def _from_partners(cls, index_labels: tuple, first: list, second: list,
-                       id_source: tuple, walks: tuple | None = None) -> LabelledGraph:
-        """The graph with these partner arrays, taken as given: each edge in both ends' entries.
+                       id_source: tuple) -> LabelledGraph:
+        """The graph of these partner arrays, each edge in both ends' entries, walked once.
 
-        ``walks``, if given, is kept as the graph's walks, which must equal what
-        ``walks`` would find.
+        Paths come first, each walked from its end of lowest index; the
+        vertices left lie on cycles, each walked from its vertex of lowest
+        index towards its ``first`` partner.
         """
+        seen = bytearray(len(first))
+        ends = [v for v, w in enumerate(second) if w < 0]
+        paths, cycles = [], []
+        for starts, walks in ((ends, paths), (range(len(first)), cycles)):
+            for start in starts:
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                walk = [start]
+                prev, v = start, first[start]
+                while v >= 0 and not seen[v]:
+                    seen[v] = 1
+                    walk.append(v)
+                    w = first[v]
+                    prev, v = v, (second[v] if w == prev else w)  # on, away from prev
+                walks.append(walk)
+        return cls._from_walks(index_labels, paths, cycles, id_source)
+
+    @classmethod
+    def _from_walks(cls, index_labels: tuple, paths: list, cycles: list,
+                    id_source: tuple) -> LabelledGraph:
+        """The graph with these paths and cycles, taken as given: each vertex on one walk."""
         g = cls.__new__(cls)
-        g.__dict__.update(index_labels=index_labels, first=first, second=second,
+        g.__dict__.update(index_labels=index_labels, paths=paths, cycles=cycles,
                           id_source=id_source)
-        if walks is not None:
-            g.__dict__["walks"] = walks
         return g
 
     def _fields(self) -> tuple:
@@ -131,45 +152,21 @@ class LabelledGraph(Record):
     @kept
     def edges(self) -> frozenset:
         ids = self.ids
-        return frozenset(frozenset((ids[v], ids[w]))
-                         for partners in (self.first, self.second)
-                         for v, w in enumerate(partners) if v < w)
+        return frozenset(frozenset((ids[v], ids[w])) for v, w in self.index_pairs())
+
+    def index_pairs(self):
+        """Each edge once, as a pair of vertex indices: along each walk, and round each cycle."""
+        for walk in self.paths:
+            yield from zip(walk, walk[1:])
+        for walk in self.cycles:
+            yield from zip(walk, walk[1:] + walk[:1])
 
     @property
     def vertices(self):
         return self.labels.keys()
 
-    @kept
-    def walks(self) -> tuple:
-        """Each component as a list of vertex indices in walk order, walked once and kept.
-
-        Paths and isolated vertices come first, each walked from its end of
-        lowest index; what is left is cycles, each walked from its vertex of
-        lowest index towards its ``first`` partner.  A walk is a cycle
-        exactly when its start has a ``second`` partner.  ``cps`` hands over
-        the same walks, read off the reduction graph's cycle walk, as it
-        builds the graph, so a compressed graph never runs this.
-        """
-        first, second = self.first, self.second
-        seen = bytearray(len(first))
-        walks = []
-        ends = [v for v, w in enumerate(second) if w < 0]
-        for start in ends + list(range(len(first))):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            walk = [start]
-            prev, v = start, first[start]
-            while v >= 0 and not seen[v]:
-                seen[v] = 1
-                walk.append(v)
-                w = first[v]
-                prev, v = v, (second[v] if w == prev else w)  # on, away from prev
-            walks.append(walk)
-        return tuple(walks)
-
     def component_count(self) -> int:
-        return len(self.walks)
+        return len(self.paths) + len(self.cycles)
 
 
 def _desire_ids(desire) -> tuple:
@@ -195,22 +192,11 @@ def cps(rg) -> LabelledGraph:
     The compression is read from the reduction graph's one cycle walk,
     ``rg.cycle_entries``: an alternating cycle that enters the desire edges
     of compressed vertices c_0, ..., c_(L-1) in turn is the compressed
-    cycle c_0 - c_1 - ... - c_(L-1) - c_0, so each vertex's partners are
-    the ones before and after it in walk order.  The one across the reality
-    edge at the lower end x of its desire edge goes first, as
-    ``LabelledGraph.from_index_pairs`` would order them, reading reality
-    edges in index order, except when x is 0, whose reality edge is the
-    last one.  A 1-cycle of the reduction graph gives a self-loop, dropped,
-    and a 2-cycle the same partner twice, kept once.
-
-    The same pass gives ``walks``, handed over with the graph, so neither
-    ``component_count`` nor the canonical form walks it again.  Vertices
-    of 1- and 2-cycles, which have no ``second`` partner, come first; each
-    longer cycle is read from its lowest vertex c_0 towards its ``first``
-    partner, which is c_(L-1), against the walk, unless the cycle holds
-    index 0.  Anything without that walk is refused with ``TypeError``;
-    compressing other 2-edge-coloured graphs is left to the tests'
-    edge-set oracle.
+    cycle c_0 - c_1 - ... - c_(L-1) - c_0.  For L >= 3 that is a cycle.  A
+    2-cycle meets its one partner twice, kept once, so it is a path of
+    two, and a 1-cycle gives a self-loop, dropped, so an isolated vertex.
+    Anything without that walk is refused with ``TypeError``; compressing
+    other 2-edge-coloured graphs is left to the tests' edge-set oracle.
     """
     try:
         cycle_entries = rg.cycle_entries
@@ -223,31 +209,10 @@ def cps(rg) -> LabelledGraph:
         if k < other:
             at[k] = at[other] = len(lows)
             lows.append(k)
-    first = [-1] * len(lows)
-    second = first.copy()
-    ends, cycles = [], []  # the walks of 1- and 2-cycles, and of longer ones
+    paths, cycles = [], []
     for entries in cycle_entries:
         walk = [at[k] for k in entries]
-        if len(walk) < 3:
-            if len(walk) == 2:
-                a, b = walk
-                first[a], first[b] = b, a
-            ends.append(walk)
-            continue
-        # the walk enters vertex d's desire edge at k, from the vertex before
-        before, d = walk[-1], walk[0]
-        for k, after in zip(entries, walk[1:] + walk[:1]):
-            if k < desire[k]:
-                first[d], second[d] = before, after
-            else:
-                first[d], second[d] = after, before
-            before, d = d, after
-        if entries[0]:
-            walk[1:] = walk[:0:-1]
-        else:  # index 0's reality edge is the last one
-            first[walk[0]], second[walk[0]] = walk[1], walk[-1]
-        cycles.append(walk)
+        (cycles if len(walk) > 2 else paths).append(walk)
     magnitudes = rg.magnitudes
     index_labels = tuple([magnitudes[k >> 1] for k in lows])
-    return LabelledGraph._from_partners(index_labels, first, second, (_desire_ids, desire),
-                                        walks=tuple(ends + cycles))
+    return LabelledGraph._from_walks(index_labels, paths, cycles, (_desire_ids, desire))

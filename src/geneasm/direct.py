@@ -23,8 +23,9 @@ kappa > 3 (at kappa 3 it is the chain edge).  Each end is matched as it
 is made, with one dictionary probe against the ends made before it, so
 one pass finds every edge in O(kappa) dictionary operations plus the
 size of the output, as a list of vertex-index pairs that one call of
-``compress.join_pairs`` writes into the graph's partner arrays, after the
-root chain; parsed direct-graph JSON is joined by the same function.
+``compress.join_pairs`` joins into partner arrays after the root chain,
+walked once into the graph's paths and cycles; parsed direct-graph JSON
+is joined by the same function.
 Sets are int bitmasks from ``OverlapGraph.neighbor_masks``.  The graph is
 built on vertex indices, J_p at 2(p-2) and J'_p at 2(p-2)+1, and keeps
 only kappa to name them: its vertex ids, the strings "J<p>" and "Jp<p>"
@@ -171,9 +172,10 @@ def _matches(g: OverlapGraph, kappa: int) -> tuple[list[tuple[int, int]], list[t
 def direct_reduction_graph(g: OverlapGraph) -> LabelledGraph:
     """The root chain plus an edge for each matched pair of ends.
 
-    The chain J'_2 - J'_3 - ... - J'_kappa is set in the partner arrays
+    The chain J'_2 - J'_3 - ... - J'_kappa is set in partner arrays
     first, then the vertex pairs of ``_matches`` are joined in by
-    ``compress.join_pairs``, a repeated pair skipped.  The caller is
+    ``compress.join_pairs``, a repeated pair skipped, and the arrays are
+    walked once into the graph's paths and cycles.  The caller is
     responsible for realism.  On γ_u, for u realistic or any legal string
     on {2..kappa} with a root chain, the result is cps(R_u) renamed by φ,
     so its maximum degree is 2 (see the module docstring).  Other input
@@ -263,9 +265,10 @@ def sorted_ids(graph: LabelledGraph) -> tuple[list, list[tuple]]:
     holds its ids as ``_vertex_ids`` does, so index order is J2, Jp2, J3, Jp3, ...
     """
     names = list(graph.ids)
-    pairs = sorted((v, w) for partners in (graph.first, graph.second)
-                   for v, w in enumerate(partners) if v < w)
-    return names, [(names[v], names[w]) for v, w in pairs]
+    n = len(names)
+    # an edge as the int low * n + high sorts as its index pair does, and ints sort faster
+    keys = sorted(v * n + w if v < w else w * n + v for v, w in graph.index_pairs())
+    return names, [(names[k // n], names[k % n]) for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ multiset of per-component codes rendered as a stable ASCII string.
 One coder writes every code, from each component's labels in walk order
 and whether it is closed: a path's code is the smaller of its two
 readings, a cycle's the least rotation of either reading, so no code
-depends on where its walk started.  ``canonical_labelled`` feeds it
-``LabelledGraph.walks``; ``canonical_2edge`` codes a reduction graph
-as its compression, from ``ReductionGraph.cycle_entries``.  Other
-2-edge-coloured graphs are left to the tests' generic oracle.  The least
+depends on where its walk started.  ``canonical_labelled`` feeds it a
+``LabelledGraph``'s paths and cycles; ``canonical_2edge`` codes a
+reduction graph as its compression, from ``ReductionGraph.cycle_entries``.
+Other 2-edge-coloured graphs are left to the tests' generic oracle.  The least
 rotation is a linear two-candidate scan over the occurrences of the
 least label, so a code costs O(L) for a component of L vertices, also
 when every label is the same.
@@ -77,13 +77,13 @@ def _code(components) -> str:
 def canonical_labelled(g) -> str:
     """Canonical code of a ``LabelledGraph``; equal codes iff isomorphic.
 
-    Reads only vertex indices: the components from ``g.walks`` (paths
-    and isolated vertices from an end, then cycles), their labels from
+    Reads only vertex indices: the components from ``g.paths`` (isolated
+    vertices included) and ``g.cycles``, their labels from
     ``g.index_labels``.  The vertex ids are never named.
     """
     label = g.index_labels.__getitem__
-    second = g.second
-    return _code([(tuple(map(label, walk)), second[walk[0]] >= 0) for walk in g.walks])
+    return _code([(tuple(map(label, walk)), closed)
+                  for walks, closed in ((g.paths, False), (g.cycles, True)) for walk in walks])
 
 
 def canonical_2edge(rg) -> str:

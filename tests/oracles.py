@@ -321,8 +321,8 @@ def pairs_cps(rg):
 
     It lists each reality edge k (odd, joining index k to k+1 mod 2n) as the
     pair of compressed vertices at its ends, drops self-loops, and lets
-    ``LabelledGraph.from_index_pairs`` fill the partner arrays, skipping the
-    repeat of a 2-cycle.
+    ``LabelledGraph.from_index_pairs`` join them, skipping the repeat of a
+    2-cycle.
     """
     desire = rg.desire_pairs()
     at = [0] * (2 * rg.n)  # the compressed vertex of each desire edge, at both ends
@@ -514,19 +514,17 @@ def root_chain_map(rg, walk):
 
 
 def index_edges(graph):
-    """The edges of a ``LabelledGraph`` as frozensets of vertex indices, read from its partner arrays."""
-    return {frozenset((v, w)) for partners in (graph.first, graph.second)
-            for v, w in enumerate(partners) if w >= 0}
+    """The edges of a ``LabelledGraph`` as frozensets of vertex indices, read from its walks."""
+    return {frozenset(e) for e in graph.index_pairs()}
 
 
 def max_degree(graph):
     """The most ``index_edges`` at one vertex index, 0 with none.
 
-    Each partner array entry is read as an edge, so an entry its partner
-    does not return shows up as an edge too many at that partner.
+    Each edge of each walk is counted at both its ends.
     """
-    degree = [0] * len(graph.first)
-    for e in index_edges(graph):
+    degree = [0] * len(graph.index_labels)
+    for e in graph.index_pairs():
         for v in e:
             degree[v] += 1
     return max(degree, default=0)
@@ -1207,6 +1205,12 @@ def swap_colours(g) -> ColouredGraph:
 
 def random_degree2_graph(rng: random.Random, max_vertices: int = 10, label_range=(2, 6)):
     """Random disjoint union of isolated vertices, paths, and cycles."""
+    labels, edges = random_degree2_edges(rng, max_vertices, label_range)
+    return LabelledGraph(labels=labels, edges=edges)
+
+
+def random_degree2_edges(rng: random.Random, max_vertices: int = 10, label_range=(2, 6)):
+    """The labels and edge set of ``random_degree2_graph``, before it is built."""
     n = rng.randint(1, max_vertices)
     labels = {}
     edges = set()
@@ -1229,7 +1233,7 @@ def random_degree2_graph(rng: random.Random, max_vertices: int = 10, label_range
             edges.add(frozenset((a, b)))
         if shape == "cycle" and size >= 3:
             edges.add(frozenset((members[-1], members[0])))
-    return LabelledGraph(labels=labels, edges=frozenset(edges))
+    return labels, frozenset(edges)
 
 
 def shuffled_copy(rng: random.Random, g: LabelledGraph) -> LabelledGraph:

@@ -135,25 +135,26 @@ def test_the_string_search_rows_run_each_kappas_first_string(bench, monkeypatch)
 
 
 def test_labelled_graph_rows_time_a_fresh_graph_per_repeat(bench, monkeypatch):
-    met = []  # (layer, whether the graph had been walked or named before the call)
+    met = []  # (layer, the graph, whether its ids had been named before the call)
     canonical, emit = bench.iso.canonical_labelled, bench.direct.emit_direct_json
 
     def canonical_labelled(g):
-        met.append(("canonical_labelled", "walks" in vars(g)))
+        met.append(("canonical_labelled", g, "ids" in vars(g)))
         return canonical(g)
 
     def emit_direct_json(g):
-        met.append(("emit_direct_json", "ids" in vars(g)))
+        met.append(("emit_direct_json", g, "ids" in vars(g)))
         return emit(g)
 
     monkeypatch.setattr(bench.iso, "canonical_labelled", canonical_labelled)
     monkeypatch.setattr(bench.direct, "emit_direct_json", emit_direct_json)
     rows = bench.measure([6], repeat=3, budget=10)
     assert all(r["calls"] == 3 for r in rows)
-    # three repeats of each row; each cps-vs-direct repeat takes two canonical forms; a cps
-    # graph, in the canonical_labelled row and in cps-vs-direct, comes with its walks
-    assert sorted(met) == ([("canonical_labelled", False)] * 9 + [("canonical_labelled", True)] * 6
-                           + [("emit_direct_json", False)] * 3)
+    # three repeats of each row; each cps-vs-direct repeat takes two canonical forms, and
+    # every call gets a graph of its own, never named
+    assert sorted((layer, named) for layer, _, named in met) == (
+        [("canonical_labelled", False)] * 15 + [("emit_direct_json", False)] * 3)
+    assert len({id(g) for _, g, _ in met}) == len(met)
 
 
 def test_a_fresh_row_never_gets_what_its_call_keeps(bench):
@@ -182,7 +183,7 @@ def test_the_adversarial_rows_time_one_cycle_as_long_as_the_string(bench):
                           ("canonical_labelled, 2,3 repeated", (2, 3) * 7)):
         fn, make_arg = built[layer]
         g = make_arg()
-        assert g.index_labels == labels and len(g.walks) == 1
+        assert g.index_labels == labels and g.paths == [] and len(g.cycles) == 1
         assert fn(g) == "c[" + ",".join(map(str, labels)) + "]"
 
 

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -727,6 +730,29 @@ class TestParserBehaviour:
 
         monkeypatch.setattr(cli, "_cmd_components", fail)
         assert run(["components", "2323"]) == (code, "", "error: boom\n")
+
+    def test_a_closed_stdout_pipe_exits_141_with_nothing_printed(self):
+        """A reader that stops early ends the run as SIGPIPE would, not as a parse error."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is buffered, as by default
+        command = [sys.executable, "-m", "geneasm.cli"]
+        argv = ["random", "--seed", "1", "--count", "200000", "--kappa", "9"]
+        with subprocess.Popen(command + argv, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"M6 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE, b"") == (141, b"")
+        # a short output, to a pipe closed before the run starts, meets it at the last flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(command + ["components", "2323"], env=env, stdout=write,
+                                  stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_unreadable_file_exits_2(self):
         code, out, err = run(["components", "@/nonexistent/file"])

@@ -13,6 +13,21 @@ def cps_of(text):
     return compress.cps(reduction.ReductionGraph(pointers.parse_pointer_string(text)))
 
 
+def assert_walks_traverse(g, edges):
+    """g's walks hold each vertex index once and step along each of ``edges`` once.
+
+    ``edges`` holds frozensets of vertex indices; a cycle, of 3 or more
+    vertices, also steps from its last vertex back to its first.
+    """
+    walks = g.paths + g.cycles
+    assert sorted(v for walk in walks for v in walk) == list(range(len(g.index_labels)))
+    assert all(len(walk) >= 3 for walk in g.cycles)
+    steps = [frozenset(step) for walk in g.paths for step in zip(walk, walk[1:])]
+    steps += [frozenset(step) for walk in g.cycles for step in zip(walk, walk[1:] + walk[:1])]
+    assert sorted(map(sorted, steps)) == sorted(map(sorted, edges))  # so no edge joins two walks
+    assert g.component_count() == len(walks)
+
+
 class TestCps:
     def test_realistic_example_collapses_to_two_hexagons(self):
         g = cps_of("72673456-3-245")
@@ -104,10 +119,13 @@ class TestCps:
     def test_matches_the_first_array_compression(self, u):
         rg = reduction.ReductionGraph(u)
         got, want = compress.cps(rg), oracles.pairs_cps(rg)
-        assert (got.first, got.second, got.index_labels) == (want.first, want.second,
-                                                             want.index_labels)
-        assert got.walks == want.walks
-        assert rg.component_count() == len(got.walks)
+        assert got.index_labels == want.index_labels
+        assert oracles.index_edges(got) == oracles.index_edges(want)
+        for walks in ("paths", "cycles"):
+            assert ({frozenset(walk) for walk in getattr(got, walks)}
+                    == {frozenset(walk) for walk in getattr(want, walks)})
+        assert_walks_traverse(got, oracles.index_edges(want))
+        assert rg.component_count() == got.component_count()
 
     def test_compression_preserves_isomorphism_class(self):
         rng = random.Random(63)
@@ -147,36 +165,30 @@ class TestLabelledGraph:
     def test_walks_read_each_component_once(self):
         rng = random.Random(65)
         for _ in range(300):
-            g = oracles.random_degree2_graph(rng, max_vertices=12)
-            ids = list(g.labels)
-            walks = list(g.walks)
-            assert sorted(v for walk in walks for v in walk) == list(range(len(ids)))
-            walked = 0
-            for walk in walks:
-                closed = g.second[walk[0]] >= 0  # a cycle; otherwise read from an end
-                steps = list(zip(walk, walk[1:])) + ([(walk[-1], walk[0])] if closed else [])
-                assert all(frozenset((ids[a], ids[b])) in g.edges for a, b in steps)
-                assert not closed or len(walk) >= 3
-                walked += len(steps)
-            assert walked == len(g.edges)  # so no edge joins two walks
-            assert g.component_count() == len(walks)
+            labels, edges = oracles.random_degree2_edges(rng, max_vertices=12)
+            labels = dict(rng.sample(list(labels.items()), len(labels)))  # indices out of walk order
+            g = LabelledGraph(labels, edges)
+            ids = list(labels)
+            assert_walks_traverse(g, {frozenset(map(ids.index, e)) for e in edges})
+            assert g.edges == edges
 
     def test_one_walk_serves_the_canonical_form_and_the_count(self, monkeypatch):
-        """cps hands over its walks at build; the canonical form and both counts reuse them."""
+        """cps reads the reduction graph's kept walk; the canonical form and both counts reuse it."""
         rg = reduction.ReductionGraph(pointers.parse_pointer_string("72673456-3-245"))
-        g = compress.cps(rg)
-        walks, entries = vars(g)["walks"], vars(rg)["cycle_entries"]
-        # with the walks gone from both classes, only the kept values can answer
-        monkeypatch.delattr(LabelledGraph, "walks")
+        entries = rg.cycle_entries
+        # with no walk left to run in either class, only the kept walk can answer
+        monkeypatch.delattr(LabelledGraph, "_from_partners")
         monkeypatch.delattr(reduction.ReductionGraph, "cycle_entries")
+        g = compress.cps(rg)
         code = iso.canonical_labelled(g)
         assert iso.canonical_2edge(rg) == code
         assert g.component_count() == rg.component_count() == 2
-        assert g.walks is walks and rg.cycle_entries is entries
+        assert rg.cycle_entries is entries and g.paths == []
+        assert [len(walk) for walk in g.cycles] == [len(e) for e in entries] == [6, 6]
 
     def test_repeated_edges_are_skipped(self):
         g = LabelledGraph.from_index_pairs((2, 3), [(0, 1), (1, 0), (0, 1)], (tuple, ("a", "b")))
-        assert (g.first, g.second) == ([1, 0], [-1, -1])
+        assert (g.paths, g.cycles) == ([[0, 1]], [])
         assert g.edges == {frozenset("ab")}
 
     def test_a_self_loop_is_refused(self):
@@ -188,7 +200,7 @@ class TestLabelledGraph:
     def test_equality_uses_labels_and_adjacency(self):
         g = LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b"), ["b", "c"], ("b", "a")])
         assert g.edges == {frozenset("ab"), frozenset("bc")}
-        assert (g.first, g.second) == ([1, 0, 1], [-1, 2, -1])
+        assert (g.paths, g.cycles) == ([[0, 1, 2]], [])
         assert g == LabelledGraph({"c": 3, "b": 3, "a": 2}, g.edges)
         assert g != LabelledGraph({"a": 2, "b": 3, "c": 3}, [("a", "b")])
         assert g != LabelledGraph({"a": 2, "b": 3, "c": 2}, g.edges)

@@ -270,12 +270,12 @@ class TestDegreeBound:
 
 
 def _build(build, g):
-    """The partner arrays and labels ``build`` gives on g, or the text of its ``ValueError``."""
+    """The paths, cycles and labels ``build`` gives on g, or the text of its ``ValueError``."""
     try:
         out = build(g)
     except ValueError as exc:
         return str(exc)
-    return out.first, out.second, out.index_labels
+    return out.paths, out.cycles, out.index_labels
 
 
 class TestOnePassBuild:
@@ -307,8 +307,8 @@ class TestOnePassBuild:
 
     @pytest.mark.parametrize("matches, want", [
         # J2 - J3 twice, either way round, then J2 - J4 twice: each repeat skipped, the
-        # second where J2 holds J4 as its second partner
-        ([(0, 2), (2, 0), (0, 4), (0, 4)], ([2, 3, 0, 1, 0, 3], [4, -1, -1, 5, -1, -1])),
+        # second once J2 has both its edges; the paths are the chain and J3 - J2 - J4
+        ([(0, 2), (2, 0), (0, 4), (0, 4)], ([[1, 3, 5], [2, 0, 4]], [])),
         # J2 - J3, J2 - J4, J2 - Jp4: a third edge at J2
         ([(0, 2), (0, 4), (0, 5)], "vertex 'J2' would get a third edge (maximum degree 2)"),
         # J2 - Jp2, then J3 - Jp2: a third edge at the second end, Jp2 (Jp3, J2, J3)
@@ -531,7 +531,7 @@ class TestJson:
         # an edge listed twice, in either order, is one edge
         graph = direct.parse_direct_json('{"kappa":3,"edges":[["J2","J3"],["J3","J2"]]}')
         assert graph.edges == {edge("J2", "J3")}
-        assert (graph.first, graph.second) == ([2, -1, 0, -1], [-1, -1, -1, -1])
+        assert (graph.paths, graph.cycles) == ([[0, 2], [1], [3]], [])
 
     def test_kappa_bound(self):
         assert direct.MAX_DIRECT_KAPPA >= 8 * 8192

@@ -123,8 +123,9 @@ def test_iso_check_strings_loads_neither_graph_side():
 
 
 def test_iso_check_direct_json_loads_no_overlap_graph():
-    # a direct graph parsed from JSON is compared with a compression: the
-    # direct construction's module is loaded, but no overlap graph is built
+    # a direct graph parsed from JSON is compared with a string's code: the
+    # direct construction's module is loaded, and with it compress, which it
+    # imports, but no overlap graph is built
     loaded = _modules_loaded_by(["iso-check", "--cps", "2323", "--direct",
                                  '{"kappa":3,"edges":[]}'])
     assert {"geneasm.direct", "geneasm.compress"} <= loaded
